@@ -1,6 +1,6 @@
 """Exact computational algebra for rational quantum tori and their modules."""
 
-from .cyclo import CycloField, CycloNum, arith, make_field, parse_cyclonum, root_of_unity
+from .cyclo import CycloField, CycloNum, arith, make_field, parse_cyclonum
 from .matrices import ExactMatrix
 from .torus import (
     Monomial,

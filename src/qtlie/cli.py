@@ -39,10 +39,6 @@ from .verify import run_suites, reports_to_json
 from .xmatrix import x_power
 
 
-def _load_spec(path: str) -> TorusSpec:
-    return load_torus(path)
-
-
 def _alpha_from_arg(spec: TorusSpec, text: str | None):
     if not text:
         return (0,) * spec.d
@@ -62,7 +58,7 @@ def _vw_from_name(spec: TorusSpec, name: str) -> GLdGLNModule:
 
 
 def cmd_torus_info(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_torus(args.spec)
     print(f"d={spec.d} z={spec.z} k={list(spec.k)} L={spec.L}")
     print(f"N={spec.N}, |Gamma|={spec.N ** 2}")
     if spec.z:
@@ -79,7 +75,7 @@ def cmd_torus_info(args) -> int:
 
 
 def cmd_bracket_eval(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_torus(args.spec)
     if args.algebra == "d":
         a = parse_d_element(spec, args.left)
         b = parse_d_element(spec, args.right)
@@ -98,7 +94,7 @@ def cmd_bracket_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_torus(args.spec)
     config = {}
     if args.box is not None:
         config["box"] = args.box
@@ -120,7 +116,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_torus(args.spec)
     exp = tuple(int(x) for x in args.exp.split(","))
     if len(exp) != spec.d:
         raise ParseError(f"exponent needs {spec.d} coordinates")
@@ -141,7 +137,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_torus(args.spec)
     directory = args.dir or os.environ.get("QTL_CACHE_DIR") or ".qtl-cache"
     path, hit = cache_structure_constants(spec, args.max_degree, directory)
     print(f"{'cache hit' if hit else 'computed'}: {path}")
@@ -156,7 +152,7 @@ def _write_json(path: str, payload: dict):
 
 def cmd_module(args) -> int:
     if args.action == "build":
-        spec = _load_spec(args.spec)
+        spec = load_torus(args.spec)
         alpha = _alpha_from_arg(spec, args.alpha)
         vw = _vw_from_name(spec, args.vw)
         if args.tensor_field:
@@ -191,7 +187,7 @@ def cmd_module(args) -> int:
             print(f"wrote factored representation to {args.out}")
         return 0
     if args.action == "roundtrip":
-        spec = _load_spec(args.spec)
+        spec = load_torus(args.spec)
         alpha = _alpha_from_arg(spec, args.alpha)
         vw = _vw_from_name(spec, args.vw)
         rep = pullback(spec, vw)
@@ -210,7 +206,7 @@ def cmd_module(args) -> int:
                 db = json.load(fh)
             ok = da == db
         else:
-            spec = _load_spec(args.spec)
+            spec = load_torus(args.spec)
             alpha = _alpha_from_arg(spec, args.alpha)
             vw = _vw_from_name(spec, args.vw)
             built = build_module(spec, alpha, pullback(spec, vw), box=args.box)

@@ -30,7 +30,9 @@ from .errors import (
     ConstantTermMismatch,
     DegreeBoundViolated,
     DimensionMismatch,
+    InvalidModuleData,
     InvalidRepresentation,
+    InvariantViolated,
     MalformedBasisKey,
     OutOfBox,
     RelationViolated,
@@ -186,7 +188,8 @@ def bracket_symbols(spec: TorusSpec, a, b) -> list:
         coeff = sigma_skew(spec, r, s)
         rs = exp_add(r, s)
         if in_R(spec, rs):
-            assert coeff.is_zero(), (r, s)
+            if not coeff.is_zero():
+                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
             return []
         return [] if coeff.is_zero() else [(coeff, ("inn", rs))]
     if (ta, tb) in (("inn", "z"), ("z", "z"), ("z", "inn"), ("z", "deg"), ("inn", "deg")):
@@ -361,18 +364,7 @@ class TensorFieldModule(_WeightModuleBase):
         self.vw = vw
         self.box = box
         self.strict_box = strict_box
-        dV = vw.dim_V
-        dims: dict[tuple, int] = {}
-        for c in vw.W_classes:
-            dims[c] = dims.get(c, 0) + dV
-        self.space = GradedSpace(spec, dims)
-        self._position = {}
-        counters = {c: 0 for c in self.space.classes}
-        for b, c in enumerate(vw.W_classes):
-            base = counters[c]
-            counters[c] += dV
-            for a in range(dV):
-                self._position[(b, a)] = base + a  # local index inside class c
+        self.space, _ = vw.tensor_layout()
         self._w_locals = {c: [] for c in self.space.classes}
         for b, c in enumerate(vw.W_classes):
             self._w_locals[c].append(b)
@@ -615,7 +607,8 @@ class OperatorFamily:
         for c in sp.classes:
             for local, res in enumerate(self._columns(sym, c)):
                 for (w, np), col in res.items():
-                    assert w == c and np == tuple(m), "degree family must preserve class"
+                    if w != c or np != tuple(m):
+                        raise InvalidModuleData(f"degree family sends class {c} to label {(w, np)}")
                     for i, x in enumerate(col):
                         out[sp.offset[c] + i, sp.offset[c] + local] = x
         return out
@@ -638,7 +631,8 @@ class OperatorFamily:
             tc = canonical_rep(spec, exp_add(c, e))
             for local, res in enumerate(self._columns(sym, c)):
                 for (w, _np), col in res.items():
-                    assert w == tc, "inner family must shift by the class of e"
+                    if w != tc:
+                        raise InvalidModuleData(f"inner family sends class {c} to class {w}, not {tc}")
                     for i, x in enumerate(col):
                         out[sp.offset[tc] + i, sp.offset[c] + local] = x
         return out

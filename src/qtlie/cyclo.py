@@ -11,7 +11,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ParseError
+from .errors import InvariantViolated, ParseError
 
 Rat = Fraction
 
@@ -62,7 +62,8 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     for d in range(1, L):
         if L % d == 0:
             poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise InvariantViolated(f"Phi_{d} does not divide x^{L} - 1 exactly")
     return tuple(poly)
 
 
@@ -139,10 +140,6 @@ class CycloField:
 @lru_cache(maxsize=None)
 def make_field(L: int) -> CycloField:
     return CycloField(L)
-
-
-def root_of_unity(field: CycloField, j: int) -> "CycloNum":
-    return field.root(j)
 
 
 class CycloNum:
@@ -231,7 +228,8 @@ class CycloNum:
             coeffs[i] = c
         out = CycloNum(self.field, tuple(coeffs))
         # Inverse may still need reduction if deg(inv) >= phi; multiply check is cheap.
-        assert (out * self).is_one()
+        if not (out * self).is_one():
+            raise InvariantViolated("computed inverse does not multiply to one")
         return out
 
     def __truediv__(self, other):

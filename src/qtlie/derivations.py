@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 
 from .cyclo import CycloField, CycloNum, parse_scalar
-from .errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
+from .errors import ExponentNotInR, InvariantViolated, MalformedBasisKey, NotGeneric, ParseError
 from .matrices import rational_rank
-from .torus import TorusSpec, exp_add, in_R, sigma_skew
+from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
 
 
 def _coerce_vector(field: CycloField, u) -> tuple[CycloNum, ...]:
@@ -203,8 +203,9 @@ def _bracket_d_keys(spec: TorusSpec, a, b) -> DElement:
     coeff = sigma_skew(spec, r, s)
     rs = exp_add(r, s)
     if in_R(spec, rs):
-        # forced by the normal form; asserted rather than special-cased
-        assert coeff.is_zero(), (r, s)
+        # forced by the normal form; checked rather than special-cased
+        if not coeff.is_zero():
+            raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
         return DElement(fld)
     if coeff.is_zero():
         return DElement(fld)
@@ -293,7 +294,7 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
             for n in exps:
                 cases += 1
                 got = bracket_witt(am, witt_along(fld, mu, n))
-                scalar = inner_product(fld, mu, exp_sub_vec(n, m))
+                scalar = inner_product(fld, mu, exp_sub(n, m))
                 want = witt_along(fld, mu, exp_add(m, n)).scale(scalar)
                 if got != want:
                     return ClosureReport(False, cases, (m, n))
@@ -311,7 +312,7 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
         for n in central:
             cases += 1
             got = bracket_d(spec, am, deriv_along(spec, mu, n))
-            scalar = inner_product(fld, mu, exp_sub_vec(n, m))
+            scalar = inner_product(fld, mu, exp_sub(n, m))
             if got != deriv_along(spec, mu, exp_add(m, n)).scale(scalar):
                 return ClosureReport(False, cases, (m, n))
         for s in noncentral:
@@ -333,10 +334,6 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
             if got != want:
                 return ClosureReport(False, cases, (r, s))
     return ClosureReport(True, cases, None)
-
-
-def exp_sub_vec(n, m):
-    return tuple(a - b for a, b in zip(n, m))
 
 
 _ATOM = re.compile(r"^(D|T|W|XD|XT)\(([^)]*)\)$")

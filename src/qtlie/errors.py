@@ -49,6 +49,10 @@ class SplittingNeedsFieldExtension(QtlieError):
     """Splitting an invariant subspace needs roots outside the coefficient field."""
 
 
+class InvariantViolated(QtlieError):
+    """An identity that holds by construction failed: the input or the library is inconsistent."""
+
+
 class DimensionMismatch(QtlieError):
     """Two objects that must have matching shapes do not."""
 

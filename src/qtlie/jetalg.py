@@ -25,7 +25,7 @@ import os
 
 from .cyclo import CycloNum, parse_cyclonum, parse_scalar
 from .derivations import _Combo, _parse_atom, _split_terms
-from .errors import MalformedBasisKey, ParseError
+from .errors import InvariantViolated, MalformedBasisKey, ParseError
 from .matrices import ExactMatrix
 from .torus import (
     TorusSpec,
@@ -111,7 +111,8 @@ def _bracket_jet_keys(spec: TorusSpec, ka, kb) -> JetElement:
     _, l, s = kb
     coeff = sigma_skew(spec, r, s)
     if in_R(spec, exp_add(r, s)):
-        assert coeff.is_zero(), (r, s)
+        if not coeff.is_zero():
+            raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
         return JetElement(fld)
     if coeff.is_zero():
         return JetElement(fld)

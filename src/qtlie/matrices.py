@@ -250,12 +250,14 @@ class RowSpace:
         self.pivot_rows: dict[int, list[CycloNum]] = {}
 
     def _reduce(self, vec):
+        # pivot rows are fully reduced, so the order of elimination is immaterial
         vec = list(vec)
-        for piv, row in sorted(self.pivot_rows.items()):
+        for piv, row in self.pivot_rows.items():
             c = vec[piv]
             if not c.is_zero():
-                for j in range(self.width):
-                    vec[j] = vec[j] - c * row[j]
+                for j, b in enumerate(row):
+                    if not b.is_zero():
+                        vec[j] = vec[j] - c * b
         return vec
 
     def contains(self, vec) -> bool:
@@ -280,13 +282,24 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.pivot_rows)
 
+    def kernel(self):
+        """Basis of the right null space of the rows added so far.
 
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_scale(s, a):
-    return [s * x for x in a]
+        The pivot rows are the reduced row echelon form of the row space, so
+        this is the basis ExactMatrix.kernel() gives for the added rows, in any
+        order and with any repeats.
+        """
+        zero, one = self.field.zero, self.field.one
+        basis = []
+        for fc in range(self.width):
+            if fc in self.pivot_rows:
+                continue
+            vec = [zero] * self.width
+            vec[fc] = one
+            for pc, row in self.pivot_rows.items():
+                vec[pc] = -row[fc]
+            basis.append(vec)
+        return basis
 
 
 def vec_is_zero(a):

@@ -220,6 +220,24 @@ class GLdGLNModule:
     def dim_W(self) -> int:
         return len(self.W_classes)
 
+    def tensor_layout(self) -> tuple[GradedSpace, dict[tuple[int, int], int]]:
+        """Graded space of V (x) W and the position of basis vector (W index b, V index a).
+
+        Positions run class-major, then in W order, then in V order.
+        """
+        dV = self.dim_V
+        dims: dict[tuple, int] = {}
+        for c in self.W_classes:
+            dims[c] = dims.get(c, 0) + dV
+        space = GradedSpace(self.spec, dims)
+        position = {}
+        base = dict(space.offset)
+        for b, c in enumerate(self.W_classes):
+            for a in range(dV):
+                position[(b, a)] = base[c] + a
+            base[c] += dV
+        return space, position
+
     def validate(self):
         d = self.spec.d
         fld = self.spec.field
@@ -301,18 +319,7 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     vw.validate()
     dV = vw.dim_V
     dW = vw.dim_W
-    dims: dict[tuple, int] = {}
-    for c in vw.W_classes:
-        dims[c] = dims.get(c, 0) + dV
-    space = GradedSpace(spec, dims)
-    # global index of (W index b, V index a): class-major, then W order, then V
-    position = {}
-    counters = {c: 0 for c in space.classes}
-    for b, c in enumerate(vw.W_classes):
-        base = space.offset[c] + counters[c]
-        counters[c] += dV
-        for a in range(dV):
-            position[(b, a)] = base + a
+    space, position = vw.tensor_layout()
     action = {}
     fld = spec.field
     unit = [0] * spec.d
@@ -345,55 +352,59 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
 # ---------------------------------------------------------------------------
 
 
+def intertwiners(field, pairs, blocks=None) -> list[ExactMatrix]:
+    """Basis of {X : B * X = X * A for every (A, B) in pairs}.
+
+    X is B.rows x A.rows, or, when `blocks` lists square block sizes, block
+    diagonal with those blocks.  The unknowns are the free entries of X in
+    row-major order, block by block; each equation row is reduced into a
+    RowSpace as it is made, and the basis is read from its echelon form.
+    """
+    if blocks is None:
+        A, B = pairs[0]
+        shape = (B.rows, A.rows)
+        cells = [(i, j) for i in range(B.rows) for j in range(A.rows)]
+    else:
+        shape = (sum(blocks), sum(blocks))
+        cells, start = [], 0
+        for n in blocks:
+            cells += [(start + i, start + j) for i in range(n) for j in range(n)]
+            start += n
+    in_row = [[] for _ in range(shape[0])]  # (k, u): X[i, k] is unknown u
+    in_col = [[] for _ in range(shape[1])]  # (k, u): X[k, j] is unknown u
+    for u, (i, j) in enumerate(cells):
+        in_row[i].append((j, u))
+        in_col[j].append((i, u))
+    zero = field.zero
+    space = RowSpace(field, len(cells))
+    for A, B in pairs:
+        for i in range(shape[0]):
+            for j in range(shape[1]):
+                row = {}  # entry (i, j) of B * X - X * A
+                for k, u in in_col[j]:
+                    if not B.data[i][k].is_zero():
+                        row[u] = row.get(u, zero) + B.data[i][k]
+                for k, u in in_row[i]:
+                    if not A.data[k][j].is_zero():
+                        row[u] = row.get(u, zero) - A.data[k][j]
+                if row:
+                    space.add([row.get(u, zero) for u in range(space.width)])
+        if space.dim == space.width:
+            return []
+    out = []
+    for vec in space.kernel():
+        X = ExactMatrix.zeros(field, *shape)
+        for u, (i, j) in enumerate(cells):
+            X.data[i][j] = vec[u]
+        out.append(X)
+    return out
+
+
 def commutant(rep: GRepresentation) -> list[ExactMatrix]:
     """Basis of grading-preserving matrices commuting with the whole action."""
     sp = rep.space
-    fld = sp.field
-    blocks = [(c, sp.dims[c]) for c in sp.classes]
-    offsets_u = {}
-    total = 0
-    for c, n in blocks:
-        offsets_u[c] = total
-        total += n * n
-    rows = []
-    for key in rep.nonzero_keys():
-        mat = rep.action[key]
-        w = key_class(sp.spec, key) if key[0] == "XT" else None
-        for c, n in blocks:
-            tc = sp.shifted_class(c, w) if w is not None else c
-            if tc not in sp.dims:
-                continue
-            g = sp.block(mat, c, tc)
-            if g.is_zero():
-                continue
-            nt = sp.dims[tc]
-            for i in range(nt):
-                for j in range(n):
-                    row = [fld.zero] * total
-                    for a in range(n):
-                        if not g[i, a].is_zero():
-                            row[offsets_u[c] + a * n + j] = row[offsets_u[c] + a * n + j] + g[i, a]
-                    for b in range(nt):
-                        if not g[b, j].is_zero():
-                            idx = offsets_u[tc] + i * nt + b
-                            row[idx] = row[idx] - g[b, j]
-                    if any(not x.is_zero() for x in row):
-                        rows.append(row)
-    if rows:
-        kern = ExactMatrix(fld, rows).kernel()
-    else:
-        kern = ExactMatrix.zeros(fld, 1, total).kernel()
-    out = []
-    for vec in kern:
-        m = ExactMatrix.zeros(fld, sp.dim)
-        for c, n in blocks:
-            base = sp.offset[c]
-            ubase = offsets_u[c]
-            for a in range(n):
-                for b in range(n):
-                    m[base + a, base + b] = vec[ubase + a * n + b]
-        out.append(m)
-    return out
+    return intertwiners(sp.field, [(m, m) for m in rep.action.values()],
+                        [sp.dims[c] for c in sp.classes])
 
 
 def is_absolutely_irreducible(rep: GRepresentation) -> bool:
@@ -510,25 +521,6 @@ def _restriction(field, mats: dict, basis: list) -> dict:
     return out
 
 
-def plain_commutant(field, mats: list[ExactMatrix], n: int) -> list[ExactMatrix]:
-    """Ungraded commutant of a list of n x n matrices."""
-    rows = []
-    for g in mats:
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero] * (n * n)
-                for a in range(n):
-                    if not g[i, a].is_zero():
-                        row[a * n + j] = row[a * n + j] + g[i, a]
-                for b in range(n):
-                    if not g[b, j].is_zero():
-                        row[i * n + b] = row[i * n + b] - g[b, j]
-                if any(not x.is_zero() for x in row):
-                    rows.append(row)
-    kern = ExactMatrix(field, rows).kernel() if rows else ExactMatrix.zeros(field, 1, n * n).kernel()
-    return [ExactMatrix(field, [vec[i * n : (i + 1) * n] for i in range(n)]) for vec in kern]
-
-
 def matrix_minimal_polynomial(field, m: ExactMatrix) -> list[CycloNum]:
     """Monic minimal polynomial coefficients, low degree first (monic omitted)."""
     n = m.rows
@@ -554,7 +546,7 @@ def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
     Raises SplittingNeedsFieldExtension when a non-scalar commutant element is
     found whose minimal polynomial has no proper factorization over Q.
     """
-    comm = plain_commutant(field, mats, n)
+    comm = intertwiners(field, [(g, g) for g in mats], [n])
     if len(comm) <= 1:
         return None
     candidates = [c for c in comm]
@@ -687,27 +679,10 @@ def decompose_tensor(
     v_basis, v_mats = _irreducible_gld_submodule(fld, gld_mats, best, rng)
     dV = len(v_basis)
     # intertwiner spaces Hom_{gl_d}(V, U_c), one per class
-    w_basis_per_class = {}
-    for c in sp.classes:
-        n = sp.dims[c]
-        rows = []
-        for (i, j), vm in v_mats.items():
-            big = sp.block(gld_mats[(i, j)], c, c)
-            for r in range(n):
-                for s in range(dV):
-                    row = [fld.zero] * (n * dV)
-                    for a in range(n):
-                        if not big[r, a].is_zero():
-                            row[a * dV + s] = row[a * dV + s] + big[r, a]
-                    for b in range(dV):
-                        if not vm[b, s].is_zero():
-                            row[r * dV + b] = row[r * dV + b] - vm[b, s]
-                    if any(not x.is_zero() for x in row):
-                        rows.append(row)
-        kern = ExactMatrix(fld, rows).kernel() if rows else ExactMatrix.zeros(fld, 1, n * dV).kernel()
-        w_basis_per_class[c] = [
-            ExactMatrix(fld, [vec[a * dV : (a + 1) * dV] for a in range(n)]) for vec in kern
-        ]
+    w_basis_per_class = {
+        c: intertwiners(fld, [(vm, sp.block(gld_mats[ij], c, c)) for ij, vm in v_mats.items()])
+        for c in sp.classes
+    }
     dW = sum(len(v) for v in w_basis_per_class.values())
     if dV * dW != sp.dim:
         raise NotIrreducible(f"multiplicity count {dV}*{dW} != {sp.dim}")
@@ -740,18 +715,11 @@ def decompose_tensor(
                 m[base + t_local, b] = coeff
         W_mats[w] = m
     vw = GLdGLNModule(spec, v_mats, W_mats, W_classes)
-    vw.validate()
-    rebuilt = pullback(spec, vw)
+    rebuilt = pullback(spec, vw)  # validates vw
     if rebuilt.space.dim != sp.dim:
         raise NotIrreducible("rebuilt tensor module has wrong dimension")
     # isomorphism: tensor basis element (b, a) maps to f_b(v_a)
-    position = {}
-    counters = {c: 0 for c in rebuilt.space.classes}
-    for b, c in enumerate(W_classes):
-        base = rebuilt.space.offset[c] + counters[c]
-        counters[c] += dV
-        for a in range(dV):
-            position[(b, a)] = base + a
+    _, position = vw.tensor_layout()
     phi = ExactMatrix.zeros(fld, sp.dim)
     for b, (c, f) in enumerate(flat_w):
         for a in range(dV):
@@ -780,29 +748,8 @@ def probe_submodules_isomorphic(spec: TorusSpec, rep: GRepresentation, count: in
         found.append(restricted)
         if len(found) >= count:
             break
-    for first in found[1:]:
-        base = found[0]
-        n1 = next(iter(base.values())).rows
-        n2 = next(iter(first.values())).rows
-        rows = []
-        for pair in base:
-            g1, g2 = base[pair], first[pair]
-            for i in range(n2):
-                for j in range(n1):
-                    row = [fld.zero] * (n2 * n1)
-                    for a in range(n1):
-                        if not g1[a, j].is_zero():
-                            row[i * n1 + a] = row[i * n1 + a] + g1[a, j]
-                    for b in range(n2):
-                        if not g2[i, b].is_zero():
-                            row[b * n1 + j] = row[b * n1 + j] - g2[i, b]
-                    if any(not x.is_zero() for x in row):
-                        rows.append(row)
-        if not rows:
-            continue
-        if not ExactMatrix(fld, rows).kernel():
-            return False
-    return True
+    return all(intertwiners(fld, [(found[0][pair], other[pair]) for pair in found[0]])
+               for other in found[1:])
 
 
 # ---------------------------------------------------------------------------

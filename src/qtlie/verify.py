@@ -338,8 +338,9 @@ def suite_annihilation(spec: TorusSpec) -> VerificationReport:
             failures.append({"nonzero": key_to_string(key)})
             break
     cases += 1
-    if len(commutant(rep)) != 1:
-        failures.append({"commutant": len(commutant(rep))})
+    comm_dim = len(commutant(rep))
+    if comm_dim != 1:
+        failures.append({"commutant": comm_dim})
     return VerificationReport("annihilation", cases, failures)
 
 

@@ -69,19 +69,6 @@ def x_power(spec: TorusSpec, n: ExpVec) -> ExactMatrix:
     return out
 
 
-def xgenerators(spec: TorusSpec) -> list[ExactMatrix]:
-    """The 2z generating matrices, in generator order."""
-    gens = []
-    for i in range(spec.z):
-        e_clock = [0] * spec.d
-        e_clock[2 * i] = 1
-        e_shift = [0] * spec.d
-        e_shift[2 * i + 1] = 1
-        gens.append(x_power(spec, tuple(e_clock)))
-        gens.append(x_power(spec, tuple(e_shift)))
-    return gens
-
-
 @dataclass
 class RelationReport:
     passed: bool

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtlie
 from qtlie.cli import main
 from qtlie.repn import (
     GLdGLNModule,
@@ -139,6 +144,25 @@ def test_module_verify_and_decompose(tmp_path, capsys):
     assert main(["module", "decompose", "--rep", str(rep_path), "--out", str(out)]) == 0
     assert "dim V = 2, dim W = 4" in capsys.readouterr().out
     assert out.exists()
+
+
+def test_decompose_output_is_independent_of_hash_seed(tmp_path):
+    spec = make_torus(2, 1, [2])
+    wmats, wclasses = graded_regular_glN(spec)
+    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_dict(scramble_representation(rep, seed=5))))
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"factored-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                        "module", "decompose", "--rep", str(rep_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_config_errors(tmp_path, capsys):

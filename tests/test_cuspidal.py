@@ -23,6 +23,7 @@ from qtlie.errors import (
     ConstantTermMismatch,
     DegreeBoundViolated,
     DimensionMismatch,
+    InvalidModuleData,
     InvalidRepresentation,
     MalformedBasisKey,
     OutOfBox,
@@ -237,6 +238,29 @@ def test_family_constant_term(e1, setup_e1):
         blk = sp.block(mat, c, c)
         want = ExactMatrix.identity(e1.field, sp.dims[c]).scale(c[0])
         assert blk == want, c
+
+
+class _ClassShiftingModule:
+    """Acts like `module`, but reports every image in the next class."""
+
+    def __init__(self, module):
+        self.module = module
+        self.spec = module.spec
+        self.space = module.space
+
+    def act(self, symbol, mvec):
+        classes = self.space.classes
+        return {(classes[(classes.index(w) + 1) % len(classes)], np): col
+                for (w, np), col in self.module.act(symbol, mvec).items()}
+
+
+def test_family_rejects_module_with_wrong_class(e1, setup_e1):
+    _, _, module = setup_e1
+    fam = OperatorFamily(_ClassShiftingModule(module), degree_bound=3)
+    with pytest.raises(InvalidModuleData, match="degree family"):
+        fam.matrix_D((1, 0), (2, 0))
+    with pytest.raises(InvalidModuleData, match="inner family"):
+        fam.matrix_L((0, 0), (1, 0))
 
 
 def test_family_matrix_d_jet_coefficient(e1, setup_e1):

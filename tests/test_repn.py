@@ -8,7 +8,7 @@ from qtlie.errors import (
     NotIrreducible,
     SplittingNeedsFieldExtension,
 )
-from qtlie.matrices import ExactMatrix
+from qtlie.matrices import ExactMatrix, RowSpace
 from qtlie.repn import (
     GLdGLNModule,
     GRepresentation,
@@ -17,6 +17,7 @@ from qtlie.repn import (
     commutant,
     decompose_tensor,
     graded_regular_glN,
+    intertwiners,
     is_absolutely_irreducible,
     min_annihilation_degree,
     natural_gld,
@@ -174,6 +175,94 @@ def test_commutant_of_trivial_module(e1):
     w0 = canonical_rep(e1, (0, 0))
     rep = GRepresentation(GradedSpace(e1, {w0: 1}), {}, 1)
     assert len(commutant(rep)) == 1
+
+
+def _kronecker_intertwiners(fld, pairs, keep=None):
+    """Reference basis: kernel of the stacked B (x) I_n - I_m (x) A^T acting on row-major vec(X).
+
+    `keep` lists the vec(X) positions that are unknowns; the others are fixed at zero.
+    """
+    rows = []
+    for A, B in pairs:
+        eq = B.kron(ExactMatrix.identity(fld, A.rows)) - ExactMatrix.identity(fld, B.rows).kron(A.transpose())
+        rows.extend(eq.data)
+    if keep is not None:
+        rows = [[row[k] for k in keep] for row in rows]
+    return ExactMatrix(fld, rows).kernel()
+
+
+def _check_intertwiners(fld, pairs, basis, keep=None):
+    for X in basis:
+        assert all(B * X == X * A for A, B in pairs)
+    flat = [X.flatten() for X in basis]
+    if keep is not None:
+        assert all(vec[k].is_zero() for vec in flat for k in set(range(len(vec))) - set(keep))
+        flat = [[vec[k] for k in keep] for vec in flat]
+    assert flat == _kronecker_intertwiners(fld, pairs, keep)
+
+
+def test_intertwiners_rectangular_hom_matches_kronecker(e1, rep_e1):
+    """Hom_{gl_d}(V, U) for the natural V (2-dim) and the scrambled E1 pullback U (8-dim)."""
+    sc = scramble_representation(rep_e1, seed=5)
+    V = natural_gld(e1)
+    pairs = [(V[(i, j)], sc.rho(("XD", tuple(int(k == i - 1) for k in range(2)), j)))
+             for i in (1, 2) for j in (1, 2)]
+    basis = intertwiners(e1.field, pairs)
+    assert len(basis) == 4  # U is four copies of V
+    assert all((X.rows, X.cols) == (8, 2) for X in basis)
+    _check_intertwiners(e1.field, pairs, basis)
+
+
+def test_intertwiners_graded_commutant_matches_kronecker(e1, rep_e1):
+    sc = scramble_representation(rep_e1, seed=9)
+    sp = sc.space
+    pairs = [(m, m) for m in sc.action.values()]
+    blocks = [sp.dims[c] for c in sp.classes]
+    basis = intertwiners(e1.field, pairs, blocks)
+    assert basis == commutant(sc)
+    assert len(basis) == 1
+    keep = [i * sp.dim + j for i in range(sp.dim) for j in range(sp.dim)
+            if sp.class_of_index(i) == sp.class_of_index(j)]
+    _check_intertwiners(e1.field, pairs, basis, keep)
+
+
+def test_intertwiners_small_graded_cases():
+    """Every pair constrains the answer, and the basis is not symmetric."""
+    fld = make_field(1)
+    J = ExactMatrix(fld, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    D = ExactMatrix(fld, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    keep = [0, 1, 3, 4, 8]  # vec(X) positions inside the blocks of sizes 2 and 1
+    Z = ExactMatrix.zeros(fld, 3)
+    for pairs, dim in (([(Z, Z)], 5), ([(J, J)], 3), ([(J, J), (D, D)], 2), ([(D, D), (J, J)], 2)):
+        basis = intertwiners(fld, pairs, [2, 1])
+        assert len(basis) == dim
+        _check_intertwiners(fld, pairs, basis, keep)
+
+
+def test_intertwiners_of_zero_pairs_is_everything(e1):
+    fld = e1.field
+    pairs = [(ExactMatrix.zeros(fld, 3), ExactMatrix.zeros(fld, 2))] * 2
+    basis = intertwiners(fld, pairs)
+    assert len(basis) == 6
+    _check_intertwiners(fld, pairs, basis)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rowspace_kernel_matches_dense_kernel(seed):
+    fld = make_field(3)
+    rng = random.Random(seed)
+    width = 7
+
+    gens = [[fld.element([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(width)]
+            for _ in range(4)]
+    combo = [a - b * fld.root(1) for a, b in zip(gens[0], gens[1])]
+    rows = gens + [combo] + gens[:2] + [[fld.zero] * width] * 2
+    rng.shuffle(rows)
+    space = RowSpace(fld, width)
+    for row in rows:
+        space.add(row)
+    assert space.kernel() == ExactMatrix(fld, rows).kernel()
+    assert len(space.kernel()) == width - 4
 
 
 def test_min_annihilation_degree(e1, rep_e1):
