@@ -74,22 +74,18 @@ def cmd_torus_info(args) -> int:
     return 0
 
 
+# --algebra name -> (element parser, bracket), both taking the spec first
+_ALGEBRAS = {
+    "d": (parse_d_element, bracket_d),
+    "wd": (lambda spec, text: parse_witt_element(spec.field, text), lambda spec, a, b: bracket_witt(a, b)),
+    "gtilde": (parse_jet_element, bracket_jets),
+}
+
+
 def cmd_bracket_eval(args) -> int:
     spec = load_torus(args.spec)
-    if args.algebra == "d":
-        a = parse_d_element(spec, args.left)
-        b = parse_d_element(spec, args.right)
-        print(bracket_d(spec, a, b))
-    elif args.algebra == "wd":
-        a = parse_witt_element(spec.field, args.left)
-        b = parse_witt_element(spec.field, args.right)
-        print(bracket_witt(a, b))
-    elif args.algebra == "gtilde":
-        a = parse_jet_element(spec, args.left)
-        b = parse_jet_element(spec, args.right)
-        print(bracket_jets(spec, a, b))
-    else:
-        raise ParseError(f"unknown algebra {args.algebra!r}")
+    parse, bracket = _ALGEBRAS[args.algebra]
+    print(bracket(spec, parse(spec, args.left), parse(spec, args.right)))
     return 0
 
 
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     bracket_sub = p_bracket.add_subparsers(dest="action", required=True)
     p_eval = bracket_sub.add_parser("eval", help="evaluate a bracket of two elements")
     p_eval.add_argument("--spec", required=True)
-    p_eval.add_argument("--algebra", default="d", choices=["d", "wd", "gtilde"])
+    p_eval.add_argument("--algebra", default="d", choices=list(_ALGEBRAS))
     p_eval.add_argument("left")
     p_eval.add_argument("right")
     p_eval.set_defaults(fn=cmd_bracket_eval)

@@ -55,16 +55,10 @@ Label = tuple[tuple, tuple]  # (class representative w, central shift n')
 
 
 def _coerce_alpha(spec: TorusSpec, alpha) -> tuple[CycloNum, ...]:
-    out = []
-    for a in alpha:
-        out.append(a if isinstance(a, CycloNum) else spec.field.from_rational(a))
+    out = tuple(map(spec.field.coerce, alpha))
     if len(out) != spec.d:
         raise ValueError("alpha must have d entries")
-    return tuple(out)
-
-
-def _coerce_u(spec: TorusSpec, u) -> tuple[CycloNum, ...]:
-    return tuple(x if isinstance(x, CycloNum) else spec.field.from_rational(x) for x in u)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def sym_deg(spec: TorusSpec, u, m) -> tuple:
     m = tuple(m)
     if not in_R(spec, m):
         raise MalformedBasisKey(f"exponent {m} not in R")
-    return ("deg", _coerce_u(spec, u), m)
+    return ("deg", tuple(map(spec.field.coerce, u)), m)
 
 
 def sym_inner(spec: TorusSpec, e) -> tuple:

@@ -8,6 +8,7 @@ exactly equality of coefficient tuples.
 from __future__ import annotations
 
 import cmath
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -129,6 +130,10 @@ class CycloField:
     def from_rational(self, value) -> "CycloNum":
         c = Fraction(value)
         return CycloNum(self, (c,) + (_ZERO,) * (self.phi - 1))
+
+    def coerce(self, value) -> "CycloNum":
+        """A CycloNum unchanged; an int or Fraction as an element of this field."""
+        return value if isinstance(value, CycloNum) else self.from_rational(value)
 
     def element(self, coeffs) -> "CycloNum":
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -266,13 +271,13 @@ class CycloNum:
         return hash((self.field.L, self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -364,12 +369,27 @@ def parse_cyclonum(text: str, field: CycloField | None = None) -> CycloNum:
     return fld.element(coeffs)
 
 
+# One term of the printed form: a rational, or `c*z`, `c*z^j`, `z`, `z^j`.
+_POWER_TERM = re.compile(r"(-?)(?:(\d+(?:/\d+)?)|(?:(\d+(?:/\d+)?)\*)?z(?:\^(\d+))?)")
+
+
 def parse_scalar(text: str, field: CycloField) -> CycloNum:
-    """Parse either a plain rational (`3`, `-1/2`) or a serialized CycloNum."""
+    """Parse a plain rational (`3`, `-1/2`), a serialized CycloNum, or the
+    printed form of a CycloNum (`-2 - 4*z`, `1/2 + z^2`)."""
     text = text.strip()
     if ":" in text:
         return parse_cyclonum(text, field)
     try:
-        return field.from_rational(Fraction(text))
+        if "z" not in text:
+            return field.from_rational(Fraction(text))
+        out = field.zero
+        for term in text.replace(" - ", " + -").split(" + "):
+            m = _POWER_TERM.fullmatch(term.strip())
+            if not m:
+                raise ValueError
+            sign, rational, coeff, power = m.groups()
+            value = Fraction(rational) if rational else Fraction(coeff or 1) * field.root(int(power or 1))
+            out = out - value if sign else out + value
+        return out
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}") from exc

@@ -19,63 +19,63 @@ from .matrices import rational_rank
 from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
 
 
-def _coerce_vector(field: CycloField, u) -> tuple[CycloNum, ...]:
-    return tuple(x if isinstance(x, CycloNum) else field.from_rational(x) for x in u)
-
-
 def inner_product(field: CycloField, u, v) -> CycloNum:
     """Sum of u_i * v_i; integer coordinates are coerced into the field."""
     acc = field.zero
     for a, b in zip(u, v):
-        if not isinstance(a, CycloNum):
-            a = field.from_rational(a)
-        if not isinstance(b, CycloNum):
-            b = field.from_rational(b)
-        acc = acc + a * b
+        acc = acc + field.coerce(a) * field.coerce(b)
     return acc
 
 
 class _Combo:
-    """Finitely supported linear combination of basis keys."""
+    """Finitely supported linear combination of basis keys.
+
+    Each subclass declares its symbol grammar once, as two maps:
+      _symbol(key) -> (tag, args), args being ints and int tuples;
+      _SYMBOLS[tag] = (shape, make) with make(ctx, *args) -> validated key,
+    where shape has one letter per `;`-separated group ("i" an int, "v" a
+    vector) and ctx is whatever the key constructors need (spec, field, d).
+    """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: CycloField, terms: dict | None = None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[key] = coeff
+        self.terms = {key: c for key, c in terms.items() if not c.is_zero()} if terms else {}
 
-    def _new(self, terms):
-        return type(self)(self.field, terms)
+    @classmethod
+    def from_terms(cls, field: CycloField, pairs):
+        """Sum of (key, CycloNum) pairs; zero coefficients are dropped at the end."""
+        terms = {}
+        for key, coeff in pairs:
+            acc = terms.get(key)
+            terms[key] = coeff if acc is None else acc + coeff
+        return cls(field, terms)
+
+    def bracket(self, other, key_bracket):
+        """Bilinear extension of key_bracket(ka, kb), which yields (key, coeff) pairs."""
+        def pairs():
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    c = ca * cb
+                    for key, coeff in key_bracket(ka, kb):
+                        yield key, c * coeff
+        return self.from_terms(self.field, pairs())
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return self._new(out)
+        return self.from_terms(self.field, itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        return type(self)(self.field, {k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
-        if not isinstance(scalar, CycloNum):
-            scalar = self.field.from_rational(scalar)
-        if scalar.is_zero():
-            return self._new({})
-        return self._new({k: scalar * c for k, c in self.terms.items()})
+        scalar = self.field.coerce(scalar)
+        return type(self)(self.field, {k: scalar * c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -92,8 +92,44 @@ class _Combo:
     def coefficient(self, key) -> CycloNum:
         return self.terms.get(key, self.field.zero)
 
-    def _fmt(self, key) -> str:
-        raise NotImplementedError
+    @classmethod
+    def _fmt(cls, key) -> str:
+        tag, args = cls._symbol(key)
+        body = ";".join(str(a) if isinstance(a, int) else ",".join(map(str, a)) for a in args)
+        return f"{tag}({body})"
+
+    @classmethod
+    def _key(cls, ctx, text: str):
+        """The validated key named by one symbol such as `D(1;2,0)`."""
+        m = _ATOM.match(text.strip())
+        if not m or m.group(1) not in cls._SYMBOLS:
+            raise ParseError(f"{text.strip()!r} is not a {cls.__name__} symbol")
+        shape, make = cls._SYMBOLS[m.group(1)]
+        groups = m.group(2).split(";")
+        try:
+            if len(groups) != len(shape):
+                raise ValueError
+            args = []
+            for kind, group in zip(shape, groups):
+                vec = tuple(int(x) for x in group.split(",")) if group.strip() else ()
+                if kind == "i":
+                    (vec,) = vec  # exactly one entry
+                args.append(vec)
+        except ValueError as exc:
+            raise ParseError(f"bad symbol body {m.group(2)!r}") from exc
+        return make(ctx, *args)
+
+    @classmethod
+    def _parse(cls, ctx, field: CycloField, text: str):
+        """Parse a sum of optionally scaled symbols, e.g. `2*D(1;2,0) - T(1,0)`."""
+        pairs = []
+        for sign, term in _split_terms(text):
+            pre, star, atom = term.rpartition("*")
+            scalar = field.from_rational(sign)
+            if star:
+                scalar = scalar * parse_scalar(pre.strip().strip("()"), field)
+            pairs.append((cls._key(ctx, atom), scalar))
+        return cls.from_terms(field, pairs)
 
     def __str__(self):
         if not self.terms:
@@ -117,128 +153,128 @@ class _Combo:
     __repr__ = __str__
 
 
+def _deriv_key(spec: TorusSpec, i: int, m) -> tuple:
+    m = tuple(m)
+    if len(m) != spec.d:
+        raise MalformedBasisKey(f"exponent {m} does not have {spec.d} entries")
+    if not 1 <= i <= spec.d:
+        raise MalformedBasisKey(f"derivation index {i} out of range")
+    if not in_R(spec, m):
+        raise ExponentNotInR(f"exponent {m} is not in R")
+    return ("d", i, m)
+
+
+def _inner_key(spec: TorusSpec, s) -> tuple:
+    s = tuple(s)
+    if len(s) != spec.d:
+        raise MalformedBasisKey(f"exponent {s} does not have {spec.d} entries")
+    if in_R(spec, s):
+        raise MalformedBasisKey(f"exponent {s} is central; not an inner derivation")
+    return ("t", s)
+
+
+def _witt_key(i: int, m) -> tuple:
+    m = tuple(m)
+    if not 1 <= i <= len(m):
+        raise MalformedBasisKey(f"Witt index {i} out of range for exponent {m}")
+    return (i, m)
+
+
 class DElement(_Combo):
     """Element of the derivation algebra of a quantum torus."""
 
-    def _fmt(self, key):
-        if key[0] == "d":
-            return f"D({key[1]};{','.join(map(str, key[2]))})"
-        return f"T({','.join(map(str, key[1]))})"
+    _SYMBOLS = {"D": ("iv", _deriv_key), "T": ("v", _inner_key)}
+
+    @staticmethod
+    def _symbol(key):
+        return ("D", key[1:]) if key[0] == "d" else ("T", key[1:])
 
 
 class WdElement(_Combo):
     """Element of the Witt algebra of the d-dimensional commutative torus."""
 
-    def _fmt(self, key):
-        return f"W({key[0]};{','.join(map(str, key[1]))})"
+    _SYMBOLS = {"W": ("iv", lambda _field, i, m: _witt_key(i, m))}
+
+    @staticmethod
+    def _symbol(key):
+        return ("W", key)
 
 
 def deriv(spec: TorusSpec, i: int, m, coeff=1) -> DElement:
     """The degree derivation t^m d_i (requires m in R, 1 <= i <= d)."""
-    m = tuple(m)
-    if not 1 <= i <= spec.d:
-        raise MalformedBasisKey(f"derivation index {i} out of range")
-    if not in_R(spec, m):
-        raise ExponentNotInR(f"exponent {m} is not in R")
-    c = coeff if isinstance(coeff, CycloNum) else spec.field.from_rational(coeff)
-    return DElement(spec.field, {("d", i, m): c})
+    return DElement(spec.field, {_deriv_key(spec, i, m): spec.field.coerce(coeff)})
 
 
 def inner(spec: TorusSpec, s, coeff=1) -> DElement:
     """The inner derivation attached to t^s (requires s not in R)."""
-    s = tuple(s)
-    if in_R(spec, s):
-        raise MalformedBasisKey(f"exponent {s} is central; not an inner derivation")
-    c = coeff if isinstance(coeff, CycloNum) else spec.field.from_rational(coeff)
-    return DElement(spec.field, {("t", s): c})
+    return DElement(spec.field, {_inner_key(spec, s): spec.field.coerce(coeff)})
 
 
 def deriv_along(spec: TorusSpec, u, m) -> DElement:
     """The derivation t^m sum_i u_i d_i for a coefficient vector u."""
-    u = _coerce_vector(spec.field, u)
-    out = DElement(spec.field)
-    for i, ui in enumerate(u, start=1):
-        if not ui.is_zero():
-            out = out + deriv(spec, i, m, ui)
-    return out
+    u = map(spec.field.coerce, u)
+    return DElement.from_terms(
+        spec.field, ((_deriv_key(spec, i, m), ui) for i, ui in enumerate(u, start=1) if not ui.is_zero()))
 
 
 def witt(field: CycloField, i: int, m, coeff=1) -> WdElement:
-    m = tuple(m)
-    c = coeff if isinstance(coeff, CycloNum) else field.from_rational(coeff)
-    return WdElement(field, {(i, m): c})
+    return WdElement(field, {_witt_key(i, m): field.coerce(coeff)})
 
 
 def witt_along(field: CycloField, mu, m) -> WdElement:
-    mu = _coerce_vector(field, mu)
-    out = WdElement(field)
-    for i, ui in enumerate(mu, start=1):
-        if not ui.is_zero():
-            out = out + witt(field, i, m, ui)
-    return out
+    mu = map(field.coerce, mu)
+    return WdElement.from_terms(
+        field, ((_witt_key(i, m), ui) for i, ui in enumerate(mu, start=1) if not ui.is_zero()))
 
 
-def _bracket_d_keys(spec: TorusSpec, a, b) -> DElement:
-    fld = spec.field
+def _bracket_d_keys(spec: TorusSpec, a, b):
     if a[0] == "d" and b[0] == "d":
         _, i, m = a
         _, j, n = b
-        out = DElement(fld)
         mn = exp_add(m, n)
         if n[i - 1]:
-            out = out + deriv(spec, j, mn, n[i - 1])
+            yield _deriv_key(spec, j, mn), n[i - 1]
         if m[j - 1]:
-            out = out - deriv(spec, i, mn, m[j - 1])
-        return out
-    if a[0] == "d" and b[0] == "t":
+            yield _deriv_key(spec, i, mn), -m[j - 1]
+    elif a[0] == "d" and b[0] == "t":
         _, i, m = a
         s = b[1]
-        if s[i - 1] == 0:
-            return DElement(fld)
-        return inner(spec, exp_add(m, s), s[i - 1])
-    if a[0] == "t" and b[0] == "d":
-        return -_bracket_d_keys(spec, b, a)
-    # inner x inner
-    r, s = a[1], b[1]
-    coeff = sigma_skew(spec, r, s)
-    rs = exp_add(r, s)
-    if in_R(spec, rs):
-        # forced by the normal form; checked rather than special-cased
-        if not coeff.is_zero():
-            raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
-        return DElement(fld)
-    if coeff.is_zero():
-        return DElement(fld)
-    return DElement(fld, {("t", rs): coeff})
+        if s[i - 1]:
+            yield _inner_key(spec, exp_add(m, s)), s[i - 1]
+    elif a[0] == "t" and b[0] == "d":
+        for key, coeff in _bracket_d_keys(spec, b, a):
+            yield key, -coeff
+    else:
+        r, s = a[1], b[1]
+        coeff = sigma_skew(spec, r, s)
+        rs = exp_add(r, s)
+        if in_R(spec, rs):
+            # forced by the normal form; checked rather than special-cased
+            if not coeff.is_zero():
+                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
+        elif not coeff.is_zero():
+            yield ("t", rs), coeff
 
 
 def bracket_d(spec: TorusSpec, a: DElement, b: DElement) -> DElement:
     """Lie bracket on the derivation algebra, extended bilinearly."""
-    out = DElement(spec.field)
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out = out + _bracket_d_keys(spec, ka, kb).scale(ca * cb)
-    return out
+    return a.bracket(b, lambda ka, kb: _bracket_d_keys(spec, ka, kb))
 
 
-def _bracket_witt_keys(field: CycloField, a, b) -> WdElement:
+def _bracket_witt_keys(a, b):
     i, m = a
     j, n = b
-    out = WdElement(field)
+    if len(m) != len(n):
+        raise MalformedBasisKey(f"Witt exponents {m} and {n} differ in length")
     mn = exp_add(m, n)
     if n[i - 1]:
-        out = out + witt(field, j, mn, n[i - 1])
+        yield _witt_key(j, mn), n[i - 1]
     if m[j - 1]:
-        out = out - witt(field, i, mn, m[j - 1])
-    return out
+        yield _witt_key(i, mn), -m[j - 1]
 
 
 def bracket_witt(a: WdElement, b: WdElement) -> WdElement:
-    out = WdElement(a.field)
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out = out + _bracket_witt_keys(a.field, ka, kb).scale(ca * cb)
-    return out
+    return a.bracket(b, _bracket_witt_keys)
 
 
 def derivations_to_witt(spec: TorusSpec, a: DElement) -> WdElement:
@@ -247,7 +283,7 @@ def derivations_to_witt(spec: TorusSpec, a: DElement) -> WdElement:
     t^m d_i (m = B n) maps to B_ii * x^n x_i d/dx_i; inner symbols are rejected.
     """
     B = spec.B
-    out = WdElement(spec.field)
+    pairs = []
     for key, coeff in a.terms.items():
         if key[0] != "d":
             raise ExponentNotInR("element contains inner-derivation terms")
@@ -255,13 +291,13 @@ def derivations_to_witt(spec: TorusSpec, a: DElement) -> WdElement:
         if any(mj % bj for mj, bj in zip(m, B)):
             raise ExponentNotInR(f"{m} is not in the rescaled lattice")
         n = tuple(mj // bj for mj, bj in zip(m, B))
-        out = out + witt(spec.field, i, n, coeff * B[i - 1])
-    return out
+        pairs.append((_witt_key(i, n), coeff * B[i - 1]))
+    return WdElement.from_terms(spec.field, pairs)
 
 
 def is_generic(spec: TorusSpec, mu) -> bool:
     """True iff the entries of mu are linearly independent over Q."""
-    mu = _coerce_vector(spec.field, mu)
+    mu = tuple(map(spec.field.coerce, mu))
     if len(mu) != spec.d:
         raise ValueError("mu must have d entries")
     rows = [list(x.coeffs) for x in mu]
@@ -283,7 +319,7 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
     """
     if not is_generic(spec, mu):
         raise NotGeneric(f"{mu} is not generic")
-    mu = _coerce_vector(spec.field, mu)
+    mu = tuple(map(spec.field.coerce, mu))
     fld = spec.field
     cases = 0
     box = range(-sample_box, sample_box + 1)
@@ -336,7 +372,7 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
     return ClosureReport(True, cases, None)
 
 
-_ATOM = re.compile(r"^(D|T|W|XD|XT)\(([^)]*)\)$")
+_ATOM = re.compile(r"^([A-Z]+)\(([^)]*)\)$")
 
 
 def _split_terms(text: str):
@@ -365,67 +401,10 @@ def _split_terms(text: str):
     return terms
 
 
-def _parse_atom(text: str):
-    m = _ATOM.match(text.strip())
-    if not m:
-        raise ParseError(f"bad basis symbol {text!r}")
-    tag, body = m.group(1), m.group(2)
-    if tag in ("D", "W", "XD"):
-        if tag == "XD":
-            vec_part, _, idx_part = body.rpartition(";")
-        else:
-            idx_part, _, vec_part = body.partition(";")
-        try:
-            idx = int(idx_part)
-            vec = tuple(int(x) for x in vec_part.split(",")) if vec_part.strip() else ()
-        except ValueError as exc:
-            raise ParseError(f"bad symbol body {body!r}") from exc
-        return tag, idx, vec
-    if tag == "T":
-        try:
-            vec = tuple(int(x) for x in body.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad symbol body {body!r}") from exc
-        return tag, None, vec
-    # XT(l1,...,ld;s1,...,sd)
-    l_part, _, s_part = body.partition(";")
-    try:
-        lvec = tuple(int(x) for x in l_part.split(","))
-        svec = tuple(int(x) for x in s_part.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad symbol body {body!r}") from exc
-    return tag, lvec, svec
-
-
 def parse_d_element(spec: TorusSpec, text: str) -> DElement:
     """Parse the `D(i;m...)` / `T(s...)` grammar with optional scalar prefixes."""
-    out = DElement(spec.field)
-    for sign, term in _split_terms(text):
-        scalar = spec.field.from_rational(sign)
-        atom = term
-        if "*" in term:
-            pre, _, atom = term.rpartition("*")
-            scalar = scalar * parse_scalar(pre.strip().strip("()"), spec.field)
-        tag, idx, vec = _parse_atom(atom)
-        if tag == "D":
-            out = out + deriv(spec, idx, vec, scalar)
-        elif tag == "T":
-            out = out + inner(spec, vec, scalar)
-        else:
-            raise ParseError(f"symbol {tag} is not a derivation-algebra symbol")
-    return out
+    return DElement._parse(spec, spec.field, text)
 
 
 def parse_witt_element(field: CycloField, text: str) -> WdElement:
-    out = WdElement(field)
-    for sign, term in _split_terms(text):
-        scalar = field.from_rational(sign)
-        atom = term
-        if "*" in term:
-            pre, _, atom = term.rpartition("*")
-            scalar = scalar * parse_scalar(pre.strip().strip("()"), field)
-        tag, idx, vec = _parse_atom(atom)
-        if tag != "W":
-            raise ParseError(f"symbol {tag} is not a Witt-algebra symbol")
-        out = out + witt(field, idx, vec, scalar)
-    return out
+    return WdElement._parse(field, field, text)

@@ -23,9 +23,9 @@ import itertools
 import json
 import os
 
-from .cyclo import CycloNum, parse_cyclonum, parse_scalar
-from .derivations import _Combo, _parse_atom, _split_terms
-from .errors import InvariantViolated, MalformedBasisKey, ParseError
+from .cyclo import parse_cyclonum
+from .derivations import _Combo
+from .errors import InvariantViolated, MalformedBasisKey
 from .matrices import ExactMatrix
 from .torus import (
     TorusSpec,
@@ -38,44 +38,52 @@ from .torus import (
 from .xmatrix import x_power
 
 
+def _xd_key(d, p, j: int) -> tuple:
+    """Validated ("XD", p, j); with d None the rank is taken from p."""
+    p = tuple(p)
+    d = len(p) if d is None else d
+    if len(p) != d or any(c < 0 for c in p) or sum(p) < 1:
+        raise MalformedBasisKey(f"bad vector-field exponent {p}")
+    if not 1 <= j <= d:
+        raise MalformedBasisKey(f"direction index {j} out of range")
+    return ("XD", p, j)
+
+
+def _xt_key(d, l, s) -> tuple:
+    """Validated ("XT", l, s); with d None the rank is taken from l."""
+    l = tuple(l)
+    s = tuple(s)
+    d = len(l) if d is None else d
+    if len(l) != d or any(c < 0 for c in l):
+        raise MalformedBasisKey(f"bad polynomial exponent {l}")
+    if len(s) != d:
+        raise MalformedBasisKey(f"bad torus exponent {s}")
+    return ("XT", l, s)
+
+
 class JetElement(_Combo):
     """Element of the jet algebra over a fixed torus."""
 
-    def _fmt(self, key):
-        if key[0] == "XD":
-            return f"XD({','.join(map(str, key[1]))};{key[2]})"
-        return f"XT({','.join(map(str, key[1]))};{','.join(map(str, key[2]))})"
+    _SYMBOLS = {"XD": ("vi", _xd_key), "XT": ("vv", _xt_key)}
+
+    @staticmethod
+    def _symbol(key):
+        return key[0], key[1:]
 
 
 def xd(spec: TorusSpec, p, j: int, coeff=1) -> JetElement:
-    p = tuple(p)
-    if len(p) != spec.d or any(c < 0 for c in p) or sum(p) < 1:
-        raise MalformedBasisKey(f"bad vector-field exponent {p}")
-    if not 1 <= j <= spec.d:
-        raise MalformedBasisKey(f"direction index {j} out of range")
-    c = coeff if isinstance(coeff, CycloNum) else spec.field.from_rational(coeff)
-    return JetElement(spec.field, {("XD", p, j): c})
+    return JetElement(spec.field, {_xd_key(spec.d, p, j): spec.field.coerce(coeff)})
 
 
 def xt(spec: TorusSpec, l, s, coeff=1) -> JetElement:
-    l = tuple(l)
-    s = tuple(s)
-    if len(l) != spec.d or any(c < 0 for c in l):
-        raise MalformedBasisKey(f"bad polynomial exponent {l}")
-    if len(s) != spec.d:
-        raise MalformedBasisKey(f"bad torus exponent {s}")
-    c = coeff if isinstance(coeff, CycloNum) else spec.field.from_rational(coeff)
-    return JetElement(spec.field, {("XT", l, s): c})
+    return JetElement(spec.field, {_xt_key(spec.d, l, s): spec.field.coerce(coeff)})
 
 
 def xd_along(spec: TorusSpec, p, u) -> JetElement:
     """x^p d_u for a coefficient vector u."""
-    out = JetElement(spec.field)
-    for j, uj in enumerate(u, start=1):
-        c = uj if isinstance(uj, CycloNum) else spec.field.from_rational(uj)
-        if not c.is_zero():
-            out = out + xd(spec, p, j, c)
-    return out
+    u = map(spec.field.coerce, u)
+    return JetElement.from_terms(
+        spec.field, ((_xd_key(spec.d, p, j), uj) for j, uj in enumerate(u, start=1) if not uj.is_zero()))
 
 
 def _minus_unit(vec, a):
@@ -84,47 +92,45 @@ def _minus_unit(vec, a):
     return tuple(out)
 
 
-def _bracket_jet_keys(spec: TorusSpec, ka, kb) -> JetElement:
-    fld = spec.field
+def _bracket_jet_keys(spec: TorusSpec, ka, kb):
+    d = spec.d
     if ka[0] == "XD" and kb[0] == "XD":
         _, m, a = ka
         _, n, b = kb
-        out = JetElement(fld)
         if n[a - 1]:
-            out = out + xd(spec, _minus_unit(exp_add(m, n), a - 1), b, n[a - 1])
+            yield _xd_key(d, _minus_unit(exp_add(m, n), a - 1), b), n[a - 1]
         if m[b - 1]:
-            out = out - xd(spec, _minus_unit(exp_add(m, n), b - 1), a, m[b - 1])
-        return out
-    if ka[0] == "XD" and kb[0] == "XT":
+            yield _xd_key(d, _minus_unit(exp_add(m, n), b - 1), a), -m[b - 1]
+    elif ka[0] == "XD" and kb[0] == "XT":
         _, m, a = ka
         _, l, s = kb
-        out = JetElement(fld)
         ml = exp_add(m, l)
         if l[a - 1]:
-            out = out + xt(spec, _minus_unit(ml, a - 1), s, l[a - 1])
+            yield _xt_key(d, _minus_unit(ml, a - 1), s), l[a - 1]
         if s[a - 1]:
-            out = out + xt(spec, ml, s, s[a - 1])
-        return out
-    if ka[0] == "XT" and kb[0] == "XD":
-        return -_bracket_jet_keys(spec, kb, ka)
-    _, p, r = ka
-    _, l, s = kb
-    coeff = sigma_skew(spec, r, s)
-    if in_R(spec, exp_add(r, s)):
-        if not coeff.is_zero():
-            raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
-        return JetElement(fld)
-    if coeff.is_zero():
-        return JetElement(fld)
-    return xt(spec, exp_add(p, l), exp_add(r, s), coeff)
+            yield _xt_key(d, ml, s), s[a - 1]
+    elif ka[0] == "XT" and kb[0] == "XD":
+        for key, coeff in _bracket_jet_keys(spec, kb, ka):
+            yield key, -coeff
+    else:
+        _, p, r = ka
+        _, l, s = kb
+        coeff = sigma_skew(spec, r, s)
+        if in_R(spec, exp_add(r, s)):
+            if not coeff.is_zero():
+                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
+        elif not coeff.is_zero():
+            yield _xt_key(d, exp_add(p, l), exp_add(r, s)), coeff
 
 
 def bracket_jets(spec: TorusSpec, a: JetElement, b: JetElement) -> JetElement:
-    out = JetElement(spec.field)
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out = out + _bracket_jet_keys(spec, ka, kb).scale(ca * cb)
-    return out
+    return a.bracket(b, lambda ka, kb: _bracket_jet_keys(spec, ka, kb))
+
+
+def bracket_keys(spec: TorusSpec, ka, kb) -> JetElement:
+    """The bracket of two basis symbols."""
+    fld = spec.field
+    return JetElement.from_terms(fld, ((key, fld.coerce(c)) for key, c in _bracket_jet_keys(spec, ka, kb)))
 
 
 def key_class(spec: TorusSpec, key) -> tuple:
@@ -211,7 +217,7 @@ def commutator_span_dims(spec: TorusSpec, max_degree: int) -> dict[int, tuple[in
             keys_b = [("XD", p, j) for p in degree_basis(d, db + 1) for j in range(1, d + 1)]
             for ka in keys_a:
                 for kb in keys_b:
-                    res = _bracket_jet_keys(spec, ka, kb)
+                    res = bracket_keys(spec, ka, kb)
                     if res.is_zero():
                         continue
                     row = [fld.zero] * len(layer)
@@ -239,36 +245,15 @@ def canonical_keys(spec: TorusSpec, max_degree: int) -> list[tuple]:
 
 
 def key_to_string(key) -> str:
-    if key[0] == "XD":
-        return f"XD({','.join(map(str, key[1]))};{key[2]})"
-    return f"XT({','.join(map(str, key[1]))};{','.join(map(str, key[2]))})"
+    return JetElement._fmt(key)
 
 
 def key_from_string(text: str):
-    tag, first, second = _parse_atom(text)
-    if tag == "XD":
-        return ("XD", second, first)
-    if tag == "XT":
-        return ("XT", first, second)
-    raise ParseError(f"{text!r} is not a jet-algebra symbol")
+    return JetElement._key(None, text)
 
 
 def parse_jet_element(spec: TorusSpec, text: str) -> JetElement:
-    out = JetElement(spec.field)
-    for sign, term in _split_terms(text):
-        scalar = spec.field.from_rational(sign)
-        atom = term
-        if "*" in term:
-            pre, _, atom = term.rpartition("*")
-            scalar = scalar * parse_scalar(pre.strip().strip("()"), spec.field)
-        tag, first, second = _parse_atom(atom)
-        if tag == "XD":
-            out = out + xd(spec, second, first, scalar)
-        elif tag == "XT":
-            out = out + xt(spec, first, second, scalar)
-        else:
-            raise ParseError(f"symbol {tag} is not a jet-algebra symbol")
-    return out
+    return JetElement._parse(spec.d, spec.field, text)
 
 
 def element_to_payload(a: JetElement) -> list:
@@ -276,12 +261,8 @@ def element_to_payload(a: JetElement) -> list:
 
 
 def element_from_payload(spec: TorusSpec, payload) -> JetElement:
-    out = JetElement(spec.field)
-    for key_s, coeff_s in payload:
-        key = key_from_string(key_s)
-        coeff = parse_cyclonum(coeff_s, spec.field)
-        out = out + JetElement(spec.field, {key: coeff})
-    return out
+    return JetElement.from_terms(
+        spec.field, ((key_from_string(k), parse_cyclonum(c, spec.field)) for k, c in payload))
 
 
 def structure_constant_table(spec: TorusSpec, max_degree: int) -> dict[str, list]:
@@ -290,7 +271,7 @@ def structure_constant_table(spec: TorusSpec, max_degree: int) -> dict[str, list
     table = {}
     for ka in keys:
         for kb in keys:
-            res = _bracket_jet_keys(spec, ka, kb)
+            res = bracket_keys(spec, ka, kb)
             table[f"{key_to_string(ka)}|{key_to_string(kb)}"] = element_to_payload(res)
     return table
 
@@ -303,31 +284,40 @@ def _cache_path(spec: TorusSpec, max_degree: int, directory: str) -> str:
 def cache_structure_constants(spec: TorusSpec, max_degree: int, directory: str) -> tuple[str, bool]:
     """Write (or reuse) the persisted structure-constant table.
 
-    Returns (path, was_cache_hit).  A corrupted file fails its checksum and is
-    recomputed in place.
+    Returns (path, was_cache_hit).  A file that fails its checksum or was made
+    for another torus or degree is recomputed in place; the new file is
+    written to a temporary name and moved over the old one.
     """
     os.makedirs(directory, exist_ok=True)
     path = _cache_path(spec, max_degree, directory)
+    torus = {"d": spec.d, "z": spec.z, "k": list(spec.k), "L": spec.L}
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 blob = json.load(fh)
             body = json.dumps(blob["table"], sort_keys=True, separators=(",", ":"))
-            if hashlib.sha256(body.encode()).hexdigest() == blob.get("checksum"):
+            if (hashlib.sha256(body.encode()).hexdigest() == blob.get("checksum")
+                    and blob.get("torus") == torus and blob.get("max_degree") == max_degree):
                 return path, True
-        except (OSError, json.JSONDecodeError, KeyError):
+        except (OSError, json.JSONDecodeError, KeyError, TypeError):
             pass
     table = structure_constant_table(spec, max_degree)
     body = json.dumps(table, sort_keys=True, separators=(",", ":"))
     blob = {
         "format": "qtlie-structure-constants",
-        "torus": {"d": spec.d, "z": spec.z, "k": list(spec.k), "L": spec.L},
+        "torus": torus,
         "max_degree": max_degree,
         "checksum": hashlib.sha256(body.encode()).hexdigest(),
         "table": table,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path, False
 
 

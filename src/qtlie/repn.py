@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     SplittingNeedsFieldExtension,
 )
-from .jetalg import canonical_keys, degree_basis, key_class, key_degree, key_from_string, key_to_string, _bracket_jet_keys
+from .jetalg import bracket_keys, canonical_keys, degree_basis, key_class, key_degree, key_from_string, key_to_string
 from .matrices import ExactMatrix, RowSpace, basis_matrix, vec_is_zero
 from .torus import (
     TorusSpec,
@@ -189,7 +189,7 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
             cases += 1
             if max(deg_a, key_degree(kb)) >= rep.cutoff:
                 continue
-            expected = rep.rho_element(_bracket_jet_keys(spec, ka, kb))
+            expected = rep.rho_element(bracket_keys(spec, ka, kb))
             actual = mat_a.commutator(rep.rho(kb))
             if expected != actual:
                 return VerifyReport(

@@ -180,8 +180,7 @@ class Monomial:
 
 
 def monomial(spec: TorusSpec, exp: ExpVec, coeff=1) -> Monomial:
-    c = coeff if isinstance(coeff, CycloNum) else spec.field.from_rational(coeff)
-    return Monomial(c, tuple(exp))
+    return Monomial(spec.field.coerce(coeff), tuple(exp))
 
 
 def multiply_monomials(spec: TorusSpec, a: Monomial, b: Monomial) -> Monomial:

@@ -58,6 +58,50 @@ def test_bracket_eval(spec_file, capsys):
     assert capsys.readouterr().out.strip() == "2*XT(0,0;3,3)"
 
 
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+@pytest.mark.parametrize("spec,algebra,left,right,want", [
+    ("e1", "d", "2*D(1;2,0) - 1/2*T(1,0) + T(0,1)", "D(2;0,2) + T(1,1)",
+     "-T(0,3) - 2*T(1,2) - T(2,1) + 2*T(3,1)"),
+    ("e2", "d", "D(1;3,0) + T(1,2)", "-T(2,1) + 3*D(2;0,3)", "-6*T(1,5) - 2*T(5,1)"),
+    ("e1", "wd", "W(1;1,0) - 3*W(2;0,-1)", "W(2;2,1)", "-6*W(2;2,0) + 2*W(2;3,1)"),
+    ("e2", "gtilde", "XD(1,0;2) - 2*XT(0,0;1,2)", "XD(2,1;1) + XT(1,0;2,2)",
+     "-XD(2,1;2) + XD(3,0;1) + (-2 - 4*z)*XT(1,0;3,4) + 2*XT(2,0;2,2) + 2*XT(2,1;1,2)"),
+])
+def test_bracket_eval_golden(spec, algebra, left, right, want, capsys):
+    rc = main(["bracket", "eval", "--spec", str(SPECS / f"{spec}.json"), "--algebra", algebra,
+               left, right])
+    assert rc == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_bracket_eval_output_parses_back(capsys):
+    spec = str(SPECS / "e2.json")
+    main(["bracket", "eval", "--spec", spec, "--algebra", "gtilde", "XD(1,0;2) - 2*XT(0,0;1,2)",
+          "XD(2,1;1) + XT(1,0;2,2)"])
+    printed = capsys.readouterr().out.strip()
+    assert main(["bracket", "eval", "--spec", spec, "--algebra", "gtilde", printed, "XD(1,0;1)"]) == 0
+    assert "z" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algebra,left,right", [
+    ("d", "D(1;2,0,0)", "T(1,0)"),
+    ("d", "T(1,0,0)", "T(1,0)"),
+    ("d", "T(1)", "T(1,0)"),
+    ("d", "D(1;2)", "T(1,0)"),
+    ("wd", "W(1;1)", "W(2;0,1)"),
+    ("wd", "W(3;1,0)", "W(2;0,1)"),
+])
+def test_bracket_eval_rejects_wrong_length(algebra, left, right, capsys):
+    rc = main(["bracket", "eval", "--spec", str(SPECS / "e1.json"), "--algebra", algebra,
+               left, right])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_verify_suite_pass(spec_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["verify", "--spec", spec_file, "--suite", "xmatrix",

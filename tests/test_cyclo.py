@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from qtlie.cyclo import arith, cyclotomic_polynomial, make_field, parse_cyclonum
+from qtlie.cyclo import arith, cyclotomic_polynomial, make_field, parse_cyclonum, parse_scalar
 from qtlie.errors import ParseError
 
 
@@ -126,6 +126,24 @@ def test_serialization_round_trip(L, data):
     a = data.draw(_elements(L))
     assert parse_cyclonum(a.serialize()) == a
     assert parse_cyclonum(a.serialize()).serialize() == a.serialize()
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 12])
+@given(data=st.data())
+def test_printed_form_parses_back(L, data):
+    a = data.draw(_elements(L))
+    assert parse_scalar(str(a), make_field(L)) == a
+
+
+def test_parse_scalar_printed_forms():
+    fld = make_field(5)
+    z = fld.root(1)
+    assert parse_scalar("-2 - 4*z", fld) == -2 - 4 * z
+    assert parse_scalar("z^3", fld) == fld.root(3)
+    assert parse_scalar("1/2 - z + 3/4*z^2", fld) == Fraction(1, 2) - z + Fraction(3, 4) * fld.root(2)
+    for bad in ("2*y", "z^", "1-z", "2 * z", "z*2", "--z"):
+        with pytest.raises(ParseError):
+            parse_scalar(bad, fld)
 
 
 def test_parse_rejects_garbage():

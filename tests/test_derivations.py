@@ -188,3 +188,38 @@ def test_element_grammar(e1):
 def test_element_string_round_trip(e1):
     elt = deriv(e1, 1, (2, 0), 2) - inner(e1, (1, 0))
     assert parse_d_element(e1, str(elt)) == elt
+
+
+WRONG_LENGTH = [
+    ("d", "D(1;2,0,0)", "T(1,0)"),
+    ("d", "T(1,0,0)", "T(1,0)"),
+    ("d", "T(1)", "T(1,0)"),
+    ("d", "D(1;2)", "T(1,0)"),
+    ("wd", "W(1;1)", "W(2;0,1)"),
+    ("wd", "W(3;1,0)", "W(2;0,1)"),
+]
+
+
+@pytest.mark.parametrize("algebra,left,right", WRONG_LENGTH)
+def test_wrong_length_symbols_are_rejected(e1, algebra, left, right):
+    with pytest.raises(MalformedBasisKey):
+        if algebra == "d":
+            bracket_d(e1, parse_d_element(e1, left), parse_d_element(e1, right))
+        else:
+            bracket_witt(parse_witt_element(e1.field, left), parse_witt_element(e1.field, right))
+
+
+def test_key_constructors_check_length_and_index(e1):
+    fld = e1.field
+    with pytest.raises(MalformedBasisKey):
+        deriv(e1, 1, (2, 0, 0))
+    with pytest.raises(MalformedBasisKey):
+        inner(e1, (1,))
+    with pytest.raises(MalformedBasisKey):
+        deriv_along(e1, (1, 0), (2, 0, 0))
+    with pytest.raises(MalformedBasisKey):
+        witt(fld, 0, (1, 0))
+    with pytest.raises(MalformedBasisKey):
+        witt_along(fld, (0, 0, 1), (1, 0))
+    with pytest.raises(MalformedBasisKey):
+        bracket_witt(witt(fld, 1, (1,)), witt(fld, 1, (0, 1)))

@@ -213,3 +213,16 @@ def test_cache_size_e1(e1, tmp_path):
     table = load_structure_constants(e1, 3, str(tmp_path))
     # 28 vector-field symbols and 40 torus-side symbols below degree 4
     assert len(table) == (28 + 40) ** 2
+
+
+def test_cache_for_another_degree_is_recomputed(e1, tmp_path):
+    path, _ = cache_structure_constants(e1, 1, str(tmp_path))
+    first = open(path, "rb").read()
+    blob = json.loads(first)
+    blob["max_degree"] = 2  # the checksum covers only the table, so it still matches
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
+    path2, hit = cache_structure_constants(e1, 1, str(tmp_path))
+    assert path2 == path and not hit
+    assert open(path, "rb").read() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.rsplit("/", 1)[-1]]
