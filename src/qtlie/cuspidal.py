@@ -2,7 +2,8 @@
 
 A module lives on labels (w, n') with w a class representative and n' in the
 central sublattice R; the underlying weight is alpha + w + n'.  Vectors are
-finitely supported maps label -> column in the graded component U_w.
+finitely supported maps label -> column in the graded component U_w, and a
+symbol acts on the component at a label by one block U_w -> U_tw (``block``).
 
 Two constructions are provided and kept deliberately independent:
 
@@ -62,62 +63,6 @@ def _coerce_alpha(spec: TorusSpec, alpha) -> tuple[CycloNum, ...]:
 
 
 # ---------------------------------------------------------------------------
-# module vectors
-# ---------------------------------------------------------------------------
-
-
-def mv_add(a: dict, b: dict) -> dict:
-    out = {k: list(v) for k, v in a.items()}
-    for k, col in b.items():
-        if k in out:
-            cur = out[k]
-            for i, x in enumerate(col):
-                cur[i] = cur[i] + x
-        else:
-            out[k] = list(col)
-    return {k: v for k, v in out.items() if any(not x.is_zero() for x in v)}
-
-
-def mv_scale(s: CycloNum, a: dict) -> dict:
-    if s.is_zero():
-        return {}
-    return {k: [s * x for x in v] for k, v in a.items()}
-
-
-def mv_eq(a: dict, b: dict) -> bool:
-    return mv_sub_is_zero(a, b)
-
-
-def mv_sub_is_zero(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    for k in keys:
-        va = a.get(k)
-        vb = b.get(k)
-        if va is None:
-            if any(not x.is_zero() for x in vb):
-                return False
-        elif vb is None:
-            if any(not x.is_zero() for x in va):
-                return False
-        else:
-            if any(not (x - y).is_zero() for x, y in zip(va, vb)):
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """One homogeneous module vector: component coordinates at a single label."""
-
-    class_label: tuple
-    central_shift: tuple
-    coords: tuple
-
-    def as_map(self) -> dict:
-        return {(self.class_label, self.central_shift): list(self.coords)}
-
-
-# ---------------------------------------------------------------------------
 # symbols of the acting algebra (derivations semidirect the center)
 # ---------------------------------------------------------------------------
 
@@ -150,6 +95,10 @@ def symbol_to_string(sym) -> str:
     if sym[0] == "inn":
         return f"T({','.join(map(str, sym[1]))})"
     return f"Z({','.join(map(str, sym[1]))})"
+
+
+def _label_to_string(label: Label) -> str:
+    return str(label).replace(" ", "")
 
 
 def bracket_symbols(spec: TorusSpec, a, b) -> list:
@@ -199,6 +148,16 @@ def bracket_symbols(spec: TorusSpec, a, b) -> list:
 
 
 class _WeightModuleBase:
+    """Shared part of the two constructions.
+
+    A symbol acts on the component at a label (w, n') by one block
+    U_w -> U_tw plus a label shift.  The base class owns what the two
+    constructions share by definition: the central action as an identity label
+    shift, the weight scalar of a degree derivation, the box check, and the
+    target shift n'' = n' + e + w - tw that weight conservation forces for a
+    symbol of degree e.  A subclass supplies only ``_operator``.
+    """
+
     spec: TorusSpec
     alpha: tuple
     space: GradedSpace
@@ -222,35 +181,70 @@ class _WeightModuleBase:
         ]
         return [(w, np) for w in self.space.classes for np in sorted(shifts)]
 
-    def basis_vectors(self, box: int | None = None):
-        for w, np in self.labels(box):
-            n = self.space.dims[w]
-            for local in range(n):
-                col = [self.spec.field.zero] * n
-                col[local] = self.spec.field.one
-                yield WeightVector(w, np, tuple(col))
-
     def weight_of(self, label: Label) -> tuple:
         w, np = label
         return tuple(
             a + self.spec.field.from_rational(x + y) for a, x, y in zip(self.alpha, w, np)
         )
 
+    def _operator(self, symbol, w) -> tuple[tuple, ExactMatrix] | None:
+        """Shift-free matrix of a degree or inner symbol on class w, as (tw, U_w -> U_tw).
+
+        None when the target class carries no component.  The weight scalar
+        of a degree derivation is not part of it.
+        """
+        raise NotImplementedError
+
+    def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
+        """The action of `symbol` on the component at `label`: (target label, matrix).
+
+        None when the symbol kills the component.
+        """
+        fld = self.spec.field
+        w, np = label
+        if symbol[0] == "z":
+            target = (w, exp_add(np, symbol[1]))
+            self._check_box(target[1])
+            return target, ExactMatrix.identity(fld, self.space.dims[w])
+        op = self._operator(symbol, w)
+        if op is None:
+            return None
+        tw, mat = op
+        if symbol[0] == "deg":
+            _, u, e = symbol
+            scalar = inner_product(fld, u, self.weight_of(label))
+            mat = mat + ExactMatrix.identity(fld, self.space.dims[w]).scale(scalar)
+        else:
+            e = symbol[1]
+        shift = exp_add(exp_add(np, e), exp_sub(w, tw))
+        self._check_box(shift)
+        return None if mat.is_zero() else ((tw, shift), mat)
+
     def act(self, symbol, mvec: dict) -> dict:
+        """Apply a symbol to a vector {label: column}; all-zero columns are dropped."""
         out = {}
         for label, col in mvec.items():
-            part = self._act_on_component(symbol, label, col)
-            out = mv_add(out, part)
-        return out
+            res = self.block(symbol, label)
+            if res is not None:
+                _add_column(out, res[0], res[1].apply(col))
+        return _nonzero(out)
 
     def act_terms(self, terms: list, mvec: dict) -> dict:
+        """Apply the combination of c * symbol over the (c, symbol) pairs in `terms`."""
         out = {}
         for coeff, sym in terms:
-            out = mv_add(out, mv_scale(coeff, self.act(sym, mvec)))
-        return out
+            for label, col in self.act(sym, mvec).items():
+                _add_column(out, label, [coeff * x for x in col])
+        return _nonzero(out)
 
-    def _act_on_component(self, symbol, label, col) -> dict:
-        raise NotImplementedError
+
+def _add_column(vec: dict, label: Label, col: list) -> None:
+    prev = vec.get(label)
+    vec[label] = col if prev is None else [a + b for a, b in zip(prev, col)]
+
+
+def _nonzero(vec: dict) -> dict:
+    return {label: col for label, col in vec.items() if any(not x.is_zero() for x in col)}
 
 
 def _poly_coeff(m: tuple, p: tuple) -> Fraction:
@@ -271,79 +265,57 @@ class CuspidalModule(_WeightModuleBase):
         self.spec = spec
         self.alpha = _coerce_alpha(spec, alpha)
         self.rep = rep
-        self.space = rep.space
+        self.space = sp = rep.space
         self.box = box
         self.strict_box = strict_box
+        # nonzero class blocks of rep.action, sliced once: w -> [(p, j, XD block)]
+        # and (r, w) -> [(l, XT block from w to w + r)]
+        self._xd = {w: [] for w in sp.classes}
+        self._xt = {}
+        for key in rep.nonzero_keys():
+            kind, p, j = key
+            for w in sp.classes:
+                tw = w if kind == "XD" else sp.shifted_class(w, j)
+                if tw not in sp.dims:
+                    continue
+                blk = sp.block(rep.action[key], w, tw)
+                if blk.is_zero():
+                    continue
+                if kind == "XD":
+                    self._xd[w].append((p, j, blk))
+                else:
+                    self._xt.setdefault((j, w), []).append((p, blk))
 
-    def _act_on_component(self, symbol, label, col) -> dict:
-        spec = self.spec
-        fld = spec.field
-        w, np = label
-        kind = symbol[0]
-        if kind == "z":
-            n = symbol[1]
-            self._check_box(exp_add(np, n))
-            return {(w, exp_add(np, n)): list(col)}
-        if kind == "deg":
+    def _operator(self, symbol, w):
+        fld = self.spec.field
+        sp = self.space
+        if symbol[0] == "deg":
+            # sum over j, p of u_j m^p / p! rho(x^p d_j)
             _, u, m = symbol
-            scalar = inner_product(fld, u, [a + fld.from_rational(x + y)
-                                            for a, x, y in zip(self.alpha, w, np)])
-            out_col = [scalar * x for x in col]
-            for key in self.rep.nonzero_keys():
-                if key[0] != "XD":
-                    continue
-                _, p, j = key
-                uj = u[j - 1]
-                if uj.is_zero():
-                    continue
+            mat = ExactMatrix.zeros(fld, sp.dims[w])
+            for p, j, blk in self._xd[w]:
                 c = _poly_coeff(m, p)
-                if c == 0:
-                    continue
-                block = self.space.block(self.rep.action[key], w, w)
-                contrib = block.apply(col)
-                coef = uj * fld.from_rational(c)
-                for i, x in enumerate(contrib):
-                    if not x.is_zero():
-                        out_col[i] = out_col[i] + coef * x
-            target = (w, exp_add(np, m))
-            self._check_box(target[1])
-            if any(not x.is_zero() for x in out_col):
-                return {target: out_col}
-            return {}
-        # inner derivation t^e with e outside R
-        e = symbol[1]
-        m_part, r = decompose(spec, e)
-        tw = canonical_rep(spec, exp_add(w, r))
-        if tw not in self.space.dims:
-            return {}
-        out_col = [fld.zero] * self.space.dims[tw]
-        for key in self.rep.nonzero_keys():
-            if key[0] != "XT" or key[2] != r:
-                continue
-            _, l, _ = key
+                if c != 0 and not u[j - 1].is_zero():
+                    mat = mat + blk.scale(u[j - 1] * c)
+            return w, mat
+        # inner derivation t^e, e = m + r outside R: sum over l of m^l / l! rho(x^l t^r)
+        m_part, r = decompose(self.spec, symbol[1])
+        tw = sp.shifted_class(w, r)
+        if tw not in sp.dims:
+            return None
+        mat = ExactMatrix.zeros(fld, sp.dims[tw], sp.dims[w])
+        for l, blk in self._xt.get((r, w), ()):
             c = _poly_coeff(m_part, l)
-            if c == 0:
-                continue
-            block = self.space.block(self.rep.action[key], w, tw)
-            contrib = block.apply(col)
-            coef = fld.from_rational(c)
-            for i, x in enumerate(contrib):
-                if not x.is_zero():
-                    out_col[i] = out_col[i] + coef * x
-        if all(x.is_zero() for x in out_col):
-            return {}
-        new_shift = exp_add(exp_add(np, m_part), exp_sub(exp_add(w, r), tw))
-        self._check_box(new_shift)
-        return {(tw, new_shift): out_col}
+            if c != 0:
+                mat = mat + blk.scale(c)
+        return tw, mat
 
 
-def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3,
-                 validate: bool = True) -> CuspidalModule:
+def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> CuspidalModule:
     """Turn a graded representation into the weight module it classifies."""
-    if validate:
-        report = verify_representation(spec, rep, max(rep.cutoff, 1))
-        if not report.passed:
-            raise InvalidRepresentation(f"bracket check failed at {report.first_failure}")
+    report = verify_representation(spec, rep, max(rep.cutoff, 1))
+    if not report.passed:
+        raise InvalidRepresentation(f"bracket check failed at {report.first_failure}")
     return CuspidalModule(spec, alpha, rep, box)
 
 
@@ -363,20 +335,14 @@ class TensorFieldModule(_WeightModuleBase):
         for b, c in enumerate(vw.W_classes):
             self._w_locals[c].append(b)
 
-    def _act_on_component(self, symbol, label, col) -> dict:
+    def _operator(self, symbol, w):
         spec = self.spec
         fld = spec.field
-        w, np = label
         dV = self.vw.dim_V
-        kind = symbol[0]
-        if kind == "z":
-            n = symbol[1]
-            self._check_box(exp_add(np, n))
-            return {(w, exp_add(np, n)): list(col)}
-        if kind == "deg":
+        src = self._w_locals[w]
+        if symbol[0] == "deg":
+            # I (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
             _, u, m = symbol
-            scalar = inner_product(fld, u, [a + fld.from_rational(x + y)
-                                            for a, x, y in zip(self.alpha, w, np)])
             emat = ExactMatrix.zeros(fld, dV)
             for i in range(spec.d):
                 if m[i] == 0:
@@ -385,44 +351,15 @@ class TensorFieldModule(_WeightModuleBase):
                     if u[j].is_zero():
                         continue
                     emat = emat + self.vw.V_mats[(i + 1, j + 1)].scale(u[j] * m[i])
-            out_col = [scalar * x for x in col]
-            for b_slot, b in enumerate(self._w_locals[w]):
-                seg = col[b_slot * dV : (b_slot + 1) * dV]
-                upd = emat.apply(seg)
-                for a in range(dV):
-                    if not upd[a].is_zero():
-                        out_col[b_slot * dV + a] = out_col[b_slot * dV + a] + upd[a]
-            target = (w, exp_add(np, m))
-            self._check_box(target[1])
-            if any(not x.is_zero() for x in out_col):
-                return {target: out_col}
-            return {}
-        e = symbol[1]
-        r = canonical_rep(spec, e)
-        wmat = self.vw.W_mats[r]
+            return w, ExactMatrix.identity(fld, len(src)).kron(emat)
+        # t^e acts as W_r (x) I_V, r the class of e
+        r = canonical_rep(spec, symbol[1])
         tw = canonical_rep(spec, exp_add(w, r))
         if tw not in self.space.dims:
-            return {}
-        out_col = [fld.zero] * self.space.dims[tw]
-        src_locals = self._w_locals[w]
-        dst_locals = self._w_locals[tw]
-        for b_slot, b in enumerate(src_locals):
-            seg = col[b_slot * dV : (b_slot + 1) * dV]
-            if all(x.is_zero() for x in seg):
-                continue
-            for t_slot, b2 in enumerate(dst_locals):
-                coeff = wmat[b2, b]
-                if coeff.is_zero():
-                    continue
-                for a in range(dV):
-                    if not seg[a].is_zero():
-                        idx = t_slot * dV + a
-                        out_col[idx] = out_col[idx] + coeff * seg[a]
-        if all(x.is_zero() for x in out_col):
-            return {}
-        new_shift = exp_add(exp_sub(e, exp_sub(tw, w)), np)
-        self._check_box(new_shift)
-        return {(tw, new_shift): out_col}
+            return None
+        wmat = self.vw.W_mats[r]
+        w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in self._w_locals[tw]])
+        return tw, w_block.kron(ExactMatrix.identity(fld, dV))
 
 
 def tensor_field_module(spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3) -> TensorFieldModule:
@@ -468,43 +405,77 @@ def _symbol_pool(spec: TorusSpec, radius: int, rng: random.Random, count: int) -
     return pool
 
 
+def _word_blocks(module, label: Label, words: list) -> dict:
+    """Sum of c * s_1 s_2 ... s_k over the (c, (s_1, ..., s_k)) in `words`, on one label.
+
+    Returned as {target label: block}; the rightmost symbol of a word acts first.
+    """
+    out = {}
+    for coeff, word in words:
+        target, mat = label, None
+        for sym in reversed(word):
+            res = module.block(sym, target)
+            if res is None:
+                break
+            target, blk = res
+            mat = blk if mat is None else blk * mat
+        else:
+            mat = mat if coeff == 1 else mat.scale(coeff)
+            out[target] = out[target] + mat if target in out else mat
+    return out
+
+
+def _first_nonzero_column(blocks: dict, width: int) -> int | None:
+    for j in range(width):
+        if any(not blk[i, j].is_zero() for blk in blocks.values() for i in range(blk.rows)):
+            return j
+    return None
+
+
 def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int = 7,
                          vector_box: int | None = None) -> AxiomReport:
     """Exact check of act([a,b]) = act(a)act(b) - act(b)act(a) on sampled pairs.
 
-    Also checks associativity of the central action.  All materialized basis
-    vectors inside the vector box participate.
+    Each basis vector inside the vector box is one case.  The cases of a label
+    are checked together, a label block of sum c[s] - [a][b] + [b][a] at a
+    time; a failure counts the cases up to the first basis vector (column)
+    that differs and names its label and column.  Associativity of the central
+    action is then checked through ``act`` on every few basis vectors.
     """
     spec = module.spec
+    dims = module.space.dims
     rng = random.Random(seed)
     pool = _symbol_pool(spec, symbol_box, rng, 2 * sample_count)
-    vectors = [wv.as_map() for wv in module.basis_vectors(vector_box)]
+    labels = module.labels(vector_box)
     cases = 0
     for idx in range(sample_count):
         a = pool[2 * idx]
         b = pool[2 * idx + 1]
-        expected_terms = bracket_symbols(spec, a, b)
-        for vec in vectors:
-            cases += 1
-            lhs = module.act_terms(expected_terms, vec)
-            rhs_ab = module.act(a, module.act(b, vec))
-            rhs_ba = module.act(b, module.act(a, vec))
-            rhs = mv_add(rhs_ab, mv_scale(spec.field.from_rational(-1), rhs_ba))
-            if not mv_eq(lhs, rhs):
-                return AxiomReport(False, cases,
-                                   f"[{symbol_to_string(a)}, {symbol_to_string(b)}]")
-    # central associativity: z^m z^n = z^{m+n}
+        words = [(c, (s,)) for c, s in bracket_symbols(spec, a, b)] + [(-1, (a, b)), (1, (b, a))]
+        for label in labels:
+            j = _first_nonzero_column(_word_blocks(module, label, words), dims[label[0]])
+            if j is not None:
+                return AxiomReport(False, cases + j + 1,
+                                   f"[{symbol_to_string(a)}, {symbol_to_string(b)}]"
+                                   f" at {_label_to_string(label)} column {j}")
+            cases += dims[label[0]]
+    # central associativity on every few basis vectors: z^m z^n = z^{m+n}
     B = spec.B
+    units = [(label, j) for label in labels for j in range(dims[label[0]])]
     for _ in range(min(sample_count, 25)):
         c1 = tuple(rng.randint(-symbol_box, symbol_box) * b for b in B)
         c2 = tuple(rng.randint(-symbol_box, symbol_box) * b for b in B)
         za, zb = sym_central(spec, c1), sym_central(spec, c2)
         zc = sym_central(spec, exp_add(c1, c2))
-        for vec in vectors[:: max(1, len(vectors) // 8)]:
+        for label, j in units[:: max(1, len(units) // 8)]:
             cases += 1
-            if not mv_eq(module.act(za, module.act(zb, vec)), module.act(zc, vec)):
+            col = [spec.field.zero] * dims[label[0]]
+            col[j] = spec.field.one
+            vec = {label: col}
+            if module.act(za, module.act(zb, vec)) != module.act(zc, vec):
                 return AxiomReport(False, cases,
-                                   f"central associativity at {symbol_to_string(za)}")
+                                   f"central associativity at {symbol_to_string(za)}"
+                                   f" at {_label_to_string(label)} column {j}")
     return AxiomReport(True, cases)
 
 
@@ -543,9 +514,8 @@ def modules_equal_on_box(m1, m2, box: int) -> bool:
     if m1.alpha != m2.alpha:
         return False
     for sym in standard_symbols(m1.spec):
-        for wv in m1.basis_vectors(box):
-            vec = wv.as_map()
-            if not mv_eq(m1.act(sym, vec), m2.act(sym, vec)):
+        for label in m1.labels(box):
+            if m1.block(sym, label) != m2.block(sym, label):
                 return False
     return True
 
@@ -580,31 +550,22 @@ class OperatorFamily:
         self.space = module.space
         self.degree_bound = degree_bound
 
-    def _columns(self, symbol, src_class) -> dict:
-        """Apply a symbol to every reference basis vector of one class."""
-        spec = self.spec
-        n = self.space.dims[src_class]
-        cols = []
-        zero_shift = (0,) * spec.d
-        for local in range(n):
-            col = [spec.field.zero] * n
-            col[local] = spec.field.one
-            res = self.module.act(symbol, {(src_class, zero_shift): col})
-            cols.append(res)
-        return cols
+    def _reference_blocks(self, symbol):
+        """(class c, target label, block) of `symbol` on each class at the zero shift."""
+        zero_shift = (0,) * self.spec.d
+        for c in self.space.classes:
+            res = self.module.block(symbol, (c, zero_shift))
+            if res is not None:
+                yield c, res[0], res[1]
 
     def matrix_D(self, u, m) -> ExactMatrix:
         spec = self.spec
         sp = self.space
         out = ExactMatrix.zeros(spec.field, sp.dim)
-        sym = sym_deg(spec, u, m)
-        for c in sp.classes:
-            for local, res in enumerate(self._columns(sym, c)):
-                for (w, np), col in res.items():
-                    if w != c or np != tuple(m):
-                        raise InvalidModuleData(f"degree family sends class {c} to label {(w, np)}")
-                    for i, x in enumerate(col):
-                        out[sp.offset[c] + i, sp.offset[c] + local] = x
+        for c, (w, np), blk in self._reference_blocks(sym_deg(spec, u, m)):
+            if w != c or np != tuple(m):
+                raise InvalidModuleData(f"degree family sends class {c} to label {(w, np)}")
+            out.paste(sp.offset[c], sp.offset[c], blk)
         return out
 
     def matrix_L(self, m, e) -> ExactMatrix:
@@ -619,16 +580,12 @@ class OperatorFamily:
         if in_R(spec, total):
             # central element: the hardwired identity label shift
             return ExactMatrix.identity(spec.field, sp.dim)
-        sym = sym_inner(spec, total)
         out = ExactMatrix.zeros(spec.field, sp.dim)
-        for c in sp.classes:
+        for c, (w, _np), blk in self._reference_blocks(sym_inner(spec, total)):
             tc = canonical_rep(spec, exp_add(c, e))
-            for local, res in enumerate(self._columns(sym, c)):
-                for (w, _np), col in res.items():
-                    if w != tc:
-                        raise InvalidModuleData(f"inner family sends class {c} to class {w}, not {tc}")
-                    for i, x in enumerate(col):
-                        out[sp.offset[tc] + i, sp.offset[c] + local] = x
+            if w != tc:
+                raise InvalidModuleData(f"inner family sends class {c} to class {w}, not {tc}")
+            out.paste(sp.offset[tc], sp.offset[c], blk)
         return out
 
 
@@ -757,8 +714,7 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha,
     return out
 
 
-def coefficients_to_representation(spec: TorusSpec, coeffs: PolynomialCoefficients,
-                                   validate: bool = True) -> GRepresentation:
+def coefficients_to_representation(spec: TorusSpec, coeffs: PolynomialCoefficients) -> GRepresentation:
     """Assemble a graded representation from extracted coefficients.
 
     Constant terms of the degree families are dropped (they are the hardwired
@@ -779,10 +735,9 @@ def coefficients_to_representation(spec: TorusSpec, coeffs: PolynomialCoefficien
     ident = ExactMatrix.identity(spec.field, space.dim)
     action.setdefault(("XT", zero_l, w0), ident)
     rep = GRepresentation(space, action, cutoff=max_deg + 1)
-    if validate:
-        report = verify_representation(spec, rep, rep.cutoff)
-        if not report.passed:
-            raise RelationViolated(f"coefficients violate the bracket at {report.first_failure}")
+    report = verify_representation(spec, rep, rep.cutoff)
+    if not report.passed:
+        raise RelationViolated(f"coefficients violate the bracket at {report.first_failure}")
     return rep
 
 
@@ -803,28 +758,17 @@ def dump_module(module, box: int | None = None) -> dict:
     for sym in standard_symbols(module.spec):
         blocks = []
         for w, np in module.labels(box):
-            n = sp.dims[w]
-            cols = []
-            for local in range(n):
-                col = [module.spec.field.zero] * n
-                col[local] = module.spec.field.one
-                res = module.act(sym, {(w, np): col})
-                cols.append(res)
-            targets = sorted({label for res in cols for label in res})
-            for target in targets:
-                tn = sp.dims[target[0]]
-                mat = [[module.spec.field.zero] * n for _ in range(tn)]
-                for cidx, res in enumerate(cols):
-                    if target in res:
-                        for i, x in enumerate(res[target]):
-                            mat[i][cidx] = x
-                blocks.append(
-                    {
-                        "from": {"w": list(w), "nprime": list(np)},
-                        "to": {"w": list(target[0]), "nprime": list(target[1])},
-                        "matrix": [[x.serialize() for x in row] for row in mat],
-                    }
-                )
+            res = module.block(sym, (w, np))
+            if res is None:
+                continue
+            (tw, tnp), mat = res
+            blocks.append(
+                {
+                    "from": {"w": list(w), "nprime": list(np)},
+                    "to": {"w": list(tw), "nprime": list(tnp)},
+                    "matrix": [[x.serialize() for x in row] for row in mat.data],
+                }
+            )
         actions.append({"symbol": symbol_to_string(sym), "blocks": blocks})
     return {
         "format": "qtlie-module-dump",

@@ -189,6 +189,10 @@ class CycloNum:
         return CycloNum(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if not isinstance(other, CycloNum) and isinstance(other, (int, Fraction)):
+            # a rational factor has degree 0: scaling needs no reduction mod Phi_L.
+            # CycloNum is tested first: isinstance on Fraction is an ABC check
+            return CycloNum(self.field, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

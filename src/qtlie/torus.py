@@ -80,13 +80,18 @@ def make_torus(d: int, z: int, k, L: int | None = None) -> TorusSpec:
 
 
 def load_torus(source) -> TorusSpec:
-    """Build a TorusSpec from a JSON file path, JSON text, or a dict."""
+    """Build a TorusSpec from a dict, JSON text, or a JSON file path.
+
+    A ``str`` is JSON text when it starts with ``{`` after leading whitespace;
+    any other ``str`` and every ``os.PathLike`` name a file.
+    """
     if isinstance(source, dict):
         data = source
     else:
-        text = source
         try:
-            if "{" not in str(source):
+            if isinstance(source, str) and source.lstrip().startswith("{"):
+                text = source
+            else:
                 with open(source, "r", encoding="utf-8") as fh:
                     text = fh.read()
             data = json.loads(text)

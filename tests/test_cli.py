@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -204,6 +205,36 @@ def test_decompose_output_is_independent_of_hash_seed(tmp_path):
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
                         "module", "decompose", "--rep", str(rep_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+SPEC_E1 = Path(__file__).resolve().parents[1] / "specs" / "e1.json"
+# sha256 of `qtlie module build --spec specs/e1.json --box 1 --out`; the two
+# constructions agree on the box, so their dumps are the same bytes
+E1_BOX1_DUMP_SHA256 = "fd6d1f82b845093e99b56f3d385b06281cc16dd3eebab26e8aee329a885e5eb9"
+
+
+@pytest.mark.parametrize("construction", [[], ["--tensor-field"]], ids=["functor", "tensor-field"])
+def test_module_dump_is_pinned(tmp_path, construction):
+    out = tmp_path / "dump.json"
+    assert main(["module", "build", "--spec", str(SPEC_E1), "--box", "1", "--out", str(out),
+                 *construction]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == E1_BOX1_DUMP_SHA256
+
+
+@pytest.mark.parametrize("construction", [[], ["--tensor-field"]], ids=["functor", "tensor-field"])
+def test_module_dump_is_independent_of_hash_seed(tmp_path, construction):
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"dump-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                        "module", "build", "--spec", str(SPEC_E1), "--box", "1", "--out", str(out),
+                        *construction],
                        env=env, check=True, capture_output=True)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

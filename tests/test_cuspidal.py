@@ -1,3 +1,5 @@
+import ast
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from qtlie.cuspidal import (
     dump_module,
     extract_coefficients,
     modules_equal_on_box,
-    mv_eq,
     sym_central,
     sym_deg,
     sym_inner,
@@ -51,10 +52,10 @@ def setup_e1(e1):
     return vw, rep, module
 
 
-def _unit(spec, module, w, local):
+def _unit(spec, module, w, local, nprime=None):
     col = [spec.field.zero] * module.space.dims[w]
     col[local] = spec.field.one
-    return {(w, (0,) * spec.d): col}
+    return {(w, nprime or (0,) * spec.d): col}
 
 
 def test_degree_action_frozen(e1, setup_e1):
@@ -94,7 +95,7 @@ def test_central_action_is_free_and_associative(e1, setup_e1):
     za = sym_central(e1, (2, -2))
     zb = sym_central(e1, (-4, 0))
     zc = sym_central(e1, (-2, -2))
-    assert mv_eq(module.act(za, module.act(zb, vec)), module.act(zc, vec))
+    assert module.act(za, module.act(zb, vec)) == module.act(zc, vec)
 
 
 def test_symbol_validation(e1):
@@ -134,8 +135,39 @@ def test_module_axioms_catch_corruption(e1, setup_e1):
     report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7,
                                   vector_box=1)
     assert not report.passed
+    # the witness names a label inside the vector box and a column of its class
+    match = re.fullmatch(r"\[.+\] at (\(\(.*\)\)) column (\d+)", report.first_failure)
+    assert match, report.first_failure
+    label = ast.literal_eval(match.group(1))
+    assert label in module.labels(1)
+    assert int(match.group(2)) < module.space.dims[label[0]]
+    # one case per basis vector, counted up to the first one that differs
+    assert report.cases == 74
+    assert report.first_failure == "[deg[0,1](2,2), deg[1,0](-4,0)] at ((1,1),(-2,-2)) column 1"
     with pytest.raises(InvalidRepresentation):
         build_module(e1, (0, 0), broken)
+
+
+class _DoubledCenterModule(CuspidalModule):
+    """The central symbols act as twice the label shift, which breaks z^m z^n = z^{m+n}."""
+
+    def block(self, symbol, label):
+        res = super().block(symbol, label)
+        if symbol[0] != "z" or res is None:
+            return res
+        target, mat = res
+        return target, mat.scale(2)
+
+
+def test_module_axioms_name_central_witness(e1, setup_e1):
+    _, rep, _ = setup_e1
+    module = _DoubledCenterModule(e1, (0, 0), rep, box=2)
+    report = verify_module_axioms(module, symbol_box=1, sample_count=2, seed=7, vector_box=1)
+    assert not report.passed
+    match = re.fullmatch(r"central associativity at Z\(.*\) at (\(\(.*\)\)) column (\d+)",
+                         report.first_failure)
+    assert match, report.first_failure
+    assert ast.literal_eval(match.group(1)) in module.labels(1)
 
 
 def test_jet_module_axioms(e1):
@@ -168,6 +200,16 @@ def test_modules_differ_for_different_alpha(e1, setup_e1):
     vw, rep, module = setup_e1
     shifted = tensor_field_module(e1, (Fraction(1, 2), 0), vw, box=3)
     assert not modules_equal_on_box(module, shifted, 1)
+
+
+def test_modules_differ_for_corrupted_action(e1, setup_e1):
+    """Same labels, same alpha, one changed matrix entry: the blocks differ."""
+    _, rep, module = setup_e1
+    action = {k: m.copy() for k, m in rep.action.items()}
+    key = ("XD", (1, 0), 1)
+    action[key][0, 0] = action[key][0, 0] + e1.field.one
+    broken = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 1), box=3)
+    assert not modules_equal_on_box(module, broken, 1)
 
 
 def test_modules_differ_for_regraded_w(e1, setup_e1):
@@ -248,10 +290,13 @@ class _ClassShiftingModule:
         self.spec = module.spec
         self.space = module.space
 
-    def act(self, symbol, mvec):
+    def block(self, symbol, label):
         classes = self.space.classes
-        return {(classes[(classes.index(w) + 1) % len(classes)], np): col
-                for (w, np), col in self.module.act(symbol, mvec).items()}
+        res = self.module.block(symbol, label)
+        if res is None:
+            return None
+        (w, np), mat = res
+        return (classes[(classes.index(w) + 1) % len(classes)], np), mat
 
 
 def test_family_rejects_module_with_wrong_class(e1, setup_e1):
@@ -284,6 +329,21 @@ def test_family_matrix_l_is_class_shift(e1, setup_e1):
     assert fam.matrix_L((0, 0), (3, 1)) == rep.rho(("XT", (0, 0), (1, 1)))
     # central argument: the identity label shift
     assert fam.matrix_L((2, 0), (2, 2)) == ExactMatrix.identity(e1.field, module.space.dim)
+
+
+def test_family_matrix_l_sums_the_jet_terms(e1, setup_e1):
+    """L(m, r) = sum over l of m^l / l! rho(x^l t^r), on an action with l != 0 terms."""
+    _, rep, _ = setup_e1
+    r = (1, 2)
+    a = rep.rho(("XT", (0, 0), r))
+    b = a * rep.rho(("XD", (1, 0), 1))  # still of pure degree class(r)
+    c = rep.rho(("XD", (0, 1), 2)) * a
+    action = {("XT", (0, 0), r): a, ("XT", (1, 0), r): b, ("XT", (0, 2), r): c}
+    module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 3), box=3)
+    fam = OperatorFamily(module, degree_bound=3)
+    assert fam.matrix_L((0, 0), r) == a
+    assert fam.matrix_L((2, 0), r) == a + b.scale(2)
+    assert fam.matrix_L((2, 4), r) == a + b.scale(2) + c.scale(8)
 
 
 def test_extraction_values(e1, setup_e1):
@@ -397,28 +457,29 @@ def _apply_L(module, m, e, vec):
     return module.act(sym_central(spec, tuple(-x for x in m)), moved)
 
 
-def _mv_combine(*scaled):
+def _combine(*scaled):
+    """The linear combination sum c * vec of module vectors, all-zero columns dropped."""
     out = {}
     for coeff, vec in scaled:
-        from qtlie.cuspidal import mv_add, mv_scale
-
-        out = mv_add(out, mv_scale(coeff, vec))
-    return out
+        for label, col in vec.items():
+            prev = out.get(label, [0] * len(col))
+            out[label] = [a + coeff * x for a, x in zip(prev, col)]
+    return {label: col for label, col in out.items() if any(not x.is_zero() for x in col)}
 
 
 def test_shifted_family_relations(e1, setup_e1):
     """The three commutation relations of the shifted operator families."""
-    from qtlie.cuspidal import mv_add, mv_scale
     from qtlie.derivations import inner_product
     from qtlie.torus import exp_add, sigma_skew
 
     _, _, module = setup_e1
     fld = e1.field
     minus = fld.from_rational(-1)
-    vectors = [wv.as_map() for wv in module.basis_vectors(1)]
+    vectors = [_unit(e1, module, w, local, np)
+               for w, np in module.labels(1) for local in range(module.space.dims[w])]
 
     def commute(f, g, vec):
-        return mv_add(f(g(vec)), mv_scale(minus, g(f(vec))))
+        return _combine((1, f(g(vec))), (minus, g(f(vec))))
 
     u, v = (1, 0), (0, 1)
     m, n = (2, 0), (0, -2)
@@ -427,26 +488,27 @@ def test_shifted_family_relations(e1, setup_e1):
         # [D(u,m), D(v,n)] = (u|n)(D(v,m+n) - D(v,n)) - (v|m)(D(u,m+n) - D(u,m))
         lhs = commute(lambda w: _apply_D(module, u, m, w),
                       lambda w: _apply_D(module, v, n, w), vec)
-        rhs = _mv_combine(
+        rhs = _combine(
             (inner_product(fld, u, n), _apply_D(module, v, exp_add(m, n), vec)),
             (minus * inner_product(fld, u, n), _apply_D(module, v, n, vec)),
             (minus * inner_product(fld, v, m), _apply_D(module, u, exp_add(m, n), vec)),
             (inner_product(fld, v, m), _apply_D(module, u, m, vec)),
         )
-        assert mv_eq(lhs, rhs)
+        assert lhs == rhs
         # [D(u,m), L(n,s)] = (u|n+s) L(m+n, s) - (u|n) L(n, s)
         lhs = commute(lambda w: _apply_D(module, u, m, w),
                       lambda w: _apply_L(module, n, s, w), vec)
-        rhs = _mv_combine(
+        rhs = _combine(
             (inner_product(fld, u, exp_add(n, s)), _apply_L(module, exp_add(m, n), s, vec)),
             (minus * inner_product(fld, u, n), _apply_L(module, n, s, vec)),
         )
-        assert mv_eq(lhs, rhs)
+        assert lhs == rhs
         # [L(m,r), L(n,s)] = (sig(r,s) - sig(s,r)) L(m+n, r+s), raw second index
         lhs = commute(lambda w: _apply_L(module, m, r, w),
                       lambda w: _apply_L(module, n, s, w), vec)
-        rhs = mv_scale(sigma_skew(e1, r, s), _apply_L(module, exp_add(m, n), exp_add(r, s), vec))
-        assert mv_eq(lhs, rhs)
+        rhs = _combine((sigma_skew(e1, r, s),
+                        _apply_L(module, exp_add(m, n), exp_add(r, s), vec)))
+        assert lhs == rhs
 
 
 def test_commutative_torus_module(commutative):

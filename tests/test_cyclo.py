@@ -103,6 +103,18 @@ def _elements(L):
 
 
 @pytest.mark.parametrize("L", [3, 4, 5, 12])
+@given(data=st.data())
+def test_rational_factor_scales_coefficients(L, data):
+    fld = make_field(L)
+    x = data.draw(_elements(L))
+    q = data.draw(st.one_of(st.integers(-50, 50),
+                            st.fractions(min_value=-20, max_value=20, max_denominator=8)))
+    want = x * fld.from_rational(q)
+    assert x * q == want
+    assert q * x == want
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 12])
 class TestFieldAxioms:
     @given(data=st.data())
     def test_mul_associative_and_distributive(self, L, data):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +185,18 @@ def test_spec_json_round_trip(e2, tmp_path):
     loaded = load_torus(str(path))
     assert loaded == e2
     assert load_torus(json.loads(dump_torus(e2))) == e2
+
+
+def test_spec_path_with_brace(tmp_path):
+    """A file name holding `{` is still a path, as a str and as a Path."""
+    folder = tmp_path / "a{b}"
+    folder.mkdir()
+    path = folder / "e1.json"
+    shutil.copy(Path(__file__).resolve().parents[1] / "specs" / "e1.json", path)
+    want = make_torus(2, 1, [2])
+    assert load_torus(str(path)) == want
+    assert load_torus(path) == want
+    assert load_torus('  {"d": 2, "z": 1, "k": [2], "L": 2}') == want
 
 
 def test_spec_validation_errors():
