@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Verbs: torus info, bracket eval, verify, module build|verify|decompose|
-roundtrip|compare, export, cache.  Exit codes: 0 pass, 1 fail, 2 config error.
+roundtrip|compare, export, cache.  Exit codes: 0 pass, 1 fail, 2 config error
+(a ParseError: unreadable or malformed input, or an argparse error).
 """
 from __future__ import annotations
 
@@ -113,7 +114,10 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     spec = load_torus(args.spec)
-    exp = tuple(int(x) for x in args.exp.split(","))
+    try:
+        exp = tuple(int(x) for x in args.exp.split(","))
+    except ValueError as exc:
+        raise ParseError(f"exponent must be comma-separated integers, got {args.exp!r}") from exc
     if len(exp) != spec.d:
         raise ParseError(f"exponent needs {spec.d} coordinates")
     mat = x_power(spec, exp)
@@ -140,6 +144,14 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read JSON from {path!r}: {exc}") from exc
+
+
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -163,8 +175,7 @@ def cmd_module(args) -> int:
             print(json.dumps(payload, sort_keys=True))
         return 0
     if args.action == "verify":
-        with open(args.rep, "r", encoding="utf-8") as fh:
-            spec, rep, _ = rep_from_dict(json.load(fh))
+        spec, rep, _ = rep_from_dict(_read_json(args.rep))
         report = verify_representation(spec, rep, args.degree or max(rep.cutoff, 1))
         print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
               f"({report.cases} pairs)")
@@ -173,8 +184,7 @@ def cmd_module(args) -> int:
             return 1
         return 0
     if args.action == "decompose":
-        with open(args.rep, "r", encoding="utf-8") as fh:
-            spec, rep, _ = rep_from_dict(json.load(fh))
+        spec, rep, _ = rep_from_dict(_read_json(args.rep))
         vw, _phi = decompose_tensor(spec, rep, seed=args.seed)
         print(f"factors: dim V = {vw.dim_V}, dim W = {vw.dim_W}")
         if args.out:
@@ -196,11 +206,7 @@ def cmd_module(args) -> int:
         return 0 if ok else 1
     if args.action == "compare":
         if args.dump_a and args.dump_b:
-            with open(args.dump_a, "r", encoding="utf-8") as fh:
-                da = json.load(fh)
-            with open(args.dump_b, "r", encoding="utf-8") as fh:
-                db = json.load(fh)
-            ok = da == db
+            ok = _read_json(args.dump_a) == _read_json(args.dump_b)
         else:
             spec = load_torus(args.spec)
             alpha = _alpha_from_arg(spec, args.alpha)
@@ -286,7 +292,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, KeyError, ValueError) as exc:
+    except ParseError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except QtlieError as exc:

@@ -39,7 +39,7 @@ from .errors import (
     RelationViolated,
 )
 from .matrices import ExactMatrix
-from .repn import GLdGLNModule, GRepresentation, GradedSpace, verify_representation
+from .repn import GLdGLNModule, GRepresentation, GradedSpace, VerifyReport, verify_representation
 from .torus import (
     TorusSpec,
     canonical_rep,
@@ -371,13 +371,6 @@ def tensor_field_module(spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AxiomReport:
-    passed: bool
-    cases: int
-    first_failure: str | None = None
-
-
 def _symbol_pool(spec: TorusSpec, radius: int, rng: random.Random, count: int) -> list:
     B = spec.B
     cvecs = list(itertools.product(range(-radius, radius + 1), repeat=spec.d))
@@ -433,7 +426,7 @@ def _first_nonzero_column(blocks: dict, width: int) -> int | None:
 
 
 def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int = 7,
-                         vector_box: int | None = None) -> AxiomReport:
+                         vector_box: int | None = None) -> VerifyReport:
     """Exact check of act([a,b]) = act(a)act(b) - act(b)act(a) on sampled pairs.
 
     Each basis vector inside the vector box is one case.  The cases of a label
@@ -455,9 +448,9 @@ def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int =
         for label in labels:
             j = _first_nonzero_column(_word_blocks(module, label, words), dims[label[0]])
             if j is not None:
-                return AxiomReport(False, cases + j + 1,
-                                   f"[{symbol_to_string(a)}, {symbol_to_string(b)}]"
-                                   f" at {_label_to_string(label)} column {j}")
+                return VerifyReport(False, cases + j + 1,
+                                    f"[{symbol_to_string(a)}, {symbol_to_string(b)}]"
+                                    f" at {_label_to_string(label)} column {j}")
             cases += dims[label[0]]
     # central associativity on every few basis vectors: z^m z^n = z^{m+n}
     B = spec.B
@@ -473,10 +466,10 @@ def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int =
             col[j] = spec.field.one
             vec = {label: col}
             if module.act(za, module.act(zb, vec)) != module.act(zc, vec):
-                return AxiomReport(False, cases,
-                                   f"central associativity at {symbol_to_string(za)}"
-                                   f" at {_label_to_string(label)} column {j}")
-    return AxiomReport(True, cases)
+                return VerifyReport(False, cases,
+                                    f"central associativity at {symbol_to_string(za)}"
+                                    f" at {_label_to_string(label)} column {j}")
+    return VerifyReport(True, cases)
 
 
 def standard_symbols(spec: TorusSpec) -> list:

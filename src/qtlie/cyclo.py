@@ -8,6 +8,7 @@ exactly equality of coefficient tuples.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -35,21 +36,79 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (den monic up to sign)."""
+def _rat_poly_divmod(num, den):
     num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
+    dn = len(den)
+    q = [_ZERO] * max(len(num) - dn + 1, 0)
+    inv_lead = _ONE / den[-1]
+    for k in range(len(num) - dn, -1, -1):
+        c = num[k + dn - 1] * inv_lead
         q[k] = c
         if c:
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
-    return q, _poly_trim(num)
+    return _poly_trim(q), _poly_trim(num)
+
+
+def _poly_sub(a, b):
+    out = list(a) + [_ZERO] * (len(b) - len(a))
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return _poly_trim(out)
+
+
+def _poly_derivative(p):
+    return [i * c for i, c in enumerate(p) if i]
+
+
+def _poly_gcd(a, b):
+    """Monic gcd of two trimmed rational polynomials, not both zero."""
+    while b:
+        a, b = b, _rat_poly_divmod(a, b)[1]
+    inv_lead = _ONE / a[-1]
+    return [c * inv_lead for c in a]
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of a nonzero integer, by trial division."""
+    n, out, p = abs(n), [1], 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out = [d * p**i for d in out for i in range(e + 1)]
+        p += 1
+    return out
+
+
+def proper_factor_over_q(poly):
+    """A monic factor over Q of a monic rational polynomial of degree >= 2 (low
+    degree first), proper and of positive degree, or None if none is found.
+
+    The factor is the square-free part poly / gcd(poly, poly') when some factor
+    repeats, else x - r for a rational root r (rational root theorem on the
+    integer-cleared coefficients).  None means poly is square-free without
+    rational roots; it may still factor into pieces of degree >= 2.
+    """
+    sqfree = _rat_poly_divmod(poly, _poly_gcd(poly, _poly_derivative(poly)))[0]
+    if len(sqfree) < len(poly):
+        return sqfree
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    if ints[0] == 0:
+        return [_ZERO, _ONE]
+    for q in _divisors(ints[-1]):
+        for p in _divisors(ints[0]):
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                value = 0
+                for c in reversed(ints):
+                    value = value * r + c
+                if value == 0:
+                    return [-r, _ONE]
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -62,10 +121,10 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (L - 1) + [1]  # x^L - 1
     for d in range(1, L):
         if L % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _rat_poly_divmod(poly, cyclotomic_polynomial(d))
             if rem:
                 raise InvariantViolated(f"Phi_{d} does not divide x^{L} - 1 exactly")
-    return tuple(poly)
+    return tuple(int(c) for c in poly)  # a quotient by monic integer divisors
 
 
 class CycloField:
@@ -272,7 +331,8 @@ class CycloNum:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash((self.field.L, self.coeffs))
+        # a rational value equals (and so hashes as) its int or Fraction
+        return hash(self.coeffs[0]) if self.is_rational() else hash((self.field.L, self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -317,27 +377,6 @@ class CycloNum:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def _rat_poly_divmod(num, den):
-    num = list(num)
-    dn = len(den)
-    q = [_ZERO] * max(len(num) - dn + 1, 0)
-    inv_lead = 1 / den[-1]
-    for k in range(len(num) - dn, -1, -1):
-        c = num[k + dn - 1] * inv_lead
-        q[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
 
 
 def arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:

@@ -13,9 +13,9 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .cyclo import CycloField, CycloNum, parse_scalar
+from .cyclo import CycloField, CycloNum, make_field, parse_scalar
 from .errors import ExponentNotInR, InvariantViolated, MalformedBasisKey, NotGeneric, ParseError
-from .matrices import rational_rank
+from .matrices import ExactMatrix
 from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
 
 
@@ -300,8 +300,7 @@ def is_generic(spec: TorusSpec, mu) -> bool:
     mu = tuple(map(spec.field.coerce, mu))
     if len(mu) != spec.d:
         raise ValueError("mu must have d entries")
-    rows = [list(x.coeffs) for x in mu]
-    return rational_rank(rows) == spec.d
+    return ExactMatrix(make_field(1), [list(x.coeffs) for x in mu]).rank() == spec.d
 
 
 @dataclass

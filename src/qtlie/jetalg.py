@@ -23,7 +23,6 @@ import itertools
 import json
 import os
 
-from .cyclo import parse_cyclonum
 from .derivations import _Combo
 from .errors import InvariantViolated, MalformedBasisKey
 from .matrices import ExactMatrix
@@ -258,11 +257,6 @@ def parse_jet_element(spec: TorusSpec, text: str) -> JetElement:
 
 def element_to_payload(a: JetElement) -> list:
     return sorted([key_to_string(k), c.serialize()] for k, c in a.terms.items())
-
-
-def element_from_payload(spec: TorusSpec, payload) -> JetElement:
-    return JetElement.from_terms(
-        spec.field, ((key_from_string(k), parse_cyclonum(c, spec.field)) for k, c in payload))
 
 
 def structure_constant_table(spec: TorusSpec, max_degree: int) -> dict[str, list]:

@@ -5,8 +5,6 @@ equality means entrywise equality of canonical forms.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclo import CycloField, CycloNum
 from .errors import DimensionMismatch
 
@@ -132,12 +130,6 @@ class ExactMatrix:
 
     def transpose(self):
         return ExactMatrix(self.field, [list(col) for col in zip(*self.data)])
-
-    def trace(self):
-        t = self.field.zero
-        for i in range(min(self.rows, self.cols)):
-            t = t + self.data[i][i]
-        return t
 
     def is_zero(self):
         return all(a.is_zero() for row in self.data for a in row)
@@ -312,25 +304,3 @@ def basis_matrix(field, columns):
         return ExactMatrix.zeros(field, 0, 0)
     n = len(columns[0])
     return ExactMatrix(field, [[col[i] for col in columns] for i in range(n)])
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix of plain rationals (used for genericity tests)."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][c]
-        rows[rank] = [inv * a for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

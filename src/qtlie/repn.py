@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNum, parse_cyclonum
+from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
 from .errors import (
     InvalidModuleData,
     InvalidRepresentation,
@@ -543,8 +543,13 @@ def matrix_minimal_polynomial(field, m: ExactMatrix) -> list[CycloNum]:
 def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
     """Find a proper invariant subspace via the commutant, or None if simple.
 
-    Raises SplittingNeedsFieldExtension when a non-scalar commutant element is
-    found whose minimal polynomial has no proper factorization over Q.
+    Each non-scalar candidate k (the commutant basis, then four seeded mixes)
+    with a rational minimal polynomial mu is tried in turn: ker f(k) is
+    invariant and proper for the factor f that ``proper_factor_over_q`` picks (the
+    square-free part of mu, or x - r for a rational root r).  Raises
+    SplittingNeedsFieldExtension when no candidate has such a factor; this
+    includes the one case missed over Q, a square-free mu without rational
+    roots that factors into pieces of degree >= 2.
     """
     comm = intertwiners(field, [(g, g) for g in mats], [n])
     if len(comm) <= 1:
@@ -555,41 +560,26 @@ def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
         for c in comm:
             mix = mix + c.scale(rng.randint(-2, 2))
         candidates.append(mix)
-    import sympy
-
-    x = sympy.Symbol("x")
+    ident = ExactMatrix.identity(field, n)
     for k in candidates:
-        ident = ExactMatrix.identity(field, n)
         if (k - ident.scale(k[0, 0])).is_zero():
             continue  # scalar
         coeffs = matrix_minimal_polynomial(field, k)
-        if any(not c.is_rational() for c in coeffs):
-            raise SplittingNeedsFieldExtension(
-                "minimal polynomial has irrational cyclotomic coefficients"
-            )
-        poly = x ** len(coeffs) - sum(
-            sympy.Rational(c.as_rational()) * x**i for i, c in enumerate(coeffs)
-        )
-        factors = sympy.factor_list(sympy.Poly(poly, x, domain="QQ"))[1]
-        if len(factors) == 1 and factors[0][1] == 1:
-            if factors[0][0].degree() == len(coeffs) and len(coeffs) > 1:
-                raise SplittingNeedsFieldExtension(
-                    f"minimal polynomial {sympy.pretty(poly)} is irreducible over Q"
-                )
+        if not all(c.is_rational() for c in coeffs):
             continue
-        f0 = factors[0][0]
+        factor = proper_factor_over_q([-c.as_rational() for c in coeffs] + [1])
+        if factor is None:
+            continue
         fk = ExactMatrix.zeros(field, n)
-        for exp_i, coeff in enumerate(reversed(f0.all_coeffs())):
-            if coeff == 0:
-                continue
-            term = ExactMatrix.identity(field, n)
-            for _ in range(exp_i):
-                term = term * k
-            fk = fk + term.scale(Fraction(coeff.p, coeff.q))
+        for c in reversed(factor):
+            fk = fk * k + ident.scale(c)
         kern = fk.kernel()
         if 0 < len(kern) < n:
             return kern
-    return None
+    raise SplittingNeedsFieldExtension(
+        f"no element of the {len(comm)}-dimensional commutant has a rational minimal"
+        " polynomial with a repeated factor or a rational root"
+    )
 
 
 def _irreducible_gld_submodule(field, gld_mats, basis, rng):
@@ -775,21 +765,19 @@ def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
 
 
 def rep_from_dict(data: dict):
-    if data.get("format") != "qtlie-representation":
+    """Inverse of ``rep_to_dict``; malformed data raises ParseError."""
+    if not isinstance(data, dict) or data.get("format") != "qtlie-representation":
         raise ParseError("not a representation file")
-    spec = load_torus(data["torus"])
-    dims = {tuple(entry["w"]): int(entry["dim"]) for entry in data["classes"]}
-    space = GradedSpace(spec, dims)
-    action = {}
-    for entry in data["action"]:
-        key = key_from_string(entry["key"])
-        mat = ExactMatrix(
-            spec.field,
-            [[parse_cyclonum(s, spec.field) for s in row] for row in entry["matrix"]],
-        )
-        action[key] = mat
-    rep = GRepresentation(space, action, int(data["cutoff"]))
-    alpha = None
-    if "alpha" in data:
-        alpha = tuple(parse_cyclonum(s, spec.field) for s in data["alpha"])
-    return spec, rep, alpha
+    try:
+        spec = load_torus(data["torus"])
+        space = GradedSpace(spec, {tuple(entry["w"]): int(entry["dim"]) for entry in data["classes"]})
+        action = {
+            key_from_string(entry["key"]): ExactMatrix(
+                spec.field, [[parse_cyclonum(s, spec.field) for s in row] for row in entry["matrix"]])
+            for entry in data["action"]
+        }
+        cutoff = int(data["cutoff"])
+        alpha = tuple(parse_cyclonum(s, spec.field) for s in data["alpha"]) if "alpha" in data else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"invalid representation data: {exc!r}") from exc
+    return spec, GRepresentation(space, action, cutoff), alpha

@@ -60,10 +60,6 @@ class TorusSpec:
         diag.extend([1] * (self.d - 2 * self.z))
         return tuple(diag)
 
-    def pair_order(self, position: int) -> int:
-        """Order of the pair containing coordinate `position` (1 beyond 2z)."""
-        return self.k[position // 2] if position < 2 * self.z else 1
-
     def q(self, i: int) -> CycloNum:
         """The root of unity q_i attached to pair i (0-based)."""
         return self.field.root(self.L // self.k[i])
@@ -169,10 +165,6 @@ def exp_add(m: ExpVec, n: ExpVec) -> ExpVec:
 
 def exp_sub(m: ExpVec, n: ExpVec) -> ExpVec:
     return tuple(a - b for a, b in zip(m, n))
-
-
-def exp_neg(m: ExpVec) -> ExpVec:
-    return tuple(-a for a in m)
 
 
 @dataclass(frozen=True)

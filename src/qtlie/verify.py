@@ -31,6 +31,7 @@ from .derivations import (
     inner,
     witt,
 )
+from .errors import NotIrreducible, ParseError
 from .jetalg import (
     JetElement,
     bracket_jets,
@@ -388,9 +389,10 @@ def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
     scrambled = scramble_representation(rep, seed=seed)
     failures = []
     cases = 3
-    if len(commutant(scrambled)) != 1:
-        failures.append({"commutant": "scrambled module is not absolutely irreducible"})
-    recovered, _phi = decompose_tensor(spec, scrambled, probes=8, seed=seed)
+    try:  # decompose_tensor first checks that the graded commutant is one-dimensional
+        recovered, _phi = decompose_tensor(spec, scrambled, probes=8, seed=seed)
+    except NotIrreducible as exc:
+        return VerificationReport("decompose", cases, [{"irreducible": str(exc)}])
     if recovered.dim_V != vw.dim_V or recovered.dim_W != vw.dim_W:
         failures.append({"dims": [recovered.dim_V, recovered.dim_W],
                          "expected": [vw.dim_V, vw.dim_W]})
@@ -445,7 +447,7 @@ def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None) ->
     reports = []
     for name in names:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
+            raise ParseError(f"unknown suite {name!r}")
         reports.append(SUITES[name](spec, config))
     return reports
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import qtlie
+from qtlie import verify
 from qtlie.cli import main
+from qtlie.errors import NotIrreducible
 from qtlie.repn import (
     GLdGLNModule,
     graded_regular_glN,
@@ -249,3 +251,52 @@ def test_config_errors(tmp_path, capsys):
     spec.write_text('{"d":2,"z":1,"k":[2],"L":2}')
     assert main(["verify", "--spec", str(spec), "--suite", "nope"]) == 2
     assert main(["no-such-verb"]) == 2
+
+
+def test_input_file_errors_are_config_errors(tmp_path, spec_file, capsys):
+    assert main(["export", "--spec", spec_file, "--exp", "1,a"]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text('{"format": "qtlie-representation"}')
+    for action in ("verify", "decompose"):
+        for rep in (bad, keyless, tmp_path / "missing.json"):
+            assert main(["module", action, "--rep", str(rep)]) == 2
+    assert main(["module", "compare", "--dump-a", str(bad), "--dump-b", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_key_error_inside_a_suite_is_not_a_config_error(monkeypatch, spec_file):
+    def broken(spec, cfg):
+        raise KeyError("lost symbol")
+
+    monkeypatch.setitem(verify.SUITES, "quotient", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "--spec", spec_file, "--suite", "quotient"])
+
+
+def test_verify_report_is_independent_of_hash_seed(tmp_path):
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    suites = [arg for name in ("xmatrix", "jacobi-d", "quotient", "annihilation", "decompose")
+              for arg in ("--suite", name)]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                        "verify", "--spec", str(SPEC_E1), *suites, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["passed"]
+
+
+def test_decompose_suite_reports_a_reducible_module(monkeypatch):
+    def reducible(spec, rep, probes, seed):
+        raise NotIrreducible("graded commutant has dimension != 1")
+
+    monkeypatch.setattr(verify, "decompose_tensor", reducible)
+    report = verify.suite_decompose(make_torus(2, 1, [2]))
+    assert report.cases == 3
+    assert report.failures == [{"irreducible": "graded commutant has dimension != 1"}]

@@ -4,7 +4,14 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from qtlie.cyclo import arith, cyclotomic_polynomial, make_field, parse_cyclonum, parse_scalar
+from qtlie.cyclo import (
+    arith,
+    cyclotomic_polynomial,
+    make_field,
+    parse_cyclonum,
+    parse_scalar,
+    proper_factor_over_q,
+)
 from qtlie.errors import ParseError
 
 
@@ -179,3 +186,43 @@ def test_equality_is_canonical():
     z = fld.root(1)
     assert z * z == z - fld.one
     assert hash(z * z) == hash(z - fld.one)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 12])
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_rational_values_hash_like_their_rationals(L, value):
+    fld = make_field(L)
+    x = fld.from_rational(value)
+    for partner in (value, Fraction(value)):
+        assert x == partner and hash(x) == hash(partner)
+        assert len({x, partner}) == 1
+    assert len({fld.one, 1, Fraction(1)}) == 1
+
+
+def _poly(*roots):
+    """Monic polynomial with the given roots, low degree first."""
+    out = [Fraction(1)]
+    for r in roots:
+        out = [-r * out[0]] + [a - r * b for a, b in zip(out[:-1], out[1:])] + [out[-1]]
+    return out
+
+
+@pytest.mark.parametrize("roots", [
+    (1, 1, 2), (3, 3, 3, -1), (0, 5), (Fraction(2, 3), Fraction(-5, 7)), (Fraction(-1, 6), 4, -4),
+    (-2, Fraction(-3, 5)),
+])
+def test_proper_factor_over_q_splits(roots):
+    factor = proper_factor_over_q(_poly(*roots))
+    if len(set(roots)) < len(roots):  # a repeated factor: the square-free part
+        assert factor == _poly(*set(roots))
+    else:  # x - r for a rational root r
+        assert len(factor) == 2 and factor[1] == 1 and -factor[0] in roots
+
+
+@pytest.mark.parametrize("poly", [
+    [2, 0, 1],  # x^2 + 2
+    [6, 0, -5, 0, 1],  # (x^2 - 2)(x^2 - 3): square-free, no rational root
+    [Fraction(4, 3), Fraction(-404, 177), 1],
+])
+def test_proper_factor_over_q_finds_none(poly):
+    assert proper_factor_over_q(poly) is None

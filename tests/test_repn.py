@@ -1,18 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtlie
+from qtlie import repn
 from qtlie.errors import (
     InvalidModuleData,
     InvalidRepresentation,
     NotIrreducible,
+    ParseError,
     SplittingNeedsFieldExtension,
 )
-from qtlie.matrices import ExactMatrix, RowSpace
+from qtlie.matrices import ExactMatrix, RowSpace, basis_matrix
 from qtlie.repn import (
     GLdGLNModule,
     GRepresentation,
     GradedSpace,
+    _gld_keys,
     _try_split,
     commutant,
     decompose_tensor,
@@ -31,7 +39,7 @@ from qtlie.repn import (
     verify_representation,
 )
 from qtlie.torus import canonical_rep, class_representatives, exp_add, sigma_hat
-from qtlie.cyclo import make_field
+from qtlie.cyclo import make_field, proper_factor_over_q
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +334,105 @@ def test_splitting_needs_field_extension():
     rotation = ExactMatrix(fld, [[0, -1], [1, 0]])
     with pytest.raises(SplittingNeedsFieldExtension):
         _try_split(fld, [rotation], 2, random.Random(0))
+
+
+def _assert_proper_invariant(fld, mats, n, basis):
+    assert 0 < len(basis) < n
+    B = basis_matrix(fld, basis)
+    assert B.rank() == len(basis)
+    for m in mats:
+        for vec in basis:
+            assert B.solve(m.apply(vec)) is not None
+
+
+def test_split_scrambled_natural_twice(e1):
+    """The natural gl_2 module twice has commutant M_2(Q): it splits over Q,
+    although a mix with an irreducible quadratic minimal polynomial comes first."""
+    fld = e1.field
+    z = fld.zero
+    nat = natural_gld(e1)
+
+    def twice(m):
+        return ExactMatrix(fld, [row + [z, z] for row in m.data] + [[z, z] + row for row in m.data])
+
+    w0 = class_representatives(e1)[0]
+    rep = GRepresentation(GradedSpace(e1, {w0: 4}), {k: twice(nat[ij]) for k, ij in _gld_keys(e1)}, 1)
+    scrambled = scramble_representation(rep, 1)
+    mats = [scrambled.rho(k) for k, _ in _gld_keys(e1)]
+    _assert_proper_invariant(fld, mats, 4, _try_split(fld, mats, 4, random.Random(0)))
+
+
+def _spy_factors(monkeypatch):
+    seen = []
+
+    def spy(poly):
+        factor = proper_factor_over_q(poly)
+        seen.append((list(poly), factor))
+        return factor
+
+    monkeypatch.setattr(repn, "proper_factor_over_q", spy)
+    return seen
+
+
+def test_split_jordan_block_takes_the_repeated_factor(monkeypatch):
+    fld = make_field(1)
+    jordan = ExactMatrix(fld, [[3, 1], [0, 3]])
+    seen = _spy_factors(monkeypatch)
+    basis = _try_split(fld, [jordan], 2, random.Random(0))
+    _assert_proper_invariant(fld, [jordan], 2, basis)
+    assert basis == [[fld.one, fld.zero]]
+    mu, factor = seen[-1]
+    # mu = x^2 + c1 x + c0 has a double root, and the factor is x minus that root
+    assert mu[1] ** 2 == 4 * mu[0] and factor == [mu[1] / 2, 1]
+
+
+def test_split_diagonal_takes_a_rational_root(monkeypatch):
+    fld = make_field(1)
+    diag = ExactMatrix(fld, [[1, 0], [0, 2]])
+    seen = _spy_factors(monkeypatch)
+    basis = _try_split(fld, [diag], 2, random.Random(0))
+    _assert_proper_invariant(fld, [diag], 2, basis)
+    mu, factor = seen[-1]
+    assert mu[1] ** 2 != 4 * mu[0]  # square-free
+    assert len(factor) == 2 and mu[0] + mu[1] * -factor[0] + factor[0] ** 2 == 0
+
+
+def test_splitting_message_is_plain_text():
+    fld = make_field(1)
+    rotation = ExactMatrix(fld, [[0, -1], [1, 0]])
+    with pytest.raises(SplittingNeedsFieldExtension) as info:
+        _try_split(fld, [rotation], 2, random.Random(0))
+    assert "\n" not in str(info.value) and "commutant" in str(info.value)
+
+
+def test_decompose_and_split_do_not_import_sympy():
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    code = """
+import random, sys
+from qtlie.matrices import ExactMatrix
+from qtlie.repn import (GLdGLNModule, _try_split, decompose_tensor, graded_regular_glN,
+                        natural_gld, pullback, scramble_representation)
+from qtlie.torus import make_torus
+spec = make_torus(2, 1, [2])
+wmats, wclasses = graded_regular_glN(spec)
+rep = scramble_representation(pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)), 5)
+assert decompose_tensor(spec, rep, seed=5)[0].dim_V == 2
+assert len(_try_split(spec.field, [ExactMatrix(spec.field, [[1, 0], [0, 2]])], 2, random.Random(0))) == 1
+print("sympy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_rep_from_dict_rejects_malformed_data(e1, rep_e1):
+    data = rep_to_dict(rep_e1)
+    for broken in ({k: v for k, v in data.items() if k != "cutoff"},
+                   dict(data, classes=[{"w": [0, 0], "dim": "x"}]),
+                   dict(data, action=[{"matrix": []}]),
+                   [data]):
+        with pytest.raises(ParseError):
+            rep_from_dict(broken)
 
 
 def test_rep_serialization_round_trip(e1, rep_e1):
