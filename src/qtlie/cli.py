@@ -158,9 +158,17 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
+def _required(args, option: str, alternative: str = ""):
+    """The value of a `module` option that this action cannot run without."""
+    value = getattr(args, option)
+    if value is None:
+        raise ParseError(f"module {args.action} needs --{option}{alternative}")
+    return value
+
+
 def cmd_module(args) -> int:
     if args.action == "build":
-        spec = load_torus(args.spec)
+        spec = load_torus(_required(args, "spec"))
         alpha = _alpha_from_arg(spec, args.alpha)
         vw = _vw_from_name(spec, args.vw)
         if args.tensor_field:
@@ -175,7 +183,7 @@ def cmd_module(args) -> int:
             print(json.dumps(payload, sort_keys=True))
         return 0
     if args.action == "verify":
-        spec, rep, _ = rep_from_dict(_read_json(args.rep))
+        spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
         report = verify_representation(spec, rep, args.degree or max(rep.cutoff, 1))
         print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
               f"({report.cases} pairs)")
@@ -184,7 +192,7 @@ def cmd_module(args) -> int:
             return 1
         return 0
     if args.action == "decompose":
-        spec, rep, _ = rep_from_dict(_read_json(args.rep))
+        spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
         vw, _phi = decompose_tensor(spec, rep, seed=args.seed)
         print(f"factors: dim V = {vw.dim_V}, dim W = {vw.dim_W}")
         if args.out:
@@ -193,7 +201,7 @@ def cmd_module(args) -> int:
             print(f"wrote factored representation to {args.out}")
         return 0
     if args.action == "roundtrip":
-        spec = load_torus(args.spec)
+        spec = load_torus(_required(args, "spec"))
         alpha = _alpha_from_arg(spec, args.alpha)
         vw = _vw_from_name(spec, args.vw)
         rep = pullback(spec, vw)
@@ -208,7 +216,7 @@ def cmd_module(args) -> int:
         if args.dump_a and args.dump_b:
             ok = _read_json(args.dump_a) == _read_json(args.dump_b)
         else:
-            spec = load_torus(args.spec)
+            spec = load_torus(_required(args, "spec", " (or both --dump-a and --dump-b)"))
             alpha = _alpha_from_arg(spec, args.alpha)
             vw = _vw_from_name(spec, args.vw)
             built = build_module(spec, alpha, pullback(spec, vw), box=args.box)

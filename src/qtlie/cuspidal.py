@@ -7,9 +7,10 @@ symbol acts on the component at a label by one block U_w -> U_tw (``block``).
 
 Two constructions are provided and kept deliberately independent:
 
-* ``CuspidalModule`` drives the action through a graded representation of the
-  jet algebra: degree derivations act by polynomial sums of the vector-field
-  matrices, torus elements by polynomial sums of the torus-side matrices.
+* ``CuspidalModule`` drives the action through a graded representation rho of
+  the jet algebra: a symbol acts by rho of its jet image, the Taylor expansion
+  sum over p of (m^p / p!) x^p d_u for t^m d_u and the raw torus-side symbol
+  x^0 t-bar^e for t^e.
 * ``TensorFieldModule`` uses the closed-form tensor-field action on
   V (x) W (x) t^s directly, with no polynomial machinery.
 
@@ -20,10 +21,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .cyclo import CycloNum
 from .derivations import inner_product
@@ -38,13 +37,13 @@ from .errors import (
     OutOfBox,
     RelationViolated,
 )
-from .matrices import ExactMatrix
+from .jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
+from .matrices import ExactMatrix, linear_combination
 from .repn import GLdGLNModule, GRepresentation, GradedSpace, VerifyReport, verify_representation
 from .torus import (
     TorusSpec,
     canonical_rep,
     class_representatives,
-    decompose,
     dump_torus,
     exp_add,
     exp_sub,
@@ -213,7 +212,10 @@ class _WeightModuleBase:
         if symbol[0] == "deg":
             _, u, e = symbol
             scalar = inner_product(fld, u, self.weight_of(label))
-            mat = mat + ExactMatrix.identity(fld, self.space.dims[w]).scale(scalar)
+            if not scalar.is_zero():
+                mat = mat.copy()
+                for i, row in enumerate(mat.data):
+                    row[i] = row[i] + scalar
         else:
             e = symbol[1]
         shift = exp_add(exp_add(np, e), exp_sub(w, tw))
@@ -247,68 +249,46 @@ def _nonzero(vec: dict) -> dict:
     return {label: col for label, col in vec.items() if any(not x.is_zero() for x in col)}
 
 
-def _poly_coeff(m: tuple, p: tuple) -> Fraction:
-    """m^p / p! as an exact rational."""
-    num = 1
-    den = 1
-    for mi, pi in zip(m, p):
-        num *= mi**pi
-        den *= math.factorial(pi)
-    return Fraction(num, den)
-
-
 class CuspidalModule(_WeightModuleBase):
-    """Functor image of a graded jet-algebra representation."""
+    """Functor image of a graded jet-algebra representation.
+
+    A symbol acts through rho of its jet image: the degree derivation t^m d_u
+    maps to the sum over 1 <= |p| <= cutoff of (m^p / p!) x^p d_u, the inner
+    derivation t^e to the raw symbol x^0 t-bar^e, whose reduction to a class
+    representative ``GRepresentation.rho_raw`` supplies.  The full matrix of
+    each symbol is computed once; a label takes its class block.
+    """
 
     def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3,
                  strict_box: bool = False):
         self.spec = spec
         self.alpha = _coerce_alpha(spec, alpha)
         self.rep = rep
-        self.space = sp = rep.space
+        self.space = rep.space
         self.box = box
         self.strict_box = strict_box
-        # nonzero class blocks of rep.action, sliced once: w -> [(p, j, XD block)]
-        # and (r, w) -> [(l, XT block from w to w + r)]
-        self._xd = {w: [] for w in sp.classes}
-        self._xt = {}
-        for key in rep.nonzero_keys():
-            kind, p, j = key
-            for w in sp.classes:
-                tw = w if kind == "XD" else sp.shifted_class(w, j)
-                if tw not in sp.dims:
-                    continue
-                blk = sp.block(rep.action[key], w, tw)
-                if blk.is_zero():
-                    continue
-                if kind == "XD":
-                    self._xd[w].append((p, j, blk))
-                else:
-                    self._xt.setdefault((j, w), []).append((p, blk))
+        self._images = {}  # symbol -> rho of its jet image
+
+    def _image(self, symbol) -> ExactMatrix:
+        mat = self._images.get(symbol)
+        if mat is None:
+            spec = self.spec
+            if symbol[0] == "deg":
+                _, u, m = symbol
+                image = sum((xd_along(spec, p, u).scale(taylor_coefficient(m, p))
+                             for total in range(1, self.rep.cutoff + 1)
+                             for p in degree_basis(spec.d, total)), JetElement(spec.field))
+            else:
+                image = xt(spec, (0,) * spec.d, symbol[1])
+            mat = self._images[symbol] = self.rep.rho_element(image)
+        return mat
 
     def _operator(self, symbol, w):
-        fld = self.spec.field
         sp = self.space
-        if symbol[0] == "deg":
-            # sum over j, p of u_j m^p / p! rho(x^p d_j)
-            _, u, m = symbol
-            mat = ExactMatrix.zeros(fld, sp.dims[w])
-            for p, j, blk in self._xd[w]:
-                c = _poly_coeff(m, p)
-                if c != 0 and not u[j - 1].is_zero():
-                    mat = mat + blk.scale(u[j - 1] * c)
-            return w, mat
-        # inner derivation t^e, e = m + r outside R: sum over l of m^l / l! rho(x^l t^r)
-        m_part, r = decompose(self.spec, symbol[1])
-        tw = sp.shifted_class(w, r)
+        tw = w if symbol[0] == "deg" else sp.shifted_class(w, symbol[1])
         if tw not in sp.dims:
             return None
-        mat = ExactMatrix.zeros(fld, sp.dims[tw], sp.dims[w])
-        for l, blk in self._xt.get((r, w), ()):
-            c = _poly_coeff(m_part, l)
-            if c != 0:
-                mat = mat + blk.scale(c)
-        return tw, mat
+        return tw, sp.block(self._image(symbol), w, tw)
 
 
 def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> CuspidalModule:
@@ -324,7 +304,6 @@ class TensorFieldModule(_WeightModuleBase):
 
     def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3,
                  strict_box: bool = False):
-        vw.validate()
         self.spec = spec
         self.alpha = _coerce_alpha(spec, alpha)
         self.vw = vw
@@ -593,117 +572,63 @@ class PolynomialCoefficients:
     g: dict = dc_field(default_factory=dict)  # (r, l) -> matrix
 
 
-def _interpolation_inverse(field, degree: int) -> ExactMatrix:
-    V = ExactMatrix(field, [[Fraction(c**j) for j in range(degree + 1)]
-                            for c in range(degree + 1)])
-    return V.inverse()
-
-
-def _tensor_interpolate(field, d: int, degree: int, values: dict) -> dict:
-    """Monomial coefficients of a polynomial sampled on the grid [0, degree]^d.
-
-    `values` maps grid points to matrices; returns {exponent: coefficient}.
-    """
-    inv = _interpolation_inverse(field, degree)
-    table = dict(values)
-    for axis in range(d):
-        new_table = {}
-        other = [pt for pt in table if pt[axis] == 0]
-        for base in other:
-            stack = []
-            for c in range(degree + 1):
-                pt = list(base)
-                pt[axis] = c
-                stack.append(table[tuple(pt)])
-            for exp_i in range(degree + 1):
-                acc = None
-                for c in range(degree + 1):
-                    coeff = inv[exp_i, c]
-                    if coeff.is_zero():
-                        continue
-                    term = stack[c].scale(coeff)
-                    acc = term if acc is None else acc + term
-                pt = list(base)
-                pt[axis] = exp_i
-                new_table[tuple(pt)] = acc
-        table = new_table
-    return table
-
-
-def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha,
-                         degree_bound: int | None = None) -> PolynomialCoefficients:
+def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> PolynomialCoefficients:
     """Recover the polynomial coefficients of D and L by exact interpolation.
 
-    Sampling runs over m = B c with c on the grid [0, D]^d; an out-of-grid
-    consistency check guards the asserted degree bound, and the constant term
-    of each D family is checked against its forced scalar blocks.
+    Each family F(m) = sum over p of (m^p / p!) F_p is sampled at m = B c for c
+    on the grid [0, D]^d, D = ``family.degree_bound``, and interpolated one
+    axis at a time, straight into the m^p / p! basis, with the inverse of
+    [(B_i c)^j / j!] along axis i.  An out-of-grid consistency check guards the
+    asserted degree bound, and the constant term of each D family is checked
+    against its forced scalar blocks.
     """
-    D = family.degree_bound if degree_bound is None else degree_bound
+    D = family.degree_bound
     alpha = _coerce_alpha(spec, alpha)
     sp = family.space
     fld = spec.field
     B = spec.B
     d = spec.d
     grid = list(itertools.product(range(D + 1), repeat=d))
+    zero = ExactMatrix.zeros(fld, sp.dim)
+    inverses = [ExactMatrix(fld, [[taylor_coefficient((b * c,), (j,)) for j in range(D + 1)]
+                                  for c in range(D + 1)]).inverse() for b in B]
 
     def to_m(cvec):
         return tuple(c * b for c, b in zip(cvec, B))
 
-    def check_out_of_grid(coeff_table, evaluate):
-        cstar = tuple(D + 1 for _ in range(d))
-        mstar = to_m(cstar)
-        predicted = ExactMatrix.zeros(fld, sp.dim)
-        for p, mat in coeff_table.items():
-            scale = _poly_coeff(mstar, p)
-            predicted = predicted + mat.scale(scale)
+    def fit(evaluate) -> dict:
+        """{p: F_p} for the nonzero coefficients of the family m -> evaluate(m)."""
+        table = {c: evaluate(to_m(c)) for c in grid}
+        for axis, inv in enumerate(inverses):
+            table = {
+                pt[:axis] + (j,) + pt[axis + 1:]: linear_combination(
+                    ((inv[j, c], table[pt[:axis] + (c,) + pt[axis + 1:]]) for c in range(D + 1)), zero)
+                for pt in table if pt[axis] == 0 for j in range(D + 1)
+            }
+        coeffs = {p: mat for p, mat in table.items() if not mat.is_zero()}
+        mstar = to_m((D + 1,) * d)
+        predicted = linear_combination(
+            ((taylor_coefficient(mstar, p), mat) for p, mat in coeffs.items()), zero)
         if predicted != evaluate(mstar):
             raise DegreeBoundViolated(
                 f"family is not polynomial of total degree <= {D} per variable"
             )
+        return coeffs
 
     out = PolynomialCoefficients(spec, alpha, dict(sp.dims))
-    units = []
-    for i in range(d):
-        u = [0] * d
-        u[i] = 1
-        units.append(tuple(u))
-    for j, u in enumerate(units, start=1):
-        values = {c: family.matrix_D(u, to_m(c)) for c in grid}
-        coeffs_c = _tensor_interpolate(fld, d, D, values)
-        f_table = {}
-        for p, mat in coeffs_c.items():
-            scale = Fraction(math.prod(math.factorial(pi) for pi in p),
-                             math.prod(b**pi for b, pi in zip(B, p)))
-            mat = mat.scale(scale)
-            if not mat.is_zero():
-                f_table[p] = mat
-        check_out_of_grid(f_table, lambda m: family.matrix_D(u, m))
-        zero_p = (0,) * d
-        const = f_table.get(zero_p, ExactMatrix.zeros(fld, sp.dim))
+    zero_p = (0,) * d
+    for j in range(1, d + 1):
+        u = tuple(int(i == j) for i in range(1, d + 1))
+        f_table = fit(lambda m: family.matrix_D(u, m))
+        const = f_table.pop(zero_p, zero)
         for c in sp.classes:
-            n = sp.dims[c]
             scalar = inner_product(fld, u, [a + fld.from_rational(x) for a, x in zip(alpha, c)])
-            want = ExactMatrix.identity(fld, n).scale(scalar)
-            if sp.block(const, c, c) != want:
+            if sp.block(const, c, c) != ExactMatrix.identity(fld, sp.dims[c]).scale(scalar):
                 raise ConstantTermMismatch(f"constant term wrong on class {c}")
-        for p, mat in f_table.items():
-            if sum(p) >= 1:
-                out.f[(j, p)] = mat
+        out.f.update(((j, p), mat) for p, mat in f_table.items())
     for r in class_representatives(spec):
-        if in_R(spec, r):
-            continue
-        values = {c: family.matrix_L(to_m(c), r) for c in grid}
-        coeffs_c = _tensor_interpolate(fld, d, D, values)
-        g_table = {}
-        for l, mat in coeffs_c.items():
-            scale = Fraction(math.prod(math.factorial(li) for li in l),
-                             math.prod(b**li for b, li in zip(B, l)))
-            mat = mat.scale(scale)
-            if not mat.is_zero():
-                g_table[l] = mat
-        check_out_of_grid(g_table, lambda m: family.matrix_L(m, r))
-        for l, mat in g_table.items():
-            out.g[(r, l)] = mat
+        if not in_R(spec, r):
+            out.g.update(((r, l), mat) for l, mat in fit(lambda m: family.matrix_L(m, r)).items())
     return out
 
 

@@ -325,6 +325,9 @@ class CycloNum:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, CycloNum) and other.field.L != self.field.L:
+            # across fields only rational values are compared; arithmetic still raises
+            return self.is_rational() and other.is_rational() and self.coeffs[0] == other.coeffs[0]
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -21,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
+from fractions import Fraction
 
 from .derivations import _Combo
 from .errors import InvariantViolated, MalformedBasisKey
@@ -83,6 +85,12 @@ def xd_along(spec: TorusSpec, p, u) -> JetElement:
     u = map(spec.field.coerce, u)
     return JetElement.from_terms(
         spec.field, ((_xd_key(spec.d, p, j), uj) for j, uj in enumerate(u, start=1) if not uj.is_zero()))
+
+
+def taylor_coefficient(m, p) -> Fraction:
+    """m^p / p! as an exact rational: the coefficient of x^p in the jet of t^m."""
+    return Fraction(math.prod(mi**pi for mi, pi in zip(m, p)),
+                    math.prod(math.factorial(pi) for pi in p))
 
 
 def _minus_unit(vec, a):

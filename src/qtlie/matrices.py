@@ -88,7 +88,8 @@ class ExactMatrix:
     def scale(self, scalar):
         if not isinstance(scalar, CycloNum):
             scalar = self.field.from_rational(scalar)
-        return ExactMatrix(self.field, [[scalar * a for a in row] for row in self.data])
+        return ExactMatrix(self.field, [[a if a.is_zero() else scalar * a for a in row]
+                                        for row in self.data])
 
     def __neg__(self):
         return self.scale(-1)
@@ -292,6 +293,20 @@ class RowSpace:
                 vec[pc] = -row[fc]
             basis.append(vec)
         return basis
+
+
+def linear_combination(terms, zero: ExactMatrix) -> ExactMatrix:
+    """Sum of c * M over the (c, M) pairs in `terms`, or `zero` when every term vanishes.
+
+    Terms with a zero coefficient or a zero matrix are skipped unscaled.
+    """
+    out = None
+    for c, mat in terms:
+        if c == 0 or mat.is_zero():
+            continue
+        term = mat.scale(c)
+        out = term if out is None else out + term
+    return zero if out is None else out
 
 
 def vec_is_zero(a):

@@ -12,10 +12,8 @@ with the weight-module construction forces.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
 from .errors import (
@@ -25,8 +23,17 @@ from .errors import (
     ParseError,
     SplittingNeedsFieldExtension,
 )
-from .jetalg import bracket_keys, canonical_keys, degree_basis, key_class, key_degree, key_from_string, key_to_string
-from .matrices import ExactMatrix, RowSpace, basis_matrix, vec_is_zero
+from .jetalg import (
+    bracket_keys,
+    canonical_keys,
+    degree_basis,
+    key_class,
+    key_degree,
+    key_from_string,
+    key_to_string,
+    taylor_coefficient,
+)
+from .matrices import ExactMatrix, RowSpace, basis_matrix, linear_combination, vec_is_zero
 from .torus import (
     TorusSpec,
     canonical_rep,
@@ -127,31 +134,14 @@ class GRepresentation:
         shift = tuple(a - b for a, b in zip(s, w))
         if all(x == 0 for x in shift):
             return self.rho(("XT", l, w))
-        out = None
-        budget = self.cutoff - sum(l)
-        for total in range(0, max(budget, 0)):
-            for j in degree_basis(spec.d, total):
-                num = 1
-                den = 1
-                for ni, ji in zip(shift, j):
-                    num *= ni**ji
-                    den *= math.factorial(ji)
-                if num == 0:
-                    continue
-                term = self.rho(("XT", exp_add(l, j), w))
-                if term.is_zero():
-                    continue
-                term = term.scale(Fraction(num, den))
-                out = term if out is None else out + term
-        return out if out is not None else self._zero
+        return linear_combination(
+            ((taylor_coefficient(shift, j), self.rho(("XT", exp_add(l, j), w)))
+             for total in range(self.cutoff - sum(l)) for j in degree_basis(spec.d, total)),
+            self._zero)
 
     def rho_element(self, element) -> ExactMatrix:
-        out = self._zero
-        for key, coeff in element.terms.items():
-            mat = self.rho_raw(key)
-            if not mat.is_zero():
-                out = out + mat.scale(coeff)
-        return out
+        return linear_combination(((c, self.rho_raw(key)) for key, c in element.terms.items()),
+                                  self._zero)
 
     def nonzero_keys(self):
         return sorted(self.action, key=key_to_string)
@@ -176,6 +166,9 @@ class VerifyReport:
 def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: int) -> VerifyReport:
     """Check rho([a,b]) = [rho(a), rho(b)] over canonical symbol pairs.
 
+    A failure names the pair and the first entry, in row-major order, where
+    the two sides differ.
+
     Pairs where either symbol has degree >= cutoff are counted but need no
     matrix work: both sides vanish identically because brackets never lower
     the filtration degree.
@@ -192,8 +185,10 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
             expected = rep.rho_element(bracket_keys(spec, ka, kb))
             actual = mat_a.commutator(rep.rho(kb))
             if expected != actual:
+                i, j = next((i, j) for i in range(expected.rows) for j in range(expected.cols)
+                            if expected[i, j] != actual[i, j])
                 return VerifyReport(
-                    False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}]"
+                    False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})"
                 )
     return VerifyReport(True, cases)
 
@@ -205,12 +200,18 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
 
 @dataclass
 class GLdGLNModule:
-    """Module data for the quotient pair: gl_d matrices on V, graded gl_N data on W."""
+    """Module data for the quotient pair: gl_d matrices on V, graded gl_N data on W.
+
+    The relations are checked once, on construction.
+    """
 
     spec: TorusSpec
     V_mats: dict[tuple[int, int], ExactMatrix]
     W_mats: dict[tuple, ExactMatrix]
     W_classes: list[tuple]
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def dim_V(self) -> int:
@@ -316,7 +317,6 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     Degree-zero symbols act by E_ij (x) id and id (x) X^w; everything of
     positive filtration degree acts as zero (cutoff 1).
     """
-    vw.validate()
     dV = vw.dim_V
     dW = vw.dim_W
     space, position = vw.tensor_layout()
@@ -704,8 +704,8 @@ def decompose_tensor(
             for t_local, coeff in enumerate(coords):
                 m[base + t_local, b] = coeff
         W_mats[w] = m
-    vw = GLdGLNModule(spec, v_mats, W_mats, W_classes)
-    rebuilt = pullback(spec, vw)  # validates vw
+    vw = GLdGLNModule(spec, v_mats, W_mats, W_classes)  # validates itself
+    rebuilt = pullback(spec, vw)
     if rebuilt.space.dim != sp.dim:
         raise NotIrreducible("rebuilt tensor module has wrong dimension")
     # isomorphism: tensor basis element (b, a) maps to f_b(v_a)

@@ -266,6 +266,15 @@ def test_input_file_errors_are_config_errors(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["build"], ["roundtrip"], ["compare"], ["compare", "--dump-a", "a.json"], ["verify"], ["decompose"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+def test_missing_module_option_is_a_config_error(argv, capsys):
+    assert main(["module", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: module ") and "Traceback" not in err
+
+
 def test_key_error_inside_a_suite_is_not_a_config_error(monkeypatch, spec_file):
     def broken(spec, cfg):
         raise KeyError("lost symbol")

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import re
 from fractions import Fraction
 
@@ -431,6 +433,27 @@ def test_dump_is_deterministic(e1, setup_e1):
     d1 = json.dumps(dump_module(module, 1), sort_keys=True)
     d2 = json.dumps(dump_module(module, 1), sort_keys=True)
     assert d1 == d2
+
+
+def _natural_regular_pullback(spec):
+    wmats, wclasses = graded_regular_glN(spec)
+    return pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+
+
+# sha256 of json.dumps(dump_module(module), sort_keys=True) for box-1 modules:
+# a phi = 2 field with a nonzero weight offset, and a representation of
+# annihilation degree 2, whose degree derivations reach |p| = 2 jet terms
+@pytest.mark.parametrize("torus,alpha,make_rep,digest", [
+    ("e2", (1, 0), _natural_regular_pullback,
+     "ce598ffba558b683b1374e1ffbb675e85564dd18f047ab6f2e5f30711a59aa27"),
+    ("e1", (0, 0), lambda spec: truncated_polynomial_rep(spec, order=2),
+     "a4849dd1bcc183e699edd2cbbff481206cae33dc667bc05f077d1bc25c2de64a"),
+], ids=["e2-natural-regular", "e1-truncated-order-2"])
+def test_dump_module_is_pinned(request, torus, alpha, make_rep, digest):
+    spec = request.getfixturevalue(torus)
+    module = build_module(spec, alpha, make_rep(spec), box=1)
+    text = json.dumps(dump_module(module), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

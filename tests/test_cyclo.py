@@ -199,6 +199,17 @@ def test_rational_values_hash_like_their_rationals(L, value):
     assert len({fld.one, 1, Fraction(1)}) == 1
 
 
+def test_cross_field_equality_compares_rational_values():
+    assert len({make_field(2).one, make_field(4).one}) == 1
+    assert make_field(3).from_rational(Fraction(1, 2)) == make_field(12).from_rational(Fraction(1, 2))
+    assert make_field(3).one != make_field(4).from_rational(2)
+    i, w = make_field(4).root(1), make_field(3).root(1)
+    assert i != w and w != i and i != make_field(2).one
+    assert len({i, w, make_field(3).one, make_field(4).one}) == 3
+    with pytest.raises(ValueError, match="mixed cyclotomic fields"):
+        i + w
+
+
 def _poly(*roots):
     """Monic polynomial with the given roots, low degree first."""
     out = [Fraction(1)]

@@ -128,6 +128,16 @@ def test_corrupted_representation_fails_verification(e1, rep_e1):
     assert report.first_failure is not None
 
 
+def test_verification_witness_names_the_first_differing_entry(e1, rep_e1):
+    """E_11 on V picks up an extra 1 at (0, 0), so [E_21, E_11] = E_21 fails first at (1, 0)."""
+    action = {k: m.copy() for k, m in rep_e1.action.items()}
+    key = ("XD", (1, 0), 1)
+    action[key][0, 0] = action[key][0, 0] + e1.field.one
+    report = verify_representation(e1, GRepresentation(rep_e1.space, action, 1), 1)
+    assert (report.passed, report.cases) == (False, 3)
+    assert report.first_failure == "[XD(0,1;1), XD(1,0;1)] entry (1, 0)"
+
+
 def test_raw_index_reduction(e1, rep_e1):
     assert rep_e1.rho_raw(("XT", (0, 0), (3, 3))) == rep_e1.rho(("XT", (0, 0), (1, 1)))
     assert rep_e1.rho_raw(("XT", (0, 0), (-1, 0))) == rep_e1.rho(("XT", (0, 0), (1, 2)))
