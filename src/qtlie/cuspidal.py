@@ -34,7 +34,6 @@ from .errors import (
     InvalidRepresentation,
     InvariantViolated,
     MalformedBasisKey,
-    OutOfBox,
     RelationViolated,
 )
 from .jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
@@ -152,24 +151,15 @@ class _WeightModuleBase:
     A symbol acts on the component at a label (w, n') by one block
     U_w -> U_tw plus a label shift.  The base class owns what the two
     constructions share by definition: the central action as an identity label
-    shift, the weight scalar of a degree derivation, the box check, and the
-    target shift n'' = n' + e + w - tw that weight conservation forces for a
-    symbol of degree e.  A subclass supplies only ``_operator``.
+    shift, the weight scalar of a degree derivation, and the target shift
+    n'' = n' + e + w - tw that weight conservation forces for a symbol of
+    degree e.  A subclass supplies only ``_operator``.
     """
 
     spec: TorusSpec
     alpha: tuple
     space: GradedSpace
     box: int
-    strict_box: bool = False
-
-    def _check_box(self, nprime):
-        if not self.strict_box:
-            return
-        B = self.spec.B
-        for x, b in zip(nprime, B):
-            if abs(x) > self.box * b:
-                raise OutOfBox(f"label shift {nprime} outside box radius {self.box}")
 
     def labels(self, box: int | None = None) -> list[Label]:
         box = self.box if box is None else box
@@ -202,9 +192,7 @@ class _WeightModuleBase:
         fld = self.spec.field
         w, np = label
         if symbol[0] == "z":
-            target = (w, exp_add(np, symbol[1]))
-            self._check_box(target[1])
-            return target, ExactMatrix.identity(fld, self.space.dims[w])
+            return (w, exp_add(np, symbol[1])), ExactMatrix.identity(fld, self.space.dims[w])
         op = self._operator(symbol, w)
         if op is None:
             return None
@@ -219,7 +207,6 @@ class _WeightModuleBase:
         else:
             e = symbol[1]
         shift = exp_add(exp_add(np, e), exp_sub(w, tw))
-        self._check_box(shift)
         return None if mat.is_zero() else ((tw, shift), mat)
 
     def act(self, symbol, mvec: dict) -> dict:
@@ -259,14 +246,12 @@ class CuspidalModule(_WeightModuleBase):
     each symbol is computed once; a label takes its class block.
     """
 
-    def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3,
-                 strict_box: bool = False):
+    def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3):
         self.spec = spec
         self.alpha = _coerce_alpha(spec, alpha)
         self.rep = rep
         self.space = rep.space
         self.box = box
-        self.strict_box = strict_box
         self._images = {}  # symbol -> rho of its jet image
 
     def _image(self, symbol) -> ExactMatrix:
@@ -302,19 +287,25 @@ def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> 
 class TensorFieldModule(_WeightModuleBase):
     """Closed-form module on V (x) W (x) t^s; the independent comparison route."""
 
-    def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3,
-                 strict_box: bool = False):
+    def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3):
         self.spec = spec
         self.alpha = _coerce_alpha(spec, alpha)
         self.vw = vw
         self.box = box
-        self.strict_box = strict_box
         self.space, _ = vw.tensor_layout()
         self._w_locals = {c: [] for c in self.space.classes}
         for b, c in enumerate(vw.W_classes):
             self._w_locals[c].append(b)
+        # (symbol, w) -> _operator's result, built from vw alone; no caller
+        # mutates a returned block, so one copy serves every label of class w
+        self._operators = {}
 
     def _operator(self, symbol, w):
+        if (symbol, w) not in self._operators:
+            self._operators[symbol, w] = self._closed_form(symbol, w)
+        return self._operators[symbol, w]
+
+    def _closed_form(self, symbol, w):
         spec = self.spec
         fld = spec.field
         dV = self.vw.dim_V

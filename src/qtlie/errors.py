@@ -55,7 +55,3 @@ class InvariantViolated(QtlieError):
 
 class DimensionMismatch(QtlieError):
     """Two objects that must have matching shapes do not."""
-
-
-class OutOfBox(QtlieError):
-    """A lazily-disabled module was asked to act outside its materialized box."""

@@ -163,6 +163,39 @@ class VerifyReport:
     first_failure: str | None = None
 
 
+def first_bracket_failure(keys, image, bracket_image, skip=None):
+    """First pair (a, b) of `keys` with bracket_image(a, b) != [image(a), image(b)].
+
+    Walks keys x keys in row-major order and counts every ordered pair as a
+    case, the pairs that `skip(a, b)` excuses from matrix work included.
+    Returns (cases, None) when every pair holds, otherwise the cases up to the
+    failing pair and (a, b, i, j), with (i, j) the first entry, in row-major
+    order, where the two sides differ.
+
+    Only the pairs above the diagonal are computed.  Both sides are
+    antisymmetric in (a, b) and vanish on the diagonal, so a pair on or below
+    the diagonal holds exactly when its mirror does.  The mirror of a pair
+    below the diagonal comes earlier in row-major order, so the first failing
+    pair always lies above the diagonal, and those n(n - 1)/2 pairs prove the
+    relation on all n^2.
+    """
+    keys = list(keys)
+    n = len(keys)
+    images = [image(k) for k in keys]
+    for p, a in enumerate(keys):
+        for q in range(p + 1, n):
+            b = keys[q]
+            if skip is not None and skip(a, b):
+                continue
+            expected = bracket_image(a, b)
+            actual = images[p].commutator(images[q])
+            if expected != actual:
+                i, j = next((i, j) for i in range(expected.rows) for j in range(expected.cols)
+                            if expected[i, j] != actual[i, j])
+                return p * n + q + 1, (a, b, i, j)
+    return n * n, None
+
+
 def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: int) -> VerifyReport:
     """Check rho([a,b]) = [rho(a), rho(b)] over canonical symbol pairs.
 
@@ -173,24 +206,14 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     matrix work: both sides vanish identically because brackets never lower
     the filtration degree.
     """
-    keys = canonical_keys(spec, degree_bound)
-    cases = 0
-    for ka in keys:
-        deg_a = key_degree(ka)
-        mat_a = rep.rho(ka)
-        for kb in keys:
-            cases += 1
-            if max(deg_a, key_degree(kb)) >= rep.cutoff:
-                continue
-            expected = rep.rho_element(bracket_keys(spec, ka, kb))
-            actual = mat_a.commutator(rep.rho(kb))
-            if expected != actual:
-                i, j = next((i, j) for i in range(expected.rows) for j in range(expected.cols)
-                            if expected[i, j] != actual[i, j])
-                return VerifyReport(
-                    False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})"
-                )
-    return VerifyReport(True, cases)
+    cases, failure = first_bracket_failure(
+        canonical_keys(spec, degree_bound), rep.rho,
+        lambda a, b: rep.rho_element(bracket_keys(spec, a, b)),
+        skip=lambda a, b: max(key_degree(a), key_degree(b)) >= rep.cutoff)
+    if failure is None:
+        return VerifyReport(True, cases)
+    ka, kb, i, j = failure
+    return VerifyReport(False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})")
 
 
 # ---------------------------------------------------------------------------
@@ -240,43 +263,47 @@ class GLdGLNModule:
         return space, position
 
     def validate(self):
-        d = self.spec.d
-        fld = self.spec.field
+        spec = self.spec
         dV = self.dim_V
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                if (i, j) not in self.V_mats or self.V_mats[(i, j)].rows != dV:
-                    raise InvalidModuleData(f"missing or misshapen V generator ({i},{j})")
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                for k in range(1, d + 1):
-                    for l in range(1, d + 1):
-                        got = self.V_mats[(i, j)].commutator(self.V_mats[(k, l)])
-                        want = ExactMatrix.zeros(fld, dV)
-                        if j == k:
-                            want = want + self.V_mats[(i, l)]
-                        if l == i:
-                            want = want - self.V_mats[(k, j)]
-                        if got != want:
-                            raise InvalidModuleData(f"V relations fail at ({i},{j}),({k},{l})")
-        reps = class_representatives(self.spec)
+        gl_d = [(i, j) for i in range(1, spec.d + 1) for j in range(1, spec.d + 1)]
+        for i, j in gl_d:
+            mat = self.V_mats.get((i, j))
+            if mat is None or (mat.rows, mat.cols) != (dV, dV):
+                raise InvalidModuleData(f"missing or misshapen V generator ({i},{j})")
+        zero = ExactMatrix.zeros(spec.field, dV)
+
+        def gl_d_bracket(a, b):  # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+            (i, j), (k, l) = a, b
+            want = zero
+            if j == k:
+                want = want + self.V_mats[(i, l)]
+            if l == i:
+                want = want - self.V_mats[(k, j)]
+            return want
+
+        _, failure = first_bracket_failure(gl_d, self.V_mats.__getitem__, gl_d_bracket)
+        if failure is not None:
+            (i, j), (k, l) = failure[:2]
+            raise InvalidModuleData(f"V relations fail at ({i},{j}),({k},{l})")
+        reps = class_representatives(spec)
         dW = self.dim_W
         for w in reps:
-            if w not in self.W_mats or self.W_mats[w].rows != dW:
+            mat = self.W_mats.get(w)
+            if mat is None or (mat.rows, mat.cols) != (dW, dW):
                 raise InvalidModuleData(f"missing or misshapen W generator {w}")
-            mat = self.W_mats[w]
             for b in range(dW):
-                target = canonical_rep(self.spec, exp_add(self.W_classes[b], w))
+                target = canonical_rep(spec, exp_add(self.W_classes[b], w))
                 for a in range(dW):
                     if not mat[a, b].is_zero() and self.W_classes[a] != target:
                         raise InvalidModuleData(f"W generator {w} breaks the grading")
-        for r in reps:
-            for s in reps:
-                got = self.W_mats[r].commutator(self.W_mats[s])
-                coeff = sigma_skew(self.spec, r, s)
-                want = self.W_mats[canonical_rep(self.spec, exp_add(r, s))].scale(coeff)
-                if got != want:
-                    raise InvalidModuleData(f"W relations fail at {r},{s}")
+
+        def gl_n_bracket(r, s):  # [X^r, X^s] = sigma_skew(r, s) X^(r+s)
+            return self.W_mats[canonical_rep(spec, exp_add(r, s))].scale(sigma_skew(spec, r, s))
+
+        _, failure = first_bracket_failure(reps, self.W_mats.__getitem__, gl_n_bracket)
+        if failure is not None:
+            r, s = failure[:2]
+            raise InvalidModuleData(f"W relations fail at {r},{s}")
 
 
 def natural_gld(spec: TorusSpec) -> dict[tuple[int, int], ExactMatrix]:

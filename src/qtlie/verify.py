@@ -10,6 +10,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cache, partial
 
 from .cuspidal import (
     OperatorFamily,
@@ -48,6 +49,7 @@ from .repn import (
     GLdGLNModule,
     commutant,
     decompose_tensor,
+    first_bracket_failure,
     graded_regular_glN,
     min_annihilation_degree,
     natural_gld,
@@ -128,24 +130,27 @@ def _random_d_basis(spec: TorusSpec, rng: random.Random, box: int) -> DElement:
             return inner(spec, s)
 
 
+def _first_jacobi_failure(bracket, triples):
+    """(index, (a, b, c)) of the first triple whose Jacobi sum is nonzero, or None.
+
+    The sum is [[a,b],c] + [[b,c],a] + [[c,a],b].  The triples are drawn
+    lazily, so a seeded generator stops at the failure.
+    """
+    for idx, (a, b, c) in enumerate(triples):
+        total = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
+        if not total.is_zero():
+            return idx, (a, b, c)
+    return None
+
+
 @_timed
 def suite_jacobi_derivations(spec: TorusSpec, triples: int = 200, seed: int = 11,
                              box: int = 4) -> VerificationReport:
     """Jacobi identity for the derivation-algebra bracket on random basis triples."""
     rng = random.Random(seed)
-    failures = []
-    for idx in range(triples):
-        a = _random_d_basis(spec, rng, box)
-        b = _random_d_basis(spec, rng, box)
-        c = _random_d_basis(spec, rng, box)
-        total = (
-            bracket_d(spec, bracket_d(spec, a, b), c)
-            + bracket_d(spec, bracket_d(spec, b, c), a)
-            + bracket_d(spec, bracket_d(spec, c, a), b)
-        )
-        if not total.is_zero():
-            failures.append({"triple": [str(a), str(b), str(c)], "index": idx})
-            break
+    found = _first_jacobi_failure(partial(bracket_d, spec), (
+        tuple(_random_d_basis(spec, rng, box) for _ in range(3)) for _ in range(triples)))
+    failures = [] if found is None else [{"triple": [str(x) for x in found[1]], "index": found[0]}]
     return VerificationReport("jacobi-derivations", triples, failures)
 
 
@@ -154,23 +159,14 @@ def suite_jacobi_witt(spec: TorusSpec, triples: int = 200, seed: int = 13,
                       box: int = 4) -> VerificationReport:
     """Jacobi identity for the Witt-algebra bracket on random basis triples."""
     rng = random.Random(seed)
-    fld = spec.field
-    failures = []
 
     def rand_basis():
-        return witt(fld, rng.randint(1, spec.d),
+        return witt(spec.field, rng.randint(1, spec.d),
                     tuple(rng.randint(-box, box) for _ in range(spec.d)))
 
-    for idx in range(triples):
-        a, b, c = rand_basis(), rand_basis(), rand_basis()
-        total = (
-            bracket_witt(bracket_witt(a, b), c)
-            + bracket_witt(bracket_witt(b, c), a)
-            + bracket_witt(bracket_witt(c, a), b)
-        )
-        if not total.is_zero():
-            failures.append({"triple": [str(a), str(b), str(c)], "index": idx})
-            break
+    found = _first_jacobi_failure(bracket_witt, (
+        (rand_basis(), rand_basis(), rand_basis()) for _ in range(triples)))
+    failures = [] if found is None else [{"triple": [str(x) for x in found[1]], "index": found[0]}]
     return VerificationReport("jacobi-witt", triples, failures)
 
 
@@ -190,49 +186,44 @@ def suite_jacobi_jets(spec: TorusSpec, max_total: int = 3, sample: int | None = 
     def elem(key):
         return JetElement(spec.field, {key: spec.field.one})
 
-    failures = []
-    cases = 0
     if sample is None:
         elems = [elem(k) for k in keys]
         n = len(elems)
+
+        @cache
+        def pair(x, y):  # [e_x, e_y]; each ordered pair is bracketed once
+            return bracket_jets(spec, elems[x], elems[y])
+
+        cases = 0
         for i in range(n):
             for j in range(i + 1, n):
-                ab = bracket_jets(spec, elems[i], elems[j])
                 for k in range(j + 1, n):
                     cases += 1
                     total = (
-                        bracket_jets(spec, ab, elems[k])
-                        + bracket_jets(spec, bracket_jets(spec, elems[j], elems[k]), elems[i])
-                        + bracket_jets(spec, bracket_jets(spec, elems[k], elems[i]), elems[j])
+                        bracket_jets(spec, pair(i, j), elems[k])
+                        + bracket_jets(spec, pair(j, k), elems[i])
+                        + bracket_jets(spec, pair(k, i), elems[j])
                     )
                     if not total.is_zero():
-                        failures.append({
+                        return VerificationReport("jacobi-jets", cases, [{
                             "triple": [key_to_string(keys[i]), key_to_string(keys[j]),
-                                       key_to_string(keys[k])]})
-                        return VerificationReport("jacobi-jets", cases, failures)
-    else:
-        rng = random.Random(seed)
-        B = spec.B
+                                       key_to_string(keys[k])]}])
+        return VerificationReport("jacobi-jets", cases, [])
+    rng = random.Random(seed)
+    B = spec.B
 
-        def rand_elem():
-            key = keys[rng.randrange(len(keys))]
-            if key[0] == "XT" and rng.random() < 0.5:
-                shift = tuple(rng.randint(-1, 1) * b for b in B)
-                return xt(spec, key[1], tuple(a + b for a, b in zip(key[2], shift)))
-            return elem(key)
+    def rand_elem():
+        key = keys[rng.randrange(len(keys))]
+        if key[0] == "XT" and rng.random() < 0.5:
+            shift = tuple(rng.randint(-1, 1) * b for b in B)
+            return xt(spec, key[1], tuple(a + b for a, b in zip(key[2], shift)))
+        return elem(key)
 
-        for _ in range(sample):
-            cases += 1
-            a, b, c = rand_elem(), rand_elem(), rand_elem()
-            total = (
-                bracket_jets(spec, bracket_jets(spec, a, b), c)
-                + bracket_jets(spec, bracket_jets(spec, b, c), a)
-                + bracket_jets(spec, bracket_jets(spec, c, a), b)
-            )
-            if not total.is_zero():
-                failures.append({"triple": [str(a), str(b), str(c)]})
-                break
-    return VerificationReport("jacobi-jets", cases, failures)
+    found = _first_jacobi_failure(partial(bracket_jets, spec), (
+        (rand_elem(), rand_elem(), rand_elem()) for _ in range(sample)))
+    if found is None:
+        return VerificationReport("jacobi-jets", sample, [])
+    return VerificationReport("jacobi-jets", found[0] + 1, [{"triple": [str(x) for x in found[1]]}])
 
 
 @_timed
@@ -262,7 +253,6 @@ def suite_witt_embedding(spec: TorusSpec, pairs: int = 100, seed: int = 19,
 def suite_quotient(spec: TorusSpec) -> VerificationReport:
     """Quotient map onto gl_d + gl_N: bracket preservation and kernel checks."""
     failures = []
-    cases = 0
     degree_zero = []
     for i in range(1, spec.d + 1):
         p = [0] * spec.d
@@ -272,21 +262,21 @@ def suite_quotient(spec: TorusSpec) -> VerificationReport:
     zero_l = (0,) * spec.d
     for w in class_representatives(spec):
         degree_zero.append(xt(spec, zero_l, w))
-    for a in degree_zero:
-        ga, na = project_quotient(spec, a)
-        for b in degree_zero:
-            cases += 1
-            gb, nb = project_quotient(spec, b)
-            gc, nc = project_quotient(spec, bracket_jets(spec, a, b))
-            if ga.commutator(gb) != gc or na.commutator(nb) != nc:
-                failures.append({"pair": [str(a), str(b)]})
-                return VerificationReport("quotient", cases, failures)
-    # surjectivity onto both summands
-    rows = []
-    for a in degree_zero:
-        ga, na = project_quotient(spec, a)
-        rows.append(ga.flatten() + na.flatten())
+
+    def block_diagonal(a):  # gl_d + gl_N as block-diagonal (d + N) x (d + N) matrices
+        out = ExactMatrix.zeros(spec.field, spec.d + spec.N)
+        gl_d, gl_n = project_quotient(spec, a)
+        out.paste(0, 0, gl_d)
+        out.paste(spec.d, spec.d, gl_n)
+        return out
+
+    cases, failure = first_bracket_failure(degree_zero, block_diagonal,
+                                           lambda a, b: block_diagonal(bracket_jets(spec, a, b)))
+    if failure is not None:
+        return VerificationReport("quotient", cases, [{"pair": [str(failure[0]), str(failure[1])]}])
+    # surjectivity onto both summands; the off-diagonal blocks add only zero columns
     cases += 1
+    rows = [block_diagonal(a).flatten() for a in degree_zero]
     if ExactMatrix(spec.field, rows).rank() != spec.d**2 + spec.N**2:
         failures.append({"surjectivity": "image does not span gl_d + gl_N"})
     # positive filtration degree lands in the kernel

@@ -29,7 +29,6 @@ from qtlie.errors import (
     InvalidModuleData,
     InvalidRepresentation,
     MalformedBasisKey,
-    OutOfBox,
     RelationViolated,
 )
 from qtlie.matrices import ExactMatrix
@@ -232,14 +231,6 @@ def test_dimension_mismatch(e1, e2, setup_e1):
     other = tensor_field_module(e1, (0, 0), small, box=2)
     with pytest.raises(DimensionMismatch):
         modules_equal_on_box(module, other, 1)
-
-
-def test_strict_box(e1, setup_e1):
-    _, rep, _ = setup_e1
-    module = CuspidalModule(e1, (0, 0), rep, box=1, strict_box=True)
-    vec = _unit(e1, module, (1, 1), 0)
-    with pytest.raises(OutOfBox):
-        module.act(sym_central(e1, (4, 0)), vec)
 
 
 def test_weight_multiplicities(e1, e2, setup_e1):

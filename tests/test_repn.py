@@ -87,6 +87,17 @@ def test_invalid_module_data(e1):
         GLdGLNModule(e1, natural_gld(e1), bad, wclasses).validate()
 
 
+def test_non_square_generators_are_misshapen(e1):
+    v_mats = natural_gld(e1)
+    v_mats[(1, 1)] = ExactMatrix.zeros(e1.field, 2, 3)
+    wmats, wclasses = graded_regular_glN(e1)
+    with pytest.raises(InvalidModuleData, match=r"misshapen V generator \(1,1\)"):
+        GLdGLNModule(e1, v_mats, wmats, wclasses)
+    wmats[(1, 1)] = ExactMatrix.zeros(e1.field, 4, 2)
+    with pytest.raises(InvalidModuleData, match=r"misshapen W generator \(1, 1\)"):
+        GLdGLNModule(e1, natural_gld(e1), wmats, wclasses)
+
+
 def test_pullback_dimensions(e1, rep_e1):
     assert rep_e1.space.dim == 8
     assert [rep_e1.space.dims[c] for c in rep_e1.space.classes] == [2, 2, 2, 2]
