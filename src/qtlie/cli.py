@@ -49,6 +49,13 @@ def _alpha_from_arg(spec: TorusSpec, text: str | None):
     return tuple(parse_scalar(p, spec.field) for p in parts)
 
 
+def _size(text: str) -> int:
+    """argparse type of a box, degree or sample count: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _vw_from_name(spec: TorusSpec, name: str) -> GLdGLNModule:
     wmats, wclasses = graded_regular_glN(spec)
     if name == "natural-regular":
@@ -184,7 +191,8 @@ def cmd_module(args) -> int:
         return 0
     if args.action == "verify":
         spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
-        report = verify_representation(spec, rep, args.degree or max(rep.cutoff, 1))
+        degree = max(rep.cutoff, 1) if args.degree is None else args.degree
+        report = verify_representation(spec, rep, degree)
         print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
               f"({report.cases} pairs)")
         if not report.passed:
@@ -205,8 +213,9 @@ def cmd_module(args) -> int:
         alpha = _alpha_from_arg(spec, args.alpha)
         vw = _vw_from_name(spec, args.vw)
         rep = pullback(spec, vw)
-        module = build_module(spec, alpha, rep, box=(args.degree or 3) + 1)
-        family = OperatorFamily(module, degree_bound=args.degree or 3)
+        degree = 3 if args.degree is None else args.degree
+        module = build_module(spec, alpha, rep, box=degree + 1)
+        family = OperatorFamily(module, degree_bound=degree)
         coeffs = extract_coefficients(family, spec, alpha)
         back = coefficients_to_representation(spec, coeffs)
         ok = back == rep
@@ -251,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--spec", required=True)
     p_verify.add_argument("--suite", action="append",
                           help="suite name (repeatable); default: all")
-    p_verify.add_argument("--box", type=int)
-    p_verify.add_argument("--degree", type=int)
-    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--box", type=_size)
+    p_verify.add_argument("--degree", type=_size)
+    p_verify.add_argument("--samples", type=_size)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--flip-sigma", action="store_true",
                           help="swap the pairing arguments (must fail)")
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser("cache", help="persist jet-algebra structure constants")
     p_cache.add_argument("--spec", required=True)
-    p_cache.add_argument("--max-degree", type=int, default=3)
+    p_cache.add_argument("--max-degree", type=_size, default=3)
     p_cache.add_argument("--dir", help="cache directory (or QTL_CACHE_DIR)")
     p_cache.set_defaults(fn=cmd_cache)
 
@@ -282,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="module preset: natural-regular or trivial-regular")
     p_module.add_argument("--tensor-field", action="store_true",
                           help="build the closed-form tensor-field module")
-    p_module.add_argument("--box", type=int, default=2)
-    p_module.add_argument("--degree", type=int)
+    p_module.add_argument("--box", type=_size, default=2)
+    p_module.add_argument("--degree", type=_size)
     p_module.add_argument("--seed", type=int, default=1)
     p_module.add_argument("--out")
     p_module.add_argument("--dump-a")

@@ -156,10 +156,12 @@ class _WeightModuleBase:
     degree e.  A subclass supplies only ``_operator``.
     """
 
-    spec: TorusSpec
-    alpha: tuple
-    space: GradedSpace
-    box: int
+    def __init__(self, spec: TorusSpec, alpha, space: GradedSpace, box: int):
+        self.spec = spec
+        self.alpha = _coerce_alpha(spec, alpha)
+        self.space = space
+        self.box = box
+        self._scalars = {}  # (u, label) -> inner_product(u, weight_of(label))
 
     def labels(self, box: int | None = None) -> list[Label]:
         box = self.box if box is None else box
@@ -199,7 +201,9 @@ class _WeightModuleBase:
         tw, mat = op
         if symbol[0] == "deg":
             _, u, e = symbol
-            scalar = inner_product(fld, u, self.weight_of(label))
+            scalar = self._scalars.get((u, label))
+            if scalar is None:
+                scalar = self._scalars[u, label] = inner_product(fld, u, self.weight_of(label))
             if not scalar.is_zero():
                 mat = mat.copy()
                 for i, row in enumerate(mat.data):
@@ -247,11 +251,8 @@ class CuspidalModule(_WeightModuleBase):
     """
 
     def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3):
-        self.spec = spec
-        self.alpha = _coerce_alpha(spec, alpha)
+        super().__init__(spec, alpha, rep.space, box)
         self.rep = rep
-        self.space = rep.space
-        self.box = box
         self._images = {}  # symbol -> rho of its jet image
 
     def _image(self, symbol) -> ExactMatrix:
@@ -288,11 +289,8 @@ class TensorFieldModule(_WeightModuleBase):
     """Closed-form module on V (x) W (x) t^s; the independent comparison route."""
 
     def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3):
-        self.spec = spec
-        self.alpha = _coerce_alpha(spec, alpha)
+        super().__init__(spec, alpha, vw.tensor_layout()[0], box)
         self.vw = vw
-        self.box = box
-        self.space, _ = vw.tensor_layout()
         self._w_locals = {c: [] for c in self.space.classes}
         for b, c in enumerate(vw.W_classes):
             self._w_locals[c].append(b)

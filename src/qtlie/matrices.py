@@ -156,48 +156,31 @@ class ExactMatrix:
             for j in range(block.cols):
                 self.data[row0 + i][col0 + j] = block.data[i][j]
 
+    def row_space(self) -> "RowSpace":
+        """The RowSpace of this matrix's rows."""
+        space = RowSpace(self.field, self.cols)
+        for row in self.data:
+            space.add(row)
+        return space
+
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m = self.copy()
-        pivots = []
-        r = 0
-        for c in range(m.cols):
-            pivot = None
-            for i in range(r, m.rows):
-                if not m.data[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m.data[r], m.data[pivot] = m.data[pivot], m.data[r]
-            inv = m.data[r][c].inverse()
-            m.data[r] = [inv * a for a in m.data[r]]
-            for i in range(m.rows):
-                if i != r and not m.data[i][c].is_zero():
-                    f = m.data[i][c]
-                    m.data[i] = [a - f * b for a, b in zip(m.data[i], m.data[r])]
-            pivots.append(c)
-            r += 1
-            if r == m.rows:
-                break
-        return m, pivots
+        """Reduced row echelon form; returns (matrix, pivot column list).
+
+        The pivot rows of ``row_space()``, in pivot order and padded with zero
+        rows, are the unique RREF.
+        """
+        space = self.row_space()
+        pivots = sorted(space.pivot_rows)
+        zero_row = [self.field.zero] * self.cols
+        rows = [space.pivot_rows[c] for c in pivots] + [zero_row] * (self.rows - len(pivots))
+        return ExactMatrix(self.field, rows), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def kernel(self):
         """Basis of the right null space, as a list of column vectors."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        zero, one = self.field.zero, self.field.one
-        for fc in free:
-            vec = [zero] * self.cols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.data[r][fc]
-            basis.append(vec)
-        return basis
+        return self.row_space().kernel()
 
     def solve(self, rhs):
         """Solve self * x = rhs exactly; returns x or None if inconsistent."""
@@ -278,9 +261,10 @@ class RowSpace:
     def kernel(self):
         """Basis of the right null space of the rows added so far.
 
-        The pivot rows are the reduced row echelon form of the row space, so
-        this is the basis ExactMatrix.kernel() gives for the added rows, in any
-        order and with any repeats.
+        One vector per free column fc, in increasing order: 1 at fc and minus
+        the fc entry of each pivot row at its pivot.  The pivot rows are the
+        unique RREF of the row space, so the basis depends only on the space,
+        not on the order or repeats of the added rows.
         """
         zero, one = self.field.zero, self.field.one
         basis = []

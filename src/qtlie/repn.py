@@ -618,16 +618,8 @@ def _irreducible_gld_submodule(field, gld_mats, basis, rng):
         split = _try_split(field, list(restricted.values()), n, rng)
         if split is None:
             return basis, restricted
-        # lift the invariant subspace back to the ambient coordinates
-        lifted = []
-        for coords in split:
-            vec = [field.zero] * len(basis[0])
-            for c, bvec in zip(coords, basis):
-                if not c.is_zero():
-                    for idx, entry in enumerate(bvec):
-                        vec[idx] = vec[idx] + c * entry
-            lifted.append(vec)
-        basis = spin_up(field, mats_list, lifted[0])
+        # lift one vector of the invariant subspace to the ambient coordinates
+        basis = spin_up(field, mats_list, basis_matrix(field, basis).apply(split[0]))
 
 
 def _probe_vectors(rep: GRepresentation, probes: int, rng) -> list:

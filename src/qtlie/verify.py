@@ -334,10 +334,10 @@ def suite_annihilation(spec: TorusSpec) -> VerificationReport:
 
 
 @_timed
-def suite_functor(spec: TorusSpec, alpha=None, box: int = 3, pairs: int = 100,
+def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
                   seed: int = 23) -> VerificationReport:
     """The weight module built from a pullback satisfies the bracket axioms."""
-    alpha = alpha if alpha is not None else (0,) * spec.d
+    alpha = (0,) * spec.d
     _, rep = _standard_pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     report = verify_module_axioms(module, symbol_box=box, sample_count=pairs, seed=seed)
@@ -346,9 +346,9 @@ def suite_functor(spec: TorusSpec, alpha=None, box: int = 3, pairs: int = 100,
 
 
 @_timed
-def suite_tensor_compare(spec: TorusSpec, alpha=None, box: int = 3) -> VerificationReport:
+def suite_tensor_compare(spec: TorusSpec, box: int = 3) -> VerificationReport:
     """Functor image of a pullback equals the closed-form tensor-field module."""
-    alpha = alpha if alpha is not None else (0,) * spec.d
+    alpha = (0,) * spec.d
     vw, rep = _standard_pullback(spec)
     built = build_module(spec, alpha, rep, box=box)
     direct = tensor_field_module(spec, alpha, vw, box=box)
@@ -358,9 +358,9 @@ def suite_tensor_compare(spec: TorusSpec, alpha=None, box: int = 3) -> Verificat
 
 
 @_timed
-def suite_roundtrip(spec: TorusSpec, alpha=None, degree_bound: int = 3) -> VerificationReport:
+def suite_roundtrip(spec: TorusSpec, degree_bound: int = 3) -> VerificationReport:
     """Extraction then reassembly reproduces the representation exactly."""
-    alpha = alpha if alpha is not None else (0,) * spec.d
+    alpha = (0,) * spec.d
     _, rep = _standard_pullback(spec)
     module = build_module(spec, alpha, rep, box=degree_bound + 1)
     family = OperatorFamily(module, degree_bound=degree_bound)
@@ -390,9 +390,9 @@ def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
 
 
 @_timed
-def suite_cuspidality(spec: TorusSpec, alpha=None, box: int = 4) -> VerificationReport:
+def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
     """Weight multiplicities are uniform and equal dim V times the W class bound."""
-    alpha = alpha if alpha is not None else (0,) * spec.d
+    alpha = (0,) * spec.d
     vw, rep = _standard_pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     mults, bound = weight_multiplicities(module, box)
@@ -422,11 +422,11 @@ SUITES = {
     "span-filtration": lambda spec, cfg: suite_span_filtration(spec, cfg.get("degree", 3)),
     "annihilation": lambda spec, cfg: suite_annihilation(spec),
     "functor": lambda spec, cfg: suite_functor(
-        spec, None, cfg.get("box", 3), cfg.get("samples", 100), cfg.get("seed", 23)),
-    "tensor-compare": lambda spec, cfg: suite_tensor_compare(spec, None, cfg.get("box", 3)),
-    "roundtrip": lambda spec, cfg: suite_roundtrip(spec, None, cfg.get("degree", 3)),
+        spec, cfg.get("box", 3), cfg.get("samples", 100), cfg.get("seed", 23)),
+    "tensor-compare": lambda spec, cfg: suite_tensor_compare(spec, cfg.get("box", 3)),
+    "roundtrip": lambda spec, cfg: suite_roundtrip(spec, cfg.get("degree", 3)),
     "decompose": lambda spec, cfg: suite_decompose(spec, cfg.get("seed", 5)),
-    "cuspidality": lambda spec, cfg: suite_cuspidality(spec, None, cfg.get("box", 4)),
+    "cuspidality": lambda spec, cfg: suite_cuspidality(spec, cfg.get("box", 4)),
 }
 
 

@@ -309,3 +309,42 @@ def test_decompose_suite_reports_a_reducible_module(monkeypatch):
     report = verify.suite_decompose(make_torus(2, 1, [2]))
     assert report.cases == 3
     assert report.failures == [{"irreducible": "graded commutant has dimension != 1"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "functor", "--box", "-1", "--out", "out.json"],
+    ["verify", "--suite", "jacobi-d", "--samples", "-3", "--out", "out.json"],
+    ["verify", "--suite", "span-filtration", "--degree", "-1", "--out", "out.json"],
+    ["verify", "--suite", "xmatrix", "--box", "-1", "--out", "out.json"],
+    ["verify", "--suite", "xmatrix", "--box", "two", "--out", "out.json"],
+    ["module", "build", "--box", "-1", "--out", "out.json"],
+    ["module", "roundtrip", "--degree", "-2"],
+    ["cache", "--max-degree", "-1"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv[:5]))
+def test_negative_size_is_a_config_error(argv, spec_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--spec", spec_file]) == 2
+    err = capsys.readouterr().err
+    assert "expected a non-negative integer" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [Path(spec_file)]  # no report, dump or cache written
+
+
+def test_module_roundtrip_uses_an_explicit_degree_zero(spec_file, capsys):
+    # degree 0 is run as given, not replaced by the default 3: a degree-0
+    # family cannot carry the degree-1 coefficients, so the round trip fails
+    assert main(["module", "roundtrip", "--spec", spec_file, "--degree", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "total degree <= 0" in captured.err
+
+
+def test_module_verify_uses_an_explicit_degree_zero(tmp_path, capsys):
+    spec = make_torus(2, 1, [2])
+    wmats, wclasses = graded_regular_glN(spec)
+    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_dict(rep)))
+    assert main(["module", "verify", "--rep", str(rep_path), "--degree", "0"]) == 0
+    assert "(64 pairs)" in capsys.readouterr().out  # the cutoff degree 1 checks 484
+    assert main(["module", "verify", "--rep", str(rep_path)]) == 0
+    assert "(484 pairs)" in capsys.readouterr().out

@@ -40,6 +40,7 @@ from qtlie.repn import (
 )
 from qtlie.torus import canonical_rep, class_representatives, exp_add, sigma_hat
 from qtlie.cyclo import make_field, proper_factor_over_q
+from test_matrices import reference_kernel
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +291,7 @@ def test_rowspace_kernel_matches_dense_kernel(seed):
     space = RowSpace(fld, width)
     for row in rows:
         space.add(row)
-    assert space.kernel() == ExactMatrix(fld, rows).kernel()
+    assert space.kernel() == reference_kernel(ExactMatrix(fld, rows))
     assert len(space.kernel()) == width - 4
 
 
