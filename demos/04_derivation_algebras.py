@@ -6,7 +6,6 @@ from qtlie import (
     bracket_d,
     bracket_witt,
     deriv,
-    deriv_along,
     derivations_to_witt,
     inner,
     is_generic,

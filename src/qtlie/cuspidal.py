@@ -25,14 +25,13 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .cyclo import CycloNum
-from .derivations import inner_product
+from .derivations import bracket_d, deriv_along, inner, inner_product
 from .errors import (
     ConstantTermMismatch,
     DegreeBoundViolated,
     DimensionMismatch,
     InvalidModuleData,
     InvalidRepresentation,
-    InvariantViolated,
     MalformedBasisKey,
     RelationViolated,
 )
@@ -47,7 +46,6 @@ from .torus import (
     exp_add,
     exp_sub,
     in_R,
-    sigma_skew,
 )
 
 Label = tuple[tuple, tuple]  # (class representative w, central shift n')
@@ -99,45 +97,37 @@ def _label_to_string(label: Label) -> str:
     return str(label).replace(" ", "")
 
 
+def _derivation(spec: TorusSpec, sym):
+    """The derivation-algebra element of a degree or inner symbol."""
+    return deriv_along(spec, sym[1], sym[2]) if sym[0] == "deg" else inner(spec, sym[1])
+
+
 def bracket_symbols(spec: TorusSpec, a, b) -> list:
-    """Bracket in (derivations semidirect center), as [(coefficient, symbol)]."""
-    fld = spec.field
-    ta, tb = a[0], b[0]
-    if ta == "deg" and tb == "deg":
-        _, u, m = a
-        _, v, n = b
-        out = []
-        c1 = inner_product(fld, u, n)
-        if not c1.is_zero():
-            out.append((c1, ("deg", v, exp_add(m, n))))
-        c2 = inner_product(fld, v, m)
-        if not c2.is_zero():
-            out.append((-c2, ("deg", u, exp_add(m, n))))
-        return out
-    if ta == "deg" and tb == "inn":
-        _, u, m = a
-        e = b[1]
-        c = inner_product(fld, u, e)
-        return [] if c.is_zero() else [(c, ("inn", exp_add(m, e)))]
-    if ta == "deg" and tb == "z":
-        _, u, m = a
-        n = b[1]
-        c = inner_product(fld, u, n)
-        return [] if c.is_zero() else [(c, ("z", exp_add(m, n)))]
-    if ta == "inn" and tb == "inn":
-        r, s = a[1], b[1]
-        coeff = sigma_skew(spec, r, s)
-        rs = exp_add(r, s)
-        if in_R(spec, rs):
-            if not coeff.is_zero():
-                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
-            return []
-        return [] if coeff.is_zero() else [(coeff, ("inn", rs))]
-    if (ta, tb) in (("inn", "z"), ("z", "z"), ("z", "inn"), ("z", "deg"), ("inn", "deg")):
-        if ta in ("inn", "z") and tb == "deg":
-            return [(-c, s) for c, s in bracket_symbols(spec, b, a)]
+    """Bracket in (derivations semidirect center), as [(coefficient, symbol)].
+
+    Degree and inner symbols bracket through `bracket_d`; the degree terms of
+    the result share one exponent and come back as a single degree symbol.
+    Only the central extension [deg(u, m), z(n)] = <u, n> z(m + n) is written
+    here.
+    """
+    kinds = (a[0], b[0])
+    if not {"deg", "inn", "z"} >= set(kinds):
+        raise MalformedBasisKey(f"unknown symbols {a[0]}, {b[0]}")
+    if kinds == ("deg", "z"):
+        c = inner_product(spec.field, a[1], b[1])
+        return [] if c.is_zero() else [(c, ("z", exp_add(a[2], b[1])))]
+    if kinds == ("z", "deg"):
+        return [(-c, s) for c, s in bracket_symbols(spec, b, a)]
+    if "z" in kinds:
         return []
-    raise MalformedBasisKey(f"unknown symbols {a[0]}, {b[0]}")
+    u, m, out = [spec.field.zero] * spec.d, None, []
+    for key, c in bracket_d(spec, _derivation(spec, a), _derivation(spec, b)).terms.items():
+        if key[0] == "d":
+            _, i, m = key
+            u[i - 1] = c
+        else:
+            out.append((c, ("inn", key[1])))
+    return out if m is None else [(spec.field.one, ("deg", tuple(u), m))] + out
 
 
 # ---------------------------------------------------------------------------

@@ -142,24 +142,15 @@ class CycloField:
         # z^j in the canonical basis, for phi <= j <= max(L-1, 2*phi-2).
         top = max(L - 1, 2 * self.phi - 2)
         powers: dict[int, tuple[Fraction, ...]] = {}
-        cur = [_ZERO] * self.phi
-        if self.phi == 1:
-            cur_val = [-self.poly[0]]  # z = -c0 for degree-1 minimal polynomial
-            prev = [_ONE]
-            for j in range(1, top + 1):
-                prev = [prev[0] * cur_val[0]]
-                powers[j] = (prev[0],)
-        else:
-            cur = [_ZERO, _ONE] + [_ZERO] * (self.phi - 2)  # z^1
-            for j in range(2, top + 1):
-                nxt = [_ZERO] + cur[:-1]
-                carry = cur[-1]
-                if carry:
-                    for i in range(self.phi):
-                        nxt[i] -= carry * self.poly[i]
-                cur = nxt
-                if j >= self.phi:
-                    powers[j] = tuple(cur)
+        cur = [_ONE] + [_ZERO] * (self.phi - 1)  # z^0
+        for j in range(1, top + 1):  # z^j = z * z^(j-1), reduced by Phi_L
+            carry = cur[-1]
+            cur = [_ZERO] + cur[:-1]
+            if carry:
+                for i in range(self.phi):
+                    cur[i] -= carry * self.poly[i]
+            if j >= self.phi:
+                powers[j] = tuple(cur)
         self._powers = powers
         self.zero = CycloNum(self, (_ZERO,) * self.phi)
         self.one = CycloNum(self, (_ONE,) + (_ZERO,) * (self.phi - 1))
@@ -176,7 +167,7 @@ class CycloField:
     def power_basis(self, j: int) -> tuple[Fraction, ...]:
         """Coefficients of z^j (0 <= j) in the canonical basis."""
         j %= self.L
-        if j < self.phi and not (self.phi == 1 and j == 1):
+        if j < self.phi:
             coeffs = [_ZERO] * self.phi
             coeffs[j] = _ONE
             return tuple(coeffs)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .cyclo import CycloField, CycloNum, make_field, parse_scalar
-from .errors import ExponentNotInR, InvariantViolated, MalformedBasisKey, NotGeneric, ParseError
+from .errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
 from .matrices import ExactMatrix
 from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
 
@@ -245,15 +245,9 @@ def _bracket_d_keys(spec: TorusSpec, a, b):
         for key, coeff in _bracket_d_keys(spec, b, a):
             yield key, -coeff
     else:
-        r, s = a[1], b[1]
-        coeff = sigma_skew(spec, r, s)
-        rs = exp_add(r, s)
-        if in_R(spec, rs):
-            # forced by the normal form; checked rather than special-cased
-            if not coeff.is_zero():
-                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
-        elif not coeff.is_zero():
-            yield ("t", rs), coeff
+        coeff = sigma_skew(spec, a[1], b[1])
+        if not coeff.is_zero():
+            yield ("t", exp_add(a[1], b[1])), coeff
 
 
 def bracket_d(spec: TorusSpec, a: DElement, b: DElement) -> DElement:
@@ -360,12 +354,8 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
         for s in noncentral:
             cases += 1
             got = bracket_d(spec, ar, inner(spec, s))
-            rs = exp_add(r, s)
-            want = DElement(fld)
-            if not in_R(spec, rs):
-                coeff = sigma_skew(spec, r, s)
-                if not coeff.is_zero():
-                    want = inner(spec, rs, coeff)
+            coeff = sigma_skew(spec, r, s)
+            want = DElement(fld) if coeff.is_zero() else inner(spec, exp_add(r, s), coeff)
             if got != want:
                 return ClosureReport(False, cases, (r, s))
     return ClosureReport(True, cases, None)

@@ -26,14 +26,13 @@ import os
 from fractions import Fraction
 
 from .derivations import _Combo
-from .errors import InvariantViolated, MalformedBasisKey
+from .errors import MalformedBasisKey
 from .matrices import ExactMatrix
 from .torus import (
     TorusSpec,
     canonical_rep,
     class_representatives,
     exp_add,
-    in_R,
     sigma_skew,
 )
 from .xmatrix import x_power
@@ -87,6 +86,12 @@ def xd_along(spec: TorusSpec, p, u) -> JetElement:
         spec.field, ((_xd_key(spec.d, p, j), uj) for j, uj in enumerate(u, start=1) if not uj.is_zero()))
 
 
+def gl_d_keys(d: int) -> list[tuple[tuple, tuple[int, int]]]:
+    """The degree-zero symbols x_i d_j with their matrix units, as (key, (i, j)), i-major."""
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    return [(("XD", p, j), (i, j)) for i, p in enumerate(units, start=1) for j in range(1, d + 1)]
+
+
 def taylor_coefficient(m, p) -> Fraction:
     """m^p / p! as an exact rational: the coefficient of x^p in the jet of t^m."""
     return Fraction(math.prod(mi**pi for mi, pi in zip(m, p)),
@@ -123,10 +128,7 @@ def _bracket_jet_keys(spec: TorusSpec, ka, kb):
         _, p, r = ka
         _, l, s = kb
         coeff = sigma_skew(spec, r, s)
-        if in_R(spec, exp_add(r, s)):
-            if not coeff.is_zero():
-                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
-        elif not coeff.is_zero():
+        if not coeff.is_zero():
             yield _xt_key(d, exp_add(p, l), exp_add(r, s)), coeff
 
 

@@ -27,6 +27,7 @@ from .jetalg import (
     bracket_keys,
     canonical_keys,
     degree_basis,
+    gl_d_keys,
     key_class,
     key_degree,
     key_from_string,
@@ -264,7 +265,7 @@ class GLdGLNModule:
 
     def validate(self):
         spec = self.spec
-        dV = self.dim_V
+        dV = next((mat.rows for mat in self.V_mats.values()), None)  # None when empty: (1,1) is then missing
         gl_d = [(i, j) for i in range(1, spec.d + 1) for j in range(1, spec.d + 1)]
         for i, j in gl_d:
             mat = self.V_mats.get((i, j))
@@ -349,19 +350,15 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     space, position = vw.tensor_layout()
     action = {}
     fld = spec.field
-    unit = [0] * spec.d
-    for i in range(1, spec.d + 1):
-        p = list(unit)
-        p[i - 1] = 1
-        for j in range(1, spec.d + 1):
-            vmat = vw.V_mats[(i, j)]
-            m = ExactMatrix.zeros(fld, space.dim)
-            for b in range(dW):
-                for a2 in range(dV):
-                    for a in range(dV):
-                        if not vmat[a2, a].is_zero():
-                            m[position[(b, a2)], position[(b, a)]] = vmat[a2, a]
-            action[("XD", tuple(p), j)] = m
+    for key, pair in gl_d_keys(spec.d):
+        vmat = vw.V_mats[pair]
+        m = ExactMatrix.zeros(fld, space.dim)
+        for b in range(dW):
+            for a2 in range(dV):
+                for a in range(dV):
+                    if not vmat[a2, a].is_zero():
+                        m[position[(b, a2)], position[(b, a)]] = vmat[a2, a]
+        action[key] = m
     for w in class_representatives(spec):
         wmat = vw.W_mats[w]
         m = ExactMatrix.zeros(fld, space.dim)
@@ -503,16 +500,6 @@ def scramble_representation(rep: GRepresentation, seed: int) -> GRepresentation:
 # ---------------------------------------------------------------------------
 
 
-def _gld_keys(spec: TorusSpec):
-    keys = []
-    for i in range(1, spec.d + 1):
-        p = [0] * spec.d
-        p[i - 1] = 1
-        for j in range(1, spec.d + 1):
-            keys.append((("XD", tuple(p), j), (i, j)))
-    return keys
-
-
 def spin_up(field, mats: list[ExactMatrix], start) -> list:
     """Closure of a vector under repeated application of the given matrices."""
     space = RowSpace(field, len(start))
@@ -628,7 +615,7 @@ def _probe_vectors(rep: GRepresentation, probes: int, rng) -> list:
     sp = rep.space
     fld = sp.field
     out = []
-    for key, _ in _gld_keys(sp.spec):
+    for key, _ in gl_d_keys(sp.spec.d):
         i, j = key[1].index(1) + 1, key[2]
         if i == j:
             continue
@@ -674,7 +661,7 @@ def decompose_tensor(
     if len(commutant(rep)) != 1:
         raise NotIrreducible("graded commutant has dimension != 1")
     rng = random.Random(seed)
-    gld_mats = {pair: rep.rho(key) for key, pair in _gld_keys(spec)}
+    gld_mats = {pair: rep.rho(key) for key, pair in gl_d_keys(spec.d)}
     mats_list = list(gld_mats.values())
     best = None
     for vec in _probe_vectors(rep, probes, rng):
@@ -746,7 +733,7 @@ def probe_submodules_isomorphic(spec: TorusSpec, rep: GRepresentation, count: in
     """Spin several probes to irreducible submodules; check pairwise intertwiners."""
     fld = rep.space.field
     rng = random.Random(seed)
-    gld_mats = {pair: rep.rho(key) for key, pair in _gld_keys(spec)}
+    gld_mats = {pair: rep.rho(key) for key, pair in gl_d_keys(spec.d)}
     mats_list = list(gld_mats.values())
     found = []
     for vec in _probe_vectors(rep, count, rng):

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .cyclo import CycloField, CycloNum, make_field
-from .errors import ParseError
+from .errors import InvariantViolated, ParseError
 
 ExpVec = tuple[int, ...]
 
@@ -79,7 +79,9 @@ def load_torus(source) -> TorusSpec:
     """Build a TorusSpec from a dict, JSON text, or a JSON file path.
 
     A ``str`` is JSON text when it starts with ``{`` after leading whitespace;
-    any other ``str`` and every ``os.PathLike`` name a file.
+    any other ``str`` and every ``os.PathLike`` name a file.  ``d``, ``z``,
+    each ``k_i`` and ``L`` must be integers (not floats, strings or booleans);
+    anything else raises ParseError.
     """
     if isinstance(source, dict):
         data = source
@@ -94,7 +96,16 @@ def load_torus(source) -> TorusSpec:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read torus spec from {source!r}: {exc}") from exc
     try:
-        return make_torus(int(data["d"]), int(data["z"]), data.get("k", []), data.get("L"))
+        d, z, k = data["d"], data["z"], data.get("k", [])
+        if not isinstance(k, (list, tuple)):
+            raise TypeError(f"k must be a list, got {k!r}")
+        sizes = [("d", d), ("z", z)] + [("k", ki) for ki in k]
+        if "L" in data:
+            sizes.append(("L", data["L"]))
+        for name, value in sizes:
+            if type(value) is not int:  # int() would truncate a float; a bool is no size
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        return make_torus(d, z, k, data.get("L"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid torus spec {data!r}: {exc}") from exc
 
@@ -117,8 +128,15 @@ def sigma_hat(spec: TorusSpec, m: ExpVec, n: ExpVec) -> CycloNum:
 
 
 def sigma_skew(spec: TorusSpec, m: ExpVec, n: ExpVec) -> CycloNum:
-    """sigma_hat(m, n) - sigma_hat(n, m), the commutator coefficient."""
-    return sigma_hat(spec, m, n) - sigma_hat(spec, n, m)
+    """sigma_hat(m, n) - sigma_hat(n, m), the commutator coefficient.
+
+    The normal form forces it to vanish when m + n lies in R; a nonzero skew
+    there raises InvariantViolated, so no bracket special-cases that case.
+    """
+    skew = sigma_hat(spec, m, n) - sigma_hat(spec, n, m)
+    if not skew.is_zero() and in_R(spec, exp_add(m, n)):
+        raise InvariantViolated(f"sigma skew at {m}, {n} is nonzero although m + n lies in R")
+    return skew
 
 
 def in_R(spec: TorusSpec, m: ExpVec) -> bool:

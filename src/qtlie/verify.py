@@ -38,6 +38,7 @@ from .jetalg import (
     bracket_jets,
     canonical_keys,
     commutator_span_dims,
+    gl_d_keys,
     key_degree,
     key_to_string,
     project_quotient,
@@ -253,15 +254,8 @@ def suite_witt_embedding(spec: TorusSpec, pairs: int = 100, seed: int = 19,
 def suite_quotient(spec: TorusSpec) -> VerificationReport:
     """Quotient map onto gl_d + gl_N: bracket preservation and kernel checks."""
     failures = []
-    degree_zero = []
-    for i in range(1, spec.d + 1):
-        p = [0] * spec.d
-        p[i - 1] = 1
-        for j in range(1, spec.d + 1):
-            degree_zero.append(xd(spec, p, j))
-    zero_l = (0,) * spec.d
-    for w in class_representatives(spec):
-        degree_zero.append(xt(spec, zero_l, w))
+    degree_zero = [xd(spec, p, j) for (_, p, j), _ in gl_d_keys(spec.d)]
+    degree_zero += [xt(spec, (0,) * spec.d, w) for w in class_representatives(spec)]
 
     def block_diagonal(a):  # gl_d + gl_N as block-diagonal (d + N) x (d + N) matrices
         out = ExactMatrix.zeros(spec.field, spec.d + spec.N)

@@ -5,8 +5,8 @@ the ones each check gave when it still computed every ordered pair.
 """
 import pytest
 
-from qtlie import derivations, jetalg, repn, verify
-from qtlie.errors import InvalidModuleData
+from qtlie import derivations, jetalg, repn, torus, verify, xmatrix
+from qtlie.errors import InvalidModuleData, InvariantViolated
 from qtlie.matrices import ExactMatrix
 from qtlie.repn import GLdGLNModule, graded_regular_glN, natural_gld, verify_representation
 from qtlie.torus import class_representatives, exp_add, sigma_skew
@@ -30,6 +30,22 @@ def test_sigma_skew_is_antisymmetric(fixture, request):
     for r in reps:
         for s in reps:
             assert sigma_skew(spec, r, s) == -sigma_skew(spec, s, r), (r, s)
+
+
+def test_a_corrupted_pairing_violates_the_R_invariant_in_every_bracket(e1, monkeypatch):
+    """sigma_skew alone checks that [t^r, t^s] vanishes when r + s lies in R."""
+    r, s = (1, 0), (-1, 0)  # r + s = 0 lies in R
+    brackets = [
+        lambda: derivations.bracket_d(e1, derivations.inner(e1, r), derivations.inner(e1, s)),
+        lambda: jetalg.bracket_jets(e1, jetalg.xt(e1, (0, 0), r), jetalg.xt(e1, (0, 0), s)),
+        lambda: xmatrix.glN_bracket(e1, r, s),
+    ]
+    assert [bracket().is_zero() for bracket in brackets] == [True, True, True]
+    # a pairing that is no longer symmetric on r, s: the skew there is 1 - (-1) = 2
+    monkeypatch.setattr(torus, "sigma_hat", lambda spec, m, n: spec.field.from_rational(m[0]))
+    for bracket in brackets:
+        with pytest.raises(InvariantViolated, match=r"sigma skew at \(1, 0\), \(-1, 0\) .* lies in R"):
+            bracket()
 
 
 def test_gl_d_witness(e1):

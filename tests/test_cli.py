@@ -247,6 +247,8 @@ def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"z": 1}')
     assert main(["torus", "info", str(bad)]) == 2
+    bad.write_text('{"d": 2.9, "z": 1, "k": [2], "L": 2}')  # not truncated to d = 2
+    assert main(["torus", "info", str(bad)]) == 2
     spec = tmp_path / "ok.json"
     spec.write_text('{"d":2,"z":1,"k":[2],"L":2}')
     assert main(["verify", "--spec", str(spec), "--suite", "nope"]) == 2

@@ -1,11 +1,13 @@
 import ast
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from qtlie import cuspidal
 from qtlie.cuspidal import (
     CuspidalModule,
     OperatorFamily,
@@ -28,6 +30,7 @@ from qtlie.errors import (
     DimensionMismatch,
     InvalidModuleData,
     InvalidRepresentation,
+    InvariantViolated,
     MalformedBasisKey,
     RelationViolated,
 )
@@ -41,7 +44,8 @@ from qtlie.repn import (
     truncated_polynomial_rep,
     trivial_gld,
 )
-from qtlie.torus import canonical_rep
+from qtlie.derivations import inner_product
+from qtlie.torus import canonical_rep, exp_add, in_R, sigma_skew
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +119,114 @@ def test_bracket_symbols_cover_the_semidirect_structure(e1):
     assert bracket_symbols(e1, sym_inner(e1, (1, 0)), sym_central(e1, (2, 0))) == []
     flipped = bracket_symbols(e1, sym_central(e1, (2, 0)), sym_deg(e1, (1, 0), (0, 0)))
     assert flipped == [(fld.from_rational(-2), ("z", (2, 0)))]
+
+
+def reference_bracket_symbols(spec, a, b) -> list:
+    """The hand-written bracket that `bracket_symbols` replaced by `bracket_d`, unchanged."""
+    fld = spec.field
+    ta, tb = a[0], b[0]
+    if ta == "deg" and tb == "deg":
+        _, u, m = a
+        _, v, n = b
+        out = []
+        c1 = inner_product(fld, u, n)
+        if not c1.is_zero():
+            out.append((c1, ("deg", v, exp_add(m, n))))
+        c2 = inner_product(fld, v, m)
+        if not c2.is_zero():
+            out.append((-c2, ("deg", u, exp_add(m, n))))
+        return out
+    if ta == "deg" and tb == "inn":
+        _, u, m = a
+        e = b[1]
+        c = inner_product(fld, u, e)
+        return [] if c.is_zero() else [(c, ("inn", exp_add(m, e)))]
+    if ta == "deg" and tb == "z":
+        _, u, m = a
+        n = b[1]
+        c = inner_product(fld, u, n)
+        return [] if c.is_zero() else [(c, ("z", exp_add(m, n)))]
+    if ta == "inn" and tb == "inn":
+        r, s = a[1], b[1]
+        coeff = sigma_skew(spec, r, s)
+        rs = exp_add(r, s)
+        if in_R(spec, rs):
+            if not coeff.is_zero():
+                raise InvariantViolated(f"sigma skew at {r}, {s} is nonzero although r + s lies in R")
+            return []
+        return [] if coeff.is_zero() else [(coeff, ("inn", rs))]
+    if (ta, tb) in (("inn", "z"), ("z", "z"), ("z", "inn"), ("z", "deg"), ("inn", "deg")):
+        if ta in ("inn", "z") and tb == "deg":
+            return [(-c, s) for c, s in reference_bracket_symbols(spec, b, a)]
+        return []
+    raise MalformedBasisKey(f"unknown symbols {a[0]}, {b[0]}")
+
+
+def _as_basis_combination(spec, terms) -> dict:
+    """[(c, symbol)] as a combination of ("d", i, m), ("t", s) and ("z", n), zeros dropped."""
+    fld = spec.field
+    out = {}
+    for c, sym in terms:
+        if sym[0] == "deg":
+            parts = [(("d", i, sym[2]), ui) for i, ui in enumerate(sym[1], start=1)]
+        else:
+            parts = [(("t" if sym[0] == "inn" else "z", sym[1]), fld.one)]
+        for key, x in parts:
+            out[key] = out.get(key, fld.zero) + c * x
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _symbols_on_box(spec, radius: int) -> dict:
+    """Degree symbols with unit and non-unit u, inner and central symbols, by kind."""
+    fld = spec.field
+    cvecs = list(itertools.product(range(-radius, radius + 1), repeat=spec.d))
+    central = [tuple(c * b for c, b in zip(cv, spec.B)) for cv in cvecs]
+    us = [(1,) + (0,) * (spec.d - 1), (2, -3, 5)[:spec.d], (Fraction(1, 2), fld.root(1), -1)[:spec.d]]
+    return {
+        "deg": [sym_deg(spec, u, m) for u in us for m in central],
+        "inn": [sym_inner(spec, e) for e in cvecs if not in_R(spec, e)],
+        "z": [sym_central(spec, n) for n in central],
+    }
+
+
+@pytest.mark.parametrize("fixture", ["e1", "e2", "e3"])
+@pytest.mark.parametrize("kinds", list(itertools.product(("deg", "inn", "z"), repeat=2)))
+def test_bracket_symbols_matches_the_hand_written_bracket(fixture, kinds, request):
+    spec = request.getfixturevalue(fixture)
+    symbols = _symbols_on_box(spec, 1)
+    for a in symbols[kinds[0]]:
+        for b in symbols[kinds[1]]:
+            got = bracket_symbols(spec, a, b)
+            assert _as_basis_combination(spec, got) == _as_basis_combination(
+                spec, reference_bracket_symbols(spec, a, b)), (a, b)
+            # one degree symbol at most, and no zero coefficients
+            assert sum(sym[0] == "deg" for _, sym in got) <= 1, (a, b)
+            assert all(not c.is_zero() for c, _ in got), (a, b)
+
+
+def test_bracket_symbols_rejects_unknown_kinds(e1):
+    with pytest.raises(MalformedBasisKey):
+        bracket_symbols(e1, ("deg", (1, 0), (0, 0)), ("w", (1, 0)))
+    with pytest.raises(MalformedBasisKey):
+        bracket_symbols(e1, ("w", (1, 0)), ("z", (2, 0)))
+
+
+@pytest.mark.parametrize("key", [("XD", (1, 0), 1), ("XD", (0, 1), 2), ("XT", (0, 0), (1, 2))])
+def test_module_axioms_report_is_the_hand_written_brackets_report(e1, setup_e1, key, monkeypatch):
+    """Same cases and the same first failing column through either bracket."""
+    _, rep, _ = setup_e1
+    action = {k: m.copy() for k, m in rep.action.items()}
+    action[key] = action[key].scale(2)
+    module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 1), box=2)
+
+    def report():
+        return verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7, vector_box=1)
+
+    got = report()
+    monkeypatch.setattr(cuspidal, "bracket_symbols", reference_bracket_symbols)
+    want = report()
+    assert not want.passed
+    assert (got.passed, got.cases, got.first_failure) == (want.passed, want.cases, want.first_failure)
 
 
 def test_module_axioms(e1, setup_e1):

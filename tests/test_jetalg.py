@@ -10,6 +10,7 @@ from qtlie.jetalg import (
     commutator_span_dims,
     filtration_degree,
     gamma_class,
+    gl_d_keys,
     in_plus_ideal,
     key_from_string,
     key_to_string,
@@ -21,7 +22,7 @@ from qtlie.jetalg import (
     xt,
 )
 from qtlie.matrices import ExactMatrix
-from qtlie.torus import canonical_rep, class_representatives, in_R, sigma_skew
+from qtlie.torus import canonical_rep, class_representatives, in_R, make_torus, sigma_skew
 from qtlie.verify import suite_jacobi_jets, suite_quotient, suite_span_filtration
 from qtlie.xmatrix import x_power
 
@@ -29,6 +30,15 @@ from qtlie.xmatrix import x_power
 def test_vector_field_bracket(e1):
     got = bracket_jets(e1, xd(e1, (1, 0), 2), xd(e1, (0, 1), 1))
     assert got == xd(e1, (1, 0), 1) - xd(e1, (0, 1), 2)
+
+
+def test_gl_d_keys_are_the_degree_zero_vector_fields_in_row_major_order():
+    assert gl_d_keys(2) == [(("XD", (1, 0), 1), (1, 1)), (("XD", (1, 0), 2), (1, 2)),
+                            (("XD", (0, 1), 1), (2, 1)), (("XD", (0, 1), 2), (2, 2))]
+    keys = gl_d_keys(3)
+    assert [pair for _, pair in keys] == [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    spec = make_torus(3, 0, [])
+    assert all(set(xd(spec, *key[1:]).terms) == {key} for key, _ in keys)
 
 
 def test_mixed_bracket(e1):

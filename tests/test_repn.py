@@ -15,12 +15,12 @@ from qtlie.errors import (
     ParseError,
     SplittingNeedsFieldExtension,
 )
+from qtlie.jetalg import gl_d_keys
 from qtlie.matrices import ExactMatrix, RowSpace, basis_matrix
 from qtlie.repn import (
     GLdGLNModule,
     GRepresentation,
     GradedSpace,
-    _gld_keys,
     _try_split,
     commutant,
     decompose_tensor,
@@ -97,6 +97,12 @@ def test_non_square_generators_are_misshapen(e1):
     wmats[(1, 1)] = ExactMatrix.zeros(e1.field, 4, 2)
     with pytest.raises(InvalidModuleData, match=r"misshapen W generator \(1, 1\)"):
         GLdGLNModule(e1, natural_gld(e1), wmats, wclasses)
+
+
+def test_module_without_v_generators_names_the_first_one(e1):
+    wmats, wclasses = graded_regular_glN(e1)
+    with pytest.raises(InvalidModuleData, match=r"^missing or misshapen V generator \(1,1\)$"):
+        GLdGLNModule(e1, {}, wmats, wclasses)
 
 
 def test_pullback_dimensions(e1, rep_e1):
@@ -378,9 +384,9 @@ def test_split_scrambled_natural_twice(e1):
         return ExactMatrix(fld, [row + [z, z] for row in m.data] + [[z, z] + row for row in m.data])
 
     w0 = class_representatives(e1)[0]
-    rep = GRepresentation(GradedSpace(e1, {w0: 4}), {k: twice(nat[ij]) for k, ij in _gld_keys(e1)}, 1)
+    rep = GRepresentation(GradedSpace(e1, {w0: 4}), {k: twice(nat[ij]) for k, ij in gl_d_keys(e1.d)}, 1)
     scrambled = scramble_representation(rep, 1)
-    mats = [scrambled.rho(k) for k, _ in _gld_keys(e1)]
+    mats = [scrambled.rho(k) for k, _ in gl_d_keys(e1.d)]
     _assert_proper_invariant(fld, mats, 4, _try_split(fld, mats, 4, random.Random(0)))
 
 

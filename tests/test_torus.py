@@ -212,6 +212,36 @@ def test_spec_validation_errors():
         load_torus({"z": 1})
 
 
+@pytest.mark.parametrize("data", [
+    {"d": 2.9, "z": 1, "k": [2], "L": 2},
+    {"d": 2.0, "z": 1, "k": [2], "L": 2},
+    {"d": 2, "z": 1.0, "k": [2], "L": 2},
+    {"d": 2, "z": True, "k": [2], "L": 2},
+    {"d": True, "z": 0, "k": [], "L": 1},
+    {"d": "2", "z": 1, "k": [2], "L": 2},
+    {"d": 2, "z": 1, "k": [2.5], "L": 2},
+    {"d": 2, "z": 1, "k": ["2"], "L": 2},
+    {"d": 2, "z": 1, "k": [True], "L": 2},
+    {"d": 2, "z": 1, "k": 2, "L": 2},
+    {"d": 2, "z": 1, "k": [2], "L": 2.0},
+    {"d": 2, "z": 1, "k": [2], "L": "2"},
+    {"d": 2, "z": 1, "k": [2], "L": None},
+    {"d": 2, "z": 0, "k": [], "L": False},
+])
+def test_spec_sizes_must_be_json_integers(data, tmp_path):
+    with pytest.raises(ParseError):
+        load_torus(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        load_torus(str(path))
+
+
+def test_spec_without_L_takes_the_default():
+    assert load_torus({"d": 2, "z": 1, "k": [2]}) == make_torus(2, 1, [2], L=2)
+    assert load_torus('{"d": 3, "z": 0}') == make_torus(3, 0, [], L=1)
+
+
 def test_enlarged_field(e1_wide):
     assert e1_wide.field.L == 4
     # q_1 is still a primitive square root of unity
