@@ -139,11 +139,14 @@ class _WeightModuleBase:
     """Shared part of the two constructions.
 
     A symbol acts on the component at a label (w, n') by one block
-    U_w -> U_tw plus a label shift.  The base class owns what the two
-    constructions share by definition: the central action as an identity label
-    shift, the weight scalar of a degree derivation, and the target shift
-    n'' = n' + e + w - tw that weight conservation forces for a symbol of
-    degree e.  A subclass supplies only ``_operator``.
+    U_w -> U_tw plus a label shift.  The block depends on the label only
+    through its class w, except for the weight scalar of a degree derivation,
+    so each symbol's blocks are built once, one per class, and kept in an
+    action table.  The base class owns what the two constructions share by
+    definition: the central action as an identity label shift, the weight
+    scalar, and the target shift n'' = n' + e + w - tw that weight
+    conservation forces for a symbol of degree e.  A subclass supplies only
+    ``_class_blocks``.
     """
 
     def __init__(self, spec: TorusSpec, alpha, space: GradedSpace, box: int):
@@ -152,6 +155,9 @@ class _WeightModuleBase:
         self.space = space
         self.box = box
         self._scalars = {}  # (u, label) -> inner_product(u, weight_of(label))
+        # symbol -> {w: (tw, U_w -> U_tw)}; no caller mutates a returned block,
+        # so one entry serves every label of class w
+        self._tables = {}
 
     def labels(self, box: int | None = None) -> list[Label]:
         box = self.box if box is None else box
@@ -168,13 +174,25 @@ class _WeightModuleBase:
             a + self.spec.field.from_rational(x + y) for a, x, y in zip(self.alpha, w, np)
         )
 
-    def _operator(self, symbol, w) -> tuple[tuple, ExactMatrix] | None:
-        """Shift-free matrix of a degree or inner symbol on class w, as (tw, U_w -> U_tw).
+    def _class_blocks(self, symbol) -> dict:
+        """Shift-free blocks of a degree or inner symbol, as {w: (tw, U_w -> U_tw)}.
 
-        None when the target class carries no component.  The weight scalar
-        of a degree derivation is not part of it.
+        A class whose target class carries no component has no entry.  The
+        weight scalar of a degree derivation is not part of a block.
         """
         raise NotImplementedError
+
+    def _table(self, symbol) -> dict:
+        """The action table of `symbol`, built on first use; the center acts by identities."""
+        table = self._tables.get(symbol)
+        if table is None:
+            if symbol[0] == "z":
+                fld = self.spec.field
+                table = {w: (w, ExactMatrix.identity(fld, n)) for w, n in self.space.dims.items()}
+            else:
+                table = self._class_blocks(symbol)
+            self._tables[symbol] = table
+        return table
 
     def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
         """The action of `symbol` on the component at `label`: (target label, matrix).
@@ -183,12 +201,10 @@ class _WeightModuleBase:
         """
         fld = self.spec.field
         w, np = label
-        if symbol[0] == "z":
-            return (w, exp_add(np, symbol[1])), ExactMatrix.identity(fld, self.space.dims[w])
-        op = self._operator(symbol, w)
-        if op is None:
+        entry = self._table(symbol).get(w)
+        if entry is None:
             return None
-        tw, mat = op
+        tw, mat = entry
         if symbol[0] == "deg":
             _, u, e = symbol
             scalar = self._scalars.get((u, label))
@@ -236,35 +252,28 @@ class CuspidalModule(_WeightModuleBase):
     A symbol acts through rho of its jet image: the degree derivation t^m d_u
     maps to the sum over 1 <= |p| <= cutoff of (m^p / p!) x^p d_u, the inner
     derivation t^e to the raw symbol x^0 t-bar^e, whose reduction to a class
-    representative ``GRepresentation.rho_raw`` supplies.  The full matrix of
-    each symbol is computed once; a label takes its class block.
+    representative ``GRepresentation.rho_raw`` supplies.  Rho of the image is
+    computed once per symbol and sliced into its class blocks.
     """
 
     def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3):
         super().__init__(spec, alpha, rep.space, box)
         self.rep = rep
-        self._images = {}  # symbol -> rho of its jet image
 
-    def _image(self, symbol) -> ExactMatrix:
-        mat = self._images.get(symbol)
-        if mat is None:
-            spec = self.spec
-            if symbol[0] == "deg":
-                _, u, m = symbol
-                image = sum((xd_along(spec, p, u).scale(taylor_coefficient(m, p))
-                             for total in range(1, self.rep.cutoff + 1)
-                             for p in degree_basis(spec.d, total)), JetElement(spec.field))
-            else:
-                image = xt(spec, (0,) * spec.d, symbol[1])
-            mat = self._images[symbol] = self.rep.rho_element(image)
-        return mat
-
-    def _operator(self, symbol, w):
+    def _class_blocks(self, symbol):
+        spec = self.spec
         sp = self.space
-        tw = w if symbol[0] == "deg" else sp.shifted_class(w, symbol[1])
-        if tw not in sp.dims:
-            return None
-        return tw, sp.block(self._image(symbol), w, tw)
+        if symbol[0] == "deg":
+            _, u, m = symbol
+            image = sum((xd_along(spec, p, u).scale(taylor_coefficient(m, p))
+                         for total in range(1, self.rep.cutoff + 1)
+                         for p in degree_basis(spec.d, total)), JetElement(spec.field))
+            targets = {w: w for w in sp.classes}
+        else:
+            image = xt(spec, (0,) * spec.d, symbol[1])
+            targets = {w: sp.shifted_class(w, symbol[1]) for w in sp.classes}
+        mat = self.rep.rho_element(image)
+        return {w: (tw, sp.block(mat, w, tw)) for w, tw in targets.items() if tw in sp.dims}
 
 
 def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> CuspidalModule:
@@ -276,7 +285,10 @@ def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> 
 
 
 class TensorFieldModule(_WeightModuleBase):
-    """Closed-form module on V (x) W (x) t^s; the independent comparison route."""
+    """Closed-form module on V (x) W (x) t^s; the independent comparison route.
+
+    Its class blocks are built from ``vw`` alone.
+    """
 
     def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3):
         super().__init__(spec, alpha, vw.tensor_layout()[0], box)
@@ -284,20 +296,11 @@ class TensorFieldModule(_WeightModuleBase):
         self._w_locals = {c: [] for c in self.space.classes}
         for b, c in enumerate(vw.W_classes):
             self._w_locals[c].append(b)
-        # (symbol, w) -> _operator's result, built from vw alone; no caller
-        # mutates a returned block, so one copy serves every label of class w
-        self._operators = {}
 
-    def _operator(self, symbol, w):
-        if (symbol, w) not in self._operators:
-            self._operators[symbol, w] = self._closed_form(symbol, w)
-        return self._operators[symbol, w]
-
-    def _closed_form(self, symbol, w):
+    def _class_blocks(self, symbol):
         spec = self.spec
         fld = spec.field
         dV = self.vw.dim_V
-        src = self._w_locals[w]
         if symbol[0] == "deg":
             # I (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
             _, u, m = symbol
@@ -309,15 +312,18 @@ class TensorFieldModule(_WeightModuleBase):
                     if u[j].is_zero():
                         continue
                     emat = emat + self.vw.V_mats[(i + 1, j + 1)].scale(u[j] * m[i])
-            return w, ExactMatrix.identity(fld, len(src)).kron(emat)
+            return {w: (w, ExactMatrix.identity(fld, len(src)).kron(emat))
+                    for w, src in self._w_locals.items()}
         # t^e acts as W_r (x) I_V, r the class of e
         r = canonical_rep(spec, symbol[1])
-        tw = canonical_rep(spec, exp_add(w, r))
-        if tw not in self.space.dims:
-            return None
         wmat = self.vw.W_mats[r]
-        w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in self._w_locals[tw]])
-        return tw, w_block.kron(ExactMatrix.identity(fld, dV))
+        out = {}
+        for w, src in self._w_locals.items():
+            tw = canonical_rep(spec, exp_add(w, r))
+            if tw in self.space.dims:
+                w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in self._w_locals[tw]])
+                out[w] = tw, w_block.kron(ExactMatrix.identity(fld, dV))
+        return out
 
 
 def tensor_field_module(spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3) -> TensorFieldModule:

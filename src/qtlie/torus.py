@@ -25,9 +25,12 @@ class TorusSpec:
     z: int
     k: tuple[int, ...]
     L: int
-    field: CycloField = dc_field(compare=False)
+    field: CycloField = dc_field(init=False, compare=False)  # Q(zeta_L)
 
     def __post_init__(self):
+        for name, value in [("d", self.d), ("z", self.z), *(("k", ki) for ki in self.k), ("L", self.L)]:
+            if type(value) is not int:  # int() would truncate a float; a bool is no size
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
             raise ValueError("rank d must be >= 2")
         if self.z < 0 or 2 * self.z > self.d:
@@ -41,8 +44,7 @@ class TorusSpec:
                 raise ValueError("orders must satisfy k_{i+1} | k_i")
         if self.z and self.L % self.k[0] != 0:
             raise ValueError("field order L must be a multiple of k_1")
-        if self.field.L != self.L:
-            raise ValueError("field order mismatch")
+        object.__setattr__(self, "field", make_field(self.L))
 
     @property
     def N(self) -> int:
@@ -69,19 +71,19 @@ class TorusSpec:
 
 
 def make_torus(d: int, z: int, k, L: int | None = None) -> TorusSpec:
-    k = tuple(int(x) for x in k)
+    k = tuple(k)
     if L is None:
         L = k[0] if k else 1
-    return TorusSpec(d=d, z=z, k=k, L=L, field=make_field(L))
+    return TorusSpec(d=d, z=z, k=k, L=L)
 
 
 def load_torus(source) -> TorusSpec:
     """Build a TorusSpec from a dict, JSON text, or a JSON file path.
 
     A ``str`` is JSON text when it starts with ``{`` after leading whitespace;
-    any other ``str`` and every ``os.PathLike`` name a file.  ``d``, ``z``,
-    each ``k_i`` and ``L`` must be integers (not floats, strings or booleans);
-    anything else raises ParseError.
+    any other ``str`` and every ``os.PathLike`` name a file.  The keys are
+    ``d``, ``z``, ``k`` and ``L`` (optional); any other key, and every size
+    that `TorusSpec` rejects, raises ParseError.
     """
     if isinstance(source, dict):
         data = source
@@ -97,14 +99,13 @@ def load_torus(source) -> TorusSpec:
             raise ParseError(f"cannot read torus spec from {source!r}: {exc}") from exc
     try:
         d, z, k = data["d"], data["z"], data.get("k", [])
+        unknown = [key for key in data if key not in ("d", "z", "k", "L")]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         if not isinstance(k, (list, tuple)):
             raise TypeError(f"k must be a list, got {k!r}")
-        sizes = [("d", d), ("z", z)] + [("k", ki) for ki in k]
-        if "L" in data:
-            sizes.append(("L", data["L"]))
-        for name, value in sizes:
-            if type(value) is not int:  # int() would truncate a float; a bool is no size
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if "L" in data and data["L"] is None:  # make_torus reads None as "the default L"
+            raise TypeError("L must be an integer, got None")
         return make_torus(d, z, k, data.get("L"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid torus spec {data!r}: {exc}") from exc

@@ -66,7 +66,7 @@ class VerificationReport:
     suite: str
     cases: int
     failures: list = dc_field(default_factory=list)
-    wall_time: float = 0.0  # excluded from serialization on purpose
+    wall_time: float = 0.0  # set by run_suites; excluded from serialization on purpose
 
     @property
     def passed(self) -> bool:
@@ -86,19 +86,6 @@ class VerificationReport:
         return f"{self.suite}: {status} ({self.cases} cases{extra}) [{self.wall_time:.2f}s]"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> VerificationReport:
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.wall_time = time.perf_counter() - start
-        return report
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-@_timed
 def suite_xmatrix(spec: TorusSpec, box: int | None = None, flip: bool = False) -> VerificationReport:
     """Product relation of the matrix realization, over [0, 2 k_1]^d by default."""
     box = 2 * (spec.k[0] if spec.z else 1) if box is None else box
@@ -107,7 +94,6 @@ def suite_xmatrix(spec: TorusSpec, box: int | None = None, flip: bool = False) -
     return VerificationReport("xmatrix-flip" if flip else "xmatrix", rel.cases, failures)
 
 
-@_timed
 def suite_xmatrix_identity(spec: TorusSpec, box: int | None = None) -> VerificationReport:
     """X^n is the identity on the central lattice, and the classes span M_N."""
     box = 2 * (spec.k[0] if spec.z else 1) if box is None else box
@@ -144,7 +130,6 @@ def _first_jacobi_failure(bracket, triples):
     return None
 
 
-@_timed
 def suite_jacobi_derivations(spec: TorusSpec, triples: int = 200, seed: int = 11,
                              box: int = 4) -> VerificationReport:
     """Jacobi identity for the derivation-algebra bracket on random basis triples."""
@@ -155,7 +140,6 @@ def suite_jacobi_derivations(spec: TorusSpec, triples: int = 200, seed: int = 11
     return VerificationReport("jacobi-derivations", triples, failures)
 
 
-@_timed
 def suite_jacobi_witt(spec: TorusSpec, triples: int = 200, seed: int = 13,
                       box: int = 4) -> VerificationReport:
     """Jacobi identity for the Witt-algebra bracket on random basis triples."""
@@ -171,7 +155,6 @@ def suite_jacobi_witt(spec: TorusSpec, triples: int = 200, seed: int = 13,
     return VerificationReport("jacobi-witt", triples, failures)
 
 
-@_timed
 def suite_jacobi_jets(spec: TorusSpec, max_total: int = 3, sample: int | None = None,
                       seed: int = 17) -> VerificationReport:
     """Jacobi identity for the jet-algebra bracket.
@@ -227,7 +210,6 @@ def suite_jacobi_jets(spec: TorusSpec, max_total: int = 3, sample: int | None = 
     return VerificationReport("jacobi-jets", found[0] + 1, [{"triple": [str(x) for x in found[1]]}])
 
 
-@_timed
 def suite_witt_embedding(spec: TorusSpec, pairs: int = 100, seed: int = 19,
                          box: int = 3) -> VerificationReport:
     """The rescaling map into the Witt algebra is a Lie homomorphism."""
@@ -250,7 +232,6 @@ def suite_witt_embedding(spec: TorusSpec, pairs: int = 100, seed: int = 19,
     return VerificationReport("witt-embedding", pairs, failures)
 
 
-@_timed
 def suite_quotient(spec: TorusSpec) -> VerificationReport:
     """Quotient map onto gl_d + gl_N: bracket preservation and kernel checks."""
     failures = []
@@ -285,7 +266,6 @@ def suite_quotient(spec: TorusSpec) -> VerificationReport:
     return VerificationReport("quotient", cases, failures)
 
 
-@_timed
 def suite_span_filtration(spec: TorusSpec, max_degree: int = 3) -> VerificationReport:
     """Commutator span of the vector-field part: traceless at degree 0, full above."""
     dims = commutator_span_dims(spec, max_degree)
@@ -304,7 +284,6 @@ def _standard_pullback(spec: TorusSpec):
     return vw, pullback(spec, vw)
 
 
-@_timed
 def suite_annihilation(spec: TorusSpec) -> VerificationReport:
     """Quotient-pair pullbacks are killed by every positive-degree symbol."""
     failures = []
@@ -327,7 +306,6 @@ def suite_annihilation(spec: TorusSpec) -> VerificationReport:
     return VerificationReport("annihilation", cases, failures)
 
 
-@_timed
 def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
                   seed: int = 23) -> VerificationReport:
     """The weight module built from a pullback satisfies the bracket axioms."""
@@ -339,7 +317,6 @@ def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
     return VerificationReport("functor-axioms", report.cases, failures)
 
 
-@_timed
 def suite_tensor_compare(spec: TorusSpec, box: int = 3) -> VerificationReport:
     """Functor image of a pullback equals the closed-form tensor-field module."""
     alpha = (0,) * spec.d
@@ -351,7 +328,6 @@ def suite_tensor_compare(spec: TorusSpec, box: int = 3) -> VerificationReport:
     return VerificationReport("tensor-compare", 1, failures)
 
 
-@_timed
 def suite_roundtrip(spec: TorusSpec, degree_bound: int = 3) -> VerificationReport:
     """Extraction then reassembly reproduces the representation exactly."""
     alpha = (0,) * spec.d
@@ -366,7 +342,6 @@ def suite_roundtrip(spec: TorusSpec, degree_bound: int = 3) -> VerificationRepor
     return VerificationReport("roundtrip", 1, failures)
 
 
-@_timed
 def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
     """Recover tensor factors from a scrambled pullback, with an exact isomorphism."""
     vw, rep = _standard_pullback(spec)
@@ -383,7 +358,6 @@ def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
     return VerificationReport("decompose", cases, failures)
 
 
-@_timed
 def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
     """Weight multiplicities are uniform and equal dim V times the W class bound."""
     alpha = (0,) * spec.d
@@ -401,30 +375,28 @@ def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
     return VerificationReport("cuspidality", len(mults), failures)
 
 
+# suite name -> (suite, {config key: suite parameter}); the defaults live in
+# the suite signatures, and a key absent from the config keeps its default
 SUITES = {
-    "xmatrix": lambda spec, cfg: suite_xmatrix(spec, cfg.get("box"), cfg.get("flip", False)),
-    "xmatrix-identity": lambda spec, cfg: suite_xmatrix_identity(spec, cfg.get("box")),
-    "jacobi-d": lambda spec, cfg: suite_jacobi_derivations(
-        spec, cfg.get("samples", 200), cfg.get("seed", 11), cfg.get("box", 4)),
-    "jacobi-wd": lambda spec, cfg: suite_jacobi_witt(
-        spec, cfg.get("samples", 200), cfg.get("seed", 13), cfg.get("box", 4)),
-    "jacobi-gtilde": lambda spec, cfg: suite_jacobi_jets(
-        spec, cfg.get("degree", 3), cfg.get("samples"), cfg.get("seed", 17)),
-    "dr-wd": lambda spec, cfg: suite_witt_embedding(
-        spec, cfg.get("samples", 100), cfg.get("seed", 19), cfg.get("box", 3)),
-    "quotient": lambda spec, cfg: suite_quotient(spec),
-    "span-filtration": lambda spec, cfg: suite_span_filtration(spec, cfg.get("degree", 3)),
-    "annihilation": lambda spec, cfg: suite_annihilation(spec),
-    "functor": lambda spec, cfg: suite_functor(
-        spec, cfg.get("box", 3), cfg.get("samples", 100), cfg.get("seed", 23)),
-    "tensor-compare": lambda spec, cfg: suite_tensor_compare(spec, cfg.get("box", 3)),
-    "roundtrip": lambda spec, cfg: suite_roundtrip(spec, cfg.get("degree", 3)),
-    "decompose": lambda spec, cfg: suite_decompose(spec, cfg.get("seed", 5)),
-    "cuspidality": lambda spec, cfg: suite_cuspidality(spec, cfg.get("box", 4)),
+    "xmatrix": (suite_xmatrix, {"box": "box", "flip": "flip"}),
+    "xmatrix-identity": (suite_xmatrix_identity, {"box": "box"}),
+    "jacobi-d": (suite_jacobi_derivations, {"samples": "triples", "seed": "seed", "box": "box"}),
+    "jacobi-wd": (suite_jacobi_witt, {"samples": "triples", "seed": "seed", "box": "box"}),
+    "jacobi-gtilde": (suite_jacobi_jets, {"degree": "max_total", "samples": "sample", "seed": "seed"}),
+    "dr-wd": (suite_witt_embedding, {"samples": "pairs", "seed": "seed", "box": "box"}),
+    "quotient": (suite_quotient, {}),
+    "span-filtration": (suite_span_filtration, {"degree": "max_degree"}),
+    "annihilation": (suite_annihilation, {}),
+    "functor": (suite_functor, {"box": "box", "samples": "pairs", "seed": "seed"}),
+    "tensor-compare": (suite_tensor_compare, {"box": "box"}),
+    "roundtrip": (suite_roundtrip, {"degree": "degree_bound"}),
+    "decompose": (suite_decompose, {"seed": "seed"}),
+    "cuspidality": (suite_cuspidality, {"box": "box"}),
 }
 
 
 def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None) -> list[VerificationReport]:
+    """Run the named suites (or "all") on `spec`, each timed into its report's wall_time."""
     config = config or {}
     if names == ["all"]:
         names = list(SUITES)
@@ -432,7 +404,11 @@ def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None) ->
     for name in names:
         if name not in SUITES:
             raise ParseError(f"unknown suite {name!r}")
-        reports.append(SUITES[name](spec, config))
+        suite, params = SUITES[name]
+        start = time.perf_counter()
+        report = suite(spec, **{param: config[key] for key, param in params.items() if key in config})
+        report.wall_time = time.perf_counter() - start
+        reports.append(report)
     return reports
 
 

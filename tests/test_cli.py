@@ -249,6 +249,10 @@ def test_config_errors(tmp_path, capsys):
     assert main(["torus", "info", str(bad)]) == 2
     bad.write_text('{"d": 2.9, "z": 1, "k": [2], "L": 2}')  # not truncated to d = 2
     assert main(["torus", "info", str(bad)]) == 2
+    bad.write_text('{"d": 2, "z": 1, "k": [2], "l": 4}')  # a misspelled L is not ignored
+    capsys.readouterr()
+    assert main(["torus", "info", str(bad)]) == 2
+    assert "unknown key 'l'" in capsys.readouterr().err
     spec = tmp_path / "ok.json"
     spec.write_text('{"d":2,"z":1,"k":[2],"L":2}')
     assert main(["verify", "--spec", str(spec), "--suite", "nope"]) == 2
@@ -278,10 +282,10 @@ def test_missing_module_option_is_a_config_error(argv, capsys):
 
 
 def test_key_error_inside_a_suite_is_not_a_config_error(monkeypatch, spec_file):
-    def broken(spec, cfg):
+    def broken(spec):
         raise KeyError("lost symbol")
 
-    monkeypatch.setitem(verify.SUITES, "quotient", broken)
+    monkeypatch.setitem(verify.SUITES, "quotient", (broken, {}))
     with pytest.raises(KeyError):
         main(["verify", "--spec", spec_file, "--suite", "quotient"])
 

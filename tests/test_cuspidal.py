@@ -1,7 +1,9 @@
 import ast
+import functools
 import hashlib
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,12 +13,14 @@ from qtlie import cuspidal
 from qtlie.cuspidal import (
     CuspidalModule,
     OperatorFamily,
+    TensorFieldModule,
     build_module,
     bracket_symbols,
     coefficients_to_representation,
     dump_module,
     extract_coefficients,
     modules_equal_on_box,
+    standard_symbols,
     sym_central,
     sym_deg,
     sym_inner,
@@ -34,6 +38,7 @@ from qtlie.errors import (
     MalformedBasisKey,
     RelationViolated,
 )
+from qtlie.jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
 from qtlie.matrices import ExactMatrix
 from qtlie.repn import (
     GLdGLNModule,
@@ -45,7 +50,7 @@ from qtlie.repn import (
     trivial_gld,
 )
 from qtlie.derivations import inner_product
-from qtlie.torus import canonical_rep, exp_add, in_R, sigma_skew
+from qtlie.torus import canonical_rep, exp_add, exp_sub, in_R, sigma_skew
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +312,124 @@ def test_functor_image_equals_tensor_field(e1, setup_e1):
     vw, rep, module = setup_e1
     tf = tensor_field_module(e1, (0, 0), vw, box=3)
     assert modules_equal_on_box(module, tf, 2)
+
+
+# ---------------------------------------------------------------------------
+# action tables against the per-label block computation they replaced
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _reference_image(module, symbol):
+    spec = module.spec
+    if symbol[0] == "deg":
+        _, u, m = symbol
+        image = sum((xd_along(spec, p, u).scale(taylor_coefficient(m, p))
+                     for total in range(1, module.rep.cutoff + 1)
+                     for p in degree_basis(spec.d, total)), JetElement(spec.field))
+    else:
+        image = xt(spec, (0,) * spec.d, symbol[1])
+    return module.rep.rho_element(image)
+
+
+@functools.cache
+def _reference_closed_form(module, symbol, w):
+    spec = module.spec
+    fld = spec.field
+    dV = module.vw.dim_V
+    src = module._w_locals[w]
+    if symbol[0] == "deg":
+        # I (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
+        _, u, m = symbol
+        emat = ExactMatrix.zeros(fld, dV)
+        for i in range(spec.d):
+            if m[i] == 0:
+                continue
+            for j in range(spec.d):
+                if u[j].is_zero():
+                    continue
+                emat = emat + module.vw.V_mats[(i + 1, j + 1)].scale(u[j] * m[i])
+        return w, ExactMatrix.identity(fld, len(src)).kron(emat)
+    # t^e acts as W_r (x) I_V, r the class of e
+    r = canonical_rep(spec, symbol[1])
+    tw = canonical_rep(spec, exp_add(w, r))
+    if tw not in module.space.dims:
+        return None
+    wmat = module.vw.W_mats[r]
+    w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in module._w_locals[tw]])
+    return tw, w_block.kron(ExactMatrix.identity(fld, dV))
+
+
+def _reference_operator(module, symbol, w):
+    if isinstance(module, TensorFieldModule):
+        return _reference_closed_form(module, symbol, w)
+    sp = module.space
+    tw = w if symbol[0] == "deg" else sp.shifted_class(w, symbol[1])
+    if tw not in sp.dims:
+        return None
+    return tw, sp.block(_reference_image(module, symbol), w, tw)
+
+
+def reference_block(module, symbol, label):
+    """The per-label block computation that the action tables replaced, unchanged.
+
+    `_reference_operator` is the two constructions' former ``_operator``, with
+    their memos (one rho image per symbol, one closed form per symbol and
+    class) as caches; only the scalar memo is left out.
+    """
+    fld = module.spec.field
+    w, np = label
+    if symbol[0] == "z":
+        return (w, exp_add(np, symbol[1])), ExactMatrix.identity(fld, module.space.dims[w])
+    op = _reference_operator(module, symbol, w)
+    if op is None:
+        return None
+    tw, mat = op
+    if symbol[0] == "deg":
+        _, u, e = symbol
+        scalar = inner_product(fld, u, module.weight_of(label))
+        if not scalar.is_zero():
+            mat = mat.copy()
+            for i, row in enumerate(mat.data):
+                row[i] = row[i] + scalar
+    else:
+        e = symbol[1]
+    shift = exp_add(exp_add(np, e), exp_sub(w, tw))
+    return None if mat.is_zero() else ((tw, shift), mat)
+
+
+def _both_constructions(spec, alpha, box):
+    wmats, wclasses = graded_regular_glN(spec)
+    vw = GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)
+    return {"cuspidal": build_module(spec, alpha, pullback(spec, vw), box=box),
+            "tensor-field": tensor_field_module(spec, alpha, vw, box=box)}
+
+
+@pytest.mark.parametrize("construction", ["cuspidal", "tensor-field"])
+@pytest.mark.parametrize("fixture", ["e1", "e2", "e3"])
+def test_block_reads_the_per_label_reference_block(fixture, construction, request):
+    spec = request.getfixturevalue(fixture)
+    alpha = (Fraction(1, 2),) + (0,) * (spec.d - 1)
+    module = _both_constructions(spec, alpha, 1)[construction]
+    pool = cuspidal._symbol_pool(spec, 2, random.Random(7), 40)
+    units = [tuple(map(spec.field.coerce, (int(i == j) for i in range(spec.d)))) for j in range(spec.d)]
+    assert any(sym[0] == "deg" and sym[1] not in units for sym in pool)
+    for sym in standard_symbols(spec) + pool:
+        for label in module.labels(1):
+            assert module.block(sym, label) == reference_block(module, sym, label), (sym, label)
+
+
+def test_rho_runs_once_per_noncentral_symbol(e1, monkeypatch):
+    module = _both_constructions(e1, (0, 0), 2)["cuspidal"]
+    calls = []
+    rho_element = module.rep.rho_element
+    monkeypatch.setattr(module.rep, "rho_element", lambda image: calls.append(image) or rho_element(image))
+    symbols = standard_symbols(e1) + cuspidal._symbol_pool(e1, 2, random.Random(3), 30)
+    for _ in range(2):
+        for sym in symbols:
+            for label in module.labels(2):
+                module.block(sym, label)
+    assert len(calls) == len({sym for sym in symbols if sym[0] != "z"})
 
 
 def test_modules_differ_for_different_alpha(e1, setup_e1):

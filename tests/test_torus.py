@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from qtlie.cyclo import make_field
 from qtlie.errors import ParseError
 from qtlie.torus import (
+    TorusSpec,
     canonical_rep,
     class_representatives,
     decompose,
@@ -234,6 +235,43 @@ def test_spec_sizes_must_be_json_integers(data, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError):
+        load_torus(str(path))
+
+
+@pytest.mark.parametrize("args,name", [
+    ((2, 1, [2.5]), "k"),
+    ((2.5, 1, [2]), "d"),
+    ((2, 1.0, [2]), "z"),
+    ((2, 1, [2], 2.0), "L"),
+    ((True, 0, []), "d"),
+    ((2, False, []), "z"),
+    ((2, 1, [True]), "k"),
+    ((2, 1, ["2"]), "k"),
+    ((2, 0, [], True), "L"),
+])
+def test_make_torus_rejects_non_integer_sizes(args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        make_torus(*args)
+
+
+def test_torus_spec_checks_its_sizes_itself():
+    with pytest.raises(TypeError, match="^k must be an integer"):
+        TorusSpec(2, 1, (2.5,), 2)
+    spec = TorusSpec(2, 1, (2,), 2)
+    assert spec == make_torus(2, 1, [2]) and spec.field.L == 2
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"d": 2, "z": 1, "k": [2], "l": 4}, "l"),
+    ({"d": 2, "z": 0, "K": []}, "K"),
+    ({"d": 2, "z": 1, "k": [2], "L": 2, "field": 2}, "field"),
+])
+def test_spec_unknown_keys_are_rejected(data, key, tmp_path):
+    with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+        load_torus(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=f"unknown key '{key}'"):
         load_torus(str(path))
 
 
