@@ -19,7 +19,7 @@ from qtlie.repn import (
     rep_to_dict,
     scramble_representation,
 )
-from qtlie.torus import make_torus
+from qtlie.torus import load_torus, make_torus
 
 
 @pytest.fixture()
@@ -216,6 +216,25 @@ SPEC_E1 = Path(__file__).resolve().parents[1] / "specs" / "e1.json"
 # sha256 of `qtlie module build --spec specs/e1.json --box 1 --out`; the two
 # constructions agree on the box, so their dumps are the same bytes
 E1_BOX1_DUMP_SHA256 = "fd6d1f82b845093e99b56f3d385b06281cc16dd3eebab26e8aee329a885e5eb9"
+
+
+# sha256 of the sorted-key JSON of `rep_to_dict(scramble_representation(P, seed=5))`,
+# P the standard E1 pullback, and of the file `module decompose --out` writes for it
+E1_SCRAMBLED_REP_SHA256 = "350a251518ce294c7f467a3f9cf753b56671be11b22228d8e21a0d780e987922"
+E1_DECOMPOSE_OUT_SHA256 = "31170ac24a83b37755aa029bb35a35a64224ebff5a1db255f586ec66bfef4856"
+
+
+def test_scrambled_rep_and_decompose_output_are_pinned(tmp_path):
+    spec = load_torus(SPEC_E1)
+    wmats, wclasses = graded_regular_glN(spec)
+    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+    text = json.dumps(rep_to_dict(scramble_representation(rep, seed=5)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == E1_SCRAMBLED_REP_SHA256
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(text)
+    out = tmp_path / "factored.json"
+    assert main(["module", "decompose", "--rep", str(rep_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == E1_DECOMPOSE_OUT_SHA256
 
 
 @pytest.mark.parametrize("construction", [[], ["--tensor-field"]], ids=["functor", "tensor-field"])
