@@ -1,7 +1,9 @@
 # Finite-dimensional graded modules over the jet algebra.  The standard
 # supply: inflate a gl_d module V and a graded gl_N module W through the
-# degree-zero quotient.  The graded commutant certifies irreducibility, and a
-# scrambled module can be split back into its tensor factors exactly.
+# degree-zero quotient.  A one-dimensional graded commutant shows that the
+# graded endomorphisms are scalars, which for these semisimple pullbacks means
+# irreducibility, and a scrambled module can be split back into its tensor
+# factors exactly.
 
 from qtlie import (
     GLdGLNModule,

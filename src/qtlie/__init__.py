@@ -45,6 +45,7 @@ from .jetalg import (
 from .repn import (
     GLdGLNModule,
     GRepresentation,
+    GradedOperator,
     GradedSpace,
     commutant,
     decompose_tensor,

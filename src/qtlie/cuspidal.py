@@ -37,7 +37,14 @@ from .errors import (
 )
 from .jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
 from .matrices import ExactMatrix, linear_combination
-from .repn import GLdGLNModule, GRepresentation, GradedSpace, VerifyReport, verify_representation
+from .repn import (
+    GLdGLNModule,
+    GRepresentation,
+    GradedOperator,
+    GradedSpace,
+    VerifyReport,
+    verify_representation,
+)
 from .torus import (
     TorusSpec,
     canonical_rep,
@@ -155,8 +162,8 @@ class _WeightModuleBase:
         self.space = space
         self.box = box
         self._scalars = {}  # (u, label) -> inner_product(u, weight_of(label))
-        # symbol -> {w: (tw, U_w -> U_tw)}; no caller mutates a returned block,
-        # so one entry serves every label of class w
+        # symbol -> GradedOperator; no caller mutates a returned block, so one
+        # block serves every label of its class
         self._tables = {}
 
     def labels(self, box: int | None = None) -> list[Label]:
@@ -174,23 +181,18 @@ class _WeightModuleBase:
             a + self.spec.field.from_rational(x + y) for a, x, y in zip(self.alpha, w, np)
         )
 
-    def _class_blocks(self, symbol) -> dict:
-        """Shift-free blocks of a degree or inner symbol, as {w: (tw, U_w -> U_tw)}.
+    def _class_blocks(self, symbol) -> GradedOperator:
+        """The shift-free operator of a degree or inner symbol on U.
 
-        A class whose target class carries no component has no entry.  The
-        weight scalar of a degree derivation is not part of a block.
+        The weight scalar of a degree derivation is not part of it.
         """
         raise NotImplementedError
 
-    def _table(self, symbol) -> dict:
+    def _table(self, symbol) -> GradedOperator:
         """The action table of `symbol`, built on first use; the center acts by identities."""
         table = self._tables.get(symbol)
         if table is None:
-            if symbol[0] == "z":
-                fld = self.spec.field
-                table = {w: (w, ExactMatrix.identity(fld, n)) for w, n in self.space.dims.items()}
-            else:
-                table = self._class_blocks(symbol)
+            table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
             self._tables[symbol] = table
         return table
 
@@ -201,23 +203,21 @@ class _WeightModuleBase:
         """
         fld = self.spec.field
         w, np = label
-        entry = self._table(symbol).get(w)
-        if entry is None:
-            return None
-        tw, mat = entry
+        tw, mat = self._table(symbol).blocks.get(w, (w, None))
         if symbol[0] == "deg":
             _, u, e = symbol
             scalar = self._scalars.get((u, label))
             if scalar is None:
                 scalar = self._scalars[u, label] = inner_product(fld, u, self.weight_of(label))
             if not scalar.is_zero():
-                mat = mat.copy()
+                mat = ExactMatrix.zeros(fld, self.space.dims[w]) if mat is None else mat.copy()
                 for i, row in enumerate(mat.data):
                     row[i] = row[i] + scalar
         else:
             e = symbol[1]
-        shift = exp_add(exp_add(np, e), exp_sub(w, tw))
-        return None if mat.is_zero() else ((tw, shift), mat)
+        if mat is None or mat.is_zero():
+            return None
+        return (tw, exp_add(exp_add(np, e), exp_sub(w, tw))), mat
 
     def act(self, symbol, mvec: dict) -> dict:
         """Apply a symbol to a vector {label: column}; all-zero columns are dropped."""
@@ -252,8 +252,8 @@ class CuspidalModule(_WeightModuleBase):
     A symbol acts through rho of its jet image: the degree derivation t^m d_u
     maps to the sum over 1 <= |p| <= cutoff of (m^p / p!) x^p d_u, the inner
     derivation t^e to the raw symbol x^0 t-bar^e, whose reduction to a class
-    representative ``GRepresentation.rho_raw`` supplies.  Rho of the image is
-    computed once per symbol and sliced into its class blocks.
+    representative ``GRepresentation.rho_raw`` supplies.  Rho of the image,
+    computed once per symbol, is the symbol's action table.
     """
 
     def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3):
@@ -262,18 +262,14 @@ class CuspidalModule(_WeightModuleBase):
 
     def _class_blocks(self, symbol):
         spec = self.spec
-        sp = self.space
         if symbol[0] == "deg":
             _, u, m = symbol
             image = sum((xd_along(spec, p, u).scale(taylor_coefficient(m, p))
                          for total in range(1, self.rep.cutoff + 1)
                          for p in degree_basis(spec.d, total)), JetElement(spec.field))
-            targets = {w: w for w in sp.classes}
         else:
             image = xt(spec, (0,) * spec.d, symbol[1])
-            targets = {w: sp.shifted_class(w, symbol[1]) for w in sp.classes}
-        mat = self.rep.rho_element(image)
-        return {w: (tw, sp.block(mat, w, tw)) for w, tw in targets.items() if tw in sp.dims}
+        return self.rep.rho_element(image)
 
 
 def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> CuspidalModule:
@@ -291,7 +287,7 @@ class TensorFieldModule(_WeightModuleBase):
     """
 
     def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3):
-        super().__init__(spec, alpha, vw.tensor_layout()[0], box)
+        super().__init__(spec, alpha, vw.tensor_space(), box)
         self.vw = vw
         self._w_locals = {c: [] for c in self.space.classes}
         for b, c in enumerate(vw.W_classes):
@@ -299,31 +295,26 @@ class TensorFieldModule(_WeightModuleBase):
 
     def _class_blocks(self, symbol):
         spec = self.spec
+        sp = self.space
         fld = spec.field
         dV = self.vw.dim_V
         if symbol[0] == "deg":
             # I (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
             _, u, m = symbol
-            emat = ExactMatrix.zeros(fld, dV)
-            for i in range(spec.d):
-                if m[i] == 0:
-                    continue
-                for j in range(spec.d):
-                    if u[j].is_zero():
-                        continue
-                    emat = emat + self.vw.V_mats[(i + 1, j + 1)].scale(u[j] * m[i])
-            return {w: (w, ExactMatrix.identity(fld, len(src)).kron(emat))
-                    for w, src in self._w_locals.items()}
+            emat = linear_combination(((u[j] * m[i], self.vw.V_mats[(i + 1, j + 1)]) for i in range(spec.d)
+                                       for j in range(spec.d)), ExactMatrix.zeros(fld, dV))
+            return GradedOperator(sp, sp.zero_class, {w: ExactMatrix.identity(fld, len(src)).kron(emat)
+                                                      for w, src in self._w_locals.items()})
         # t^e acts as W_r (x) I_V, r the class of e
         r = canonical_rep(spec, symbol[1])
         wmat = self.vw.W_mats[r]
         out = {}
         for w, src in self._w_locals.items():
-            tw = canonical_rep(spec, exp_add(w, r))
-            if tw in self.space.dims:
+            tw = sp.shifted_class(w, r)
+            if tw in sp.dims:
                 w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in self._w_locals[tw]])
-                out[w] = tw, w_block.kron(ExactMatrix.identity(fld, dV))
-        return out
+                out[w] = w_block.kron(ExactMatrix.identity(fld, dV))
+        return GradedOperator(sp, r, out)
 
 
 def tensor_field_module(spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3) -> TensorFieldModule:
@@ -633,10 +624,7 @@ def coefficients_to_representation(spec: TorusSpec, coeffs: PolynomialCoefficien
     for (r, l), mat in coeffs.g.items():
         action[("XT", l, r)] = mat
         max_deg = max(max_deg, sum(l))
-    w0 = canonical_rep(spec, (0,) * spec.d)
-    zero_l = (0,) * spec.d
-    ident = ExactMatrix.identity(spec.field, space.dim)
-    action.setdefault(("XT", zero_l, w0), ident)
+    action.setdefault(("XT", (0,) * spec.d, space.zero_class), GradedOperator.identity(space))
     rep = GRepresentation(space, action, cutoff=max_deg + 1)
     report = verify_representation(spec, rep, rep.cutoff)
     if not report.passed:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
 from .errors import (
+    DimensionMismatch,
     InvalidModuleData,
     InvalidRepresentation,
     NotIrreducible,
@@ -41,6 +42,7 @@ from .torus import (
     class_representatives,
     dump_torus,
     exp_add,
+    exp_sub,
     load_torus,
     sigma_hat,
     sigma_skew,
@@ -55,6 +57,7 @@ class GradedSpace:
         self.field = spec.field
         self.dims = {c: n for c, n in dims.items() if n > 0}
         self.classes = sorted(self.dims)
+        self.zero_class = canonical_rep(spec, (0,) * spec.d)
         self.offset = {}
         total = 0
         for c in self.classes:
@@ -63,98 +66,188 @@ class GradedSpace:
         self.dim = total
 
     def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self.spec == other.spec and self.dims == other.dims
-
-    def class_of_index(self, i: int) -> tuple:
-        for c in self.classes:
-            if self.offset[c] <= i < self.offset[c] + self.dims[c]:
-                return c
-        raise IndexError(i)
+        return self is other or (isinstance(other, GradedSpace) and self.spec == other.spec
+                                 and self.dims == other.dims)
 
     def block(self, mat: ExactMatrix, c_from: tuple, c_to: tuple) -> ExactMatrix:
-        return mat.submatrix(
-            self.offset.get(c_to, 0),
-            self.offset.get(c_from, 0),
-            self.dims.get(c_to, 0),
-            self.dims.get(c_from, 0),
-        )
+        """The block U_c_from -> U_c_to of a dense dim x dim matrix."""
+        return mat.submatrix(self.offset.get(c_to, 0), self.offset.get(c_from, 0),
+                             self.dims.get(c_to, 0), self.dims.get(c_from, 0))
 
     def shifted_class(self, c: tuple, w: tuple) -> tuple:
         return canonical_rep(self.spec, exp_add(c, w))
 
 
+class GradedOperator:
+    """A homogeneous operator on a GradedSpace: one block U_w -> U_tw per class w.
+
+    tw is w moved by the operator's class `shift`.  It is stored next to the
+    block, as ``blocks[w] = (tw, matrix)``, so reading a block needs no class
+    arithmetic.  Only nonzero blocks are kept, so the zero operator has no
+    blocks and equals the zero operator of every shift.  Sums, products,
+    commutators and equality work block by block; ``dense`` alone builds the
+    dim x dim matrix.
+    """
+
+    __slots__ = ("space", "shift", "blocks")
+    __hash__ = None
+
+    def __init__(self, space: GradedSpace, shift: tuple, blocks: dict):
+        """`blocks` maps a class w to its matrix U_w -> U_(w + shift)."""
+        shift = canonical_rep(space.spec, shift)
+        targets = {}
+        for w, mat in blocks.items():
+            tw = space.shifted_class(w, shift)
+            if (mat.rows, mat.cols) != (space.dims.get(tw, 0), space.dims.get(w, 0)):
+                raise DimensionMismatch(f"block {mat.rows}x{mat.cols} does not map U_{w} to U_{tw}")
+            targets[w] = tw, mat
+        self.space, self.shift, self.blocks = space, shift, _nonzero_blocks(targets)
+
+    @classmethod
+    def _of(cls, space, shift, blocks) -> GradedOperator:
+        """The operator of blocks {w: (tw, matrix)} whose target classes are already known."""
+        op = cls.__new__(cls)
+        op.space, op.shift, op.blocks = space, shift, _nonzero_blocks(blocks)
+        return op
+
+    @classmethod
+    def identity(cls, space: GradedSpace) -> GradedOperator:
+        return cls._of(space, space.zero_class,
+                       {w: (w, ExactMatrix.identity(space.field, n)) for w, n in space.dims.items()})
+
+    def __add__(self, other):
+        return self._merge(other, ExactMatrix.__add__, lambda mat: mat)
+
+    def __sub__(self, other):
+        return self._merge(other, ExactMatrix.__sub__, ExactMatrix.__neg__)
+
+    def _merge(self, other, both, alone) -> GradedOperator:
+        """Blocks both(mine, theirs) where both operators have one, alone(theirs) where only `other` has."""
+        if self.shift != other.shift or self.space != other.space:
+            raise DimensionMismatch(f"operators differ in shift ({self.shift}, {other.shift}) or in space")
+        blocks = dict(self.blocks)
+        for w, (tw, mat) in other.blocks.items():
+            mine = blocks.get(w)
+            blocks[w] = tw, alone(mat) if mine is None else both(mine[1], mat)
+        return GradedOperator._of(self.space, self.shift, blocks)
+
+    def scale(self, c) -> GradedOperator:
+        return GradedOperator._of(self.space, self.shift,
+                                  {w: (tw, mat.scale(c)) for w, (tw, mat) in self.blocks.items()})
+
+    def __mul__(self, other):
+        """The composite: `other` acts first."""
+        if self.space != other.space:
+            raise DimensionMismatch("graded operators on different spaces")
+        blocks = {w: (self.blocks[tw][0], self.blocks[tw][1] * mat)
+                  for w, (tw, mat) in other.blocks.items() if tw in self.blocks}
+        return GradedOperator._of(self.space, self.space.shifted_class(self.shift, other.shift), blocks)
+
+    def commutator(self, other) -> GradedOperator:
+        return self * other - other * self
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedOperator):
+            return NotImplemented
+        return self.space == other.space and self.blocks == other.blocks
+
+    def is_zero(self) -> bool:
+        return not self.blocks
+
+    def block(self, w: tuple) -> ExactMatrix:
+        """The block U_w -> U_(w + shift), zero when it is not stored."""
+        entry = self.blocks.get(w)
+        if entry is not None:
+            return entry[1]
+        sp = self.space
+        return ExactMatrix.zeros(sp.field, sp.dims.get(sp.shifted_class(w, self.shift), 0), sp.dims[w])
+
+    def dense(self) -> ExactMatrix:
+        """The dim x dim matrix of the operator in the space's basis order."""
+        sp = self.space
+        out = ExactMatrix.zeros(sp.field, sp.dim)
+        for w, (tw, mat) in self.blocks.items():
+            out.paste(sp.offset[tw], sp.offset[w], mat)
+        return out
+
+
+def _nonzero_blocks(blocks: dict) -> dict:
+    return {w: entry for w, entry in blocks.items() if not entry[1].is_zero()}
+
+
 class GRepresentation:
-    """Graded representation of the jet algebra by exact matrices."""
+    """Graded representation of the jet algebra: one GradedOperator per acting symbol.
+
+    `action` may give an operator as a GradedOperator or as a dense dim x dim
+    ExactMatrix, as files, user code and extracted coefficients do.  A dense
+    matrix is checked for size and grading and cut into its blocks here, and
+    nowhere else.
+    """
 
     def __init__(self, space: GradedSpace, action: dict, cutoff: int):
         self.space = space
         self.cutoff = cutoff
         self.action = {}
-        for key, mat in action.items():
-            if mat.is_zero():
+        for key, op in action.items():
+            if op.is_zero():
                 continue
+            name = key_to_string(key)
             if key_degree(key) >= cutoff:
-                raise InvalidRepresentation(
-                    f"symbol {key_to_string(key)} has degree >= cutoff {cutoff} but acts non-trivially"
-                )
-            self.action[key] = mat
-        self._zero = ExactMatrix.zeros(space.field, space.dim)
-        self._check_block_structure()
+                raise InvalidRepresentation(f"symbol {name} has degree >= cutoff {cutoff}"
+                                            " but acts non-trivially")
+            if key[0] == "XT" and key[2] != canonical_rep(space.spec, key[2]):
+                raise InvalidRepresentation(f"action key {name} must use the class representative")
+            shift = key_class(space.spec, key)
+            if not isinstance(op, GradedOperator):
+                op = self._graded(name, shift, op)
+            elif op.space != space or op.shift != shift:
+                raise InvalidRepresentation(f"operator for {name} has the wrong space or shift")
+            self.action[key] = op
 
-    def _check_block_structure(self):
+    def _graded(self, name: str, shift: tuple, mat: ExactMatrix) -> GradedOperator:
+        """The operator of a dense matrix, which must map each U_c into U_(c + shift)."""
         sp = self.space
-        for key, mat in self.action.items():
-            if mat.rows != sp.dim or mat.cols != sp.dim:
-                raise InvalidRepresentation(f"matrix for {key_to_string(key)} has wrong size")
-            if key[0] == "XT" and key[2] != canonical_rep(sp.spec, key[2]):
-                raise InvalidRepresentation(
-                    f"action key {key_to_string(key)} must use the class representative"
-                )
-            w = key_class(sp.spec, key) if key[0] == "XT" else None
-            for j in range(sp.dim):
-                c_from = sp.class_of_index(j)
-                c_to = sp.shifted_class(c_from, w) if w is not None else c_from
-                for i in range(sp.dim):
-                    if not mat[i, j].is_zero() and sp.class_of_index(i) != c_to:
-                        raise InvalidRepresentation(
-                            f"matrix for {key_to_string(key)} breaks the grading at ({i},{j})"
-                        )
+        if mat.rows != sp.dim or mat.cols != sp.dim:
+            raise InvalidRepresentation(f"matrix for {name} has wrong size")
+        op = GradedOperator(sp, shift, {c: sp.block(mat, c, tc) for c in sp.classes
+                                        if (tc := sp.shifted_class(c, shift)) in sp.dims})
+        outside = _entries(mat).keys() - _entries(op).keys()
+        if outside:  # named column by column, as the grading is checked
+            i, j = min(outside, key=lambda ij: (ij[1], ij[0]))
+            raise InvalidRepresentation(f"matrix for {name} breaks the grading at ({i},{j})")
+        return op
 
-    def rho(self, key) -> ExactMatrix:
-        if key_degree(key) >= self.cutoff:
-            return self._zero
-        return self.action.get(key, self._zero)
+    def rho(self, key) -> GradedOperator:
+        op = self.action.get(key)
+        return op if op is not None else GradedOperator(self.space, key_class(self.space.spec, key), {})
 
-    def rho_raw(self, key) -> ExactMatrix:
+    def rho_raw(self, key) -> GradedOperator:
         """Action of a symbol whose torus index need not be a class representative."""
         if key[0] == "XD":
             return self.rho(key)
         _, l, s = key
         spec = self.space.spec
         w = canonical_rep(spec, s)
-        shift = tuple(a - b for a, b in zip(s, w))
-        if all(x == 0 for x in shift):
+        shift = exp_sub(s, w)
+        if not any(shift):
             return self.rho(("XT", l, w))
         return linear_combination(
             ((taylor_coefficient(shift, j), self.rho(("XT", exp_add(l, j), w)))
              for total in range(self.cutoff - sum(l)) for j in degree_basis(spec.d, total)),
-            self._zero)
+            GradedOperator(self.space, w, {}))
 
-    def rho_element(self, element) -> ExactMatrix:
+    def rho_element(self, element) -> GradedOperator:
+        sp = self.space
+        shift = next((key_class(sp.spec, key) for key in element.terms), sp.zero_class)
         return linear_combination(((c, self.rho_raw(key)) for key, c in element.terms.items()),
-                                  self._zero)
+                                  GradedOperator(sp, shift, {}))
 
     def nonzero_keys(self):
         return sorted(self.action, key=key_to_string)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GRepresentation)
-            and self.space == other.space
-            and self.cutoff == other.cutoff
-            and self.action.keys() == other.action.keys()
-            and all(self.action[k] == other.action[k] for k in self.action)
-        )
+        return (isinstance(other, GRepresentation) and self.space == other.space
+                and self.cutoff == other.cutoff and self.action == other.action)
 
 
 @dataclass
@@ -191,10 +284,23 @@ def first_bracket_failure(keys, image, bracket_image, skip=None):
             expected = bracket_image(a, b)
             actual = images[p].commutator(images[q])
             if expected != actual:
-                i, j = next((i, j) for i in range(expected.rows) for j in range(expected.cols)
-                            if expected[i, j] != actual[i, j])
-                return p * n + q + 1, (a, b, i, j)
+                return p * n + q + 1, (a, b, *_first_difference(expected, actual))
     return n * n, None
+
+
+def _entries(x) -> dict:
+    """Nonzero entries {(i, j): value} of a matrix or a graded operator, in whole-space indices."""
+    if isinstance(x, GradedOperator):
+        off = x.space.offset
+        return {(off[tw] + i, off[w] + j): v for w, (tw, mat) in x.blocks.items()
+                for i, row in enumerate(mat.data) for j, v in enumerate(row) if not v.is_zero()}
+    return {(i, j): v for i, row in enumerate(x.data) for j, v in enumerate(row) if not v.is_zero()}
+
+
+def _first_difference(x, y) -> tuple[int, int]:
+    """First entry (i, j), in row-major order, where two matrices or two graded operators differ."""
+    a, b = _entries(x), _entries(y)
+    return min(ij for ij in a.keys() | b.keys() if a.get(ij) != b.get(ij))
 
 
 def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: int) -> VerifyReport:
@@ -245,23 +351,15 @@ class GLdGLNModule:
     def dim_W(self) -> int:
         return len(self.W_classes)
 
-    def tensor_layout(self) -> tuple[GradedSpace, dict[tuple[int, int], int]]:
-        """Graded space of V (x) W and the position of basis vector (W index b, V index a).
+    def tensor_space(self) -> GradedSpace:
+        """Graded space of V (x) W.
 
-        Positions run class-major, then in W order, then in V order.
+        Its basis vectors w_b (x) v_a run class-major, then in W order, then in V order.
         """
-        dV = self.dim_V
         dims: dict[tuple, int] = {}
         for c in self.W_classes:
-            dims[c] = dims.get(c, 0) + dV
-        space = GradedSpace(self.spec, dims)
-        position = {}
-        base = dict(space.offset)
-        for b, c in enumerate(self.W_classes):
-            for a in range(dV):
-                position[(b, a)] = base[c] + a
-            base[c] += dV
-        return space, position
+            dims[c] = dims.get(c, 0) + self.dim_V
+        return GradedSpace(self.spec, dims)
 
     def validate(self):
         spec = self.spec
@@ -343,31 +441,22 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     """Inflate a gl_d + gl_N module to the jet algebra through its quotient.
 
     Degree-zero symbols act by E_ij (x) id and id (x) X^w; everything of
-    positive filtration degree acts as zero (cutoff 1).
+    positive filtration degree acts as zero (cutoff 1).  In the basis order
+    of ``tensor_space`` the block on class c is I (x) E_ij, and the block
+    U_c -> U_tc is the W block (x) I.
     """
-    dV = vw.dim_V
-    dW = vw.dim_W
-    space, position = vw.tensor_layout()
-    action = {}
+    space = vw.tensor_space()
     fld = spec.field
-    for key, pair in gl_d_keys(spec.d):
-        vmat = vw.V_mats[pair]
-        m = ExactMatrix.zeros(fld, space.dim)
-        for b in range(dW):
-            for a2 in range(dV):
-                for a in range(dV):
-                    if not vmat[a2, a].is_zero():
-                        m[position[(b, a2)], position[(b, a)]] = vmat[a2, a]
-        action[key] = m
+    in_class = {c: [b for b, wc in enumerate(vw.W_classes) if wc == c] for c in space.classes}
+    action = {key: GradedOperator(space, space.zero_class, {
+        c: ExactMatrix.identity(fld, len(bs)).kron(vw.V_mats[pair]) for c, bs in in_class.items()})
+        for key, pair in gl_d_keys(spec.d)}
     for w in class_representatives(spec):
         wmat = vw.W_mats[w]
-        m = ExactMatrix.zeros(fld, space.dim)
-        for b in range(dW):
-            for b2 in range(dW):
-                if not wmat[b2, b].is_zero():
-                    for a in range(dV):
-                        m[position[(b2, a)], position[(b, a)]] = wmat[b2, b]
-        action[("XT", (0,) * spec.d, w)] = m
+        action[("XT", (0,) * spec.d, w)] = GradedOperator(space, w, {
+            c: ExactMatrix(fld, [[wmat[b2, b] for b in bs] for b2 in in_class[tc]]).kron(
+                ExactMatrix.identity(fld, vw.dim_V))
+            for c, bs in in_class.items() if (tc := space.shifted_class(c, w)) in space.dims})
     return GRepresentation(space, action, cutoff=1)
 
 
@@ -376,62 +465,89 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
 # ---------------------------------------------------------------------------
 
 
-def intertwiners(field, pairs, blocks=None) -> list[ExactMatrix]:
+def intertwiners(field, pairs) -> list:
     """Basis of {X : B * X = X * A for every (A, B) in pairs}.
 
-    X is B.rows x A.rows, or, when `blocks` lists square block sizes, block
-    diagonal with those blocks.  The unknowns are the free entries of X in
-    row-major order, block by block; each equation row is reduced into a
-    RowSpace as it is made, and the basis is read from its echelon form.
+    For ExactMatrix pairs, X is B.rows x A.rows and every entry is unknown.
+    For GradedOperator pairs on one space, X preserves the grading: the
+    unknowns are the entries of its blocks X_c, class by class and row-major
+    inside a block, and the basis comes back as GradedOperators.  Each
+    equation row is reduced into a RowSpace as it is made, and the basis is
+    read from its echelon form.
     """
-    if blocks is None:
-        A, B = pairs[0]
-        shape = (B.rows, A.rows)
-        cells = [(i, j) for i in range(B.rows) for j in range(A.rows)]
+    A0, B0 = pairs[0]
+    graded = isinstance(A0, GradedOperator)
+    if graded:
+        sp = A0.space
+        start, width = {}, 0
+        for c in sp.classes:
+            start[c] = width
+            width += sp.dims[c] ** 2
     else:
-        shape = (sum(blocks), sum(blocks))
-        cells, start = [], 0
-        for n in blocks:
-            cells += [(start + i, start + j) for i in range(n) for j in range(n)]
-            start += n
-    in_row = [[] for _ in range(shape[0])]  # (k, u): X[i, k] is unknown u
-    in_col = [[] for _ in range(shape[1])]  # (k, u): X[k, j] is unknown u
-    for u, (i, j) in enumerate(cells):
-        in_row[i].append((j, u))
-        in_col[j].append((i, u))
+        width = B0.rows * A0.rows
     zero = field.zero
-    space = RowSpace(field, len(cells))
+    space = RowSpace(field, width)
     for A, B in pairs:
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                row = {}  # entry (i, j) of B * X - X * A
-                for k, u in in_col[j]:
-                    if not B.data[i][k].is_zero():
-                        row[u] = row.get(u, zero) + B.data[i][k]
-                for k, u in in_row[i]:
-                    if not A.data[k][j].is_zero():
-                        row[u] = row.get(u, zero) - A.data[k][j]
-                if row:
-                    space.add([row.get(u, zero) for u in range(space.width)])
+        # block (tc, c) of B * X - X * A is B_c X_c - X_tc A_c, taken in the row order of U
+        systems = [(B.block(c), A.block(c), start[c], start[tc]) for tc, c in _sources(A, B)] if graded \
+            else [(B, A, 0, 0)]
+        for system in systems:
+            for row in _equations(*system):
+                space.add([row.get(u, zero) for u in range(width)])
         if space.dim == space.width:
             return []
-    out = []
-    for vec in space.kernel():
-        X = ExactMatrix.zeros(field, *shape)
-        for u, (i, j) in enumerate(cells):
-            X.data[i][j] = vec[u]
-        out.append(X)
-    return out
+    if graded:
+        return [GradedOperator(sp, sp.zero_class, {
+            c: ExactMatrix(field, [vec[start[c] + i * n:start[c] + (i + 1) * n] for i in range(n)])
+            for c, n in sp.dims.items()}) for vec in space.kernel()]
+    n = A0.rows
+    return [ExactMatrix(field, [vec[i * n:(i + 1) * n] for i in range(B0.rows)]) for vec in space.kernel()]
 
 
-def commutant(rep: GRepresentation) -> list[ExactMatrix]:
-    """Basis of grading-preserving matrices commuting with the whole action."""
-    sp = rep.space
-    return intertwiners(sp.field, [(m, m) for m in rep.action.values()],
-                        [sp.dims[c] for c in sp.classes])
+def _sources(A: GradedOperator, B: GradedOperator) -> list:
+    """(tc, c) for each class c that A or B moves to a class tc, in the order of tc."""
+    if A.shift != B.shift:
+        raise DimensionMismatch(f"graded operators of shifts {A.shift} and {B.shift}")
+    source = {tc: c for op in (A, B) for c, (tc, _) in op.blocks.items()}
+    return [(tc, source[tc]) for tc in A.space.classes if tc in source]
+
+
+def _equations(B: ExactMatrix, A: ExactMatrix, s0: int, t0: int):
+    """The nonzero rows of B * Xs - Xt * A, entry by entry in row-major order.
+
+    Xs[k, j] is unknown s0 + k * A.cols + j and Xt[i, k] is unknown
+    t0 + i * A.rows + k; a row maps unknowns to coefficients.
+    """
+    zero = A.field.zero
+    for i in range(B.rows):
+        for j in range(A.cols):
+            row = {}
+            for k in range(B.cols):
+                if not B.data[i][k].is_zero():
+                    u = s0 + k * A.cols + j
+                    row[u] = row.get(u, zero) + B.data[i][k]
+            for k in range(A.rows):
+                if not A.data[k][j].is_zero():
+                    u = t0 + i * A.rows + k
+                    row[u] = row.get(u, zero) - A.data[k][j]
+            if row:
+                yield row
+
+
+def commutant(rep: GRepresentation) -> list[GradedOperator]:
+    """Basis of grading-preserving operators commuting with the whole action."""
+    zero = GradedOperator(rep.space, rep.space.zero_class, {})  # no action: every graded X commutes
+    return intertwiners(rep.space.field, [(op, op) for op in rep.action.values()] or [(zero, zero)])
 
 
 def is_absolutely_irreducible(rep: GRepresentation) -> bool:
+    """Whether the graded commutant is one-dimensional.
+
+    A one-dimensional graded commutant shows that the grading-preserving
+    endomorphisms are the scalars.  That implies irreducibility only for a
+    semisimple representation, such as the pullbacks that ``decompose_tensor``
+    takes: a non-split extension can have scalar endomorphisms too.
+    """
     return len(commutant(rep)) == 1
 
 
@@ -459,19 +575,14 @@ def truncated_polynomial_rep(spec: TorusSpec, order: int = 2) -> GRepresentation
         for p in degree_basis(d, total):
             for j in range(1, d + 1):
                 m = ExactMatrix.zeros(fld, len(monos))
-                nonzero = False
                 for alpha in monos:
                     if alpha[j - 1] == 0:
                         continue
-                    target = list(exp_add(alpha, p))
-                    target[j - 1] -= 1
-                    target = tuple(target)
+                    target = tuple(x + y - (k == j - 1) for k, (x, y) in enumerate(zip(alpha, p)))
                     if sum(target) > order:
                         continue
                     m[index[target], index[alpha]] = fld.from_rational(alpha[j - 1])
-                    nonzero = True
-                if nonzero:
-                    action[("XD", p, j)] = m
+                action[("XD", p, j)] = GradedOperator(space, w0, {w0: m})
     return GRepresentation(space, action, cutoff=order)
 
 
@@ -480,19 +591,18 @@ def scramble_representation(rep: GRepresentation, seed: int) -> GRepresentation:
     rng = random.Random(seed)
     sp = rep.space
     fld = sp.field
-    P = ExactMatrix.zeros(fld, sp.dim)
+    P = {}
     for c in sp.classes:
         n = sp.dims[c]
         while True:
-            block = ExactMatrix(
-                fld, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            )
+            block = ExactMatrix(fld, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             if block.rank() == n:
                 break
-        P.paste(sp.offset[c], sp.offset[c], block)
-    Pinv = P.inverse()
-    action = {key: Pinv * mat * P for key, mat in rep.action.items()}
-    return GRepresentation(sp, action, rep.cutoff)
+        P[c] = block
+    Pinv = {c: block.inverse() for c, block in P.items()}
+    return GRepresentation(sp, {key: GradedOperator(sp, op.shift, {w: Pinv[tw] * mat * P[w]
+                                                             for w, (tw, mat) in op.blocks.items()})
+                                for key, op in rep.action.items()}, rep.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +675,12 @@ def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
     includes the one case missed over Q, a square-free mu without rational
     roots that factors into pieces of degree >= 2.
     """
-    comm = intertwiners(field, [(g, g) for g in mats], [n])
+    comm = intertwiners(field, [(g, g) for g in mats])
     if len(comm) <= 1:
         return None
-    candidates = [c for c in comm]
-    for _ in range(4):
-        mix = ExactMatrix.zeros(field, n)
-        for c in comm:
-            mix = mix + c.scale(rng.randint(-2, 2))
-        candidates.append(mix)
     ident = ExactMatrix.identity(field, n)
+    candidates = comm + [linear_combination(((rng.randint(-2, 2), c) for c in comm),
+                                            ExactMatrix.zeros(field, n)) for _ in range(4)]
     for k in candidates:
         if (k - ident.scale(k[0, 0])).is_zero():
             continue  # scalar
@@ -609,18 +715,13 @@ def _irreducible_gld_submodule(field, gld_mats, basis, rng):
         basis = spin_up(field, mats_list, basis_matrix(field, basis).apply(split[0]))
 
 
-def _probe_vectors(rep: GRepresentation, probes: int, rng) -> list:
-    """Homogeneous probe vectors: top-power images of nilpotent gl_d generators,
-    then plain basis vectors, then seeded random homogeneous vectors."""
-    sp = rep.space
+def _probe_vectors(sp: GradedSpace, gld_mats: dict, probes: int, rng) -> list:
+    """Homogeneous probe vectors: top-power images of the nilpotent dense gl_d
+    generators, then plain basis vectors, then seeded random homogeneous vectors."""
     fld = sp.field
     out = []
-    for key, _ in gl_d_keys(sp.spec.d):
-        i, j = key[1].index(1) + 1, key[2]
-        if i == j:
-            continue
-        mat = rep.rho(key)
-        if mat.is_zero():
+    for (i, j), mat in gld_mats.items():
+        if i == j or mat.is_zero():
             continue
         power = mat
         prev = mat
@@ -661,10 +762,11 @@ def decompose_tensor(
     if len(commutant(rep)) != 1:
         raise NotIrreducible("graded commutant has dimension != 1")
     rng = random.Random(seed)
-    gld_mats = {pair: rep.rho(key) for key, pair in gl_d_keys(spec.d)}
+    gld_ops = {pair: rep.rho(key) for key, pair in gl_d_keys(spec.d)}
+    gld_mats = {pair: op.dense() for pair, op in gld_ops.items()}
     mats_list = list(gld_mats.values())
     best = None
-    for vec in _probe_vectors(rep, probes, rng):
+    for vec in _probe_vectors(sp, gld_mats, probes, rng):
         basis = spin_up(fld, mats_list, vec)
         if basis and (best is None or len(basis) < len(best)):
             best = basis
@@ -676,34 +778,27 @@ def decompose_tensor(
     dV = len(v_basis)
     # intertwiner spaces Hom_{gl_d}(V, U_c), one per class
     w_basis_per_class = {
-        c: intertwiners(fld, [(vm, sp.block(gld_mats[ij], c, c)) for ij, vm in v_mats.items()])
+        c: intertwiners(fld, [(vm, gld_ops[ij].block(c)) for ij, vm in v_mats.items()])
         for c in sp.classes
     }
     dW = sum(len(v) for v in w_basis_per_class.values())
     if dV * dW != sp.dim:
         raise NotIrreducible(f"multiplicity count {dV}*{dW} != {sp.dim}")
-    W_classes = []
-    flat_w = []
-    for c in sp.classes:
-        for f in w_basis_per_class[c]:
-            W_classes.append(c)
-            flat_w.append((c, f))
+    flat_w = [(c, f) for c in sp.classes for f in w_basis_per_class[c]]
+    W_classes = [c for c, _ in flat_w]
     # action of the torus-side generators on the intertwiner spaces
     W_mats = {}
     for w in class_representatives(spec):
-        big = rep.rho(("XT", (0,) * spec.d, w))
+        torus = rep.rho(("XT", (0,) * spec.d, w))
         m = ExactMatrix.zeros(fld, dW)
         for b, (c, f) in enumerate(flat_w):
             tc = sp.shifted_class(c, w)
-            blk = sp.block(big, c, tc)
-            img = blk * f  # Hom(V, U_tc)
+            img = torus.block(c) * f  # Hom(V, U_tc)
             targets = w_basis_per_class.get(tc, [])
-            if not targets:
-                if not img.is_zero():
-                    raise NotIrreducible("torus action leaves the intertwiner spaces")
+            if not targets and img.is_zero():
                 continue
             T = basis_matrix(fld, [t.flatten() for t in targets])
-            coords = T.solve(img.flatten())
+            coords = T.solve(img.flatten()) if targets else None
             if coords is None:
                 raise NotIrreducible("torus action leaves the intertwiner spaces")
             base = W_classes.index(tc)
@@ -714,38 +809,17 @@ def decompose_tensor(
     rebuilt = pullback(spec, vw)
     if rebuilt.space.dim != sp.dim:
         raise NotIrreducible("rebuilt tensor module has wrong dimension")
-    # isomorphism: tensor basis element (b, a) maps to f_b(v_a)
-    _, position = vw.tensor_layout()
+    # isomorphism: tensor basis vector (b, a) maps to f_b(v_a); W_classes runs
+    # class by class, so that vector sits at position b * dV + a
     phi = ExactMatrix.zeros(fld, sp.dim)
     for b, (c, f) in enumerate(flat_w):
-        for a in range(dV):
-            for r in range(sp.dims[c]):
-                phi[sp.offset[c] + r, position[(b, a)]] = f[r, a]
+        phi.paste(sp.offset[c], b * dV, f)
     if phi.rank() != sp.dim:
         raise NotIrreducible("tensor comparison map is singular")
     for key in set(rep.nonzero_keys()) | set(rebuilt.nonzero_keys()):
-        if rep.rho(key) * phi != phi * rebuilt.rho(key):
+        if rep.rho(key).dense() * phi != phi * rebuilt.rho(key).dense():
             raise NotIrreducible(f"comparison map fails to intertwine {key_to_string(key)}")
     return vw, phi
-
-
-def probe_submodules_isomorphic(spec: TorusSpec, rep: GRepresentation, count: int, seed: int) -> bool:
-    """Spin several probes to irreducible submodules; check pairwise intertwiners."""
-    fld = rep.space.field
-    rng = random.Random(seed)
-    gld_mats = {pair: rep.rho(key) for key, pair in gl_d_keys(spec.d)}
-    mats_list = list(gld_mats.values())
-    found = []
-    for vec in _probe_vectors(rep, count, rng):
-        basis = spin_up(fld, mats_list, vec)
-        if not basis:
-            continue
-        basis, restricted = _irreducible_gld_submodule(fld, gld_mats, basis, rng)
-        found.append(restricted)
-        if len(found) >= count:
-            break
-    return all(intertwiners(fld, [(found[0][pair], other[pair]) for pair in found[0]])
-               for other in found[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +835,7 @@ def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
         "cutoff": rep.cutoff,
         "classes": [{"w": list(c), "dim": sp.dims[c]} for c in sp.classes],
         "action": [
-            {"key": key_to_string(k), "matrix": rep.action[k].serialize()}
+            {"key": key_to_string(k), "matrix": rep.action[k].dense().serialize()}
             for k in rep.nonzero_keys()
         ],
     }
@@ -784,6 +858,6 @@ def rep_from_dict(data: dict):
         }
         cutoff = int(data["cutoff"])
         alpha = tuple(parse_cyclonum(s, spec.field) for s in data["alpha"]) if "alpha" in data else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"invalid representation data: {exc!r}") from exc
     return spec, GRepresentation(space, action, cutoff), alpha

@@ -28,6 +28,7 @@ class TorusSpec:
     field: CycloField = dc_field(init=False, compare=False)  # Q(zeta_L)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", tuple(self.k))  # a list would be unhashable and unequal to a tuple
         for name, value in [("d", self.d), ("z", self.z), *(("k", ki) for ki in self.k), ("L", self.L)]:
             if type(value) is not int:  # int() would truncate a float; a bool is no size
                 raise TypeError(f"{name} must be an integer, got {value!r}")

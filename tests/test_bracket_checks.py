@@ -109,14 +109,14 @@ def test_jacobi_witt_witness(e1, monkeypatch):
 
 @pytest.fixture
 def commutator_calls(monkeypatch):
+    """Counts the commutators of dense matrices and of graded operators."""
     calls = []
-    commutator = ExactMatrix.commutator
+    for cls in (ExactMatrix, repn.GradedOperator):
+        def counted(self, other, commutator=cls.commutator):
+            calls.append(1)
+            return commutator(self, other)
 
-    def counted(self, other):
-        calls.append(1)
-        return commutator(self, other)
-
-    monkeypatch.setattr(ExactMatrix, "commutator", counted)
+        monkeypatch.setattr(cls, "commutator", counted)
     return calls
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,25 +195,38 @@ def test_module_verify_and_decompose(tmp_path, capsys):
 
 
 def test_decompose_output_is_independent_of_hash_seed(tmp_path):
-    spec = make_torus(2, 1, [2])
-    wmats, wclasses = graded_regular_glN(spec)
-    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
-    rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(rep_to_dict(scramble_representation(rep, seed=5))))
+    """E1, then E4 (32 dimensions over 16 classes) within a wall-time budget per run."""
     src = str(Path(qtlie.__file__).resolve().parent.parent)
-    outputs = []
-    for hash_seed in ("0", "1"):
-        out = tmp_path / f"factored-{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
-                        "module", "decompose", "--rep", str(rep_path), "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    for spec, budget, digest in ((make_torus(2, 1, [2]), None, None),
+                                 (load_torus(SPEC_E4), E4_RUN_BUDGET_S, E4_DECOMPOSE_OUT_SHA256)):
+        wmats, wclasses = graded_regular_glN(spec)
+        rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep_to_dict(scramble_representation(rep, seed=5))))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"factored-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                            "module", "decompose", "--rep", str(rep_path), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            assert budget is None or time.perf_counter() - start < budget
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert digest is None or hashlib.sha256(outputs[0]).hexdigest() == digest
 
 
 SPEC_E1 = Path(__file__).resolve().parents[1] / "specs" / "e1.json"
+SPEC_E4 = Path(__file__).resolve().parents[1] / "specs" / "e4.json"
+# seconds per E4 run of a hash-seed test; a run takes about 2 s on a 2-core Xeon VM
+E4_RUN_BUDGET_S = 30
+# sha256, computed before graded operators replaced dense actions, of the E4
+# `module decompose --out` file of the seed-5 scrambled pullback and of the
+# E4 `verify --suite quotient --suite annihilation --suite decompose --out` report
+E4_DECOMPOSE_OUT_SHA256 = "affb1f221a4e9da33811d6343d17a0c483099c9efcb44778d39c89bee772dc57"
+E4_REPORT_SHA256 = "c0559846d29b653f48fe6e5f5f9f649c528cf00d55c2023325f1b12e82725100"
 # sha256 of `qtlie module build --spec specs/e1.json --box 1 --out`; the two
 # constructions agree on the box, so their dumps are the same bytes
 E1_BOX1_DUMP_SHA256 = "fd6d1f82b845093e99b56f3d385b06281cc16dd3eebab26e8aee329a885e5eb9"
@@ -310,20 +324,27 @@ def test_key_error_inside_a_suite_is_not_a_config_error(monkeypatch, spec_file):
 
 
 def test_verify_report_is_independent_of_hash_seed(tmp_path):
+    """E1, then E4 on the suites that fit a wall-time budget per run."""
     src = str(Path(qtlie.__file__).resolve().parent.parent)
-    suites = [arg for name in ("xmatrix", "jacobi-d", "quotient", "annihilation", "decompose")
-              for arg in ("--suite", name)]
-    outputs = []
-    for hash_seed in ("0", "1"):
-        out = tmp_path / f"report-{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
-                        "verify", "--spec", str(SPEC_E1), *suites, "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["passed"]
+    for spec, names, budget, digest in (
+        (SPEC_E1, ("xmatrix", "jacobi-d", "quotient", "annihilation", "decompose"), None, None),
+        (SPEC_E4, ("quotient", "annihilation", "decompose"), E4_RUN_BUDGET_S, E4_REPORT_SHA256),
+    ):
+        suites = [arg for name in names for arg in ("--suite", name)]
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"report-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                            "verify", "--spec", str(spec), *suites, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            assert budget is None or time.perf_counter() - start < budget
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert digest is None or hashlib.sha256(outputs[0]).hexdigest() == digest
+        assert json.loads(outputs[0])["passed"]
 
 
 def test_decompose_suite_reports_a_reducible_module(monkeypatch):
@@ -361,6 +382,19 @@ def test_module_roundtrip_uses_an_explicit_degree_zero(spec_file, capsys):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "total degree <= 0" in captured.err
+
+
+def test_ragged_representation_file_is_a_config_error(tmp_path, capsys):
+    spec = make_torus(2, 1, [2])
+    wmats, wclasses = graded_regular_glN(spec)
+    data = rep_to_dict(pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)))
+    data["action"][0]["matrix"][0].pop()
+    rep_path = tmp_path / "ragged.json"
+    rep_path.write_text(json.dumps(data))
+    for action in ("verify", "decompose"):
+        assert main(["module", action, "--rep", str(rep_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "ragged matrix rows" in err
 
 
 def test_module_verify_uses_an_explicit_degree_zero(tmp_path, capsys):

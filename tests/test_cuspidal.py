@@ -220,7 +220,7 @@ def test_bracket_symbols_rejects_unknown_kinds(e1):
 def test_module_axioms_report_is_the_hand_written_brackets_report(e1, setup_e1, key, monkeypatch):
     """Same cases and the same first failing column through either bracket."""
     _, rep, _ = setup_e1
-    action = {k: m.copy() for k, m in rep.action.items()}
+    action = {k: op.dense() for k, op in rep.action.items()}
     action[key] = action[key].scale(2)
     module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 1), box=2)
 
@@ -243,7 +243,7 @@ def test_module_axioms(e1, setup_e1):
 
 def test_module_axioms_catch_corruption(e1, setup_e1):
     _, rep, _ = setup_e1
-    action = {k: m.copy() for k, m in rep.action.items()}
+    action = {k: op.dense() for k, op in rep.action.items()}
     key = ("XD", (1, 0), 1)
     bad = action[key].copy()
     bad[0, 0] = bad[0, 0] + e1.field.one
@@ -314,6 +314,18 @@ def test_functor_image_equals_tensor_field(e1, setup_e1):
     assert modules_equal_on_box(module, tf, 2)
 
 
+
+def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
+    """W is two copies of the regular module, so each class of V (x) W holds two W vectors."""
+    wmats, wclasses = graded_regular_glN(e1)
+    z = ExactMatrix.zeros(e1.field, len(wclasses))
+    twice = {w: ExactMatrix(e1.field, [row + z.data[0] for row in m.data] + [z.data[0] + row for row in m.data])
+             for w, m in wmats.items()}
+    vw = GLdGLNModule(e1, natural_gld(e1), twice, wclasses + wclasses)
+    alpha = (Fraction(1, 3), 0)
+    built = build_module(e1, alpha, pullback(e1, vw), box=1)
+    assert modules_equal_on_box(built, tensor_field_module(e1, alpha, vw, box=1), 1)
+
 # ---------------------------------------------------------------------------
 # action tables against the per-label block computation they replaced
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ def _reference_operator(module, symbol, w):
     tw = w if symbol[0] == "deg" else sp.shifted_class(w, symbol[1])
     if tw not in sp.dims:
         return None
-    return tw, sp.block(_reference_image(module, symbol), w, tw)
+    return tw, sp.block(_reference_image(module, symbol).dense(), w, tw)
 
 
 def reference_block(module, symbol, label):
@@ -441,7 +453,7 @@ def test_modules_differ_for_different_alpha(e1, setup_e1):
 def test_modules_differ_for_corrupted_action(e1, setup_e1):
     """Same labels, same alpha, one changed matrix entry: the blocks differ."""
     _, rep, module = setup_e1
-    action = {k: m.copy() for k, m in rep.action.items()}
+    action = {k: op.dense() for k, op in rep.action.items()}
     key = ("XD", (1, 0), 1)
     action[key][0, 0] = action[key][0, 0] + e1.field.one
     broken = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 1), box=3)
@@ -541,7 +553,7 @@ def test_family_matrix_d_jet_coefficient(e1, setup_e1):
     fam = OperatorFamily(module, degree_bound=3)
     mat = fam.matrix_D((1, 0), (2, 0))
     # D(e_1, (2,0)) = (e_1 | w) Id + 2 rho(x_1 d_1) blockwise
-    expected = rep.rho(("XD", (1, 0), 1)).scale(2)
+    expected = rep.rho(("XD", (1, 0), 1)).scale(2).dense()
     sp = module.space
     for c in sp.classes:
         blk = sp.block(mat, c, c)
@@ -552,9 +564,9 @@ def test_family_matrix_d_jet_coefficient(e1, setup_e1):
 def test_family_matrix_l_is_class_shift(e1, setup_e1):
     _, rep, module = setup_e1
     fam = OperatorFamily(module, degree_bound=3)
-    assert fam.matrix_L((0, 0), (1, 2)) == rep.rho(("XT", (0, 0), (1, 2)))
+    assert fam.matrix_L((0, 0), (1, 2)) == rep.rho(("XT", (0, 0), (1, 2))).dense()
     # raw second argument: reduced through the central tail
-    assert fam.matrix_L((0, 0), (3, 1)) == rep.rho(("XT", (0, 0), (1, 1)))
+    assert fam.matrix_L((0, 0), (3, 1)) == rep.rho(("XT", (0, 0), (1, 1))).dense()
     # central argument: the identity label shift
     assert fam.matrix_L((2, 0), (2, 2)) == ExactMatrix.identity(e1.field, module.space.dim)
 
@@ -569,20 +581,20 @@ def test_family_matrix_l_sums_the_jet_terms(e1, setup_e1):
     action = {("XT", (0, 0), r): a, ("XT", (1, 0), r): b, ("XT", (0, 2), r): c}
     module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 3), box=3)
     fam = OperatorFamily(module, degree_bound=3)
-    assert fam.matrix_L((0, 0), r) == a
-    assert fam.matrix_L((2, 0), r) == a + b.scale(2)
-    assert fam.matrix_L((2, 4), r) == a + b.scale(2) + c.scale(8)
+    assert fam.matrix_L((0, 0), r) == a.dense()
+    assert fam.matrix_L((2, 0), r) == (a + b.scale(2)).dense()
+    assert fam.matrix_L((2, 4), r) == (a + b.scale(2) + c.scale(8)).dense()
 
 
 def test_extraction_values(e1, setup_e1):
     _, rep, module = setup_e1
     fam = OperatorFamily(module, degree_bound=3)
     coeffs = extract_coefficients(fam, e1, (0, 0))
-    assert coeffs.f[(1, (1, 0))] == rep.rho(("XD", (1, 0), 1))
-    assert coeffs.f[(2, (0, 1))] == rep.rho(("XD", (0, 1), 2))
+    assert coeffs.f[(1, (1, 0))] == rep.rho(("XD", (1, 0), 1)).dense()
+    assert coeffs.f[(2, (0, 1))] == rep.rho(("XD", (0, 1), 2)).dense()
     assert set(coeffs.g) == {((1, 1), (0, 0)), ((1, 2), (0, 0)), ((2, 1), (0, 0))}
     for (r, l), mat in coeffs.g.items():
-        assert mat == rep.rho(("XT", l, r))
+        assert mat == rep.rho(("XT", l, r)).dense()
 
 
 def test_roundtrip_exact(e1, setup_e1):
@@ -612,7 +624,7 @@ def test_roundtrip_jet_module(e1):
         assert back.rho(key) == jet.rho(key)
     # the central class carries the hardwired identity shift after extraction
     w0 = canonical_rep(e1, (0, 0))
-    assert back.rho(("XT", (0, 0), w0)) == ExactMatrix.identity(e1.field, 6)
+    assert back.rho(("XT", (0, 0), w0)).dense() == ExactMatrix.identity(e1.field, 6)
 
 
 def test_extraction_wrong_alpha_fails(e1, setup_e1):
