@@ -90,7 +90,6 @@ class GradedOperator:
     """
 
     __slots__ = ("space", "shift", "blocks")
-    __hash__ = None
 
     def __init__(self, space: GradedSpace, shift: tuple, blocks: dict):
         """`blocks` maps a class w to its matrix U_w -> U_(w + shift)."""
@@ -212,7 +211,7 @@ class GRepresentation:
         op = GradedOperator(sp, shift, {c: sp.block(mat, c, tc) for c in sp.classes
                                         if (tc := sp.shifted_class(c, shift)) in sp.dims})
         outside = _entries(mat).keys() - _entries(op).keys()
-        if outside:  # named column by column, as the grading is checked
+        if outside:  # the first offending entry in column-major order is named
             i, j = min(outside, key=lambda ij: (ij[1], ij[0]))
             raise InvalidRepresentation(f"matrix for {name} breaks the grading at ({i},{j})")
         return op

@@ -314,7 +314,6 @@ def test_functor_image_equals_tensor_field(e1, setup_e1):
     assert modules_equal_on_box(module, tf, 2)
 
 
-
 def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
     """W is two copies of the regular module, so each class of V (x) W holds two W vectors."""
     wmats, wclasses = graded_regular_glN(e1)
@@ -325,6 +324,7 @@ def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
     alpha = (Fraction(1, 3), 0)
     built = build_module(e1, alpha, pullback(e1, vw), box=1)
     assert modules_equal_on_box(built, tensor_field_module(e1, alpha, vw, box=1), 1)
+
 
 # ---------------------------------------------------------------------------
 # action tables against the per-label block computation they replaced

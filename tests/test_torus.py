@@ -261,13 +261,13 @@ def test_torus_spec_checks_its_sizes_itself():
     assert spec == make_torus(2, 1, [2]) and spec.field.L == 2
 
 
-
 def test_torus_spec_with_a_list_k_equals_and_hashes_as_make_torus():
     spec = TorusSpec(2, 1, [2], 2)
     assert spec.k == (2,)
     assert spec == make_torus(2, 1, [2])
     assert hash(spec) == hash(make_torus(2, 1, [2]))
     assert len({spec, make_torus(2, 1, (2,))}) == 1
+
 
 @pytest.mark.parametrize("data,key", [
     ({"d": 2, "z": 1, "k": [2], "l": 4}, "l"),
