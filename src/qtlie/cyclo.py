@@ -2,8 +2,11 @@
 
 Elements are stored in the canonical basis 1, z, ..., z^(phi(L)-1) where z is a
 primitive L-th root of unity, reduced modulo the L-th cyclotomic polynomial.
-Coefficients are arbitrary-precision rationals, so equality of values is
-exactly equality of coefficient tuples.
+A value is a tuple of arbitrary-precision integer numerators over one positive
+denominator, kept canonical (the denominator is coprime to the numerators, and
+zero is 0/1), so equality of values is exactly equality of (numerators,
+denominator).  Phi_L is monic with integer coefficients, so reducing a product
+needs only integer arithmetic, and each operation ends with one gcd.
 """
 from __future__ import annotations
 
@@ -15,8 +18,6 @@ from functools import lru_cache
 
 from .errors import InvariantViolated, ParseError
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -25,15 +26,6 @@ def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
 
 
 def _rat_poly_divmod(num, den):
@@ -48,13 +40,6 @@ def _rat_poly_divmod(num, den):
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
     return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
 
 
 def _poly_derivative(p):
@@ -127,33 +112,65 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(int(c) for c in poly)  # a quotient by monic integer divisors
 
 
-class CycloField:
-    """The field Q(zeta_L) with its canonical power-basis reduction tables."""
+def _times_z(cur, poly) -> list[int]:
+    """z * cur for integer power-basis numerators, reduced by a monic integer poly."""
+    carry = cur[-1]
+    out = [0] + cur[:-1]
+    if carry:
+        for i in range(len(out)):
+            out[i] -= carry * poly[i]
+    return out
 
-    __slots__ = ("L", "phi", "poly", "_powers", "zero", "one")
+
+def _fraction_free_solve(rows: list[list[int]]) -> tuple[list[int], int]:
+    """(x, D) with D != 0 and A (x / D) = b, for a nonsingular integer system given
+    as its augmented rows [A | b].
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of [A | b], so each division by the previous pivot is exact,
+    and at the end every diagonal entry equals the last pivot, +-det A.
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ArithmeticError("element not invertible (singular multiplication matrix)")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
+        prev = pivot
+    return [row[n] for row in rows], prev
+
+
+class CycloField:
+    """The field Q(zeta_L) with its integer power-basis reduction tables."""
+
+    __slots__ = ("L", "phi", "poly", "_zpow", "_reduce", "zero", "one")
 
     def __init__(self, L: int):
         if L < 1:
             raise ValueError("L must be >= 1")
         self.L = L
-        poly = cyclotomic_polynomial(L)
-        self.phi = len(poly) - 1
-        self.poly = tuple(Fraction(c) for c in poly)
-        # z^j in the canonical basis, for phi <= j <= max(L-1, 2*phi-2).
-        top = max(L - 1, 2 * self.phi - 2)
-        powers: dict[int, tuple[Fraction, ...]] = {}
-        cur = [_ONE] + [_ZERO] * (self.phi - 1)  # z^0
-        for j in range(1, top + 1):  # z^j = z * z^(j-1), reduced by Phi_L
-            carry = cur[-1]
-            cur = [_ZERO] + cur[:-1]
-            if carry:
-                for i in range(self.phi):
-                    cur[i] -= carry * self.poly[i]
-            if j >= self.phi:
-                powers[j] = tuple(cur)
-        self._powers = powers
-        self.zero = CycloNum(self, (_ZERO,) * self.phi)
-        self.one = CycloNum(self, (_ONE,) + (_ZERO,) * (self.phi - 1))
+        self.poly = cyclotomic_polynomial(L)
+        phi = self.phi = len(self.poly) - 1
+        # z^j in the canonical basis for 0 <= j <= max(L-1, 2*phi-2): every root
+        # of unity, and every power that a product of two reduced elements reaches
+        cur = [1] + [0] * (phi - 1)
+        zpow = [tuple(cur)]
+        for _ in range(max(L - 1, 2 * phi - 2)):
+            cur = _times_z(cur, self.poly)
+            zpow.append(tuple(cur))
+        self._zpow = tuple(zpow)
+        # the nonzero entries (i, c) of z^j, for the powers phi <= j <= 2*phi-2
+        self._reduce = tuple((j, tuple((i, c) for i, c in enumerate(zpow[j]) if c))
+                             for j in range(phi, 2 * phi - 1))
+        self.zero = _make(self, (0,) * phi, 1)
+        self.one = _make(self, zpow[0], 1)
 
     def __repr__(self):
         return f"CycloField(L={self.L})"
@@ -164,32 +181,28 @@ class CycloField:
     def __hash__(self):
         return hash(("CycloField", self.L))
 
-    def power_basis(self, j: int) -> tuple[Fraction, ...]:
-        """Coefficients of z^j (0 <= j) in the canonical basis."""
-        j %= self.L
-        if j < self.phi:
-            coeffs = [_ZERO] * self.phi
-            coeffs[j] = _ONE
-            return tuple(coeffs)
-        return self._powers[j]
-
     def root(self, j: int) -> "CycloNum":
         """The root of unity z^j in canonical form."""
-        return CycloNum(self, self.power_basis(j))
+        return _make(self, self._zpow[j % self.L], 1)
 
     def from_rational(self, value) -> "CycloNum":
-        c = Fraction(value)
-        return CycloNum(self, (c,) + (_ZERO,) * (self.phi - 1))
+        tail = self.zero.num[1:]
+        if type(value) is int:
+            return _make(self, (value,) + tail, 1)
+        c = value if type(value) is Fraction else Fraction(value)
+        return _make(self, (c.numerator,) + tail, c.denominator)
 
     def coerce(self, value) -> "CycloNum":
         """A CycloNum unchanged; an int or Fraction as an element of this field."""
         return value if isinstance(value, CycloNum) else self.from_rational(value)
 
     def element(self, coeffs) -> "CycloNum":
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        """The element with the given rational coefficients in the power basis."""
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.phi:
             raise ValueError(f"expected {self.phi} coefficients, got {len(coeffs)}")
-        return CycloNum(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return CycloNum(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
 @lru_cache(maxsize=None)
@@ -197,18 +210,54 @@ def make_field(L: int) -> CycloField:
     return CycloField(L)
 
 
+_new = object.__new__
+
+
+def _make(field: CycloField, num: tuple[int, ...], den: int) -> "CycloNum":
+    """A CycloNum from numerators and a denominator that are already canonical."""
+    out = _new(CycloNum)
+    out.field = field
+    out.num = num
+    out.den = den
+    return out
+
+
+def _reduced(field: CycloField, num: list[int], den: int) -> "CycloNum":
+    """A CycloNum from integer numerators over a positive denominator: one gcd
+    brings them to canonical form (with den == 1 they already are)."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return _make(field, tuple([c // g for c in num]), den // g)
+    return _make(field, tuple(num), den)
+
+
 class CycloNum:
-    """An element of Q(zeta_L) in canonical reduced form. Immutable."""
+    """An element of Q(zeta_L) in canonical form: integer numerators `num` over
+    the power basis and one denominator `den`, with den > 0,
+    gcd(den, *num) == 1, and zero as (0, ..., 0) / 1.  Immutable."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CycloField, num, den: int = 1):
+        """Any integer numerators over a nonzero integer denominator, stored
+        in canonical form."""
+        num = tuple(num)
+        if len(num) != field.phi:
+            raise ValueError(f"expected {field.phi} coefficients, got {len(num)}")
+        if not all(isinstance(c, int) for c in num + (den,)):
+            raise TypeError("numerators and denominator must be integers")
+        if den == 0:
+            raise ZeroDivisionError("cyclotomic number with denominator 0")
+        sign = 1 if den > 0 else -1
+        g = math.gcd(den, *num) * sign
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(int(c) // g for c in num)
+        self.den = int(den) // g
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
-            if other.field.L != self.field.L:
+            if other.field is not self.field and other.field.L != self.field.L:
                 raise ValueError("mixed cyclotomic fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -219,7 +268,13 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            num = [a[0] + b[0]] if len(a) == 1 else [x + y for x, y in zip(a, b)]
+        else:
+            num = [a[0] * db + b[0] * da] if len(a) == 1 else [x * db + y * da for x, y in zip(a, b)]
+            da *= db
+        return _reduced(self.field, num, da)
 
     __radd__ = __add__
 
@@ -227,7 +282,13 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNum(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            num = [a[0] - b[0]] if len(a) == 1 else [x - y for x, y in zip(a, b)]
+        else:
+            num = [a[0] * db - b[0] * da] if len(a) == 1 else [x * db - y * da for x, y in zip(a, b)]
+            da *= db
+        return _reduced(self.field, num, da)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -236,57 +297,59 @@ class CycloNum:
         return o - self
 
     def __neg__(self):
-        return CycloNum(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, CycloNum) and isinstance(other, (int, Fraction)):
-            # a rational factor has degree 0: scaling needs no reduction mod Phi_L.
-            # CycloNum is tested first: isinstance on Fraction is an ABC check
-            return CycloNum(self.field, tuple(a * other for a in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
+        field = self.field
+        if isinstance(other, CycloNum):
+            if other.field is not field and other.field.L != field.L:
+                raise ValueError("mixed cyclotomic fields")
+        elif isinstance(other, int):
+            # a rational factor has degree 0: scaling needs no reduction mod Phi_L
+            return _reduced(field, [a * other for a in self.num], self.den)
+        elif isinstance(other, Fraction):
+            return _reduced(field, [a * other.numerator for a in self.num], self.den * other.denominator)
+        else:
             return NotImplemented
-        phi = self.field.phi
-        a, b = self.coeffs, o.coeffs
-        prod = [_ZERO] * (2 * phi - 1)
+        a, b = self.num, other.num
+        den = self.den * other.den
+        phi = field.phi
+        if phi == 1:
+            return _reduced(field, [a[0] * b[0]], den)
+        prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = list(prod[:phi])
-        for j in range(phi, 2 * phi - 1):
+                for k, bj in enumerate(b, i):
+                    prod[k] += ai * bj
+        out = prod[:phi]
+        for j, zj in field._reduce:  # z^j for j >= phi, in the canonical basis
             c = prod[j]
             if c:
-                for i, pi in enumerate(self.field.power_basis(j)):
-                    if pi:
-                        out[i] += c * pi
-        return CycloNum(self.field, tuple(out))
+                for i, zji in zj:
+                    out[i] += c * zji
+        return _reduced(field, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_L."""
+        """Multiplicative inverse den / a of a / den, where a is the numerator
+        polynomial: x = 1 / a solves the integer system whose column j is
+        a * z^j mod Phi_L, eliminated fraction-free."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Work with rational polynomials: r0 = Phi_L, r1 = self.
-        r0 = list(self.field.poly)
-        r1 = _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_ONE]  # Bezout coefficients for self
-        while True:
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                break
-            q, r = _rat_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            if not r1:
-                raise ArithmeticError("element not invertible (non-trivial gcd)")
-        coeffs = [_ZERO] * self.field.phi
-        for i, c in enumerate(inv):
-            coeffs[i] = c
-        out = CycloNum(self.field, tuple(coeffs))
-        # Inverse may still need reduction if deg(inv) >= phi; multiply check is cheap.
+        field = self.field
+        if field.phi == 1:
+            a = self.num[0]
+            out = _make(field, (self.den if a > 0 else -self.den,), abs(a))
+        else:
+            cols = [list(self.num)]
+            for _ in range(field.phi - 1):
+                cols.append(_times_z(cols[-1], field.poly))
+            x, det = _fraction_free_solve([[col[i] for col in cols] + [int(i == 0)]
+                                           for i in range(field.phi)])
+            if det < 0:
+                x, det = [-c for c in x], -det
+            out = _reduced(field, [self.den * c for c in x], det)
         if not (out * self).is_one():
             raise InvariantViolated("computed inverse does not multiply to one")
         return out
@@ -318,29 +381,40 @@ class CycloNum:
     def __eq__(self, other):
         if isinstance(other, CycloNum) and other.field.L != self.field.L:
             # across fields only rational values are compared; arithmetic still raises
-            return self.is_rational() and other.is_rational() and self.coeffs[0] == other.coeffs[0]
+            return (self.is_rational() and other.is_rational()
+                    and self.num[0] == other.num[0] and self.den == other.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # a rational value equals (and so hashes as) its int or Fraction
-        return hash(self.coeffs[0]) if self.is_rational() else hash((self.field.L, self.coeffs))
+        # a rational value equals (and so hashes as) its int or Fraction; an
+        # int hashes as the Fraction of the same value, so with den == 1 the
+        # numerators hash as the coefficient tuple
+        if self.is_rational():
+            return hash(self.num[0]) if self.den == 1 else hash(Fraction(self.num[0], self.den))
+        return hash((self.field.L, self.num if self.den == 1 else self.coeffs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients over the power basis (for output, not arithmetic)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num == self.field.one.num
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def approx(self) -> complex:
         """Floating approximation, for diagnostics only (never used in decisions)."""

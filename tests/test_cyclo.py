@@ -1,3 +1,10 @@
+"""Cyclotomic field arithmetic, checked against sympy and a Fraction oracle.
+
+``reference_mul`` is the multiply the field kernel used while it stored one
+``Fraction`` per coefficient: a dense product reduced by a ``Fraction`` table
+of z^j, kept here as the oracle for the integer-numerator kernel.
+"""
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +12,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from qtlie.cyclo import (
+    CycloNum,
     arith,
     cyclotomic_polynomial,
     make_field,
@@ -237,3 +245,153 @@ def test_proper_factor_over_q_splits(roots):
 ])
 def test_proper_factor_over_q_finds_none(poly):
     assert proper_factor_over_q(poly) is None
+
+
+def reference_powers(L):
+    """z^j for phi <= j <= 2*phi-2 as Fraction tuples: the table the field kept
+    while it stored one Fraction per coefficient."""
+    poly = tuple(Fraction(c) for c in cyclotomic_polynomial(L))
+    phi = len(poly) - 1
+    powers = {}
+    cur = [Fraction(1)] + [Fraction(0)] * (phi - 1)  # z^0
+    for j in range(1, 2 * phi - 1):  # z^j = z * z^(j-1), reduced by Phi_L
+        carry = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        if carry:
+            for i in range(phi):
+                cur[i] -= carry * poly[i]
+        if j >= phi:
+            powers[j] = tuple(cur)
+    return powers
+
+
+def reference_mul(L, a, b):
+    """The product of two Fraction coefficient tuples of Q(zeta_L)."""
+    phi = len(a)
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    out = list(prod[:phi])
+    for j, zj in reference_powers(L).items():
+        c = prod[j]
+        if c:
+            for i, zji in enumerate(zj):
+                if zji:
+                    out[i] += c * zji
+    return tuple(out)
+
+
+def is_canonical(x):
+    """den > 0, gcd(den, *num) == 1, and zero stored as (0, ..., 0) / 1."""
+    return (len(x.num) == x.field.phi and all(type(c) is int for c in x.num + (x.den,))
+            and x.den > 0 and math.gcd(x.den, *x.num) == 1 and (any(x.num) or x.den == 1))
+
+
+ORACLE_FIELDS = [1, 2, 3, 4, 5, 12]
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+_SCALARS = st.one_of(st.integers(-50, 50), _RATIONALS)
+
+
+def _operands(L):
+    """Elements of Q(zeta_L), with zero and the rationals over-represented."""
+    fld = make_field(L)
+    return st.one_of(_elements(L), _RATIONALS.map(fld.from_rational), st.just(fld.zero))
+
+
+@pytest.mark.parametrize("L", ORACLE_FIELDS)
+class TestAgainstFractionOracle:
+    @given(data=st.data())
+    def test_ring_operations(self, L, data):
+        a, b = data.draw(_operands(L)), data.draw(_operands(L))
+        q = data.draw(_SCALARS)
+        fa, fb = a.coeffs, b.coeffs
+        cases = [
+            (a * b, reference_mul(L, fa, fb)),
+            (a + b, tuple(x + y for x, y in zip(fa, fb))),
+            (a - b, tuple(x - y for x, y in zip(fa, fb))),
+            (a - a, (Fraction(0),) * len(fa)),
+            (-a, tuple(-x for x in fa)),
+            (a * q, tuple(x * q for x in fa)),
+            (q * a, tuple(x * q for x in fa)),
+            (a + q, (fa[0] + q,) + fa[1:]),
+            (q - a, (q - fa[0],) + tuple(-x for x in fa[1:])),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want
+            assert is_canonical(got)
+
+    @given(data=st.data())
+    def test_inverse_division_and_powers(self, L, data):
+        a, b = data.draw(_operands(L)), data.draw(_operands(L))
+        one = make_field(L).one.coeffs
+        n = data.draw(st.integers(0, 5))
+        want = one
+        for _ in range(n):
+            want = reference_mul(L, want, a.coeffs)
+        assert (a ** n).coeffs == want and is_canonical(a ** n)
+        if b.is_zero():
+            return
+        inv = b.inverse()
+        assert is_canonical(inv)
+        assert reference_mul(L, inv.coeffs, b.coeffs) == one
+        assert (a / b).coeffs == reference_mul(L, a.coeffs, inv.coeffs)
+        assert reference_mul(L, (b ** -n).coeffs, (b ** n).coeffs) == one
+
+    @given(data=st.data())
+    def test_hash_agrees_with_equality(self, L, data):
+        fld = make_field(L)
+        q = data.draw(_SCALARS)
+        assert hash(fld.from_rational(q)) == hash(q)
+        a, b = data.draw(_operands(L)), data.draw(_operands(L))
+        again = (a + b) - b
+        assert again == a and hash(again) == hash(a)
+        assert fld.element(a.coeffs) == a and hash(fld.element(a.coeffs)) == hash(a)
+        if not a.is_rational():
+            assert hash(a) == hash((L, a.coeffs))
+
+    @given(q=_RATIONALS)
+    def test_cross_field_rational_equality(self, L, q):
+        x = make_field(L).from_rational(q)
+        for other in ORACLE_FIELDS:
+            y = make_field(other).from_rational(q)
+            assert x == y and hash(x) == hash(y)
+            assert x != y + 1
+            if make_field(other).phi > 1:
+                assert x != make_field(other).root(1)
+
+
+def test_constructor_normalises_numerators_and_denominator():
+    fld = make_field(3)
+    x = CycloNum(fld, [2, -4], -6)
+    assert (x.num, x.den) == ((-1, 2), 3) and is_canonical(x)
+    assert x == fld.element([Fraction(-1, 3), Fraction(2, 3)])
+    zero = CycloNum(fld, [0, 0], -7)
+    assert (zero.num, zero.den) == ((0, 0), 1) and zero == fld.zero
+
+
+@pytest.mark.parametrize("num, den, error", [
+    ([1], 1, ValueError),  # wrong length for phi = 2
+    ([1, 2, 3], 1, ValueError),
+    ([1, 0], 0, ZeroDivisionError),
+    ([Fraction(1, 2), 0], 1, TypeError),
+    ([1, 0], 2.0, TypeError),
+])
+def test_constructor_rejects_what_it_cannot_normalise(num, den, error):
+    with pytest.raises(error):
+        CycloNum(make_field(3), num, den)
+
+
+def test_element_rejects_wrong_length():
+    with pytest.raises(ValueError, match="expected 2 coefficients"):
+        make_field(3).element([1, 2, 3])
+
+
+@pytest.mark.parametrize("L", list(range(1, 31)))
+def test_inverse_of_an_element_that_is_no_root_of_unity(L):
+    fld = make_field(L)
+    x = fld.one * 2 + fld.root(1) * 3 - fld.root(L // 2) * Fraction(1, 5)
+    if not x.is_zero():
+        assert x * x.inverse() == fld.one and is_canonical(x.inverse())
