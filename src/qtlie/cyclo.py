@@ -28,6 +28,15 @@ def _poly_trim(p):
     return p
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
 def _rat_poly_divmod(num, den):
     num = list(num)
     dn = len(den)
@@ -40,6 +49,13 @@ def _rat_poly_divmod(num, den):
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
     return _poly_trim(q), _poly_trim(num)
+
+
+def _poly_sub(a, b):
+    out = list(a) + [_ZERO] * (len(b) - len(a))
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return _poly_trim(out)
 
 
 def _poly_derivative(p):
@@ -112,41 +128,6 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return tuple(int(c) for c in poly)  # a quotient by monic integer divisors
 
 
-def _times_z(cur, poly) -> list[int]:
-    """z * cur for integer power-basis numerators, reduced by a monic integer poly."""
-    carry = cur[-1]
-    out = [0] + cur[:-1]
-    if carry:
-        for i in range(len(out)):
-            out[i] -= carry * poly[i]
-    return out
-
-
-def _fraction_free_solve(rows: list[list[int]]) -> tuple[list[int], int]:
-    """(x, D) with D != 0 and A (x / D) = b, for a nonsingular integer system given
-    as its augmented rows [A | b].
-
-    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
-    integer minor of [A | b], so each division by the previous pivot is exact,
-    and at the end every diagonal entry equals the last pivot, +-det A.
-    """
-    n = len(rows)
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            raise ArithmeticError("element not invertible (singular multiplication matrix)")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
-        prev = pivot
-    return [row[n] for row in rows], prev
-
-
 class CycloField:
     """The field Q(zeta_L) with its integer power-basis reduction tables."""
 
@@ -163,7 +144,10 @@ class CycloField:
         cur = [1] + [0] * (phi - 1)
         zpow = [tuple(cur)]
         for _ in range(max(L - 1, 2 * phi - 2)):
-            cur = _times_z(cur, self.poly)
+            carry = cur[-1]  # z * cur, reduced by the monic Phi_L
+            cur = [0] + cur[:-1]
+            if carry:
+                cur = [c - carry * p for c, p in zip(cur, self.poly)]
             zpow.append(tuple(cur))
         self._zpow = tuple(zpow)
         # the nonzero entries (i, c) of z^j, for the powers phi <= j <= 2*phi-2
@@ -270,9 +254,9 @@ class CycloNum:
             return NotImplemented
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
-            num = [a[0] + b[0]] if len(a) == 1 else [x + y for x, y in zip(a, b)]
+            num = [x + y for x, y in zip(a, b)]
         else:
-            num = [a[0] * db + b[0] * da] if len(a) == 1 else [x * db + y * da for x, y in zip(a, b)]
+            num = [x * db + y * da for x, y in zip(a, b)]
             da *= db
         return _reduced(self.field, num, da)
 
@@ -284,9 +268,9 @@ class CycloNum:
             return NotImplemented
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
-            num = [a[0] - b[0]] if len(a) == 1 else [x - y for x, y in zip(a, b)]
+            num = [x - y for x, y in zip(a, b)]
         else:
-            num = [a[0] * db - b[0] * da] if len(a) == 1 else [x * db - y * da for x, y in zip(a, b)]
+            num = [x * db - y * da for x, y in zip(a, b)]
             da *= db
         return _reduced(self.field, num, da)
 
@@ -314,8 +298,6 @@ class CycloNum:
         a, b = self.num, other.num
         den = self.den * other.den
         phi = field.phi
-        if phi == 1:
-            return _reduced(field, [a[0] * b[0]], den)
         prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -332,24 +314,23 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse den / a of a / den, where a is the numerator
-        polynomial: x = 1 / a solves the integer system whose column j is
-        a * z^j mod Phi_L, eliminated fraction-free."""
+        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_L."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        field = self.field
-        if field.phi == 1:
-            a = self.num[0]
-            out = _make(field, (self.den if a > 0 else -self.den,), abs(a))
-        else:
-            cols = [list(self.num)]
-            for _ in range(field.phi - 1):
-                cols.append(_times_z(cols[-1], field.poly))
-            x, det = _fraction_free_solve([[col[i] for col in cols] + [int(i == 0)]
-                                           for i in range(field.phi)])
-            if det < 0:
-                x, det = [-c for c in x], -det
-            out = _reduced(field, [self.den * c for c in x], det)
+        # Work with rational polynomials: r0 = Phi_L, r1 = self.
+        r0 = list(self.field.poly)
+        r1 = _poly_trim(list(self.coeffs))
+        s0, s1 = [], [_ONE]  # Bezout coefficients for self
+        while True:
+            if len(r1) == 1:
+                inv = [c / r1[0] for c in s1]
+                break
+            q, r = _rat_poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            if not r1:
+                raise ArithmeticError("element not invertible (non-trivial gcd)")
+        out = self.field.element(inv + [_ZERO] * (self.field.phi - len(inv)))
         if not (out * self).is_one():
             raise InvariantViolated("computed inverse does not multiply to one")
         return out
