@@ -254,9 +254,9 @@ class CycloNum:
             return NotImplemented
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
-            num = [x + y for x, y in zip(a, b)]
+            num = [a[0] + b[0]] if len(a) == 1 else [x + y for x, y in zip(a, b)]
         else:
-            num = [x * db + y * da for x, y in zip(a, b)]
+            num = [a[0] * db + b[0] * da] if len(a) == 1 else [x * db + y * da for x, y in zip(a, b)]
             da *= db
         return _reduced(self.field, num, da)
 
@@ -268,9 +268,9 @@ class CycloNum:
             return NotImplemented
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
-            num = [x - y for x, y in zip(a, b)]
+            num = [a[0] - b[0]] if len(a) == 1 else [x - y for x, y in zip(a, b)]
         else:
-            num = [x * db - y * da for x, y in zip(a, b)]
+            num = [a[0] * db - b[0] * da] if len(a) == 1 else [x * db - y * da for x, y in zip(a, b)]
             da *= db
         return _reduced(self.field, num, da)
 
@@ -298,6 +298,8 @@ class CycloNum:
         a, b = self.num, other.num
         den = self.den * other.den
         phi = field.phi
+        if phi == 1:  # E1, E3, E5; with the same path in + and -, a fifth off functor's wall_s
+            return _reduced(field, [a[0] * b[0]], den)
         prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
