@@ -21,11 +21,12 @@ rep = pullback(spec, vw)
 alpha = (0, 0)
 module = build_module(spec, alpha, rep, box=4)
 
-# the shifted families D(u, m) and L(m, r) as exact matrices on the reference
-# weight spaces; D is block diagonal, L shifts by the class of r
+# the shifted families D(u, m) and L(m, r) as graded operators on the reference
+# weight spaces, one block per class; D keeps each class, L shifts it by the
+# class of r.  dense() gives the whole matrix in the space's basis order
 family = OperatorFamily(module, degree_bound=3)
 print("D(e1, 0) is the diagonal of weight scalars:")
-print(family.matrix_D((1, 0), (0, 0)))
+print(family.matrix_D((1, 0), (0, 0)).dense())
 
 # interpolation on the grid m = B c, c in [0,3]^2, with an out-of-grid check
 coeffs = extract_coefficients(family, spec, alpha)

@@ -484,12 +484,12 @@ def weight_multiplicities(module, box: int) -> tuple[dict, int]:
 
 
 class OperatorFamily:
-    """Reference-label matrices of the shifted operator families of a module.
+    """Reference-label operators of the shifted operator families of a module.
 
-    D(u, m) strips the central shift off the degree-derivation action and is
-    block diagonal; L(m, e) does the same for the inner action of t^{m+e} and
-    has pure degree class(e).  For central e the family is the hardwired
-    identity label shift.
+    D(u, m) strips the central shift off the degree-derivation action and has
+    shift 0; L(m, e) does the same for the inner action of t^{m+e} and has
+    shift class(e).  For central e the family is the hardwired identity label
+    shift.
     """
 
     def __init__(self, module, degree_bound: int = 3):
@@ -506,46 +506,41 @@ class OperatorFamily:
             if res is not None:
                 yield c, res[0], res[1]
 
-    def matrix_D(self, u, m) -> ExactMatrix:
-        spec = self.spec
-        sp = self.space
-        out = ExactMatrix.zeros(spec.field, sp.dim)
-        for c, (w, np), blk in self._reference_blocks(sym_deg(spec, u, m)):
+    def matrix_D(self, u, m) -> GradedOperator:
+        blocks = {}
+        for c, (w, np), blk in self._reference_blocks(sym_deg(self.spec, u, m)):
             if w != c or np != tuple(m):
                 raise InvalidModuleData(f"degree family sends class {c} to label {(w, np)}")
-            out.paste(sp.offset[c], sp.offset[c], blk)
-        return out
+            blocks[c] = blk
+        return GradedOperator(self.space, self.space.zero_class, blocks)
 
-    def matrix_L(self, m, e) -> ExactMatrix:
-        """Matrix of the shifted inner family; e may be any exponent not in R.
+    def matrix_L(self, m, e) -> GradedOperator:
+        """Operator of the shifted inner family; e may be any exponent not in R.
 
         The acting element is t^{m+e}; the central shift is stripped from the
-        result, so the matrix has pure degree class(e).
+        result, so the operator has shift class(e).
         """
         spec = self.spec
-        sp = self.space
         total = exp_add(m, e)
         if in_R(spec, total):
             # central element: the hardwired identity label shift
-            return ExactMatrix.identity(spec.field, sp.dim)
-        out = ExactMatrix.zeros(spec.field, sp.dim)
+            return GradedOperator.identity(self.space)
+        blocks = {}
         for c, (w, _np), blk in self._reference_blocks(sym_inner(spec, total)):
             tc = canonical_rep(spec, exp_add(c, e))
             if w != tc:
                 raise InvalidModuleData(f"inner family sends class {c} to class {w}, not {tc}")
-            out.paste(sp.offset[tc], sp.offset[c], blk)
-        return out
+            blocks[c] = blk
+        return GradedOperator(self.space, e, blocks)
 
 
 @dataclass
 class PolynomialCoefficients:
-    """Exact polynomial coefficients of the operator families."""
+    """Exact polynomial coefficients of the operator families, as graded operators."""
 
-    spec: TorusSpec
-    alpha: tuple
-    dims: dict
-    f: dict = dc_field(default_factory=dict)  # (j, p) -> matrix, |p| >= 1
-    g: dict = dc_field(default_factory=dict)  # (r, l) -> matrix
+    space: GradedSpace
+    f: dict = dc_field(default_factory=dict)  # (j, p) -> operator, |p| >= 1
+    g: dict = dc_field(default_factory=dict)  # (r, l) -> operator
 
 
 def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> PolynomialCoefficients:
@@ -565,14 +560,13 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
     B = spec.B
     d = spec.d
     grid = list(itertools.product(range(D + 1), repeat=d))
-    zero = ExactMatrix.zeros(fld, sp.dim)
     inverses = [ExactMatrix(fld, [[taylor_coefficient((b * c,), (j,)) for j in range(D + 1)]
                                   for c in range(D + 1)]).inverse() for b in B]
 
     def to_m(cvec):
         return tuple(c * b for c, b in zip(cvec, B))
 
-    def fit(evaluate) -> dict:
+    def fit(evaluate, zero: GradedOperator) -> dict:
         """{p: F_p} for the nonzero coefficients of the family m -> evaluate(m)."""
         table = {c: evaluate(to_m(c)) for c in grid}
         for axis, inv in enumerate(inverses):
@@ -581,30 +575,32 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
                     ((inv[j, c], table[pt[:axis] + (c,) + pt[axis + 1:]]) for c in range(D + 1)), zero)
                 for pt in table if pt[axis] == 0 for j in range(D + 1)
             }
-        coeffs = {p: mat for p, mat in table.items() if not mat.is_zero()}
+        coeffs = {p: op for p, op in table.items() if not op.is_zero()}
         mstar = to_m((D + 1,) * d)
         predicted = linear_combination(
-            ((taylor_coefficient(mstar, p), mat) for p, mat in coeffs.items()), zero)
+            ((taylor_coefficient(mstar, p), op) for p, op in coeffs.items()), zero)
         if predicted != evaluate(mstar):
             raise DegreeBoundViolated(
                 f"family is not polynomial of total degree <= {D} per variable"
             )
         return coeffs
 
-    out = PolynomialCoefficients(spec, alpha, dict(sp.dims))
+    out = PolynomialCoefficients(sp)
     zero_p = (0,) * d
+    zero = GradedOperator(sp, sp.zero_class, {})
     for j in range(1, d + 1):
         u = tuple(int(i == j) for i in range(1, d + 1))
-        f_table = fit(lambda m: family.matrix_D(u, m))
+        f_table = fit(lambda m: family.matrix_D(u, m), zero)
         const = f_table.pop(zero_p, zero)
         for c in sp.classes:
             scalar = inner_product(fld, u, [a + fld.from_rational(x) for a, x in zip(alpha, c)])
-            if sp.block(const, c, c) != ExactMatrix.identity(fld, sp.dims[c]).scale(scalar):
+            if const.block(c) != ExactMatrix.identity(fld, sp.dims[c]).scale(scalar):
                 raise ConstantTermMismatch(f"constant term wrong on class {c}")
-        out.f.update(((j, p), mat) for p, mat in f_table.items())
+        out.f.update(((j, p), op) for p, op in f_table.items())
     for r in class_representatives(spec):
         if not in_R(spec, r):
-            out.g.update(((r, l), mat) for l, mat in fit(lambda m: family.matrix_L(m, r)).items())
+            fitted = fit(lambda m: family.matrix_L(m, r), GradedOperator(sp, r, {}))
+            out.g.update(((r, l), op) for l, op in fitted.items())
     return out
 
 
@@ -615,14 +611,14 @@ def coefficients_to_representation(spec: TorusSpec, coeffs: PolynomialCoefficien
     weight scalars); the central class carries the identity at order zero,
     reflecting the identity label shift of the center.
     """
-    space = GradedSpace(spec, coeffs.dims)
+    space = coeffs.space
     action = {}
     max_deg = 0
-    for (j, p), mat in coeffs.f.items():
-        action[("XD", p, j)] = mat
+    for (j, p), op in coeffs.f.items():
+        action[("XD", p, j)] = op
         max_deg = max(max_deg, sum(p) - 1)
-    for (r, l), mat in coeffs.g.items():
-        action[("XT", l, r)] = mat
+    for (r, l), op in coeffs.g.items():
+        action[("XT", l, r)] = op
         max_deg = max(max_deg, sum(l))
     action.setdefault(("XT", (0,) * spec.d, space.zero_class), GradedOperator.identity(space))
     rep = GRepresentation(space, action, cutoff=max_deg + 1)

@@ -28,15 +28,6 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
 def _rat_poly_divmod(num, den):
     num = list(num)
     dn = len(den)
@@ -49,13 +40,6 @@ def _rat_poly_divmod(num, den):
             for j, dj in enumerate(den):
                 num[k + j] -= c * dj
     return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_sub(a, b):
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
 
 
 def _poly_derivative(p):
@@ -316,23 +300,26 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_L."""
+        """Multiplicative inverse: the product of the conjugates sigma_j(a),
+        j != 1 a unit mod L and sigma_j: z -> z^j, over the norm N(a), which is
+        a times that product and rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Work with rational polynomials: r0 = Phi_L, r1 = self.
-        r0 = list(self.field.poly)
-        r1 = _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_ONE]  # Bezout coefficients for self
-        while True:
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                break
-            q, r = _rat_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            if not r1:
-                raise ArithmeticError("element not invertible (non-trivial gcd)")
-        out = self.field.element(inv + [_ZERO] * (self.field.phi - len(inv)))
+        field = self.field
+        L, zpow = field.L, field._zpow
+        conjugates = field.one
+        for j in range(2, L):  # empty for L <= 2, where phi = 1
+            if math.gcd(j, L) == 1:
+                num = [0] * field.phi
+                for i, c in enumerate(self.num):
+                    if c:
+                        for k, zk in enumerate(zpow[i * j % L]):
+                            num[k] += c * zk
+                conjugates = conjugates * _reduced(field, num, self.den)
+        norm = self * conjugates
+        if not norm.is_rational():
+            raise InvariantViolated(f"norm {norm} of {self} is not rational")
+        out = conjugates * Fraction(norm.den, norm.num[0])
         if not (out * self).is_one():
             raise InvariantViolated("computed inverse does not multiply to one")
         return out

@@ -5,8 +5,13 @@ equality means entrywise equality of canonical forms.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .cyclo import CycloField, CycloNum
 from .errors import DimensionMismatch
+
+if TYPE_CHECKING:
+    from .repn import GradedOperator
 
 
 class ExactMatrix:
@@ -279,10 +284,11 @@ class RowSpace:
         return basis
 
 
-def linear_combination(terms, zero: ExactMatrix) -> ExactMatrix:
+def linear_combination(terms, zero: ExactMatrix | GradedOperator) -> ExactMatrix | GradedOperator:
     """Sum of c * M over the (c, M) pairs in `terms`, or `zero` when every term vanishes.
 
-    Terms with a zero coefficient or a zero matrix are skipped unscaled.
+    M may be an ExactMatrix or a GradedOperator, the same type as `zero`;
+    terms with a zero coefficient or a zero M are skipped unscaled.
     """
     out = None
     for c, mat in terms:

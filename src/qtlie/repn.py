@@ -177,10 +177,10 @@ def _nonzero_blocks(blocks: dict) -> dict:
 class GRepresentation:
     """Graded representation of the jet algebra: one GradedOperator per acting symbol.
 
-    `action` may give an operator as a GradedOperator or as a dense dim x dim
-    ExactMatrix, as files, user code and extracted coefficients do.  A dense
-    matrix is checked for size and grading and cut into its blocks here, and
-    nowhere else.
+    `action` may give an operator as a GradedOperator, as every library path
+    does, or as a dense dim x dim ExactMatrix, as files and user code do.  A
+    dense matrix is checked for size and grading and cut into its blocks here,
+    and nowhere else.
     """
 
     def __init__(self, space: GradedSpace, action: dict, cutoff: int):

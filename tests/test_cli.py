@@ -179,6 +179,12 @@ def test_module_roundtrip(spec_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_module_roundtrip_over_a_phi_2_field_at_a_cyclotomic_weight(capsys):
+    rc = main(["module", "roundtrip", "--spec", str(SPECS / "e2.json"), "--alpha", "1/2,z"])
+    assert rc == 0
+    assert capsys.readouterr().out == "roundtrip: PASS\n"
+
+
 def test_module_verify_and_decompose(tmp_path, capsys):
     spec = make_torus(2, 1, [2])
     wmats, wclasses = graded_regular_glN(spec)
