@@ -44,13 +44,22 @@ class _Combo:
         self.terms = {key: c for key, c in terms.items() if not c.is_zero()} if terms else {}
 
     @classmethod
+    def _of(cls, field: CycloField, terms: dict):
+        """The combination of `terms`, a fresh dict of nonzero coefficients, taken as it is."""
+        out = cls.__new__(cls)
+        out.field, out.terms = field, terms
+        return out
+
+    @classmethod
     def from_terms(cls, field: CycloField, pairs):
         """Sum of (key, CycloNum) pairs; zero coefficients are dropped at the end."""
         terms = {}
         for key, coeff in pairs:
             acc = terms.get(key)
             terms[key] = coeff if acc is None else acc + coeff
-        return cls(field, terms)
+        for key in [key for key, c in terms.items() if c.is_zero()]:
+            del terms[key]
+        return cls._of(field, terms)
 
     def bracket(self, other, key_bracket):
         """Bilinear extension of key_bracket(ka, kb), which yields (key, coeff) pairs."""
@@ -71,7 +80,7 @@ class _Combo:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.field, {k: -c for k, c in self.terms.items()})
+        return self._of(self.field, {k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
         scalar = self.field.coerce(scalar)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a cyclotomic field.
+"""Exact linear algebra over a cyclotomic field: dense matrices, sparse row reduction.
 
 Small dimensions only; everything is computed with exact field arithmetic and
 equality means entrywise equality of canonical forms.
@@ -26,6 +26,14 @@ class ExactMatrix:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged matrix rows")
 
+    @classmethod
+    def _of(cls, field: CycloField, data: list) -> ExactMatrix:
+        """The matrix of `data`, fresh rectangular rows of entries of `field`, taken as they are."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows = field, data, len(data)
+        m.cols = len(data[0]) if data else 0
+        return m
+
     @staticmethod
     def _coerce_row(field, row):
         for x in row:
@@ -40,15 +48,15 @@ class ExactMatrix:
     def zeros(cls, field, rows, cols=None):
         cols = rows if cols is None else cols
         z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls._of(field, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     def copy(self):
-        return ExactMatrix(self.field, [row[:] for row in self.data])
+        return ExactMatrix._of(self.field, [row[:] for row in self.data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -74,14 +82,14 @@ class ExactMatrix:
 
     def __add__(self, other):
         self._shape_check(other)
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.field,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
         )
 
     def __sub__(self, other):
         self._shape_check(other)
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.field,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
         )
@@ -93,8 +101,8 @@ class ExactMatrix:
     def scale(self, scalar):
         if not isinstance(scalar, CycloNum):
             scalar = self.field.from_rational(scalar)
-        return ExactMatrix(self.field, [[a if a.is_zero() else scalar * a for a in row]
-                                        for row in self.data])
+        return ExactMatrix._of(self.field, [[a if a.is_zero() else scalar * a for a in row]
+                                            for row in self.data])
 
     def __neg__(self):
         return self.scale(-1)
@@ -115,7 +123,7 @@ class ExactMatrix:
                 for j, b in enumerate(brow):
                     if not b.is_zero():
                         out_i[j] = out_i[j] + a * b
-        return ExactMatrix(self.field, out)
+        return ExactMatrix._of(self.field, out)
 
     def commutator(self, other):
         return self * other - other * self
@@ -135,7 +143,7 @@ class ExactMatrix:
         return out
 
     def transpose(self):
-        return ExactMatrix(self.field, [list(col) for col in zip(*self.data)])
+        return ExactMatrix._of(self.field, [list(col) for col in zip(*self.data)])
 
     def is_zero(self):
         return all(a.is_zero() for row in self.data for a in row)
@@ -146,13 +154,13 @@ class ExactMatrix:
         for arow in self.data:
             for brow in other.data:
                 out.append([a * b for a in arow for b in brow])
-        return ExactMatrix(self.field, out)
+        return ExactMatrix._of(self.field, out)
 
     def flatten(self):
         return [a for row in self.data for a in row]
 
     def submatrix(self, row0, col0, nrows, ncols):
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.field, [row[col0 : col0 + ncols] for row in self.data[row0 : row0 + nrows]]
         )
 
@@ -176,9 +184,12 @@ class ExactMatrix:
         """
         space = self.row_space()
         pivots = sorted(space.pivot_rows)
-        zero_row = [self.field.zero] * self.cols
-        rows = [space.pivot_rows[c] for c in pivots] + [zero_row] * (self.rows - len(pivots))
-        return ExactMatrix(self.field, rows), pivots
+        zero = self.field.zero
+        rows = [[zero] * self.cols for _ in range(self.rows)]
+        for row, c in zip(rows, pivots):
+            for j, x in space.pivot_rows[c].items():
+                row[j] = x
+        return ExactMatrix._of(self.field, rows), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -223,39 +234,55 @@ class ExactMatrix:
 
 
 class RowSpace:
-    """Incrementally maintained row space with exact membership tests."""
+    """Incrementally maintained row space with exact membership tests.
+
+    Each pivot row is stored sparse, as ``{column: nonzero entry}``, and kept in
+    reduced echelon form: its pivot entry is one, and it has no entry in any
+    other pivot column.  `add` and `contains` take a row either as a list or as
+    such a dict (explicit zeros allowed), and never modify it.
+    """
 
     def __init__(self, field: CycloField, width: int):
         self.field = field
         self.width = width
-        self.pivot_rows: dict[int, list[CycloNum]] = {}
+        self.pivot_rows: dict[int, dict[int, CycloNum]] = {}
 
-    def _reduce(self, vec):
-        # pivot rows are fully reduced, so the order of elimination is immaterial
-        vec = list(vec)
-        for piv, row in self.pivot_rows.items():
-            c = vec[piv]
-            if not c.is_zero():
-                for j, b in enumerate(row):
-                    if not b.is_zero():
-                        vec[j] = vec[j] - c * b
+    def _reduce(self, vec) -> dict:
+        """A fresh sparse copy of vec with every pivot column cleared."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        vec = {j: c for j, c in items if not c.is_zero()}
+        # pivot rows are fully reduced: clearing one pivot column touches no other
+        for piv in [j for j in vec if j in self.pivot_rows]:
+            self._eliminate(vec, piv, self.pivot_rows[piv])
         return vec
 
+    def _eliminate(self, vec: dict, piv: int, row: dict):
+        """vec -= vec[piv] * row, for the pivot row of column piv; cancelled entries are dropped."""
+        zero = self.field.zero
+        c = vec.pop(piv)
+        for j, b in row.items():
+            if j != piv:
+                x = vec.get(j, zero) - c * b
+                if x.is_zero():
+                    del vec[j]
+                else:
+                    vec[j] = x
+
     def contains(self, vec) -> bool:
-        return all(c.is_zero() for c in self._reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec) -> bool:
         """Insert vec; True if it enlarged the space."""
         red = self._reduce(vec)
-        piv = next((j for j, c in enumerate(red) if not c.is_zero()), None)
-        if piv is None:
+        if not red:
             return False
+        piv = min(red)
         inv = red[piv].inverse()
-        red = [inv * c for c in red]
-        for p, row in self.pivot_rows.items():
-            c = row[piv]
-            if not c.is_zero():
-                self.pivot_rows[p] = [a - c * b for a, b in zip(row, red)]
+        red = {j: inv * c for j, c in red.items() if j != piv}
+        red[piv] = self.field.one
+        for row in self.pivot_rows.values():
+            if piv in row:
+                self._eliminate(row, piv, red)
         self.pivot_rows[piv] = red
         return True
 
@@ -279,7 +306,8 @@ class RowSpace:
             vec = [zero] * self.width
             vec[fc] = one
             for pc, row in self.pivot_rows.items():
-                vec[pc] = -row[fc]
+                if fc in row:
+                    vec[pc] = -row[fc]
             basis.append(vec)
         return basis
 

@@ -104,9 +104,9 @@ class GradedOperator:
 
     @classmethod
     def _of(cls, space, shift, blocks) -> GradedOperator:
-        """The operator of blocks {w: (tw, matrix)} whose target classes are already known."""
+        """The operator of nonzero blocks {w: (tw, matrix)} whose target classes are already known."""
         op = cls.__new__(cls)
-        op.space, op.shift, op.blocks = space, shift, _nonzero_blocks(blocks)
+        op.space, op.shift, op.blocks = space, shift, blocks
         return op
 
     @classmethod
@@ -128,9 +128,12 @@ class GradedOperator:
         for w, (tw, mat) in other.blocks.items():
             mine = blocks.get(w)
             blocks[w] = tw, alone(mat) if mine is None else both(mine[1], mat)
-        return GradedOperator._of(self.space, self.shift, blocks)
+        return GradedOperator._of(self.space, self.shift, _nonzero_blocks(blocks))
 
     def scale(self, c) -> GradedOperator:
+        """c times the operator; a nonzero c leaves every block nonzero."""
+        if c == 0:
+            return GradedOperator._of(self.space, self.shift, {})
         return GradedOperator._of(self.space, self.shift,
                                   {w: (tw, mat.scale(c)) for w, (tw, mat) in self.blocks.items()})
 
@@ -140,7 +143,8 @@ class GradedOperator:
             raise DimensionMismatch("graded operators on different spaces")
         blocks = {w: (self.blocks[tw][0], self.blocks[tw][1] * mat)
                   for w, (tw, mat) in other.blocks.items() if tw in self.blocks}
-        return GradedOperator._of(self.space, self.space.shifted_class(self.shift, other.shift), blocks)
+        return GradedOperator._of(self.space, self.space.shifted_class(self.shift, other.shift),
+                                  _nonzero_blocks(blocks))
 
     def commutator(self, other) -> GradedOperator:
         return self * other - other * self
@@ -471,8 +475,9 @@ def intertwiners(field, pairs) -> list:
     For GradedOperator pairs on one space, X preserves the grading: the
     unknowns are the entries of its blocks X_c, class by class and row-major
     inside a block, and the basis comes back as GradedOperators.  Each
-    equation row is reduced into a RowSpace as it is made, and the basis is
-    read from its echelon form.
+    equation row is reduced into a RowSpace as it is made, as the sparse
+    {unknown: coefficient} dict ``_equations`` builds, and the basis is read
+    from its echelon form.
     """
     A0, B0 = pairs[0]
     graded = isinstance(A0, GradedOperator)
@@ -484,7 +489,6 @@ def intertwiners(field, pairs) -> list:
             width += sp.dims[c] ** 2
     else:
         width = B0.rows * A0.rows
-    zero = field.zero
     space = RowSpace(field, width)
     for A, B in pairs:
         # block (tc, c) of B * X - X * A is B_c X_c - X_tc A_c, taken in the row order of U
@@ -492,7 +496,7 @@ def intertwiners(field, pairs) -> list:
             else [(B, A, 0, 0)]
         for system in systems:
             for row in _equations(*system):
-                space.add([row.get(u, zero) for u in range(width)])
+                space.add(row)
         if space.dim == space.width:
             return []
     if graded:

@@ -7,10 +7,12 @@ reference kernel, solve and inverse are the old bodies on top of it.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtlie.cyclo import make_field
 from qtlie.errors import DimensionMismatch
-from qtlie.matrices import ExactMatrix
+from qtlie.matrices import ExactMatrix, RowSpace
 
 FIELDS = [1, 2, 3, 4, 12]
 
@@ -197,3 +199,76 @@ def test_zero_and_repeated_rows(L):
         m = ExactMatrix(fld, rows)
         assert m.rref() == reference_rref(m)
         assert m.kernel() == reference_kernel(m)
+
+
+def _as_dict(row, rng):
+    """The row as {column: entry}, keeping some of its zero entries explicitly."""
+    return {j: x for j, x in enumerate(row) if not x.is_zero() or rng.random() < 0.3}
+
+
+def _check_reduced(space):
+    """Every pivot row: pivot entry one, no stored zero, no entry in another pivot column."""
+    for piv, row in space.pivot_rows.items():
+        assert row[piv].is_one()
+        assert not any(x.is_zero() for x in row.values())
+        assert not (row.keys() - {piv}) & space.pivot_rows.keys()
+
+
+@given(L=st.sampled_from([1, 3, 4]), width=st.integers(1, 12), seed=st.integers(0, 2**32))
+def test_sparse_rowspace_matches_reference(L, width, seed):
+    """Sparse rows (about 15% nonzero) added as lists and as dicts with explicit
+    zeros, shuffled and repeated, give the reference RREF and kernel."""
+    fld = make_field(L)
+    rng = random.Random(seed)
+    gens = [[_entry(fld, rng, density=0.15) for _ in range(width)] for _ in range(rng.randint(1, 5))]
+    rows = list(gens)
+    for _ in range(rng.randint(0, 4)):  # sparse combinations of two generators
+        a, b = rng.choice(gens), rng.choice(gens)
+        ca, cb = (fld.element([rng.randint(1, 3)] * fld.phi) for _ in range(2))
+        rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] + [[fld.zero] * width]
+    rng.shuffle(rows)
+    space = RowSpace(fld, width)
+    for row in rows:
+        arg = _as_dict(row, rng) if rng.random() < 0.5 else list(row)
+        given_arg = arg.copy()
+        before = {piv: dict(r) for piv, r in space.pivot_rows.items()}
+        inside = space.contains(arg)
+        assert space.pivot_rows == before and space.dim == len(before)
+        assert space.add(arg) is not inside
+        assert arg == given_arg
+        _check_reduced(space)
+    m = ExactMatrix(fld, rows)
+    ref_red, ref_pivots = reference_rref(m)
+    assert sorted(space.pivot_rows) == ref_pivots
+    assert [[space.pivot_rows[p].get(j, fld.zero) for j in range(width)] for p in ref_pivots] \
+        == ref_red.data[:len(ref_pivots)]
+    assert space.kernel() == reference_kernel(m)
+    assert m.rref() == (ref_red, ref_pivots)
+
+
+def test_results_share_no_rows_with_their_operands():
+    fld = make_field(3)
+    a = ExactMatrix(fld, [[1, 2], [3, 4]])
+    b = ExactMatrix(fld, [[0, fld.root(1)], [5, 0]])
+    rank_one = ExactMatrix(fld, [[1, 2], [2, 4], [3, 6]])
+    results = [a + b, a - b, a.scale(2), -a, a * b, a.copy(), a.submatrix(0, 0, 2, 2),
+               a.transpose(), a.kron(b), b.rref()[0], b.inverse()]
+    operands = [m.serialize() for m in (a, b)]
+    for result in results:
+        result[0, 0] = 7
+        result.paste(1, 1, ExactMatrix(fld, [[9]]))
+        assert [m.serialize() for m in (a, b)] == operands
+    # fresh rows inside one result too: zero rows of rref, zeros and identity
+    for m in (rank_one.rref()[0], ExactMatrix.zeros(fld, 3, 2), ExactMatrix.identity(fld, 3)):
+        m[1, 1] = 7
+        assert m[2, 1] != 7 and m[0, 1] != 7
+
+
+def test_public_constructor_coerces_and_checks():
+    fld = make_field(3)
+    assert ExactMatrix(fld, [[1, 0]])[0, 0] == fld.one
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix(fld, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        ExactMatrix(fld, [[make_field(4).root(1)]])

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -39,7 +42,8 @@ from qtlie.repn import (
     truncated_polynomial_rep,
     verify_representation,
 )
-from qtlie.torus import canonical_rep, class_representatives, exp_add, sigma_hat
+from qtlie.torus import canonical_rep, class_representatives, exp_add, load_torus, sigma_hat
+from qtlie.verify import _standard_pullback
 from qtlie.cyclo import make_field, proper_factor_over_q
 from test_matrices import reference_kernel
 
@@ -376,6 +380,39 @@ def test_rowspace_kernel_matches_dense_kernel(seed):
         space.add(row)
     assert space.kernel() == reference_kernel(ExactMatrix(fld, rows))
     assert len(space.kernel()) == width - 4
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+# sha256, computed before RowSpace stored sparse pivot rows, of the JSON of the
+# commutant basis (dense matrices) and of decompose_tensor's output (the rebuilt
+# pullback and Phi) for the seed-5 scrambled standard pullback
+SCRAMBLED_SOLVE_SHA256 = {
+    "e2": ("77721bda47719a9f2df17284fd52dfe3787f9a93c7f703262596374b708343d7",
+           "4c1fa4e2848d25fb48e5798e1964c7f51e83154ef492f20096abf15408e8a507"),
+    "e3": ("d8c53c8137e9635f26a9d864413bdc226640a91a2ecf8ac0e7f464c32c39e3ce",
+           "bc7ee9e1f65a7823d51bdae44395be02d3f5e0e823b159d9b85cc15cba85f510"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRAMBLED_SOLVE_SHA256))
+def test_scrambled_commutant_and_decomposition_are_pinned(name):
+    spec = load_torus(SPECS / f"{name}.json")
+    scrambled = scramble_representation(_standard_pullback(spec)[1], seed=5)
+    vw, phi = decompose_tensor(spec, scrambled)
+    texts = (json.dumps([op.dense().serialize() for op in commutant(scrambled)]),
+             json.dumps({"rep": rep_to_dict(pullback(spec, vw)), "phi": phi.serialize()}, sort_keys=True))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == SCRAMBLED_SOLVE_SHA256[name]
+
+
+E5_COMMUTANT_BUDGET_S = 2
+
+
+def test_e5_scrambled_commutant_within_budget():
+    """64 dimensions over 16 classes of 4: a system in 256 unknowns."""
+    scrambled = scramble_representation(_standard_pullback(load_torus(SPECS / "e5.json"))[1], seed=5)
+    start = time.perf_counter()
+    assert len(commutant(scrambled)) == 1
+    assert time.perf_counter() - start < E5_COMMUTANT_BUDGET_S
 
 
 def test_min_annihilation_degree(e1, rep_e1):
