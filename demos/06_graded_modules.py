@@ -39,7 +39,7 @@ print("annihilation degree:", min_annihilation_degree(rep))
 scrambled = scramble_representation(rep, seed=42)
 recovered, phi = decompose_tensor(spec, scrambled, seed=42)
 print("recovered factors: dim V =", recovered.dim_V, ", dim W =", recovered.dim_W)
-print("isomorphism invertible:", phi.rank() == rep.space.dim)
+print("isomorphism invertible:", phi.dense().rank() == rep.space.dim)
 
 # not everything is a pullback: truncated polynomials under vector fields
 # form a valid module whose degree-one jets act non-trivially

@@ -27,11 +27,14 @@ class ExactMatrix:
                 raise DimensionMismatch("ragged matrix rows")
 
     @classmethod
-    def _of(cls, field: CycloField, data: list) -> ExactMatrix:
-        """The matrix of `data`, fresh rectangular rows of entries of `field`, taken as they are."""
+    def _of(cls, field: CycloField, data: list, cols: int) -> ExactMatrix:
+        """The matrix of `data`, fresh rows of `cols` entries of `field`, taken as they are.
+
+        `cols` is passed, not read off the first row, so that a matrix with no
+        rows keeps its column count.
+        """
         m = cls.__new__(cls)
-        m.field, m.data, m.rows = field, data, len(data)
-        m.cols = len(data[0]) if data else 0
+        m.field, m.data, m.rows, m.cols = field, data, len(data), cols
         return m
 
     @staticmethod
@@ -48,15 +51,15 @@ class ExactMatrix:
     def zeros(cls, field, rows, cols=None):
         cols = rows if cols is None else cols
         z = field.zero
-        return cls._of(field, [[z] * cols for _ in range(rows)])
+        return cls._of(field, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     def copy(self):
-        return ExactMatrix._of(self.field, [row[:] for row in self.data])
+        return ExactMatrix._of(self.field, [row[:] for row in self.data], self.cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -83,15 +86,13 @@ class ExactMatrix:
     def __add__(self, other):
         self._shape_check(other)
         return ExactMatrix._of(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            self.field, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)], self.cols
         )
 
     def __sub__(self, other):
         self._shape_check(other)
         return ExactMatrix._of(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            self.field, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)], self.cols
         )
 
     def _shape_check(self, other):
@@ -102,7 +103,7 @@ class ExactMatrix:
         if not isinstance(scalar, CycloNum):
             scalar = self.field.from_rational(scalar)
         return ExactMatrix._of(self.field, [[a if a.is_zero() else scalar * a for a in row]
-                                            for row in self.data])
+                                            for row in self.data], self.cols)
 
     def __neg__(self):
         return self.scale(-1)
@@ -123,7 +124,7 @@ class ExactMatrix:
                 for j, b in enumerate(brow):
                     if not b.is_zero():
                         out_i[j] = out_i[j] + a * b
-        return ExactMatrix._of(self.field, out)
+        return ExactMatrix._of(self.field, out, other.cols)
 
     def commutator(self, other):
         return self * other - other * self
@@ -143,7 +144,7 @@ class ExactMatrix:
         return out
 
     def transpose(self):
-        return ExactMatrix._of(self.field, [list(col) for col in zip(*self.data)])
+        return ExactMatrix._of(self.field, [[row[j] for row in self.data] for j in range(self.cols)], self.rows)
 
     def is_zero(self):
         return all(a.is_zero() for row in self.data for a in row)
@@ -154,14 +155,14 @@ class ExactMatrix:
         for arow in self.data:
             for brow in other.data:
                 out.append([a * b for a in arow for b in brow])
-        return ExactMatrix._of(self.field, out)
+        return ExactMatrix._of(self.field, out, self.cols * other.cols)
 
     def flatten(self):
         return [a for row in self.data for a in row]
 
     def submatrix(self, row0, col0, nrows, ncols):
         return ExactMatrix._of(
-            self.field, [row[col0 : col0 + ncols] for row in self.data[row0 : row0 + nrows]]
+            self.field, [row[col0 : col0 + ncols] for row in self.data[row0 : row0 + nrows]], ncols
         )
 
     def paste(self, row0, col0, block: "ExactMatrix"):
@@ -189,7 +190,7 @@ class ExactMatrix:
         for row, c in zip(rows, pivots):
             for j, x in space.pivot_rows[c].items():
                 row[j] = x
-        return ExactMatrix._of(self.field, rows), pivots
+        return ExactMatrix._of(self.field, rows, self.cols), pivots
 
     def rank(self):
         return len(self.rref()[1])

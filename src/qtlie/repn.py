@@ -86,7 +86,7 @@ class GradedOperator:
     arithmetic.  Only nonzero blocks are kept, so the zero operator has no
     blocks and equals the zero operator of every shift.  Sums, products,
     commutators and equality work block by block; ``dense`` alone builds the
-    dim x dim matrix.
+    dim x dim matrix, and only serialization calls it.
     """
 
     __slots__ = ("space", "shift", "blocks")
@@ -706,59 +706,63 @@ def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
 
 
 def _irreducible_gld_submodule(field, gld_mats, basis, rng):
-    """Shrink a submodule (given by a basis of columns) to an irreducible one."""
+    """Shrink a submodule of one class U_c to an irreducible one and return its gl_d matrices.
+
+    `basis` spans the submodule as columns of U_c, and `gld_mats` are the
+    class-c blocks of the gl_d generators.
+    """
     mats_list = [m for m in gld_mats.values()]
     while True:
         restricted = _restriction(field, gld_mats, basis)
         n = len(basis)
         split = _try_split(field, list(restricted.values()), n, rng)
         if split is None:
-            return basis, restricted
+            return restricted
         # lift one vector of the invariant subspace to the ambient coordinates
         basis = spin_up(field, mats_list, basis_matrix(field, basis).apply(split[0]))
 
 
-def _probe_vectors(sp: GradedSpace, gld_mats: dict, probes: int, rng) -> list:
-    """Homogeneous probe vectors: top-power images of the nilpotent dense gl_d
-    generators, then plain basis vectors, then seeded random homogeneous vectors."""
+def _probe_vectors(sp: GradedSpace, gld_ops: dict, probes: int, rng) -> list:
+    """Homogeneous probe vectors as (class c, column of U_c): top-power images of the
+    nilpotent gl_d generators, then plain basis vectors, then seeded random vectors of one class."""
     fld = sp.field
     out = []
-    for (i, j), mat in gld_mats.items():
-        if i == j or mat.is_zero():
+    for (i, j), op in gld_ops.items():
+        if i == j or op.is_zero():
             continue
-        power = mat
-        prev = mat
+        power = prev = op
         for _ in range(sp.dim):  # off-diagonal unit images are nilpotent
             if power.is_zero():
                 break
             prev = power
-            power = power * mat
-        for col in range(sp.dim):
-            vec = [prev[r, col] for r in range(sp.dim)]
-            if not vec_is_zero(vec):
-                out.append(vec)
-                break
-    for idx in range(sp.dim):
-        vec = [fld.zero] * sp.dim
-        vec[idx] = fld.one
-        out.append(vec)
+            power = power * op
+        # the first nonzero column of prev, in the basis order of the space
+        c = next(c for c in sp.classes if c in prev.blocks)
+        out.append((c, next(col for col in prev.blocks[c][1].transpose().data if not vec_is_zero(col))))
+    for c in sp.classes:
+        out += [(c, unit) for unit in ExactMatrix.identity(fld, sp.dims[c]).data]
     for _ in range(4):
         c = sp.classes[rng.randrange(len(sp.classes))]
-        vec = [fld.zero] * sp.dim
-        for local in range(sp.dims[c]):
-            vec[sp.offset[c] + local] = fld.from_rational(rng.randint(-2, 2))
+        vec = [fld.from_rational(rng.randint(-2, 2)) for _ in range(sp.dims[c])]
         if not vec_is_zero(vec):
-            out.append(vec)
+            out.append((c, vec))
     return out[: max(probes, 1)]
 
 
 def decompose_tensor(
     spec: TorusSpec, rep: GRepresentation, probes: int = 8, seed: int = 1
-) -> tuple[GLdGLNModule, ExactMatrix]:
+) -> tuple[GLdGLNModule, GradedOperator]:
     """Split an absolutely irreducible quotient-pair module into V and W factors.
 
-    Returns the recovered module data and the exact isomorphism matrix Phi
-    with rho_original(key) * Phi = Phi * rho_rebuilt(key) for every generator.
+    Returns the recovered module data and the exact isomorphism Phi, a
+    grading-preserving operator from the rebuilt pullback's space (which
+    equals rep.space) onto rep.space, with rho_original(key) * Phi =
+    Phi * rho_rebuilt(key) for every generator.
+
+    The gl_d generators preserve every class U_c, and every probe vector lies
+    in one class, so V is found inside one U_c: the spin-up, its restriction
+    and its splitting work on the class-c blocks of the gl_d operators, and no
+    dim U x dim U matrix is built.
     """
     sp = rep.space
     fld = sp.field
@@ -766,27 +770,23 @@ def decompose_tensor(
         raise NotIrreducible("graded commutant has dimension != 1")
     rng = random.Random(seed)
     gld_ops = {pair: rep.rho(key) for key, pair in gl_d_keys(spec.d)}
-    gld_mats = {pair: op.dense() for pair, op in gld_ops.items()}
-    mats_list = list(gld_mats.values())
+    gld_blocks = {c: {pair: op.block(c) for pair, op in gld_ops.items()} for c in sp.classes}
     best = None
-    for vec in _probe_vectors(sp, gld_mats, probes, rng):
-        basis = spin_up(fld, mats_list, vec)
-        if basis and (best is None or len(basis) < len(best)):
-            best = basis
-        if best is not None and len(best) == 1:
+    for c, vec in _probe_vectors(sp, gld_ops, probes, rng):
+        basis = spin_up(fld, list(gld_blocks[c].values()), vec)
+        if basis and (best is None or len(basis) < len(best[1])):
+            best = c, basis
+        if best is not None and len(best[1]) == 1:
             break
     if best is None:
         raise NotIrreducible("no nonzero probe vector found")
-    v_basis, v_mats = _irreducible_gld_submodule(fld, gld_mats, best, rng)
-    dV = len(v_basis)
+    v_mats = _irreducible_gld_submodule(fld, gld_blocks[best[0]], best[1], rng)
     # intertwiner spaces Hom_{gl_d}(V, U_c), one per class
     w_basis_per_class = {
-        c: intertwiners(fld, [(vm, gld_ops[ij].block(c)) for ij, vm in v_mats.items()])
+        c: intertwiners(fld, [(vm, gld_blocks[c][ij]) for ij, vm in v_mats.items()])
         for c in sp.classes
     }
     dW = sum(len(v) for v in w_basis_per_class.values())
-    if dV * dW != sp.dim:
-        raise NotIrreducible(f"multiplicity count {dV}*{dW} != {sp.dim}")
     flat_w = [(c, f) for c in sp.classes for f in w_basis_per_class[c]]
     W_classes = [c for c, _ in flat_w]
     # action of the torus-side generators on the intertwiner spaces
@@ -810,17 +810,17 @@ def decompose_tensor(
         W_mats[w] = m
     vw = GLdGLNModule(spec, v_mats, W_mats, W_classes)  # validates itself
     rebuilt = pullback(spec, vw)
-    if rebuilt.space.dim != sp.dim:
-        raise NotIrreducible("rebuilt tensor module has wrong dimension")
-    # isomorphism: tensor basis vector (b, a) maps to f_b(v_a); W_classes runs
-    # class by class, so that vector sits at position b * dV + a
-    phi = ExactMatrix.zeros(fld, sp.dim)
-    for b, (c, f) in enumerate(flat_w):
-        phi.paste(sp.offset[c], b * dV, f)
-    if phi.rank() != sp.dim:
+    if rebuilt.space != sp:
+        raise NotIrreducible("rebuilt tensor module does not have the class dimensions of U")
+    # isomorphism: the tensor basis vector w_b (x) v_a of class c maps to f_b(v_a), so
+    # the block of Phi on U_c is the f_b of class c side by side
+    phi = GradedOperator(sp, sp.zero_class, {
+        c: ExactMatrix(fld, [[x for f in fs for x in f.data[i]] for i in range(sp.dims[c])])
+        for c, fs in w_basis_per_class.items()})
+    if any(phi.block(c).rank() != n for c, n in sp.dims.items()):
         raise NotIrreducible("tensor comparison map is singular")
     for key in set(rep.nonzero_keys()) | set(rebuilt.nonzero_keys()):
-        if rep.rho(key).dense() * phi != phi * rebuilt.rho(key).dense():
+        if rep.rho(key) * phi != phi * rebuilt.rho(key):
             raise NotIrreducible(f"comparison map fails to intertwine {key_to_string(key)}")
     return vw, phi
 

@@ -187,6 +187,12 @@ def test_empty_and_columnless_matrices():
     red, pivots = columnless.rref()
     assert (red.rows, red.cols, pivots) == (2, 0, [])
     assert columnless.kernel() == reference_kernel(columnless) == []
+    # a matrix with no rows keeps its column count through zeros, products and cuts
+    rowless = ExactMatrix.zeros(fld, 0, 3)
+    assert rowless.cols == 3 and (rowless * ExactMatrix.zeros(fld, 3, 2)).cols == 2
+    assert (rowless.transpose().rows, rowless.transpose().cols) == (3, 0)
+    assert ExactMatrix.identity(fld, 3).submatrix(3, 0, 0, 2).cols == 2
+    assert rowless.kernel() == reference_kernel(rowless) and len(rowless.kernel()) == 3
 
 
 @pytest.mark.parametrize("L", FIELDS)

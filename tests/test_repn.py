@@ -42,7 +42,7 @@ from qtlie.repn import (
     truncated_polynomial_rep,
     verify_representation,
 )
-from qtlie.torus import canonical_rep, class_representatives, exp_add, load_torus, sigma_hat
+from qtlie.torus import canonical_rep, class_representatives, exp_add, load_torus, make_torus, sigma_hat
 from qtlie.verify import _standard_pullback
 from qtlie.cyclo import make_field, proper_factor_over_q
 from test_matrices import reference_kernel
@@ -383,14 +383,21 @@ def test_rowspace_kernel_matches_dense_kernel(seed):
 
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
-# sha256, computed before RowSpace stored sparse pivot rows, of the JSON of the
-# commutant basis (dense matrices) and of decompose_tensor's output (the rebuilt
-# pullback and Phi) for the seed-5 scrambled standard pullback
+# sha256 of the JSON of the commutant basis (dense matrices) and of
+# decompose_tensor's output (the rebuilt pullback and Phi as a dense matrix) for
+# the seed-5 scrambled standard pullback.  The e2 and e3 digests were computed
+# before RowSpace stored sparse pivot rows, the e4 and e5 digests (d = 4, where
+# the twelve top-power probes are cut to eight) before decompose_tensor worked
+# on class blocks.
 SCRAMBLED_SOLVE_SHA256 = {
     "e2": ("77721bda47719a9f2df17284fd52dfe3787f9a93c7f703262596374b708343d7",
            "4c1fa4e2848d25fb48e5798e1964c7f51e83154ef492f20096abf15408e8a507"),
     "e3": ("d8c53c8137e9635f26a9d864413bdc226640a91a2ecf8ac0e7f464c32c39e3ce",
            "bc7ee9e1f65a7823d51bdae44395be02d3f5e0e823b159d9b85cc15cba85f510"),
+    "e4": ("ead09ff63ca419f52202c0199b027aafdc5037e236fdd66b3de093ecf0271c6f",
+           "903a3a63f6ac905aa8b5e3e4055e86ce0123c78caeede2d53d3529d08fb48735"),
+    "e5": ("c03cdd1940731de7c2b339465dfafbe1dacdac91cfbcbf6fa55d3326b1c11492",
+           "0a1a53c4b33eb3d1e397929dd89fa5228769209aa9028d727452d4e824fd8e94"),
 }
 
 
@@ -400,8 +407,25 @@ def test_scrambled_commutant_and_decomposition_are_pinned(name):
     scrambled = scramble_representation(_standard_pullback(spec)[1], seed=5)
     vw, phi = decompose_tensor(spec, scrambled)
     texts = (json.dumps([op.dense().serialize() for op in commutant(scrambled)]),
-             json.dumps({"rep": rep_to_dict(pullback(spec, vw)), "phi": phi.serialize()}, sort_keys=True))
+             json.dumps({"rep": rep_to_dict(pullback(spec, vw)), "phi": phi.dense().serialize()}, sort_keys=True))
     assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == SCRAMBLED_SOLVE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["e2", "e3"])
+def test_decompose_builds_no_dense_matrix(name, monkeypatch):
+    """The spin-up, the restriction, Phi and the intertwining check all work on
+    class blocks: no dim U x dim U matrix is built or pasted into."""
+    spec = load_torus(SPECS / f"{name}.json")
+    scrambled = scramble_representation(_standard_pullback(spec)[1], seed=5)
+    calls = []
+    for owner, attr in ((GradedOperator, "dense"), (ExactMatrix, "paste")):
+        def spy(*args, _method=getattr(owner, attr), _name=f"{owner.__name__}.{attr}"):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(owner, attr, spy)
+    decompose_tensor(spec, scrambled)
+    monkeypatch.undo()
+    assert calls == []
 
 
 E5_COMMUTANT_BUDGET_S = 2
@@ -443,10 +467,11 @@ def test_decompose_scrambled_pullback(e1, rep_e1):
     assert len(commutant(sc)) == 1
     vw, phi = decompose_tensor(e1, sc, probes=8, seed=42)
     assert (vw.dim_V, vw.dim_W) == (2, 4)
-    assert phi.rank() == 8
+    assert phi.dense().rank() == 8
     rebuilt = pullback(e1, vw)
     for key in set(sc.nonzero_keys()) | set(rebuilt.nonzero_keys()):
-        assert sc.rho(key).dense() * phi == phi * rebuilt.rho(key).dense()
+        assert sc.rho(key).dense() * phi.dense() == phi.dense() * rebuilt.rho(key).dense()
+        assert sc.rho(key) * phi == phi * rebuilt.rho(key)
 
 
 def test_decompose_trivial_v(e1):
@@ -462,7 +487,30 @@ def test_decompose_e2(e2):
     sc = scramble_representation(rep, seed=9)
     vw, phi = decompose_tensor(e2, sc, seed=9)
     assert (vw.dim_V, vw.dim_W) == (2, 9)
-    assert phi.rank() == 18
+    assert phi.dense().rank() == 18
+
+
+def _one_class_vw(spec):
+    """Natural V (x) a one-dimensional W on the zero class: X^0 acts as one, every other X^w as zero."""
+    w0 = canonical_rep(spec, (0,) * spec.d)
+    wmats = {w: ExactMatrix(spec.field, [[int(w == w0)]]) for w in class_representatives(spec)}
+    return GLdGLNModule(spec, natural_gld(spec), wmats, [w0])
+
+
+@pytest.mark.parametrize("spec", [make_torus(2, 1, [2]), make_torus(2, 1, [3], L=3)], ids=["q", "zeta3"])
+def test_decompose_one_class_pullback(spec):
+    """Every X^w with w != 0 moves the one class out of the space, so its blocks have no rows."""
+    rep = pullback(spec, _one_class_vw(spec))
+    vw, phi = decompose_tensor(spec, scramble_representation(rep, seed=5), seed=5)
+    assert (vw.dim_V, vw.dim_W) == (2, 1)
+    assert pullback(spec, vw) == rep
+    assert phi.dense().rank() == 2
+
+
+def test_decompose_module_with_no_action(e1):
+    rep = GRepresentation(GradedSpace(e1, {canonical_rep(e1, (0, 0)): 1}), {}, 1)
+    vw, _ = decompose_tensor(e1, rep)
+    assert (vw.dim_V, vw.dim_W) == (1, 1)
 
 
 def test_splitting_needs_field_extension():
