@@ -715,6 +715,34 @@ def test_extraction_round_trip_from_both_constructions(spec_name, request):
     assert time.perf_counter() - start < ROUND_TRIP_BUDGET_S
 
 
+# sha256 of the extracted coefficients of the natural-regular pullback, for both
+# constructions, alpha = 0 and (1/2, zeta_L, 0, ...), and degree bounds 2, 3, 4
+COEFFICIENT_DIGESTS = {
+    "e1": "9faae780dd9d44dc1603b39ece9b901ba82d1b8666a02c6bdae4841fac88da6d",
+    "e2": "90ba38905232c09fd27a8e921382d39e734b74e1b314eb7ee917bf31062fcfa4",
+    "e3": "abc35f11577b58281edf2f6422427bba1a16140086ea759b4f6bf9698af07b82",
+}
+
+
+@pytest.mark.parametrize("spec_name", sorted(COEFFICIENT_DIGESTS))
+def test_extracted_coefficients_are_pinned(spec_name, request):
+    """Every extracted coefficient, sorted by key and serialized densely, is byte-identical
+    to the pinned digest."""
+    spec = request.getfixturevalue(spec_name)
+    wmats, wclasses = graded_regular_glN(spec)
+    vw = GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)
+    rep = pullback(spec, vw)
+    cases = []
+    for alpha in ((0,) * spec.d, (Fraction(1, 2), spec.field.root(1)) + (0,) * (spec.d - 2)):
+        for module in (build_module(spec, alpha, rep, box=1), tensor_field_module(spec, alpha, vw, box=1)):
+            for degree in (2, 3, 4):
+                coeffs = extract_coefficients(OperatorFamily(module, degree), spec, alpha)
+                cases.append([[["f", j, p], op.dense().serialize()] for (j, p), op in sorted(coeffs.f.items())]
+                             + [[["g", r, l], op.dense().serialize()] for (r, l), op in sorted(coeffs.g.items())])
+    digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+    assert digest == COEFFICIENT_DIGESTS[spec_name]
+
+
 def test_dump_is_deterministic(e1, setup_e1):
     _, _, module = setup_e1
     import json
