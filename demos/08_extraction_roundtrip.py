@@ -28,7 +28,8 @@ family = OperatorFamily(module, degree_bound=3)
 print("D(e1, 0) is the diagonal of weight scalars:")
 print(family.matrix_D((1, 0), (0, 0)).dense())
 
-# interpolation on the grid m = B c, c in [0,3]^2, with an out-of-grid check
+# interpolation on the simplex m = B c, c >= 0 with c_1 + c_2 <= 3, by forward
+# differences, with an out-of-sample check at c = (4, 4)
 coeffs = extract_coefficients(family, spec, alpha)
 print("extracted vector-field coefficients:", sorted(coeffs.f))
 print("extracted torus coefficients:       ", sorted(coeffs.g))

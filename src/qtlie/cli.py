@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append",
                           help="suite name (repeatable); default: all")
     p_verify.add_argument("--box", type=_size)
-    p_verify.add_argument("--degree", type=_size)
+    p_verify.add_argument("--degree", type=_size,
+                          help="total-degree bound of the jet exponents (jacobi-gtilde) and of the"
+                               " operator families (roundtrip); filtration-degree bound of span-filtration")
     p_verify.add_argument("--samples", type=_size)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--flip-sigma", action="store_true",
@@ -292,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_module.add_argument("--tensor-field", action="store_true",
                           help="build the closed-form tensor-field module")
     p_module.add_argument("--box", type=_size, default=2)
-    p_module.add_argument("--degree", type=_size)
+    p_module.add_argument("--degree", type=_size,
+                          help="total-degree bound of the operator families (roundtrip, default 3);"
+                               " filtration-degree bound of the bracket check (verify, default the cutoff)")
     p_module.add_argument("--seed", type=int, default=1)
     p_module.add_argument("--out")
     p_module.add_argument("--dump-a")

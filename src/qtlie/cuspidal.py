@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .cyclo import CycloNum
 from .derivations import bracket_d, deriv_along, inner, inner_product
@@ -543,15 +545,33 @@ class PolynomialCoefficients:
     g: dict = dc_field(default_factory=dict)  # (r, l) -> operator
 
 
+def _binomial_to_taylor(b: int, D: int) -> list[list[Fraction]]:
+    """T[q][j] for q, j <= D with C(c, q) = sum over j <= q of T[q][j] (b c)^j / j!.
+
+    C(c, q) = (1 / q!) sum over j of s(q, j) c^j, s the signed Stirling numbers
+    of the first kind, and c^j = (b c)^j / b^j, so T[q][j] = s(q, j) j! / (q! b^j).
+    """
+    s = [[1]]  # s[q][j] for j <= q, from s(q + 1, j) = s(q, j - 1) - q s(q, j)
+    for q in range(D):
+        s.append([(s[q][j - 1] if j else 0) - (q * s[q][j] if j <= q else 0) for j in range(q + 2)])
+    return [[Fraction(s[q][j] * math.factorial(j), math.factorial(q) * b**j) for j in range(q + 1)]
+            for q in range(D + 1)]
+
+
 def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> PolynomialCoefficients:
     """Recover the polynomial coefficients of D and L by exact interpolation.
 
-    Each family F(m) = sum over p of (m^p / p!) F_p is sampled at m = B c for c
-    on the grid [0, D]^d, D = ``family.degree_bound``, and interpolated one
-    axis at a time, straight into the m^p / p! basis, with the inverse of
-    [(B_i c)^j / j!] along axis i.  An out-of-grid consistency check guards the
-    asserted degree bound, and the constant term of each D family is checked
-    against its forced scalar blocks.
+    Each family F(m) = sum over |p| <= D of (m^p / p!) F_p, D =
+    ``family.degree_bound`` a bound on the total degree, is sampled at m = B c
+    for c on the simplex {c >= 0 : |c| <= D}, C(D + d, d) points, which fix a
+    polynomial of total degree <= D.  Newton forward differences, taken in
+    place one axis at a time, turn the samples into the coefficients
+    Delta^q F(0) of the binomial basis prod over i of C(c_i, q_i); the simplex
+    is closed under the difference step along each axis.  One triangular
+    Stirling-number transform per axis then maps that basis to m^p / p!.  An
+    out-of-sample check at m = B (D + 1, ..., D + 1) guards the asserted degree
+    bound, and the constant term of each D family is checked against its
+    forced scalar blocks.
     """
     D = family.degree_bound
     alpha = _coerce_alpha(spec, alpha)
@@ -559,30 +579,35 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
     fld = spec.field
     B = spec.B
     d = spec.d
-    grid = list(itertools.product(range(D + 1), repeat=d))
-    inverses = [ExactMatrix(fld, [[taylor_coefficient((b * c,), (j,)) for j in range(D + 1)]
-                                  for c in range(D + 1)]).inverse() for b in B]
+    simplex = [c for c in itertools.product(range(D + 1), repeat=d) if sum(c) <= D]
+    transforms = [_binomial_to_taylor(b, D) for b in B]
 
     def to_m(cvec):
         return tuple(c * b for c, b in zip(cvec, B))
 
     def fit(evaluate, zero: GradedOperator) -> dict:
         """{p: F_p} for the nonzero coefficients of the family m -> evaluate(m)."""
-        table = {c: evaluate(to_m(c)) for c in grid}
-        for axis, inv in enumerate(inverses):
+        table = {c: evaluate(to_m(c)) for c in simplex}
+        for axis in range(d):
+            # the k-th pass leaves Delta^k along the axis at every c with c[axis] >= k;
+            # descending c[axis] reads each lower neighbour before it is overwritten
+            line_order = sorted(simplex, key=lambda c: -c[axis])
+            for k in range(1, D + 1):
+                for c in line_order:
+                    if c[axis] >= k:
+                        table[c] = table[c] - table[c[:axis] + (c[axis] - 1,) + c[axis + 1:]]
+        for axis, T in enumerate(transforms):
             table = {
-                pt[:axis] + (j,) + pt[axis + 1:]: linear_combination(
-                    ((inv[j, c], table[pt[:axis] + (c,) + pt[axis + 1:]]) for c in range(D + 1)), zero)
-                for pt in table if pt[axis] == 0 for j in range(D + 1)
+                p: linear_combination(((T[q][p[axis]], table[p[:axis] + (q,) + p[axis + 1:]])
+                                       for q in range(p[axis], D - sum(p) + p[axis] + 1)), zero)
+                for p in simplex
             }
         coeffs = {p: op for p, op in table.items() if not op.is_zero()}
         mstar = to_m((D + 1,) * d)
         predicted = linear_combination(
             ((taylor_coefficient(mstar, p), op) for p, op in coeffs.items()), zero)
         if predicted != evaluate(mstar):
-            raise DegreeBoundViolated(
-                f"family is not polynomial of total degree <= {D} per variable"
-            )
+            raise DegreeBoundViolated(f"family is not polynomial of total degree <= {D}")
         return coeffs
 
     out = PolynomialCoefficients(sp)
