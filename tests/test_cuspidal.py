@@ -51,6 +51,7 @@ from qtlie.repn import (
     graded_regular_glN,
     natural_gld,
     pullback,
+    rep_to_dict,
     truncated_polynomial_rep,
     trivial_gld,
 )
@@ -320,16 +321,36 @@ def test_functor_image_equals_tensor_field(e1, setup_e1):
     assert modules_equal_on_box(module, tf, 2)
 
 
-def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
-    """W is two copies of the regular module, so each class of V (x) W holds two W vectors."""
-    wmats, wclasses = graded_regular_glN(e1)
-    z = ExactMatrix.zeros(e1.field, len(wclasses))
-    twice = {w: ExactMatrix(e1.field, [row + z.data[0] for row in m.data] + [z.data[0] + row for row in m.data])
+def _regular_twice(spec):
+    """Natural V and W = two copies of the regular module, so each class of V (x) W holds two W vectors."""
+    wmats, wclasses = graded_regular_glN(spec)
+    z = ExactMatrix.zeros(spec.field, len(wclasses))
+    twice = {w: ExactMatrix(spec.field, [row + z.data[0] for row in m.data] + [z.data[0] + row for row in m.data])
              for w, m in wmats.items()}
-    vw = GLdGLNModule(e1, natural_gld(e1), twice, wclasses + wclasses)
+    return GLdGLNModule(spec, natural_gld(spec), twice, wclasses + wclasses)
+
+
+def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
+    vw = _regular_twice(e1)
     alpha = (Fraction(1, 3), 0)
     built = build_module(e1, alpha, pullback(e1, vw), box=1)
     assert modules_equal_on_box(built, tensor_field_module(e1, alpha, vw, box=1), 1)
+
+
+# sha256 of json.dumps(..., sort_keys=True) of rep_to_dict(pullback(e1, vw)) and of
+# dump_module(tensor_field_module(e1, (1/3, 0), vw, box=1)), vw = _regular_twice(e1);
+# these pin the basis order inside a class that holds two W vectors
+W_TWICE_PULLBACK_SHA256 = "428a50fde2866f80b18aee05a0197012dc7c92b8b5dfd6109653f8aed2bca3e3"
+W_TWICE_TENSOR_FIELD_SHA256 = "f16d0dc54728da4db2bdac4ee10c1f73bf67c91d42d0798c5834c0e7d6ddd607"
+
+
+def test_multiplicity_two_w_is_pinned(e1):
+    vw = _regular_twice(e1)
+    rep_text = json.dumps(rep_to_dict(pullback(e1, vw)), sort_keys=True)
+    assert hashlib.sha256(rep_text.encode()).hexdigest() == W_TWICE_PULLBACK_SHA256
+    module = tensor_field_module(e1, (Fraction(1, 3), 0), vw, box=1)
+    dump_text = json.dumps(dump_module(module), sort_keys=True)
+    assert hashlib.sha256(dump_text.encode()).hexdigest() == W_TWICE_TENSOR_FIELD_SHA256
 
 
 # ---------------------------------------------------------------------------
