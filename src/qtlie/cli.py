@@ -57,11 +57,11 @@ def _size(text: str) -> int:
 
 
 def _vw_from_name(spec: TorusSpec, name: str) -> GLdGLNModule:
-    wmats, wclasses = graded_regular_glN(spec)
+    w_ops, w_space = graded_regular_glN(spec)
     if name == "natural-regular":
-        return GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)
+        return GLdGLNModule(spec, natural_gld(spec), w_ops, w_space)
     if name == "trivial-regular":
-        return GLdGLNModule(spec, trivial_gld(spec), wmats, wclasses)
+        return GLdGLNModule(spec, trivial_gld(spec), w_ops, w_space)
     raise ParseError(f"unknown module preset {name!r} (use natural-regular or trivial-regular)")
 
 

@@ -289,34 +289,20 @@ class TensorFieldModule(_WeightModuleBase):
     """
 
     def __init__(self, spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3):
-        super().__init__(spec, alpha, vw.tensor_space(), box)
+        super().__init__(spec, alpha, vw.tensor_space, box)
         self.vw = vw
-        self._w_locals = {c: [] for c in self.space.classes}
-        for b, c in enumerate(vw.W_classes):
-            self._w_locals[c].append(b)
 
     def _class_blocks(self, symbol):
         spec = self.spec
-        sp = self.space
-        fld = spec.field
-        dV = self.vw.dim_V
+        vw = self.vw
         if symbol[0] == "deg":
-            # I (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
+            # I_W (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
             _, u, m = symbol
-            emat = linear_combination(((u[j] * m[i], self.vw.V_mats[(i + 1, j + 1)]) for i in range(spec.d)
-                                       for j in range(spec.d)), ExactMatrix.zeros(fld, dV))
-            return GradedOperator(sp, sp.zero_class, {w: ExactMatrix.identity(fld, len(src)).kron(emat)
-                                                      for w, src in self._w_locals.items()})
+            emat = linear_combination(((u[j] * m[i], vw.V_mats[(i + 1, j + 1)]) for i in range(spec.d)
+                                       for j in range(spec.d)), ExactMatrix.zeros(spec.field, vw.dim_V))
+            return vw.tensor(GradedOperator.identity(vw.W_space), emat)
         # t^e acts as W_r (x) I_V, r the class of e
-        r = canonical_rep(spec, symbol[1])
-        wmat = self.vw.W_mats[r]
-        out = {}
-        for w, src in self._w_locals.items():
-            tw = sp.shifted_class(w, r)
-            if tw in sp.dims:
-                w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in self._w_locals[tw]])
-                out[w] = w_block.kron(ExactMatrix.identity(fld, dV))
-        return GradedOperator(sp, r, out)
+        return vw.tensor(vw.W[canonical_rep(spec, symbol[1])], ExactMatrix.identity(spec.field, vw.dim_V))
 
 
 def tensor_field_module(spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3) -> TensorFieldModule:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
 from .errors import (
@@ -333,15 +334,16 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
 
 @dataclass
 class GLdGLNModule:
-    """Module data for the quotient pair: gl_d matrices on V, graded gl_N data on W.
+    """Module data for the quotient pair: gl_d matrices on V, a graded gl_N-module W.
 
-    The relations are checked once, on construction.
+    W is a GradedSpace and one GradedOperator X^w of shift w per class
+    representative w.  The relations are checked once, on construction.
     """
 
     spec: TorusSpec
     V_mats: dict[tuple[int, int], ExactMatrix]
-    W_mats: dict[tuple, ExactMatrix]
-    W_classes: list[tuple]
+    W: dict[tuple, GradedOperator]
+    W_space: GradedSpace
 
     def __post_init__(self):
         self.validate()
@@ -352,17 +354,20 @@ class GLdGLNModule:
 
     @property
     def dim_W(self) -> int:
-        return len(self.W_classes)
+        return self.W_space.dim
 
+    @cached_property
     def tensor_space(self) -> GradedSpace:
-        """Graded space of V (x) W.
+        """Graded space of V (x) W: U_c = W_c (x) V.
 
-        Its basis vectors w_b (x) v_a run class-major, then in W order, then in V order.
+        Its basis vectors w_b (x) v_a run class-major, then in W_c order, then in V order.
         """
-        dims: dict[tuple, int] = {}
-        for c in self.W_classes:
-            dims[c] = dims.get(c, 0) + self.dim_V
-        return GradedSpace(self.spec, dims)
+        return GradedSpace(self.spec, {c: n * self.dim_V for c, n in self.W_space.dims.items()})
+
+    def tensor(self, w_op: GradedOperator, v_mat: ExactMatrix) -> GradedOperator:
+        """The operator w_op (x) v_mat on ``tensor_space``: its block on U_c is w_op's block on W_c kron v_mat."""
+        return GradedOperator(self.tensor_space, w_op.shift,
+                              {c: mat.kron(v_mat) for c, (_, mat) in w_op.blocks.items()})
 
     def validate(self):
         spec = self.spec
@@ -388,21 +393,15 @@ class GLdGLNModule:
             (i, j), (k, l) = failure[:2]
             raise InvalidModuleData(f"V relations fail at ({i},{j}),({k},{l})")
         reps = class_representatives(spec)
-        dW = self.dim_W
-        for w in reps:
-            mat = self.W_mats.get(w)
-            if mat is None or (mat.rows, mat.cols) != (dW, dW):
+        for w in reps:  # the operator type keeps each X^w inside the grading
+            op = self.W.get(w)
+            if not isinstance(op, GradedOperator) or op.space != self.W_space or op.shift != w:
                 raise InvalidModuleData(f"missing or misshapen W generator {w}")
-            for b in range(dW):
-                target = canonical_rep(spec, exp_add(self.W_classes[b], w))
-                for a in range(dW):
-                    if not mat[a, b].is_zero() and self.W_classes[a] != target:
-                        raise InvalidModuleData(f"W generator {w} breaks the grading")
 
         def gl_n_bracket(r, s):  # [X^r, X^s] = sigma_skew(r, s) X^(r+s)
-            return self.W_mats[canonical_rep(spec, exp_add(r, s))].scale(sigma_skew(spec, r, s))
+            return self.W[canonical_rep(spec, exp_add(r, s))].scale(sigma_skew(spec, r, s))
 
-        _, failure = first_bracket_failure(reps, self.W_mats.__getitem__, gl_n_bracket)
+        _, failure = first_bracket_failure(reps, self.W.__getitem__, gl_n_bracket)
         if failure is not None:
             r, s = failure[:2]
             raise InvalidModuleData(f"W relations fail at {r},{s}")
@@ -426,41 +425,26 @@ def trivial_gld(spec: TorusSpec) -> dict[tuple[int, int], ExactMatrix]:
     return {(i, j): z for i in range(1, d + 1) for j in range(1, d + 1)}
 
 
-def graded_regular_glN(spec: TorusSpec) -> tuple[dict[tuple, ExactMatrix], list[tuple]]:
-    """Left multiplication of gl_N on itself, graded by class representatives."""
+def graded_regular_glN(spec: TorusSpec) -> tuple[dict[tuple, GradedOperator], GradedSpace]:
+    """Left multiplication of gl_N on itself: W_c is spanned by X^c, and X^w X^c = sigma_hat(w, c) X^(w+c)."""
     reps = class_representatives(spec)
-    index = {w: i for i, w in enumerate(reps)}
-    mats = {}
-    for w in reps:
-        m = ExactMatrix.zeros(spec.field, len(reps))
-        for c in reps:
-            target = canonical_rep(spec, exp_add(w, c))
-            m[index[target], index[c]] = sigma_hat(spec, w, c)
-        mats[w] = m
-    return mats, list(reps)
+    space = GradedSpace(spec, {c: 1 for c in reps})
+    return {w: GradedOperator(space, w, {c: ExactMatrix(spec.field, [[sigma_hat(spec, w, c)]]) for c in reps})
+            for w in reps}, space
 
 
 def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     """Inflate a gl_d + gl_N module to the jet algebra through its quotient.
 
-    Degree-zero symbols act by E_ij (x) id and id (x) X^w; everything of
-    positive filtration degree acts as zero (cutoff 1).  In the basis order
-    of ``tensor_space`` the block on class c is I (x) E_ij, and the block
-    U_c -> U_tc is the W block (x) I.
+    Degree-zero symbols act by I_W (x) E_ij and X^w (x) I_V; everything of
+    positive filtration degree acts as zero (cutoff 1).
     """
-    space = vw.tensor_space()
-    fld = spec.field
-    in_class = {c: [b for b, wc in enumerate(vw.W_classes) if wc == c] for c in space.classes}
-    action = {key: GradedOperator(space, space.zero_class, {
-        c: ExactMatrix.identity(fld, len(bs)).kron(vw.V_mats[pair]) for c, bs in in_class.items()})
-        for key, pair in gl_d_keys(spec.d)}
+    identity_w = GradedOperator.identity(vw.W_space)
+    identity_v = ExactMatrix.identity(spec.field, vw.dim_V)
+    action = {key: vw.tensor(identity_w, vw.V_mats[pair]) for key, pair in gl_d_keys(spec.d)}
     for w in class_representatives(spec):
-        wmat = vw.W_mats[w]
-        action[("XT", (0,) * spec.d, w)] = GradedOperator(space, w, {
-            c: ExactMatrix(fld, [[wmat[b2, b] for b in bs] for b2 in in_class[tc]]).kron(
-                ExactMatrix.identity(fld, vw.dim_V))
-            for c, bs in in_class.items() if (tc := space.shifted_class(c, w)) in space.dims})
-    return GRepresentation(space, action, cutoff=1)
+        action[("XT", (0,) * spec.d, w)] = vw.tensor(vw.W[w], identity_v)
+    return GRepresentation(vw.tensor_space, action, cutoff=1)
 
 
 # ---------------------------------------------------------------------------
@@ -786,29 +770,27 @@ def decompose_tensor(
         c: intertwiners(fld, [(vm, gld_blocks[c][ij]) for ij, vm in v_mats.items()])
         for c in sp.classes
     }
-    dW = sum(len(v) for v in w_basis_per_class.values())
-    flat_w = [(c, f) for c in sp.classes for f in w_basis_per_class[c]]
-    W_classes = [c for c, _ in flat_w]
-    # action of the torus-side generators on the intertwiner spaces
-    W_mats = {}
+    # X^w on W = the intertwiner spaces: its block on W_c holds, column by column, the
+    # coordinates of X^w f in Hom(V, U_tc) for the f of class c
+    W_space = GradedSpace(spec, {c: len(fs) for c, fs in w_basis_per_class.items()})
+    W = {}
     for w in class_representatives(spec):
         torus = rep.rho(("XT", (0,) * spec.d, w))
-        m = ExactMatrix.zeros(fld, dW)
-        for b, (c, f) in enumerate(flat_w):
-            tc = sp.shifted_class(c, w)
-            img = torus.block(c) * f  # Hom(V, U_tc)
-            targets = w_basis_per_class.get(tc, [])
-            if not targets and img.is_zero():
-                continue
-            T = basis_matrix(fld, [t.flatten() for t in targets])
-            coords = T.solve(img.flatten()) if targets else None
-            if coords is None:
-                raise NotIrreducible("torus action leaves the intertwiner spaces")
-            base = W_classes.index(tc)
-            for t_local, coeff in enumerate(coords):
-                m[base + t_local, b] = coeff
-        W_mats[w] = m
-    vw = GLdGLNModule(spec, v_mats, W_mats, W_classes)  # validates itself
+        blocks = {}
+        for c in W_space.classes:
+            targets = w_basis_per_class.get(sp.shifted_class(c, w), [])
+            T = basis_matrix(fld, [t.flatten() for t in targets]) if targets else None
+            cols = []
+            for f in w_basis_per_class[c]:
+                img = (torus.block(c) * f).flatten()  # Hom(V, U_tc)
+                coords = T.solve(img) if targets else ([] if vec_is_zero(img) else None)
+                if coords is None:
+                    raise NotIrreducible("torus action leaves the intertwiner spaces")
+                cols.append(coords)
+            if targets:
+                blocks[c] = ExactMatrix(fld, [list(row) for row in zip(*cols)])
+        W[w] = GradedOperator(W_space, w, blocks)
+    vw = GLdGLNModule(spec, v_mats, W, W_space)  # validates itself; nothing checked that rep is a representation
     rebuilt = pullback(spec, vw)
     if rebuilt.space != sp:
         raise NotIrreducible("rebuilt tensor module does not have the class dimensions of U")

@@ -279,8 +279,8 @@ def suite_span_filtration(spec: TorusSpec, max_degree: int = 3) -> VerificationR
 
 
 def _standard_pullback(spec: TorusSpec):
-    wmats, wclasses = graded_regular_glN(spec)
-    vw = GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)
+    w_ops, w_space = graded_regular_glN(spec)
+    vw = GLdGLNModule(spec, natural_gld(spec), w_ops, w_space)
     return vw, pullback(spec, vw)
 
 
@@ -364,10 +364,7 @@ def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
     vw, rep = _standard_pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     mults, bound = weight_multiplicities(module, box)
-    class_dims = {}
-    for c in vw.W_classes:
-        class_dims[c] = class_dims.get(c, 0) + 1
-    expected = vw.dim_V * max(class_dims.values())
+    expected = vw.dim_V * max(vw.W_space.dims.values())
     failures = []
     if bound != expected or any(v != expected for v in mults.values()):
         failures.append({"bound": bound, "expected": expected,

@@ -322,12 +322,13 @@ def test_functor_image_equals_tensor_field(e1, setup_e1):
 
 
 def _regular_twice(spec):
-    """Natural V and W = two copies of the regular module, so each class of V (x) W holds two W vectors."""
-    wmats, wclasses = graded_regular_glN(spec)
-    z = ExactMatrix.zeros(spec.field, len(wclasses))
-    twice = {w: ExactMatrix(spec.field, [row + z.data[0] for row in m.data] + [z.data[0] + row for row in m.data])
-             for w, m in wmats.items()}
-    return GLdGLNModule(spec, natural_gld(spec), twice, wclasses + wclasses)
+    """Natural V and W = two copies of the regular module: each class W_c holds two vectors, one per copy."""
+    wmats, wspace = graded_regular_glN(spec)
+    twice = GradedSpace(spec, {c: 2 * n for c, n in wspace.dims.items()})
+    pair = ExactMatrix.identity(spec.field, 2)
+    return GLdGLNModule(spec, natural_gld(spec), {
+        w: GradedOperator(twice, w, {c: pair.kron(mat) for c, (_, mat) in op.blocks.items()})
+        for w, op in wmats.items()}, twice)
 
 
 def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
@@ -376,7 +377,6 @@ def _reference_closed_form(module, symbol, w):
     spec = module.spec
     fld = spec.field
     dV = module.vw.dim_V
-    src = module._w_locals[w]
     if symbol[0] == "deg":
         # I (x) E(u, m) with E(u, m) = sum over i, j of m_i u_j E_ij on V
         _, u, m = symbol
@@ -388,15 +388,13 @@ def _reference_closed_form(module, symbol, w):
                 if u[j].is_zero():
                     continue
                 emat = emat + module.vw.V_mats[(i + 1, j + 1)].scale(u[j] * m[i])
-        return w, ExactMatrix.identity(fld, len(src)).kron(emat)
+        return w, ExactMatrix.identity(fld, module.vw.W_space.dims[w]).kron(emat)
     # t^e acts as W_r (x) I_V, r the class of e
     r = canonical_rep(spec, symbol[1])
     tw = canonical_rep(spec, exp_add(w, r))
     if tw not in module.space.dims:
         return None
-    wmat = module.vw.W_mats[r]
-    w_block = ExactMatrix(fld, [[wmat[b2, b] for b in src] for b2 in module._w_locals[tw]])
-    return tw, w_block.kron(ExactMatrix.identity(fld, dV))
+    return tw, module.vw.W[r].block(w).kron(ExactMatrix.identity(fld, dV))
 
 
 def _reference_operator(module, symbol, w):
@@ -490,12 +488,11 @@ def test_modules_differ_for_corrupted_action(e1, setup_e1):
 def test_modules_differ_for_regraded_w(e1, setup_e1):
     vw, rep, module = setup_e1
     rotate = {(1, 1): (1, 2), (1, 2): (2, 1), (2, 1): (2, 2), (2, 2): (1, 1)}
-    wclasses2 = [rotate[c] for c in vw.W_classes]
-    wmats2 = {}
-    for w, mat in vw.W_mats.items():
-        wmats2[w] = mat  # same matrices, relabeled grading: not a valid module
-    with pytest.raises(Exception):
-        GLdGLNModule(e1, vw.V_mats, wmats2, wclasses2).validate()
+    # the same blocks, each moved to the rotated source class: not a valid module
+    wmats2 = {w: GradedOperator(vw.W_space, w, {rotate[c]: mat for c, (_, mat) in op.blocks.items()})
+              for w, op in vw.W.items()}
+    with pytest.raises(InvalidModuleData, match=r"^W relations fail at \(1, 1\),\(2, 1\)$"):
+        GLdGLNModule(e1, vw.V_mats, wmats2, vw.W_space)
 
 
 def test_dimension_mismatch(e1, e2, setup_e1):
@@ -691,6 +688,32 @@ def test_extraction_degree_bound_is_a_total_degree_bound(e1, setup_e1):
         extract_coefficients(OperatorFamily(stub, degree_bound=1), e1, (0, 0))
     with pytest.raises(ConstantTermMismatch):  # fitted, then the zero constant term is checked
         extract_coefficients(OperatorFamily(stub, degree_bound=2), e1, (0, 0))
+
+
+class _DiagonalBlindModule:
+    """A stub whose degree family is the wrapped module's plus (m_1 - m_2) m_1 m_2 I:
+    total degree 3, with an excess that vanishes on the diagonal m_1 = m_2."""
+
+    def __init__(self, module):
+        self.spec, self.space, self.module = module.spec, module.space, module
+
+    def block(self, symbol, label):
+        res = self.module.block(symbol, label)
+        if symbol[0] != "deg":
+            return res
+        w, np = label
+        m = symbol[2]
+        excess = ExactMatrix.identity(self.spec.field, self.space.dims[w]).scale((m[0] - m[1]) * m[0] * m[1])
+        return ((w, exp_add(np, m)), excess) if res is None else (res[0], res[1] + excess)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 2: the degree guard checks the one point m = B(D+1, ..., D+1),"
+                          " which lies on the diagonal, so an excess that vanishes there is truncated")
+def test_extraction_rejects_an_excess_that_vanishes_on_the_diagonal(e1, setup_e1):
+    _, _, module = setup_e1
+    with pytest.raises(DegreeBoundViolated):
+        extract_coefficients(OperatorFamily(_DiagonalBlindModule(module), degree_bound=1), e1, (0, 0))
 
 
 def test_corrupted_coefficients_rejected(e1, setup_e1):

@@ -65,18 +65,13 @@ def test_natural_module_matrices(e1):
 
 
 def test_regular_module_shape(e1):
-    wmats, wclasses = graded_regular_glN(e1)
-    assert len(wclasses) == 4
-    assert sorted(set(wclasses)) == class_representatives(e1)
+    wmats, wspace = graded_regular_glN(e1)
+    assert wspace.dims == {c: 1 for c in class_representatives(e1)}
     # X^{(1,2)} sends the basis vector of class (1,1) to the one of class (2,1)
-    idx = {w: i for i, w in enumerate(wclasses)}
-    mat = wmats[(1, 2)]
-    col = idx[(1, 1)]
-    target = idx[canonical_rep(e1, (2, 3))]
-    assert target == idx[(2, 1)]
-    assert mat[target, col] == sigma_hat(e1, (1, 2), (1, 1))
-    nonzero = [i for i in range(4) if not mat[i, col].is_zero()]
-    assert nonzero == [target]
+    op = wmats[(1, 2)]
+    assert op.shift == (1, 2)
+    assert canonical_rep(e1, (2, 3)) == (2, 1)
+    assert op.blocks[(1, 1)] == ((2, 1), ExactMatrix(e1.field, [[sigma_hat(e1, (1, 2), (1, 1))]]))
 
 
 def test_regular_module_relations(e1, e2):
@@ -87,7 +82,7 @@ def test_regular_module_relations(e1, e2):
 
 def test_invalid_module_data(e1):
     wmats, wclasses = graded_regular_glN(e1)
-    bad = {k: v.copy() for k, v in wmats.items()}
+    bad = dict(wmats)
     bad[(1, 1)] = bad[(1, 1)].scale(2)
     with pytest.raises(InvalidModuleData):
         GLdGLNModule(e1, natural_gld(e1), bad, wclasses).validate()
@@ -96,12 +91,16 @@ def test_invalid_module_data(e1):
 def test_non_square_generators_are_misshapen(e1):
     v_mats = natural_gld(e1)
     v_mats[(1, 1)] = ExactMatrix.zeros(e1.field, 2, 3)
-    wmats, wclasses = graded_regular_glN(e1)
+    wmats, wspace = graded_regular_glN(e1)
     with pytest.raises(InvalidModuleData, match=r"misshapen V generator \(1,1\)"):
-        GLdGLNModule(e1, v_mats, wmats, wclasses)
-    wmats[(1, 1)] = ExactMatrix.zeros(e1.field, 4, 2)
-    with pytest.raises(InvalidModuleData, match=r"misshapen W generator \(1, 1\)"):
-        GLdGLNModule(e1, natural_gld(e1), wmats, wclasses)
+        GLdGLNModule(e1, v_mats, wmats, wspace)
+    # X^(1,1) with the shift of X^(1,2), on a W twice as large, and left out
+    doubled = GradedSpace(e1, {c: 2 for c in wspace.classes})
+    other_space = GradedOperator(doubled, (1, 1), {c: ExactMatrix.identity(e1.field, 2) for c in doubled.classes})
+    missing = {w: op for w, op in wmats.items() if w != (1, 1)}
+    for bad in ({**wmats, (1, 1): wmats[(1, 2)]}, {**wmats, (1, 1): other_space}, missing):
+        with pytest.raises(InvalidModuleData, match=r"^missing or misshapen W generator \(1, 1\)$"):
+            GLdGLNModule(e1, natural_gld(e1), bad, wspace)
 
 
 def test_module_without_v_generators_names_the_first_one(e1):
@@ -493,8 +492,10 @@ def test_decompose_e2(e2):
 def _one_class_vw(spec):
     """Natural V (x) a one-dimensional W on the zero class: X^0 acts as one, every other X^w as zero."""
     w0 = canonical_rep(spec, (0,) * spec.d)
-    wmats = {w: ExactMatrix(spec.field, [[int(w == w0)]]) for w in class_representatives(spec)}
-    return GLdGLNModule(spec, natural_gld(spec), wmats, [w0])
+    wspace = GradedSpace(spec, {w0: 1})
+    wmats = {w: GradedOperator.identity(wspace) if w == w0 else GradedOperator(wspace, w, {})
+             for w in class_representatives(spec)}
+    return GLdGLNModule(spec, natural_gld(spec), wmats, wspace)
 
 
 @pytest.mark.parametrize("spec", [make_torus(2, 1, [2]), make_torus(2, 1, [3], L=3)], ids=["q", "zeta3"])
