@@ -107,6 +107,62 @@ def test_jacobi_witt_witness(e1, monkeypatch):
         "passed": False}
 
 
+def test_jacobi_derivations_witness(e1, monkeypatch):
+    right = derivations._bracket_d_keys
+
+    def wrong_sign(spec, a, b):  # [t^m d_i, t^n d_j] keeps the sign its second term should lose
+        if a[0] == "d" and b[0] == "d":
+            _, i, m = a
+            _, j, n = b
+            mn = exp_add(m, n)
+            if n[i - 1]:
+                yield derivations._deriv_key(spec, j, mn), n[i - 1]
+            if m[j - 1]:
+                yield derivations._deriv_key(spec, i, mn), m[j - 1]
+        else:
+            yield from right(spec, a, b)
+
+    monkeypatch.setattr(derivations, "_bracket_d_keys", wrong_sign)
+    assert verify.suite_jacobi_derivations(e1).to_dict() == {
+        "suite": "jacobi-derivations", "cases": 200,
+        "failures": [{"triple": ["D(2;-2,4)", "D(2;4,-4)", "D(1;0,2)"], "index": 4}],
+        "passed": False}
+
+
+@pytest.fixture
+def wrong_jet_sign(monkeypatch):
+    """[x^m d_a, x^l tb^s] with the wrong sign on its l_a term."""
+    right = jetalg._bracket_jet_keys
+
+    def wrong_sign(spec, ka, kb):
+        if ka[0] == "XD" and kb[0] == "XT":
+            _, m, a = ka
+            _, l, s = kb
+            ml = exp_add(m, l)
+            if l[a - 1]:
+                yield jetalg._xt_key(spec.d, jetalg._minus_unit(ml, a - 1), s), -l[a - 1]
+            if s[a - 1]:
+                yield jetalg._xt_key(spec.d, ml, s), s[a - 1]
+        else:
+            yield from right(spec, ka, kb)
+
+    monkeypatch.setattr(jetalg, "_bracket_jet_keys", wrong_sign)
+
+
+def test_jacobi_jets_sampled_witness(e1, wrong_jet_sign):
+    assert verify.suite_jacobi_jets(e1, sample=200).to_dict() == {
+        "suite": "jacobi-jets", "cases": 5,
+        "failures": [{"triple": ["XD(1,2;1)", "XD(2,0;2)", "XT(3,0;2,1)"]}],
+        "passed": False}
+
+
+def test_jacobi_jets_exhaustive_witness(e1, wrong_jet_sign):
+    assert verify.suite_jacobi_jets(e1).to_dict() == {
+        "suite": "jacobi-jets", "cases": 17,
+        "failures": [{"triple": ["XD(0,1;1)", "XD(0,1;2)", "XT(0,0;1,1)"]}],
+        "passed": False}
+
+
 @pytest.fixture
 def commutator_calls(monkeypatch):
     """Counts the commutators of dense matrices and of graded operators."""
