@@ -115,7 +115,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 class CycloField:
     """The field Q(zeta_L) with its integer power-basis reduction tables."""
 
-    __slots__ = ("L", "phi", "poly", "_zpow", "_reduce", "zero", "one")
+    __slots__ = ("L", "phi", "poly", "_zpow", "_reduce", "_roots", "zero", "one")
 
     def __init__(self, L: int):
         if L < 1:
@@ -138,7 +138,10 @@ class CycloField:
         self._reduce = tuple((j, tuple((i, c) for i, c in enumerate(zpow[j]) if c))
                              for j in range(phi, 2 * phi - 1))
         self.zero = _make(self, (0,) * phi, 1)
-        self.one = _make(self, zpow[0], 1)
+        # the L roots of unity, built once; z^0 is the shared unit that
+        # CycloNum.__mul__ multiplies by for free
+        self._roots = tuple(_make(self, zpow[j], 1) for j in range(L))
+        self.one = self._roots[0]
 
     def __repr__(self):
         return f"CycloField(L={self.L})"
@@ -150,13 +153,14 @@ class CycloField:
         return hash(("CycloField", self.L))
 
     def root(self, j: int) -> "CycloNum":
-        """The root of unity z^j in canonical form."""
-        return _make(self, self._zpow[j % self.L], 1)
+        """The root of unity z^j in canonical form (z^0 is `one`)."""
+        return self._roots[j % self.L]
 
     def from_rational(self, value) -> "CycloNum":
+        """A rational as an element of this field; the int 1 gives `one` itself."""
         tail = self.zero.num[1:]
         if type(value) is int:
-            return _make(self, (value,) + tail, 1)
+            return self.one if value == 1 else _make(self, (value,) + tail, 1)
         c = value if type(value) is Fraction else Fraction(value)
         return _make(self, (c.numerator,) + tail, c.denominator)
 
@@ -279,6 +283,10 @@ class CycloNum:
             return _reduced(field, [a * other.numerator for a in self.num], self.den * other.denominator)
         else:
             return NotImplemented
+        if self is field.one:  # basis elements and trivial pairings hold the shared unit
+            return other
+        if other is field.one:
+            return self
         a, b = self.num, other.num
         den = self.den * other.den
         phi = field.phi

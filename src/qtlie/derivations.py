@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .cyclo import CycloField, CycloNum, make_field, parse_scalar
 from .errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
@@ -61,15 +62,32 @@ class _Combo:
             del terms[key]
         return cls._of(field, terms)
 
+    @classmethod
+    def bracket_sum(cls, field: CycloField, pairs, key_bracket):
+        """The sum of [x, y] over the (x, y) in `pairs`, each bracket the bilinear
+        extension of key_bracket(kx, ky), which yields (key, coeff) pairs.
+
+        Every product goes straight into one dict; zero coefficients are
+        dropped at the end, as in from_terms.
+        """
+        terms = {}
+        get = terms.get
+        for x, y in pairs:
+            y_terms = y.terms.items()
+            for kx, cx in x.terms.items():
+                for ky, cy in y_terms:
+                    c = cx * cy
+                    for key, coeff in key_bracket(kx, ky):
+                        coeff = c * coeff
+                        acc = get(key)
+                        terms[key] = coeff if acc is None else acc + coeff
+        for key in [key for key, c in terms.items() if c.is_zero()]:
+            del terms[key]
+        return cls._of(field, terms)
+
     def bracket(self, other, key_bracket):
-        """Bilinear extension of key_bracket(ka, kb), which yields (key, coeff) pairs."""
-        def pairs():
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    c = ca * cb
-                    for key, coeff in key_bracket(ka, kb):
-                        yield key, c * coeff
-        return self.from_terms(self.field, pairs())
+        """[self, other]: bracket_sum of the one pair."""
+        return self.bracket_sum(self.field, ((self, other),), key_bracket)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -261,7 +279,7 @@ def _bracket_d_keys(spec: TorusSpec, a, b):
 
 def bracket_d(spec: TorusSpec, a: DElement, b: DElement) -> DElement:
     """Lie bracket on the derivation algebra, extended bilinearly."""
-    return a.bracket(b, lambda ka, kb: _bracket_d_keys(spec, ka, kb))
+    return a.bracket(b, partial(_bracket_d_keys, spec))
 
 
 def _bracket_witt_keys(a, b):

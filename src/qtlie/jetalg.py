@@ -24,6 +24,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from functools import partial
 
 from .derivations import _Combo
 from .errors import MalformedBasisKey
@@ -133,7 +134,7 @@ def _bracket_jet_keys(spec: TorusSpec, ka, kb):
 
 
 def bracket_jets(spec: TorusSpec, a: JetElement, b: JetElement) -> JetElement:
-    return a.bracket(b, lambda ka, kb: _bracket_jet_keys(spec, ka, kb))
+    return a.bracket(b, partial(_bracket_jet_keys, spec))
 
 
 def bracket_keys(spec: TorusSpec, ka, kb) -> JetElement:

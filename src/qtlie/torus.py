@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .cyclo import CycloField, CycloNum, make_field
@@ -134,8 +135,12 @@ def sigma_skew(spec: TorusSpec, m: ExpVec, n: ExpVec) -> CycloNum:
 
     The normal form forces it to vanish when m + n lies in R; a nonzero skew
     there raises InvariantViolated, so no bracket special-cases that case.
+    Equal factors are one shared root object, and give zero with no subtraction.
     """
-    skew = sigma_hat(spec, m, n) - sigma_hat(spec, n, m)
+    mn, nm = sigma_hat(spec, m, n), sigma_hat(spec, n, m)
+    if mn is nm:
+        return spec.field.zero
+    skew = mn - nm
     if not skew.is_zero() and in_R(spec, exp_add(m, n)):
         raise InvariantViolated(f"sigma skew at {m}, {n} is nonzero although m + n lies in R")
     return skew
@@ -180,7 +185,7 @@ def class_representatives(spec: TorusSpec) -> list[ExpVec]:
 
 
 def exp_add(m: ExpVec, n: ExpVec) -> ExpVec:
-    return tuple(a + b for a, b in zip(m, n))
+    return tuple(map(operator.add, m, n))
 
 
 def exp_sub(m: ExpVec, n: ExpVec) -> ExpVec:

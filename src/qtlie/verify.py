@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache, partial
 
+from . import derivations, jetalg
 from .cuspidal import (
     OperatorFamily,
     build_module,
@@ -117,14 +118,22 @@ def _random_d_basis(spec: TorusSpec, rng: random.Random, box: int) -> DElement:
             return inner(spec, s)
 
 
-def _first_jacobi_failure(bracket, triples):
-    """(index, (a, b, c)) of the first triple whose Jacobi sum is nonzero, or None.
+def _with_inner_brackets(bracket, triples):
+    """Each triple (a, b, c) as a Jacobi case, with [a,b], [b,c], [c,a] from `bracket`."""
+    for a, b, c in triples:
+        yield (a, b, c), (bracket(a, b), bracket(b, c), bracket(c, a))
 
-    The sum is [[a,b],c] + [[b,c],a] + [[c,a],b].  The triples are drawn
-    lazily, so a seeded generator stops at the failure.
+
+def _first_jacobi_failure(key_bracket, cases):
+    """(index, (a, b, c)) of the first case whose Jacobi sum is nonzero, or None.
+
+    A case is a triple with its inner brackets, ((a, b, c), ([a,b], [b,c], [c,a])).
+    One bracket_sum over the key bracket gives the outer brackets and the sum
+    [[a,b],c] + [[b,c],a] + [[c,a],b].  The cases are drawn lazily, so a seeded
+    generator stops at the failure.
     """
-    for idx, (a, b, c) in enumerate(triples):
-        total = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
+    for idx, ((a, b, c), (ab, bc, ca)) in enumerate(cases):
+        total = type(a).bracket_sum(a.field, ((ab, c), (bc, a), (ca, b)), key_bracket)
         if not total.is_zero():
             return idx, (a, b, c)
     return None
@@ -134,8 +143,9 @@ def suite_jacobi_derivations(spec: TorusSpec, triples: int = 200, seed: int = 11
                              box: int = 4) -> VerificationReport:
     """Jacobi identity for the derivation-algebra bracket on random basis triples."""
     rng = random.Random(seed)
-    found = _first_jacobi_failure(partial(bracket_d, spec), (
-        tuple(_random_d_basis(spec, rng, box) for _ in range(3)) for _ in range(triples)))
+    found = _first_jacobi_failure(partial(derivations._bracket_d_keys, spec), _with_inner_brackets(
+        partial(bracket_d, spec),
+        (tuple(_random_d_basis(spec, rng, box) for _ in range(3)) for _ in range(triples))))
     failures = [] if found is None else [{"triple": [str(x) for x in found[1]], "index": found[0]}]
     return VerificationReport("jacobi-derivations", triples, failures)
 
@@ -149,8 +159,8 @@ def suite_jacobi_witt(spec: TorusSpec, triples: int = 200, seed: int = 13,
         return witt(spec.field, rng.randint(1, spec.d),
                     tuple(rng.randint(-box, box) for _ in range(spec.d)))
 
-    found = _first_jacobi_failure(bracket_witt, (
-        (rand_basis(), rand_basis(), rand_basis()) for _ in range(triples)))
+    found = _first_jacobi_failure(derivations._bracket_witt_keys, _with_inner_brackets(
+        bracket_witt, ((rand_basis(), rand_basis(), rand_basis()) for _ in range(triples))))
     failures = [] if found is None else [{"triple": [str(x) for x in found[1]], "index": found[0]}]
     return VerificationReport("jacobi-witt", triples, failures)
 
@@ -178,35 +188,26 @@ def suite_jacobi_jets(spec: TorusSpec, max_total: int = 3, sample: int | None = 
         def pair(x, y):  # [e_x, e_y]; each ordered pair is bracketed once
             return bracket_jets(spec, elems[x], elems[y])
 
-        cases = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    cases += 1
-                    total = (
-                        bracket_jets(spec, pair(i, j), elems[k])
-                        + bracket_jets(spec, pair(j, k), elems[i])
-                        + bracket_jets(spec, pair(k, i), elems[j])
-                    )
-                    if not total.is_zero():
-                        return VerificationReport("jacobi-jets", cases, [{
-                            "triple": [key_to_string(keys[i]), key_to_string(keys[j]),
-                                       key_to_string(keys[k])]}])
-        return VerificationReport("jacobi-jets", cases, [])
-    rng = random.Random(seed)
-    B = spec.B
+        total = n * (n - 1) * (n - 2) // 6
+        cases = (((elems[i], elems[j], elems[k]), (pair(i, j), pair(j, k), pair(k, i)))
+                 for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+    else:
+        rng = random.Random(seed)
+        B = spec.B
 
-    def rand_elem():
-        key = keys[rng.randrange(len(keys))]
-        if key[0] == "XT" and rng.random() < 0.5:
-            shift = tuple(rng.randint(-1, 1) * b for b in B)
-            return xt(spec, key[1], tuple(a + b for a, b in zip(key[2], shift)))
-        return elem(key)
+        def rand_elem():
+            key = keys[rng.randrange(len(keys))]
+            if key[0] == "XT" and rng.random() < 0.5:
+                shift = tuple(rng.randint(-1, 1) * b for b in B)
+                return xt(spec, key[1], tuple(a + b for a, b in zip(key[2], shift)))
+            return elem(key)
 
-    found = _first_jacobi_failure(partial(bracket_jets, spec), (
-        (rand_elem(), rand_elem(), rand_elem()) for _ in range(sample)))
+        total = sample
+        cases = _with_inner_brackets(partial(bracket_jets, spec),
+                                     ((rand_elem(), rand_elem(), rand_elem()) for _ in range(sample)))
+    found = _first_jacobi_failure(partial(jetalg._bracket_jet_keys, spec), cases)
     if found is None:
-        return VerificationReport("jacobi-jets", sample, [])
+        return VerificationReport("jacobi-jets", total, [])
     return VerificationReport("jacobi-jets", found[0] + 1, [{"triple": [str(x) for x in found[1]]}])
 
 

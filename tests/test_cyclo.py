@@ -352,6 +352,29 @@ class TestAgainstFractionOracle:
         if not a.is_rational():
             assert hash(a) == hash((L, a.coeffs))
 
+    @given(data=st.data())
+    def test_the_unit_multiplies_for_free(self, L, data):
+        fld = make_field(L)
+        one, x = fld.one, data.draw(_operands(L))
+        q = data.draw(st.integers(-50, 50))
+        assert x * one is x and one * x is x
+        assert (x * one).coeffs == reference_mul(L, x.coeffs, one.coeffs)
+        assert (one * x).coeffs == reference_mul(L, one.coeffs, x.coeffs)
+        for n in (3, q):  # an int operand keeps the int path and gives a new CycloNum
+            got = one * n
+            assert type(got) is CycloNum and is_canonical(got)
+            assert got.coeffs == reference_mul(L, one.coeffs, fld.from_rational(n).coeffs)
+
+
+@pytest.mark.parametrize("L", ORACLE_FIELDS)
+def test_unit_and_roots_are_shared_objects(L):
+    fld = make_field(L)
+    assert fld.from_rational(1) is fld.one and fld.coerce(1) is fld.one
+    assert fld.root(0) is fld.one and fld.root(L) is fld.one
+    for j in range(-L, 2 * L):
+        assert fld.root(j) is fld.root(j % L)
+        assert fld.root(j).coeffs == fld._zpow[j % L] and is_canonical(fld.root(j))
+
 
 def test_constructor_normalises_numerators_and_denominator():
     fld = make_field(3)

@@ -1,9 +1,14 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qtlie import derivations, jetalg
 from qtlie.derivations import (
+    DElement,
+    WdElement,
     bracket_d,
     bracket_witt,
     deriv,
@@ -18,7 +23,7 @@ from qtlie.derivations import (
     witt_along,
 )
 from qtlie.errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
-from qtlie.torus import canonical_rep, exp_add, in_R, make_torus
+from qtlie.torus import canonical_rep, exp_add, in_R, load_torus, make_torus
 from qtlie.verify import suite_jacobi_derivations, suite_jacobi_witt, suite_witt_embedding
 from qtlie.xmatrix import x_power
 
@@ -223,3 +228,60 @@ def test_key_constructors_check_length_and_index(e1):
         witt_along(fld, (0, 0, 1), (1, 0))
     with pytest.raises(MalformedBasisKey):
         bracket_witt(witt(fld, 1, (1,)), witt(fld, 1, (0, 1)))
+
+
+# bracket_sum on E1, E2 and E4 (L = 4): the fields Q, Q(zeta_3) and Q(i)
+SUM_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), load_torus({"d": 2, "z": 1, "k": [4], "L": 4})]
+
+
+def reference_bracket(x, y, key_bracket):
+    """[x, y] as the bilinear loop computed it before bracket_sum: every
+    product through from_terms, which sums and drops zeros."""
+    return x.from_terms(x.field, (
+        (key, cx * cy * coeff)
+        for kx, cx in x.terms.items() for ky, cy in y.terms.items()
+        for key, coeff in key_bracket(kx, ky)))
+
+
+def _algebra(spec, name):
+    """(element class, key bracket, key strategy) of one algebra over `spec`."""
+    small = st.integers(-2, 2)
+    vec = st.tuples(*[small] * spec.d)
+    index = st.integers(1, spec.d)
+    if name == "d":
+        central = vec.map(lambda c: tuple(ci * bi for ci, bi in zip(c, spec.B)))
+        keys = st.one_of(st.builds(lambda i, m: ("d", i, m), index, central),
+                         vec.filter(lambda s: not in_R(spec, s)).map(lambda s: ("t", s)))
+        return DElement, partial(derivations._bracket_d_keys, spec), keys
+    if name == "witt":
+        return WdElement, derivations._bracket_witt_keys, st.tuples(index, vec)
+    poly = st.tuples(*[st.integers(0, 2)] * spec.d)
+    keys = st.one_of(st.builds(lambda p, j: ("XD", p, j), poly.filter(any), index),
+                     st.builds(lambda l, s: ("XT", l, s), poly, vec))
+    return jetalg.JetElement, partial(jetalg._bracket_jet_keys, spec), keys
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("name", ["d", "witt", "jets"])
+@given(data=st.data())
+def test_bracket_sum_is_the_sum_of_the_brackets(spec, name, data):
+    fld = spec.field
+    cls, key_bracket, keys = _algebra(spec, name)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = st.one_of(st.just(fld.one), st.lists(rational, min_size=fld.phi, max_size=fld.phi).map(fld.element))
+    # few keys, so that terms repeat within an element and across the pairs
+    pool = data.draw(st.lists(keys, min_size=1, max_size=3, unique=True))
+    elements = st.lists(st.tuples(st.sampled_from(pool), coeffs), max_size=4).map(
+        partial(cls.from_terms, fld))
+    pairs = data.draw(st.lists(st.tuples(elements, elements), max_size=4))
+    # cancelling terms: a pair followed by its swap, or by its negation
+    for x, y in data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
+        pairs.append(data.draw(st.sampled_from([(y, x), (x, -y), (-x, y)])))
+    want = cls(fld)
+    for x, y in pairs:
+        want = want + reference_bracket(x, y, key_bracket)
+    got = cls.bracket_sum(fld, pairs, key_bracket)
+    assert type(got) is cls and got == want
+    assert all(not c.is_zero() for c in got.terms.values())
+    for x, y in pairs:
+        assert x.bracket(y, key_bracket) == reference_bracket(x, y, key_bracket)
