@@ -23,7 +23,7 @@ from qtlie.derivations import (
     witt_along,
 )
 from qtlie.errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
-from qtlie.torus import canonical_rep, exp_add, in_R, load_torus, make_torus
+from qtlie.torus import canonical_rep, exp_add, in_R, make_torus
 from qtlie.verify import suite_jacobi_derivations, suite_jacobi_witt, suite_witt_embedding
 from qtlie.xmatrix import x_power
 
@@ -231,7 +231,7 @@ def test_key_constructors_check_length_and_index(e1):
 
 
 # bracket_sum on E1, E2 and E4 (L = 4): the fields Q, Q(zeta_3) and Q(i)
-SUM_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), load_torus({"d": 2, "z": 1, "k": [4], "L": 4})]
+SUM_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), make_torus(2, 1, [4], 4)]
 
 
 def reference_bracket(x, y, key_bracket):
