@@ -137,7 +137,7 @@ class CycloField:
         # the nonzero entries (i, c) of z^j, for the powers phi <= j <= 2*phi-2
         self._reduce = tuple((j, tuple((i, c) for i, c in enumerate(zpow[j]) if c))
                              for j in range(phi, 2 * phi - 1))
-        self.zero = _make(self, (0,) * phi, 1)
+        self.zero = _make(self, (0,) * phi, 1)  # the shared zero, which + and - add for free
         # the L roots of unity, built once; z^0 is the shared unit that
         # CycloNum.__mul__ multiplies by for free
         self._roots = tuple(_make(self, zpow[j], 1) for j in range(L))
@@ -157,9 +157,11 @@ class CycloField:
         return self._roots[j % self.L]
 
     def from_rational(self, value) -> "CycloNum":
-        """A rational as an element of this field; the int 1 gives `one` itself."""
+        """A rational as an element of this field; the ints 0 and 1 give `zero` and `one` themselves."""
         tail = self.zero.num[1:]
         if type(value) is int:
+            if value == 0:
+                return self.zero
             return self.one if value == 1 else _make(self, (value,) + tail, 1)
         c = value if type(value) is Fraction else Fraction(value)
         return _make(self, (c.numerator,) + tail, c.denominator)
@@ -240,6 +242,11 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        zero = self.field.zero
+        if o is zero:  # accumulators and zero entries start as the shared zero
+            return self
+        if self is zero:
+            return o
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
             num = [a[0] + b[0]] if len(a) == 1 else [x + y for x, y in zip(a, b)]
@@ -254,6 +261,11 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        zero = self.field.zero
+        if o is zero:
+            return self
+        if self is zero:
+            return -o
         a, b, da, db = self.num, o.num, self.den, o.den
         if da == db:
             num = [a[0] - b[0]] if len(a) == 1 else [x - y for x, y in zip(a, b)]

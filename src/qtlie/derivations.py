@@ -255,19 +255,21 @@ def witt_along(field: CycloField, mu, m) -> WdElement:
 
 
 def _bracket_d_keys(spec: TorusSpec, a, b):
+    """The (key, coefficient) terms of [a, b]; the keys are built as plain
+    tuples, since a bracket of two valid keys is valid by construction."""
     if a[0] == "d" and b[0] == "d":
         _, i, m = a
         _, j, n = b
         mn = exp_add(m, n)
         if n[i - 1]:
-            yield _deriv_key(spec, j, mn), n[i - 1]
+            yield ("d", j, mn), n[i - 1]
         if m[j - 1]:
-            yield _deriv_key(spec, i, mn), -m[j - 1]
+            yield ("d", i, mn), -m[j - 1]
     elif a[0] == "d" and b[0] == "t":
         _, i, m = a
         s = b[1]
         if s[i - 1]:
-            yield _inner_key(spec, exp_add(m, s)), s[i - 1]
+            yield ("t", exp_add(m, s)), s[i - 1]
     elif a[0] == "t" and b[0] == "d":
         for key, coeff in _bracket_d_keys(spec, b, a):
             yield key, -coeff
@@ -283,15 +285,17 @@ def bracket_d(spec: TorusSpec, a: DElement, b: DElement) -> DElement:
 
 
 def _bracket_witt_keys(a, b):
+    """The (key, coefficient) terms of [a, b].  Each key is valid alone, so
+    only their lengths are checked; the keys built from them are then valid."""
     i, m = a
     j, n = b
     if len(m) != len(n):
         raise MalformedBasisKey(f"Witt exponents {m} and {n} differ in length")
     mn = exp_add(m, n)
     if n[i - 1]:
-        yield _witt_key(j, mn), n[i - 1]
+        yield (j, mn), n[i - 1]
     if m[j - 1]:
-        yield _witt_key(i, mn), -m[j - 1]
+        yield (i, mn), -m[j - 1]
 
 
 def bracket_witt(a: WdElement, b: WdElement) -> WdElement:

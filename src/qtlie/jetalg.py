@@ -106,22 +106,23 @@ def _minus_unit(vec, a):
 
 
 def _bracket_jet_keys(spec: TorusSpec, ka, kb):
-    d = spec.d
+    """The (key, coefficient) terms of [ka, kb]; the keys are built as plain
+    tuples, since a bracket of two valid keys is valid by construction."""
     if ka[0] == "XD" and kb[0] == "XD":
         _, m, a = ka
         _, n, b = kb
         if n[a - 1]:
-            yield _xd_key(d, _minus_unit(exp_add(m, n), a - 1), b), n[a - 1]
+            yield ("XD", _minus_unit(exp_add(m, n), a - 1), b), n[a - 1]
         if m[b - 1]:
-            yield _xd_key(d, _minus_unit(exp_add(m, n), b - 1), a), -m[b - 1]
+            yield ("XD", _minus_unit(exp_add(m, n), b - 1), a), -m[b - 1]
     elif ka[0] == "XD" and kb[0] == "XT":
         _, m, a = ka
         _, l, s = kb
         ml = exp_add(m, l)
         if l[a - 1]:
-            yield _xt_key(d, _minus_unit(ml, a - 1), s), l[a - 1]
+            yield ("XT", _minus_unit(ml, a - 1), s), l[a - 1]
         if s[a - 1]:
-            yield _xt_key(d, ml, s), s[a - 1]
+            yield ("XT", ml, s), s[a - 1]
     elif ka[0] == "XT" and kb[0] == "XD":
         for key, coeff in _bracket_jet_keys(spec, kb, ka):
             yield key, -coeff
@@ -130,7 +131,7 @@ def _bracket_jet_keys(spec: TorusSpec, ka, kb):
         _, l, s = kb
         coeff = sigma_skew(spec, r, s)
         if not coeff.is_zero():
-            yield _xt_key(d, exp_add(p, l), exp_add(r, s)), coeff
+            yield ("XT", exp_add(p, l), exp_add(r, s)), coeff
 
 
 def bracket_jets(spec: TorusSpec, a: JetElement, b: JetElement) -> JetElement:

@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
 from .errors import (
@@ -186,12 +187,20 @@ class GRepresentation:
     does, or as a dense dim x dim ExactMatrix, as files and user code do.  A
     dense matrix is checked for size and grading and cut into its blocks here,
     and nowhere else.
+
+    A representation is immutable: `action` is a read-only mapping, and the
+    operators it holds, like every operator derived from them, are never
+    changed in place.  That lets it keep, on the object itself, what depends
+    on it alone: the report of each bracket check (``verify_representation``),
+    the image of each jet element (``rho_element``) and the commutant basis
+    (``commutant``).  These memos belong to the object, so an equal but
+    distinct representation computes them again.
     """
 
     def __init__(self, space: GradedSpace, action: dict, cutoff: int):
         self.space = space
         self.cutoff = cutoff
-        self.action = {}
+        ops = {}
         for key, op in action.items():
             if op.is_zero():
                 continue
@@ -206,7 +215,11 @@ class GRepresentation:
                 op = self._graded(name, shift, op)
             elif op.space != space or op.shift != shift:
                 raise InvalidRepresentation(f"operator for {name} has the wrong space or shift")
-            self.action[key] = op
+            ops[key] = op
+        self.action = MappingProxyType(ops)
+        self._reports = {}  # (spec, degree bound) -> VerifyReport
+        self._images = {}  # JetElement -> GradedOperator
+        self._commutant = None  # tuple of GradedOperators once computed
 
     def _graded(self, name: str, shift: tuple, mat: ExactMatrix) -> GradedOperator:
         """The operator of a dense matrix, which must map each U_c into U_(c + shift)."""
@@ -241,6 +254,14 @@ class GRepresentation:
             GradedOperator(self.space, w, {}))
 
     def rho_element(self, element) -> GradedOperator:
+        """The action of a jet element, computed once per element and then kept."""
+        image = self._images.get(element)
+        if image is None:
+            image = self._images[element] = self._image(element)
+        return image
+
+    def _image(self, element) -> GradedOperator:
+        """The action of a jet element, computed afresh and not kept."""
         sp = self.space
         shift = next((key_class(sp.spec, key) for key in element.terms), sp.zero_class)
         return linear_combination(((c, self.rho_raw(key)) for key, c in element.terms.items()),
@@ -254,7 +275,7 @@ class GRepresentation:
                 and self.cutoff == other.cutoff and self.action == other.action)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
     passed: bool
     cases: int
@@ -316,15 +337,25 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     Pairs where either symbol has degree >= cutoff are counted but need no
     matrix work: both sides vanish identically because brackets never lower
     the filtration degree.
+
+    The report is kept on `rep` for each (spec, degree_bound), so a repeated
+    check of the same object is free.  The bracket images are one-off, so
+    they are computed without filling the ``rho_element`` memo.
     """
+    report = rep._reports.get((spec, degree_bound))
+    if report is not None:
+        return report
     cases, failure = first_bracket_failure(
         canonical_keys(spec, degree_bound), rep.rho,
-        lambda a, b: rep.rho_element(bracket_keys(spec, a, b)),
+        lambda a, b: rep._image(bracket_keys(spec, a, b)),
         skip=lambda a, b: max(key_degree(a), key_degree(b)) >= rep.cutoff)
     if failure is None:
-        return VerifyReport(True, cases)
-    ka, kb, i, j = failure
-    return VerifyReport(False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})")
+        report = VerifyReport(True, cases)
+    else:
+        ka, kb, i, j = failure
+        report = VerifyReport(False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})")
+    rep._reports[spec, degree_bound] = report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +553,16 @@ def _equations(B: ExactMatrix, A: ExactMatrix, s0: int, t0: int):
 
 
 def commutant(rep: GRepresentation) -> list[GradedOperator]:
-    """Basis of grading-preserving operators commuting with the whole action."""
-    zero = GradedOperator(rep.space, rep.space.zero_class, {})  # no action: every graded X commutes
-    return intertwiners(rep.space.field, [(op, op) for op in rep.action.values()] or [(zero, zero)])
+    """Basis of grading-preserving operators commuting with the whole action.
+
+    The basis is computed once per representation and kept on it; each call
+    returns a new list of the kept operators.
+    """
+    if rep._commutant is None:
+        zero = GradedOperator(rep.space, rep.space.zero_class, {})  # no action: every graded X commutes
+        rep._commutant = tuple(intertwiners(rep.space.field,
+                                            [(op, op) for op in rep.action.values()] or [(zero, zero)]))
+    return list(rep._commutant)
 
 
 def is_absolutely_irreducible(rep: GRepresentation) -> bool:

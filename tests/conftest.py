@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from qtlie.matrices import ExactMatrix
+from qtlie.repn import GradedOperator
 from qtlie.torus import make_torus
 
 settings.register_profile(
@@ -40,3 +42,16 @@ def e1_wide():
 @pytest.fixture(scope="session")
 def commutative():
     return make_torus(2, 0, [])
+
+
+@pytest.fixture
+def commutator_calls(monkeypatch):
+    """Counts the commutators of dense matrices and of graded operators."""
+    calls = []
+    for cls in (ExactMatrix, GradedOperator):
+        def counted(self, other, commutator=cls.commutator):
+            calls.append(1)
+            return commutator(self, other)
+
+        monkeypatch.setattr(cls, "commutator", counted)
+    return calls

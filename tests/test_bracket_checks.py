@@ -68,7 +68,7 @@ def test_gl_n_witness(e2):
 def test_representation_witness(e2):
     _, rep = _standard_pullback(e2)
     key = jetalg.key_from_string("XT(0,0;1,3)")
-    rep.action[key] = rep.action[key].scale(2)
+    rep = repn.GRepresentation(rep.space, {**rep.action, key: rep.action[key].scale(2)}, rep.cutoff)
     report = verify_representation(e2, rep, 2)
     assert (report.passed, report.cases, report.first_failure) == (
         False, 1317, "[XT(0,0;1,1), XT(0,0;1,3)] entry (0, 10)")
@@ -161,19 +161,6 @@ def test_jacobi_jets_exhaustive_witness(e1, wrong_jet_sign):
         "suite": "jacobi-jets", "cases": 17,
         "failures": [{"triple": ["XD(0,1;1)", "XD(0,1;2)", "XT(0,0;1,1)"]}],
         "passed": False}
-
-
-@pytest.fixture
-def commutator_calls(monkeypatch):
-    """Counts the commutators of dense matrices and of graded operators."""
-    calls = []
-    for cls in (ExactMatrix, repn.GradedOperator):
-        def counted(self, other, commutator=cls.commutator):
-            calls.append(1)
-            return commutator(self, other)
-
-        monkeypatch.setattr(cls, "commutator", counted)
-    return calls
 
 
 def test_representation_check_takes_one_commutator_per_unordered_pair(e1, commutator_calls):

@@ -365,11 +365,30 @@ class TestAgainstFractionOracle:
             assert type(got) is CycloNum and is_canonical(got)
             assert got.coeffs == reference_mul(L, one.coeffs, fld.from_rational(n).coeffs)
 
+    @given(data=st.data())
+    def test_the_zero_adds_for_free(self, L, data):
+        fld = make_field(L)
+        zero, x = fld.zero, data.draw(_operands(L))
+        q = data.draw(_SCALARS)
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert x + 0 is x and 0 + x is x and x - 0 is x
+        fx = x.coeffs
+        for got, want in ((x + zero, fx), (zero + x, fx), (x - zero, fx),
+                          (zero - x, tuple(-c for c in fx)), (0 - x, tuple(-c for c in fx))):
+            assert got.coeffs == want and is_canonical(got)
+        # a zero that is not the shared object takes the ordinary path, with the same values
+        other = CycloNum(fld, [0] * fld.phi)
+        assert other is not zero
+        assert (x + other).coeffs == (other + x).coeffs == fx and (other - x).coeffs == (zero - x).coeffs
+        # a rational operand of zero still gives the rational
+        assert (zero + q).coeffs == (q - zero).coeffs == fld.from_rational(q).coeffs
+
 
 @pytest.mark.parametrize("L", ORACLE_FIELDS)
 def test_unit_and_roots_are_shared_objects(L):
     fld = make_field(L)
     assert fld.from_rational(1) is fld.one and fld.coerce(1) is fld.one
+    assert fld.from_rational(0) is fld.zero and fld.coerce(0) is fld.zero
     assert fld.root(0) is fld.one and fld.root(L) is fld.one
     for j in range(-L, 2 * L):
         assert fld.root(j) is fld.root(j % L)

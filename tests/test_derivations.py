@@ -285,3 +285,19 @@ def test_bracket_sum_is_the_sum_of_the_brackets(spec, name, data):
     assert all(not c.is_zero() for c in got.terms.values())
     for x, y in pairs:
         assert x.bracket(y, key_bracket) == reference_bracket(x, y, key_bracket)
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("name", ["d", "witt", "jets"])
+@given(data=st.data())
+def test_bracket_keys_pass_their_validators_unchanged(spec, name, data):
+    """Key brackets build their keys as plain tuples; every such key is one
+    that the algebra's own key constructor accepts and returns as it is."""
+    cls, key_bracket, keys = _algebra(spec, name)
+    ctx = spec.d if cls is jetalg.JetElement else spec
+    pool = data.draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    for kx in pool:
+        for ky in pool:
+            for key, _ in key_bracket(kx, ky):
+                tag, args = cls._symbol(key)
+                assert cls._SYMBOLS[tag][1](ctx, *args) == key

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qtlie
 from qtlie import repn
+from qtlie.cuspidal import build_module, standard_symbols
 from qtlie.errors import (
     DimensionMismatch,
     InvalidModuleData,
@@ -19,7 +21,7 @@ from qtlie.errors import (
     ParseError,
     SplittingNeedsFieldExtension,
 )
-from qtlie.jetalg import gl_d_keys
+from qtlie.jetalg import bracket_keys, gl_d_keys
 from qtlie.matrices import ExactMatrix, RowSpace, basis_matrix
 from qtlie.repn import (
     GLdGLNModule,
@@ -630,3 +632,74 @@ def test_rep_serialization_round_trip(e1, rep_e1):
     assert alpha2 == alpha
     # deterministic dump
     assert rep_to_dict(rep2, alpha2) == data
+
+
+# ---------------------------------------------------------------------------
+# an immutable representation and the memos kept on it
+# ---------------------------------------------------------------------------
+
+
+def test_action_is_read_only(rep_e1):
+    key = ("XT", (0, 0), (1, 1))
+    with pytest.raises(TypeError):
+        rep_e1.action[key] = rep_e1.action[key].scale(2)
+    with pytest.raises(TypeError):
+        del rep_e1.action[key]
+
+
+def test_bracket_check_is_kept_per_object_and_degree_bound(e1, commutator_calls):
+    rep = _standard_pullback(e1)[1]
+    commutator_calls.clear()  # building the pullback checks its module data
+    build_module(e1, (0, 0), rep)
+    assert len(commutator_calls) == 8 * 7 // 2  # the 8 degree-zero symbols act
+    build_module(e1, (1, 0), rep, box=2)
+    assert len(commutator_calls) == 28  # the second build reads the kept report
+    equal = _standard_pullback(e1)[1]
+    assert equal == rep
+    commutator_calls.clear()
+    build_module(e1, (0, 0), equal)
+    assert len(commutator_calls) == 28  # kept per object, never by value
+    commutator_calls.clear()
+    report = verify_representation(e1, rep, 2)
+    assert report.passed and len(commutator_calls) == 28  # another degree bound is another check
+    assert verify_representation(e1, rep, 2) is report and len(commutator_calls) == 28
+    with pytest.raises(AttributeError):  # the kept report is shared, so it is frozen
+        report.passed = False
+
+
+def test_bracket_check_leaves_the_image_memo_empty(e1):
+    rep = _standard_pullback(e1)[1]
+    assert verify_representation(e1, rep, 3).passed
+    assert rep._images == {}
+    element = bracket_keys(e1, ("XD", (1, 0), 2), ("XT", (0, 0), (1, 1)))
+    image = rep.rho_element(element)
+    assert rep.rho_element(element) is image and list(rep._images) == [element]
+
+
+def test_modules_of_one_representation_share_its_images(e1):
+    rep = _standard_pullback(e1)[1]
+    first = build_module(e1, (0, 0), rep)
+    second = build_module(e1, (Fraction(1, 2), 0), rep, box=2)
+    for sym in standard_symbols(e1):
+        if sym[0] != "z":
+            assert second._table(sym) is first._table(sym)
+
+
+def test_commutant_is_computed_once_and_returned_as_a_new_list(e1, rep_e1, monkeypatch):
+    rep = scramble_representation(rep_e1, seed=3)
+    graded_calls = []  # one entry per intertwiners call: whether it solves for graded operators
+
+    def counted(field, pairs, intertwiners=repn.intertwiners):
+        graded_calls.append(isinstance(pairs[0][0], GradedOperator))
+        return intertwiners(field, pairs)
+
+    monkeypatch.setattr(repn, "intertwiners", counted)
+    first = commutant(rep)
+    assert graded_calls == [True] and len(first) == 1
+    first.append(first[0])
+    second = commutant(rep)
+    assert graded_calls == [True] and second == first[:1] and second is not first
+    # decompose_tensor reads the kept commutant; its own solves are on dense class blocks
+    assert decompose_tensor(e1, rep, seed=3)[0].dim_V == 2
+    assert graded_calls.count(True) == 1 and len(graded_calls) > 1
+    assert len(commutant(scramble_representation(rep_e1, seed=3))) == 1 and graded_calls.count(True) == 2
