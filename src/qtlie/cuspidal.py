@@ -163,9 +163,10 @@ class _WeightModuleBase:
         self.alpha = _coerce_alpha(spec, alpha)
         self.space = space
         self.box = box
-        self._scalars = {}  # (u, label) -> inner_product(u, weight_of(label))
-        # symbol -> GradedOperator; no caller mutates a returned block, so one
-        # block serves every label of its class
+        self._scalars = {}  # u -> {label: inner_product(u, weight_of(label))}
+        # symbol -> (GradedOperator, the label -> scalar cache of its u, None
+        # for a symbol without one); no caller mutates a returned block, so
+        # one block serves every label of its class
         self._tables = {}
 
     def labels(self, box: int | None = None) -> list[Label]:
@@ -190,13 +191,20 @@ class _WeightModuleBase:
         """
         raise NotImplementedError
 
-    def _table(self, symbol) -> GradedOperator:
-        """The action table of `symbol`, built on first use; the center acts by identities."""
-        table = self._tables.get(symbol)
-        if table is None:
+    def _entry(self, symbol) -> tuple[GradedOperator, dict | None]:
+        """The action table of `symbol` and the weight-scalar cache of a degree
+        symbol, shared by every symbol with its u; built on first use, so that
+        a call hashes the symbol once.  The center acts by identities."""
+        entry = self._tables.get(symbol)
+        if entry is None:
             table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
-            self._tables[symbol] = table
-        return table
+            scalars = self._scalars.setdefault(symbol[1], {}) if symbol[0] == "deg" else None
+            entry = self._tables[symbol] = (table, scalars)
+        return entry
+
+    def _table(self, symbol) -> GradedOperator:
+        """The action table of `symbol`, built on first use."""
+        return self._entry(symbol)[0]
 
     def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
         """The action of `symbol` on the component at `label`: (target label, matrix).
@@ -205,12 +213,13 @@ class _WeightModuleBase:
         """
         fld = self.spec.field
         w, np = label
-        tw, mat = self._table(symbol).blocks.get(w, (w, None))
-        if symbol[0] == "deg":
+        table, scalars = self._entry(symbol)
+        tw, mat = table.blocks.get(w, (w, None))
+        if scalars is not None:
             _, u, e = symbol
-            scalar = self._scalars.get((u, label))
+            scalar = scalars.get(label)
             if scalar is None:
-                scalar = self._scalars[u, label] = inner_product(fld, u, self.weight_of(label))
+                scalar = scalars[label] = inner_product(fld, u, self.weight_of(label))
             if not scalar.is_zero():
                 mat = ExactMatrix.zeros(fld, self.space.dims[w]) if mat is None else mat.copy()
                 for i, row in enumerate(mat.data):

@@ -28,6 +28,16 @@ def inner_product(field: CycloField, u, v) -> CycloNum:
     return acc
 
 
+def _plain(c: CycloNum, one: CycloNum):
+    """c as a Python int when it is a rational integer (the unit as 1), else c."""
+    if c is one:
+        return 1
+    num = c.num
+    if c.den == 1 and not any(num[1:]):
+        return num[0]
+    return c
+
+
 class _Combo:
     """Finitely supported linear combination of basis keys.
 
@@ -65,25 +75,39 @@ class _Combo:
     @classmethod
     def bracket_sum(cls, field: CycloField, pairs, key_bracket):
         """The sum of [x, y] over the (x, y) in `pairs`, each bracket the bilinear
-        extension of key_bracket(kx, ky), which yields (key, coeff) pairs.
+        extension of key_bracket(kx, ky), which yields (key, coeff) pairs with
+        coeff an int or a CycloNum.
 
-        Every product goes straight into one dict; zero coefficients are
-        dropped at the end, as in from_terms.
+        Structure constants are mostly integers, so every coefficient that is
+        a rational integer is carried as a Python int: x and y coefficients
+        are read once per term through _plain, and int products and sums stay
+        ints.  Every product goes straight into one dict; at the end each
+        nonzero value becomes a canonical CycloNum and zeros are dropped, as
+        in from_terms.
         """
+        one = field.one
         terms = {}
         get = terms.get
         for x, y in pairs:
-            y_terms = y.terms.items()
+            y_terms = [(ky, _plain(cy, one)) for ky, cy in y.terms.items()]
             for kx, cx in x.terms.items():
+                cx = _plain(cx, one)
                 for ky, cy in y_terms:
                     c = cx * cy
+                    unit = type(c) is int and c == 1
                     for key, coeff in key_bracket(kx, ky):
-                        coeff = c * coeff
+                        if not unit:
+                            coeff = c * coeff
                         acc = get(key)
                         terms[key] = coeff if acc is None else acc + coeff
-        for key in [key for key, c in terms.items() if c.is_zero()]:
-            del terms[key]
-        return cls._of(field, terms)
+        out = {}
+        for key, c in terms.items():
+            if type(c) is int:
+                if c:
+                    out[key] = field.from_rational(c)
+            elif not c.is_zero():
+                out[key] = c
+        return cls._of(field, out)
 
     def bracket(self, other, key_bracket):
         """[self, other]: bracket_sum of the one pair."""

@@ -194,12 +194,17 @@ class GRepresentation:
     on it alone: the report of each bracket check (``verify_representation``),
     the image of each jet element (``rho_element``) and the commutant basis
     (``commutant``).  These memos belong to the object, so an equal but
-    distinct representation computes them again.
+    distinct representation computes them again.  For the same reason
+    `space`, `cutoff` and `action` cannot be rebound after construction:
+    a rebinding would leave the memos describing the old data.
     """
 
+    _FIXED = frozenset({"space", "cutoff", "action"})
+
     def __init__(self, space: GradedSpace, action: dict, cutoff: int):
-        self.space = space
-        self.cutoff = cutoff
+        fixed = vars(self)  # the fixed attributes are set here only, past __setattr__
+        fixed["space"] = space
+        fixed["cutoff"] = cutoff
         ops = {}
         for key, op in action.items():
             if op.is_zero():
@@ -216,10 +221,15 @@ class GRepresentation:
             elif op.space != space or op.shift != shift:
                 raise InvalidRepresentation(f"operator for {name} has the wrong space or shift")
             ops[key] = op
-        self.action = MappingProxyType(ops)
+        fixed["action"] = MappingProxyType(ops)
         self._reports = {}  # (spec, degree bound) -> VerifyReport
         self._images = {}  # JetElement -> GradedOperator
         self._commutant = None  # tuple of GradedOperators once computed
+
+    def __setattr__(self, name, value):
+        if name in self._FIXED:
+            raise AttributeError(f"GRepresentation.{name} cannot be rebound; build a new representation")
+        object.__setattr__(self, name, value)
 
     def _graded(self, name: str, shift: tuple, mat: ExactMatrix) -> GradedOperator:
         """The operator of a dense matrix, which must map each U_c into U_(c + shift)."""

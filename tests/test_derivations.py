@@ -5,7 +5,8 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from qtlie import derivations, jetalg
+from qtlie import derivations, jetalg, verify
+from qtlie.cyclo import CycloNum
 from qtlie.derivations import (
     DElement,
     WdElement,
@@ -301,3 +302,109 @@ def test_bracket_keys_pass_their_validators_unchanged(spec, name, data):
             for key, _ in key_bracket(kx, ky):
                 tag, args = cls._symbol(key)
                 assert cls._SYMBOLS[tag][1](ctx, *args) == key
+
+
+# The int path of bracket_sum: integer coefficients ride as Python ints and
+# become canonical CycloNums only in the result.
+
+def _int_coeffs(fld):
+    """The unit, 2, -3 and general field elements, as drawn coefficients."""
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.one_of(st.sampled_from([fld.one, fld.from_rational(2), fld.from_rational(-3)]),
+                     st.lists(rational, min_size=fld.phi, max_size=fld.phi).map(fld.element))
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("name", ["d", "witt", "jets"])
+@given(data=st.data())
+def test_bracket_results_hold_only_field_elements(spec, name, data):
+    fld = spec.field
+    cls, key_bracket, keys = _algebra(spec, name)
+    pool = data.draw(st.lists(keys, min_size=1, max_size=3, unique=True))
+    elements = st.lists(st.tuples(st.sampled_from(pool), _int_coeffs(fld)), max_size=4).map(
+        partial(cls.from_terms, fld))
+    pairs = data.draw(st.lists(st.tuples(elements, elements), min_size=1, max_size=3))
+    results = [cls.bracket_sum(fld, pairs, key_bracket)]
+    for x, y in pairs:
+        got, want = x.bracket(y, key_bracket), reference_bracket(x, y, key_bracket)
+        assert got == want and list(got.terms) == list(want.terms) and hash(got) == hash(want)
+        results.append(got)
+    for got in results:
+        assert all(type(c) is CycloNum and not c.is_zero() for c in got.terms.values())
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+def test_integer_terms_that_cancel_drop_their_key(spec):
+    fld = spec.field
+    # [x^(1,0) x_1 d_1, x^(1,1) x_1 d_1] = (n_1 - m_1) x^(2,1) x_1 d_1 = 0
+    assert bracket_witt(witt(fld, 1, (1, 0)), witt(fld, 1, (1, 1))).terms == {}
+    x = witt(fld, 1, (1, 0), 2) + witt(fld, 2, (0, 1), -3)
+    y = witt(fld, 2, (2, 1), -3) + witt(fld, 1, (1, 2), 2)
+    assert not bracket_witt(x, y).is_zero()
+    # a pair and its swap: every integer coefficient cancels to the int 0
+    assert WdElement.bracket_sum(fld, ((x, y), (y, x)), derivations._bracket_witt_keys).terms == {}
+    # 2 * [x, y] - [2x, y]: only the terms of z survive
+    z = witt(fld, 2, (1, 1), 2)
+    got = WdElement.bracket_sum(fld, ((x, y.scale(2)), (x.scale(-2), y), (z, x)),
+                                derivations._bracket_witt_keys)
+    assert got == bracket_witt(z, x) and list(got.terms) == list(bracket_witt(z, x).terms)
+
+
+MIXED_KEY = {
+    # 2*D(1;0,0) + T(1,0) against -3*T(1,1) + T(0,1): T(1,1) is reached by
+    # [D(1;0,0), T(1,1)], an int, and by the skew of [T(1,0), T(0,1)]
+    "d": (lambda spec: deriv(spec, 1, (0, 0), 2) + inner(spec, (1, 0)),
+          lambda spec: inner(spec, (1, 1), -3) + inner(spec, (0, 1)),
+          ("t", (1, 1))),
+    # the same with jets: XT((1,0);1,1) from [XD((1,0);1), XT((0,0);1,1)] and
+    # from the skew of [XT((0,0);1,0), XT((1,0);0,1)]
+    "jets": (lambda spec: jetalg.xd(spec, (1, 0), 1, 2) + jetalg.xt(spec, (0, 0), (1, 0)),
+             lambda spec: jetalg.xt(spec, (0, 0), (1, 1), -3) + jetalg.xt(spec, (1, 0), (0, 1)),
+             ("XT", (1, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("name", ["d", "jets"])
+def test_a_key_reached_by_an_int_and_a_skew_matches_the_reference(spec, name):
+    _, key_bracket, _ = _algebra(spec, name)
+    make_x, make_y, key = MIXED_KEY[name]
+    x, y = make_x(spec), make_y(spec)
+    kinds = {type(coeff) for kx in x.terms for ky in y.terms
+             for k, coeff in key_bracket(kx, ky) if k == key}
+    assert kinds == {int, CycloNum}
+    want = reference_bracket(x, y, key_bracket)
+    got = x.bracket(y, key_bracket)
+    assert key in got.terms and got == want and list(got.terms) == list(want.terms)
+    assert all(type(c) is CycloNum for c in got.terms.values())
+
+
+@pytest.fixture
+def field_ops(monkeypatch):
+    """Counts CycloNum multiplications and additions, reflected ones included."""
+    calls = []
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, op=getattr(CycloNum, attr)):
+            calls.append(1)
+            return op(self, other)
+
+        monkeypatch.setattr(CycloNum, attr, counted)
+    return calls
+
+
+def test_witt_jacobi_suite_does_no_field_arithmetic(e2, field_ops):
+    assert suite_jacobi_witt(e2, triples=100).passed
+    assert field_ops == []
+
+
+def test_sampled_jet_suite_brackets_each_triple_three_times(e2, monkeypatch):
+    calls = []
+
+    def counted(spec, a, b, bracket=jetalg.bracket_jets):
+        calls.append(1)
+        return bracket(spec, a, b)
+
+    monkeypatch.setattr(jetalg, "bracket_jets", counted)
+    monkeypatch.setattr(verify, "bracket_jets", counted)
+    assert verify.suite_jacobi_jets(e2, 3, sample=100).passed
+    assert len(calls) == 300

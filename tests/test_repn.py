@@ -647,6 +647,25 @@ def test_action_is_read_only(rep_e1):
         del rep_e1.action[key]
 
 
+def test_data_attributes_cannot_be_rebound(e1):
+    """A kept report describes the data it was made from: on E1 a check
+    passes, and rebinding `action` to one with a doubled XT(0,0;1,1), which
+    would have left that passing report in place, raises instead."""
+    rep = _standard_pullback(e1)[1]
+    report = verify_representation(e1, rep, 1)
+    assert report.passed and report.cases == 484
+    key = ("XT", (0, 0), (1, 1))
+    doubled = {**rep.action, key: rep.action[key].scale(2)}
+    for name, value in (("action", doubled), ("space", rep.space), ("cutoff", 2)):
+        with pytest.raises(AttributeError, match=name):
+            setattr(rep, name, value)
+    assert rep.cutoff == 1 and verify_representation(e1, rep, 1) is report
+    fresh = verify_representation(e1, GRepresentation(rep.space, doubled, rep.cutoff), 1)
+    assert fresh.first_failure == "[XT(0,0;1,1), XT(0,0;1,2)] entry (0, 2)"
+    rep._commutant = None  # the memo slots stay writable
+    rep._images = {}
+
+
 def test_bracket_check_is_kept_per_object_and_degree_bound(e1, commutator_calls):
     rep = _standard_pullback(e1)[1]
     commutator_calls.clear()  # building the pullback checks its module data
