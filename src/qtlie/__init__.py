@@ -1,6 +1,6 @@
 """Exact computational algebra for rational quantum tori and their modules."""
 
-from .cyclo import CycloField, CycloNum, arith, make_field, parse_cyclonum
+from .cyclo import CycloField, CycloNum, make_field, parse_cyclonum
 from .matrices import ExactMatrix
 from .torus import (
     Monomial,
@@ -33,7 +33,6 @@ from .derivations import (
 from .jetalg import (
     JetElement,
     bracket_jets,
-    cache_structure_constants,
     commutator_span_dims,
     filtration_degree,
     gamma_class,

@@ -1,14 +1,13 @@
 """Command-line surface.
 
 Verbs: torus info, bracket eval, verify, module build|verify|decompose|
-roundtrip|compare, export, cache.  Exit codes: 0 pass, 1 fail, 2 config error
+roundtrip|compare, export.  Exit codes: 0 pass, 1 fail, 2 config error
 (a ParseError: unreadable or malformed input, or an argparse error).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cuspidal import (
@@ -23,7 +22,7 @@ from .cuspidal import (
 from .cyclo import parse_scalar
 from .derivations import bracket_d, bracket_witt, parse_d_element, parse_witt_element
 from .errors import ParseError, QtlieError
-from .jetalg import bracket_jets, cache_structure_constants, parse_jet_element
+from .jetalg import bracket_jets, parse_jet_element
 from .repn import (
     GLdGLNModule,
     decompose_tensor,
@@ -140,14 +139,6 @@ def cmd_export(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    return 0
-
-
-def cmd_cache(args) -> int:
-    spec = load_torus(args.spec)
-    directory = args.dir or os.environ.get("QTL_CACHE_DIR") or ".qtl-cache"
-    path, hit = cache_structure_constants(spec, args.max_degree, directory)
-    print(f"{'cache hit' if hit else 'computed'}: {path}")
     return 0
 
 
@@ -276,12 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--exp", required=True, help="comma-separated exponent")
     p_export.add_argument("--out")
     p_export.set_defaults(fn=cmd_export)
-
-    p_cache = sub.add_parser("cache", help="persist jet-algebra structure constants")
-    p_cache.add_argument("--spec", required=True)
-    p_cache.add_argument("--max-degree", type=_size, default=3)
-    p_cache.add_argument("--dir", help="cache directory (or QTL_CACHE_DIR)")
-    p_cache.set_defaults(fn=cmd_cache)
 
     p_module = sub.add_parser("module", help="module operations")
     p_module.add_argument("action",

@@ -564,9 +564,10 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
     Delta^q F(0) of the binomial basis prod over i of C(c_i, q_i); the simplex
     is closed under the difference step along each axis.  One triangular
     Stirling-number transform per axis then maps that basis to m^p / p!.  An
-    out-of-sample check at m = B (D + 1, ..., D + 1) guards the asserted degree
-    bound, and the constant term of each D family is checked against its
-    forced scalar blocks.
+    out-of-sample check at m = B (D + 1, D + 2, ..., D + d) guards the asserted
+    degree bound; its coordinates differ, so an excess that vanishes on the
+    diagonal m_1 = ... = m_d is still caught.  The constant term of each D
+    family is checked against its forced scalar blocks.
     """
     D = family.degree_bound
     alpha = _coerce_alpha(spec, alpha)
@@ -598,7 +599,7 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
                 for p in simplex
             }
         coeffs = {p: op for p, op in table.items() if not op.is_zero()}
-        mstar = to_m((D + 1,) * d)
+        mstar = to_m(tuple(range(D + 1, D + 1 + d)))
         predicted = linear_combination(
             ((taylor_coefficient(mstar, p), op) for p, op in coeffs.items()), zero)
         if predicted != evaluate(mstar):

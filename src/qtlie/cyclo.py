@@ -437,19 +437,6 @@ class CycloNum:
         return out
 
 
-def arith(a: CycloNum, b: CycloNum, op: str) -> CycloNum:
-    """Dispatch helper for the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def parse_cyclonum(text: str, field: CycloField | None = None) -> CycloNum:
     """Parse the `L:[p/q,...]` serialization (bit-exact round trip)."""
     try:

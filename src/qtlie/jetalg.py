@@ -18,11 +18,8 @@ Brackets of basis symbols:
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
-import os
 from fractions import Fraction
 from functools import partial
 
@@ -265,69 +262,3 @@ def key_from_string(text: str):
 
 def parse_jet_element(spec: TorusSpec, text: str) -> JetElement:
     return JetElement._parse(spec.d, spec.field, text)
-
-
-def element_to_payload(a: JetElement) -> list:
-    return sorted([key_to_string(k), c.serialize()] for k, c in a.terms.items())
-
-
-def structure_constant_table(spec: TorusSpec, max_degree: int) -> dict[str, list]:
-    """Brackets of all canonical basis-symbol pairs up to a filtration degree."""
-    keys = canonical_keys(spec, max_degree)
-    table = {}
-    for ka in keys:
-        for kb in keys:
-            res = bracket_keys(spec, ka, kb)
-            table[f"{key_to_string(ka)}|{key_to_string(kb)}"] = element_to_payload(res)
-    return table
-
-
-def _cache_path(spec: TorusSpec, max_degree: int, directory: str) -> str:
-    tag = f"d{spec.d}z{spec.z}k{'-'.join(map(str, spec.k))}L{spec.L}deg{max_degree}"
-    return os.path.join(directory, f"jetconsts-{tag}.json")
-
-
-def cache_structure_constants(spec: TorusSpec, max_degree: int, directory: str) -> tuple[str, bool]:
-    """Write (or reuse) the persisted structure-constant table.
-
-    Returns (path, was_cache_hit).  A file that fails its checksum or was made
-    for another torus or degree is recomputed in place; the new file is
-    written to a temporary name and moved over the old one.
-    """
-    os.makedirs(directory, exist_ok=True)
-    path = _cache_path(spec, max_degree, directory)
-    torus = {"d": spec.d, "z": spec.z, "k": list(spec.k), "L": spec.L}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-            body = json.dumps(blob["table"], sort_keys=True, separators=(",", ":"))
-            if (hashlib.sha256(body.encode()).hexdigest() == blob.get("checksum")
-                    and blob.get("torus") == torus and blob.get("max_degree") == max_degree):
-                return path, True
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            pass
-    table = structure_constant_table(spec, max_degree)
-    body = json.dumps(table, sort_keys=True, separators=(",", ":"))
-    blob = {
-        "format": "qtlie-structure-constants",
-        "torus": torus,
-        "max_degree": max_degree,
-        "checksum": hashlib.sha256(body.encode()).hexdigest(),
-        "table": table,
-    }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return path, False
-
-
-def load_structure_constants(spec: TorusSpec, max_degree: int, directory: str) -> dict:
-    path, _ = cache_structure_constants(spec, max_degree, directory)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)["table"]

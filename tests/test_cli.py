@@ -146,14 +146,6 @@ def test_export_matrix(spec_file, tmp_path):
     assert data["entries"][1][0] == "2:[-1/1]"
 
 
-def test_cache_command(spec_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QTL_CACHE_DIR", str(tmp_path / "cache"))
-    assert main(["cache", "--spec", spec_file, "--max-degree", "1"]) == 0
-    assert "computed" in capsys.readouterr().out
-    assert main(["cache", "--spec", spec_file, "--max-degree", "1"]) == 0
-    assert "cache hit" in capsys.readouterr().out
-
-
 def test_module_build_and_compare(spec_file, tmp_path, capsys):
     dump_a = tmp_path / "a.json"
     dump_b = tmp_path / "b.json"
@@ -296,6 +288,7 @@ def test_config_errors(tmp_path, capsys):
     spec.write_text('{"d":2,"z":1,"k":[2],"L":2}')
     assert main(["verify", "--spec", str(spec), "--suite", "nope"]) == 2
     assert main(["no-such-verb"]) == 2
+    assert main(["cache", "--spec", str(spec)]) == 2
 
 
 def test_input_file_errors_are_config_errors(tmp_path, spec_file, capsys):
@@ -371,14 +364,13 @@ def test_decompose_suite_reports_a_reducible_module(monkeypatch):
     ["verify", "--suite", "xmatrix", "--box", "two", "--out", "out.json"],
     ["module", "build", "--box", "-1", "--out", "out.json"],
     ["module", "roundtrip", "--degree", "-2"],
-    ["cache", "--max-degree", "-1"],
 ], ids=lambda argv: "-".join(a.strip("-") for a in argv[:5]))
 def test_negative_size_is_a_config_error(argv, spec_file, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--spec", spec_file]) == 2
     err = capsys.readouterr().err
     assert "expected a non-negative integer" in err and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == [Path(spec_file)]  # no report, dump or cache written
+    assert list(tmp_path.iterdir()) == [Path(spec_file)]  # no report or dump written
 
 
 def test_module_roundtrip_uses_an_explicit_degree_zero(spec_file, capsys):

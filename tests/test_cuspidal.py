@@ -707,9 +707,6 @@ class _DiagonalBlindModule:
         return ((w, exp_add(np, m)), excess) if res is None else (res[0], res[1] + excess)
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="ROADMAP item 2: the degree guard checks the one point m = B(D+1, ..., D+1),"
-                          " which lies on the diagonal, so an excess that vanishes there is truncated")
 def test_extraction_rejects_an_excess_that_vanishes_on_the_diagonal(e1, setup_e1):
     _, _, module = setup_e1
     with pytest.raises(DegreeBoundViolated):

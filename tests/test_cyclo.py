@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from qtlie.cyclo import (
     CycloNum,
-    arith,
     cyclotomic_polynomial,
     make_field,
     parse_cyclonum,
@@ -98,17 +97,6 @@ def test_division_by_zero():
     fld = make_field(3)
     with pytest.raises(ZeroDivisionError):
         fld.one / fld.zero
-
-
-def test_arith_dispatch():
-    fld = make_field(4)
-    a, b = fld.root(1), fld.from_rational(2)
-    assert arith(a, b, "add") == a + b
-    assert arith(a, b, "sub") == a - b
-    assert arith(a, b, "mul") == a * b
-    assert arith(a, b, "div") == a * b.inverse()
-    with pytest.raises(ValueError):
-        arith(a, b, "pow")
 
 
 ORACLE_FIELDS = [1, 2, 3, 4, 5, 12]

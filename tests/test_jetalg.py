@@ -1,11 +1,8 @@
-import json
-
 import pytest
 
 from qtlie.errors import MalformedBasisKey, ParseError
 from qtlie.jetalg import (
     bracket_jets,
-    cache_structure_constants,
     canonical_keys,
     commutator_span_dims,
     filtration_degree,
@@ -14,7 +11,6 @@ from qtlie.jetalg import (
     in_plus_ideal,
     key_from_string,
     key_to_string,
-    load_structure_constants,
     parse_jet_element,
     project_quotient,
     xd,
@@ -74,6 +70,9 @@ def test_jacobi_sampled_e2(e2):
 
 
 def test_negative_exponents_never_appear(e1):
+    # 28 vector-field symbols and 40 torus-side symbols below degree 4
+    kinds = [k[0] for k in canonical_keys(e1, 3)]
+    assert (kinds.count("XD"), kinds.count("XT")) == (28, 40)
     keys = canonical_keys(e1, 2)
     for ka in keys:
         for kb in keys:
@@ -193,46 +192,3 @@ def test_grammar(e1):
 
 def test_xd_along(e1):
     assert xd_along(e1, (1, 0), (3, -1)) == xd(e1, (1, 0), 1, 3) - xd(e1, (1, 0), 2)
-
-
-def test_structure_constant_cache(e2, tmp_path):
-    path, hit = cache_structure_constants(e2, 2, str(tmp_path))
-    assert not hit
-    first = open(path, "rb").read()
-    path2, hit2 = cache_structure_constants(e2, 2, str(tmp_path))
-    assert hit2 and path2 == path
-    assert open(path, "rb").read() == first
-
-    # table covers exactly the pairs of basis symbols up to the degree bound
-    table = load_structure_constants(e2, 2, str(tmp_path))
-    n_keys = len(canonical_keys(e2, 2))
-    assert len(table) == n_keys**2
-
-    # corruption is detected by the checksum and repaired
-    blob = json.loads(first)
-    blob["table"]["XD(1,0;1)|XD(1,0;1)"] = [["XD(1,0;1)", "3:[1/1,0/1]"]]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-    path3, hit3 = cache_structure_constants(e2, 2, str(tmp_path))
-    assert not hit3
-    assert open(path, "rb").read() == first
-
-
-def test_cache_size_e1(e1, tmp_path):
-    cache_structure_constants(e1, 3, str(tmp_path))
-    table = load_structure_constants(e1, 3, str(tmp_path))
-    # 28 vector-field symbols and 40 torus-side symbols below degree 4
-    assert len(table) == (28 + 40) ** 2
-
-
-def test_cache_for_another_degree_is_recomputed(e1, tmp_path):
-    path, _ = cache_structure_constants(e1, 1, str(tmp_path))
-    first = open(path, "rb").read()
-    blob = json.loads(first)
-    blob["max_degree"] = 2  # the checksum covers only the table, so it still matches
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-    path2, hit = cache_structure_constants(e1, 1, str(tmp_path))
-    assert path2 == path and not hit
-    assert open(path, "rb").read() == first
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.rsplit("/", 1)[-1]]
