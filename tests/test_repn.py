@@ -516,6 +516,77 @@ def test_decompose_module_with_no_action(e1):
     assert (vw.dim_V, vw.dim_W) == (1, 1)
 
 
+def _minimal_polynomial_value(fld, m, coeffs):
+    """mu(m) for mu = x^t - sum coeffs_i x^i, t = len(coeffs)."""
+    n = m.rows
+    powers = [ExactMatrix.identity(fld, n)]
+    for _ in coeffs:
+        powers.append(powers[-1] * m)
+    return powers[-1] - sum((p.scale(c) for c, p in zip(coeffs, powers)), ExactMatrix.zeros(fld, n))
+
+
+def test_minimal_polynomial_of_small_matrices():
+    fld = make_field(1)
+    c, lam = Fraction(5, 3), -2
+    cases = [
+        (ExactMatrix.identity(fld, 3).scale(c), [c]),  # x - c
+        (ExactMatrix(fld, [[lam, 1], [0, lam]]), [-lam * lam, 2 * lam]),  # (x - lam)^2
+        (ExactMatrix(fld, [[1, 0, 0], [0, 2, 0], [0, 0, 2]]), [-2, 3]),  # (x - 1)(x - 2)
+        (ExactMatrix(fld, [[0, -1], [1, 0]]), [-1, 0]),  # x^2 + 1
+    ]
+    for m, want in cases:
+        assert repn.matrix_minimal_polynomial(fld, m) == [fld.from_rational(x) for x in want]
+
+
+def test_minimal_polynomial_over_q_zeta3():
+    fld = make_field(3)
+    zeta = fld.element([0, 1])
+    # diag(zeta, zeta^2) has mu = (x - zeta)(x - zeta^2) = x^2 + x + 1
+    m = ExactMatrix(fld, [[zeta, 0], [0, zeta * zeta]])
+    assert repn.matrix_minimal_polynomial(fld, m) == [-fld.one, -fld.one]
+    # the Jordan block J(zeta) has mu = (x - zeta)^2
+    jordan = ExactMatrix(fld, [[zeta, 1], [0, zeta]])
+    assert repn.matrix_minimal_polynomial(fld, jordan) == [-zeta * zeta, 2 * zeta]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimal_polynomial_annihilates_and_is_minimal(seed):
+    rng = random.Random(seed)
+    for L in (1, 3):
+        fld = make_field(L)
+        for n in (1, 2, 3):
+            m = ExactMatrix(fld, [[fld.element([rng.randint(-2, 2) for _ in range(fld.phi)])
+                                   for _ in range(n)] for _ in range(n)])
+            coeffs = repn.matrix_minimal_polynomial(fld, m)
+            assert _minimal_polynomial_value(fld, m, coeffs).is_zero()
+            # the lower powers I, m, ..., m^(t-1) are independent, so no polynomial of lower degree vanishes
+            powers = [ExactMatrix.identity(fld, n)]
+            while len(powers) < len(coeffs):
+                powers.append(powers[-1] * m)
+            assert ExactMatrix(fld, [p.flatten() for p in powers]).rank() == len(coeffs)
+
+
+def test_decompose_rejects_a_torus_block_outside_the_intertwiner_spaces(e1, rep_e1):
+    """One class block of one torus operator becomes a non-scalar on V, so it is not A (x) I_V."""
+    key = ("XT", (0, 0), (1, 2))
+    op = rep_e1.rho(key)
+    c, (tc, block) = next(iter(op.blocks.items()))
+    s = block[0, 0]
+    blocks = {w: mat for w, (_, mat) in op.blocks.items()}
+    blocks[c] = ExactMatrix(e1.field, [[s, 1], [0, s]])
+    rep = GRepresentation(rep_e1.space, {**rep_e1.action, key: GradedOperator(rep_e1.space, key[2], blocks)},
+                          rep_e1.cutoff)
+    assert len(commutant(rep)) == 1
+    with pytest.raises(NotIrreducible, match="torus action leaves the intertwiner spaces"):
+        decompose_tensor(e1, rep)
+
+
+def test_gld_submodule_of_a_non_invariant_basis_is_rejected(e1):
+    fld = e1.field
+    with pytest.raises(InvalidRepresentation, match="subspace is not invariant"):
+        repn._irreducible_gld_submodule(fld, natural_gld(e1), [[fld.one, fld.zero]], random.Random(0))
+
+
 def test_splitting_needs_field_extension():
     """A commutant isomorphic to Q(i) cannot be split over the rationals."""
     fld = make_field(1)
