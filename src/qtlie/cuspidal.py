@@ -159,6 +159,8 @@ class _WeightModuleBase:
     """
 
     def __init__(self, spec: TorusSpec, alpha, space: GradedSpace, box: int):
+        if space.spec != spec:
+            raise DimensionMismatch("different torus specs")
         self.spec = spec
         self.alpha = _coerce_alpha(spec, alpha)
         self.space = space

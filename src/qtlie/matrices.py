@@ -199,30 +199,30 @@ class ExactMatrix:
         """Basis of the right null space, as a list of column vectors."""
         return self.row_space().kernel()
 
-    def solve(self, rhs):
-        """Solve self * x = rhs exactly; returns x or None if inconsistent."""
-        aug = ExactMatrix(self.field, [row + [b] for row, b in zip(self.data, rhs)])
+    def solve(self, rhs: ExactMatrix):
+        """X with self * X = rhs and its free unknowns zero, or None if a column of rhs has no solution.
+
+        One elimination of [self | rhs] serves every column of rhs.
+        """
+        if rhs.rows != self.rows:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} solved against {rhs.rows}x{rhs.cols}")
+        n = self.cols
+        aug = ExactMatrix._of(self.field, [row + y for row, y in zip(self.data, rhs.data)], n + rhs.cols)
         red, pivots = aug.rref()
-        if self.cols in pivots:
+        if pivots and pivots[-1] >= n:
             return None
-        zero = self.field.zero
-        x = [zero] * self.cols
+        x = ExactMatrix.zeros(self.field, n, rhs.cols)
         for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
+            x.data[pc] = red.data[r][n:]
         return x
 
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = ExactMatrix(
-            self.field,
-            [row + ExactMatrix.identity(self.field, n).data[i] for i, row in enumerate(self.data)],
-        )
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        x = self.solve(ExactMatrix.identity(self.field, self.rows))
+        if x is None:
             raise ZeroDivisionError("matrix is singular")
-        return red.submatrix(0, n, n, n)
+        return x
 
     def serialize(self):
         return [[a.serialize() for a in row] for row in self.data]

@@ -352,6 +352,8 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     check of the same object is free.  The bracket images are one-off, so
     they are computed without filling the ``rho_element`` memo.
     """
+    if rep.space.spec != spec:
+        raise DimensionMismatch("different torus specs")
     report = rep._reports.get((spec, degree_bound))
     if report is not None:
         return report
@@ -626,15 +628,15 @@ def scramble_representation(rep: GRepresentation, seed: int) -> GRepresentation:
     rng = random.Random(seed)
     sp = rep.space
     fld = sp.field
-    P = {}
+    P, Pinv = {}, {}
     for c in sp.classes:
         n = sp.dims[c]
-        while True:
+        while True:  # redraw a singular block
             block = ExactMatrix(fld, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            if block.rank() == n:
+            inv = block.solve(ExactMatrix.identity(fld, n))
+            if inv is not None:
                 break
-        P[c] = block
-    Pinv = {c: block.inverse() for c, block in P.items()}
+        P[c], Pinv[c] = block, inv
     return GRepresentation(sp, {key: GradedOperator(sp, op.shift, {w: Pinv[tw] * mat * P[w]
                                                              for w, (tw, mat) in op.blocks.items()})
                                 for key, op in rep.action.items()}, rep.cutoff)
@@ -664,39 +666,26 @@ def spin_up(field, mats: list[ExactMatrix], start) -> list:
     return basis
 
 
-def _restriction(field, mats: dict, basis: list) -> dict:
-    """Matrices of the given action restricted to span(basis), in that basis."""
-    B = basis_matrix(field, basis)
-    out = {}
-    for key, m in mats.items():
-        cols = []
-        for vec in basis:
-            img = m.apply(vec)
-            coords = B.solve(img)
-            if coords is None:
-                raise InvalidRepresentation("subspace is not invariant")
-            cols.append(coords)
-        out[key] = ExactMatrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))])
-    return out
+def _flat_columns(field, mats: list[ExactMatrix], rows: int) -> ExactMatrix:
+    """The rows x len(mats) matrix whose column b is mats[b] flattened row-major."""
+    flat = [m.flatten() for m in mats]
+    return ExactMatrix._of(field, [[f[i] for f in flat] for i in range(rows)], len(mats))
 
 
 def matrix_minimal_polynomial(field, m: ExactMatrix) -> list[CycloNum]:
-    """Monic minimal polynomial coefficients, low degree first (monic omitted)."""
-    n = m.rows
-    powers = [ExactMatrix.identity(field, n)]
-    space = RowSpace(field, n * n)
-    space.add(powers[0].flatten())
-    cur = powers[0]
+    """Monic minimal polynomial coefficients, low degree first (monic omitted).
+
+    They are the coordinates of m^t in I, m, ..., m^(t-1), for the first
+    power m^t that the lower powers span.
+    """
+    size = m.rows * m.rows
+    powers = [ExactMatrix.identity(field, m.rows)]
     while True:
-        cur = cur * m
-        flat = cur.flatten()
-        if space.contains(flat):
-            break
-        space.add(flat)
-        powers.append(cur)
-    B = basis_matrix(field, [p.flatten() for p in powers])
-    coords = B.solve(cur.flatten())
-    return coords  # x^t = sum coords_i x^i, t = len(powers)
+        top = powers[-1] * m
+        coords = _flat_columns(field, powers, size).solve(_flat_columns(field, [top], size))
+        if coords is not None:
+            return [row[0] for row in coords.data]
+        powers.append(top)
 
 
 def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
@@ -743,15 +732,17 @@ def _irreducible_gld_submodule(field, gld_mats, basis, rng):
     `basis` spans the submodule as columns of U_c, and `gld_mats` are the
     class-c blocks of the gl_d generators.
     """
-    mats_list = [m for m in gld_mats.values()]
+    mats_list = list(gld_mats.values())
     while True:
-        restricted = _restriction(field, gld_mats, basis)
-        n = len(basis)
-        split = _try_split(field, list(restricted.values()), n, rng)
+        B = basis_matrix(field, basis)
+        restricted = {key: B.solve(m * B) for key, m in gld_mats.items()}
+        if None in restricted.values():
+            raise InvalidRepresentation("subspace is not invariant")
+        split = _try_split(field, list(restricted.values()), len(basis), rng)
         if split is None:
             return restricted
         # lift one vector of the invariant subspace to the ambient coordinates
-        basis = spin_up(field, mats_list, basis_matrix(field, basis).apply(split[0]))
+        basis = spin_up(field, mats_list, B.apply(split[0]))
 
 
 def _probe_vectors(sp: GradedSpace, gld_ops: dict, probes: int, rng) -> list:
@@ -798,6 +789,8 @@ def decompose_tensor(
     """
     sp = rep.space
     fld = sp.field
+    if sp.spec != spec:
+        raise DimensionMismatch("different torus specs")
     if len(commutant(rep)) != 1:
         raise NotIrreducible("graded commutant has dimension != 1")
     rng = random.Random(seed)
@@ -821,22 +814,18 @@ def decompose_tensor(
     # X^w on W = the intertwiner spaces: its block on W_c holds, column by column, the
     # coordinates of X^w f in Hom(V, U_tc) for the f of class c
     W_space = GradedSpace(spec, {c: len(fs) for c, fs in w_basis_per_class.items()})
+    dim_V = next(iter(v_mats.values())).rows
     W = {}
     for w in class_representatives(spec):
         torus = rep.rho(("XT", (0,) * spec.d, w))
         blocks = {}
         for c in W_space.classes:
-            targets = w_basis_per_class.get(sp.shifted_class(c, w), [])
-            T = basis_matrix(fld, [t.flatten() for t in targets]) if targets else None
-            cols = []
-            for f in w_basis_per_class[c]:
-                img = (torus.block(c) * f).flatten()  # Hom(V, U_tc)
-                coords = T.solve(img) if targets else ([] if vec_is_zero(img) else None)
-                if coords is None:
-                    raise NotIrreducible("torus action leaves the intertwiner spaces")
-                cols.append(coords)
-            if targets:
-                blocks[c] = ExactMatrix(fld, [list(row) for row in zip(*cols)])
+            tc = sp.shifted_class(c, w)
+            rows = sp.dims.get(tc, 0) * dim_V  # Hom(V, U_tc), flattened
+            blocks[c] = _flat_columns(fld, w_basis_per_class.get(tc, []), rows).solve(
+                _flat_columns(fld, [torus.block(c) * f for f in w_basis_per_class[c]], rows))
+            if blocks[c] is None:
+                raise NotIrreducible("torus action leaves the intertwiner spaces")
         W[w] = GradedOperator(W_space, w, blocks)
     vw = GLdGLNModule(spec, v_mats, W, W_space)  # validates itself; nothing checked that rep is a representation
     rebuilt = pullback(spec, vw)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qtlie.cyclo import make_field
 from qtlie.errors import DimensionMismatch
-from qtlie.matrices import ExactMatrix, RowSpace
+from qtlie.matrices import ExactMatrix, RowSpace, basis_matrix
 
 FIELDS = [1, 2, 3, 4, 12]
 
@@ -67,6 +67,11 @@ def reference_solve(self, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red.data[r][self.cols]
     return x
+
+
+def _column(fld, vec):
+    """A vector as a one-column matrix; None stays None."""
+    return None if vec is None else basis_matrix(fld, [vec])
 
 
 def reference_inverse(self):
@@ -137,12 +142,12 @@ def test_solve_matches_reference(L, seed):
     for m in mats:
         x = [_entry(fld, rng) for _ in range(m.cols)]
         consistent = m.apply(x)
-        got = m.solve(consistent)
-        assert got == reference_solve(m, consistent)
-        assert m.apply(got) == consistent
+        got = m.solve(_column(fld, consistent))
+        assert got == _column(fld, reference_solve(m, consistent))
+        assert m * got == _column(fld, consistent)
         rhs = [_entry(fld, rng, density=1.0) for _ in range(m.rows)]
-        got = m.solve(rhs)
-        assert got == reference_solve(m, rhs)
+        got = m.solve(_column(fld, rhs))
+        assert got == _column(fld, reference_solve(m, rhs))
         inconsistent += got is None
     assert inconsistent >= 3  # the rank-deficient shapes give no solution
 
@@ -171,6 +176,42 @@ def test_inverse_matches_reference(L, seed):
     assert outcomes == {"singular", "invertible"}
 
 
+def test_solve_rejects_a_right_hand_side_of_another_height():
+    fld = make_field(3)
+    a = ExactMatrix.identity(fld, 2)
+    for rows in (1, 3):
+        with pytest.raises(DimensionMismatch):
+            a.solve(ExactMatrix.zeros(fld, rows, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("L", FIELDS)
+def test_solve_of_many_columns_matches_reference_column_by_column(L, seed):
+    fld, rng, mats = _cases(L, seed)
+    inconsistent = 0
+    for m in mats:
+        cols = [m.apply([_entry(fld, rng) for _ in range(m.cols)]) for _ in range(3)]
+        got = m.solve(basis_matrix(fld, cols))
+        assert got == basis_matrix(fld, [reference_solve(m, col) for col in cols])
+        # one column outside the column space makes the whole system inconsistent
+        rhs = [_entry(fld, rng, density=1.0) for _ in range(m.rows)]
+        if reference_solve(m, rhs) is None:
+            assert m.solve(basis_matrix(fld, cols + [rhs])) is None
+            assert m.solve(basis_matrix(fld, [rhs] + cols)) is None
+            inconsistent += 1
+    assert inconsistent >= 3  # the rank-deficient shapes give no solution
+
+
+def test_solve_against_a_columnless_matrix():
+    fld = make_field(3)
+    columnless = ExactMatrix(fld, [[], []])
+    got = columnless.solve(ExactMatrix.zeros(fld, 2, 3))
+    assert (got.rows, got.cols) == (0, 3)
+    rhs = ExactMatrix.zeros(fld, 2, 3)
+    rhs[1, 2] = 1
+    assert columnless.solve(rhs) is None
+
+
 def test_non_square_inverse_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         ExactMatrix.zeros(make_field(3), 2, 3).inverse()
@@ -181,7 +222,7 @@ def test_empty_and_columnless_matrices():
     empty = ExactMatrix.zeros(fld, 0, 0)
     assert empty.rref() == reference_rref(empty) == (empty, [])
     assert empty.rank() == 0 and empty.kernel() == []
-    assert empty.solve([]) == []
+    assert empty.solve(ExactMatrix.zeros(fld, 0, 1)) == ExactMatrix.zeros(fld, 0, 1)
     assert empty.inverse() == empty
     columnless = ExactMatrix(fld, [[], []])
     red, pivots = columnless.rref()

@@ -12,7 +12,7 @@ import pytest
 
 import qtlie
 from qtlie import repn
-from qtlie.cuspidal import build_module, standard_symbols
+from qtlie.cuspidal import build_module, standard_symbols, tensor_field_module
 from qtlie.errors import (
     DimensionMismatch,
     InvalidModuleData,
@@ -463,6 +463,22 @@ def test_scramble_preserves_structure(e1, rep_e1):
     assert any(sc.action[k] != rep_e1.action[k] for k in sc.action)
 
 
+@pytest.mark.parametrize("name", ["e2", "e3"])
+def test_a_torus_spec_other_than_the_modules_own_is_rejected(name, request, vw_e1, rep_e1):
+    """An E1 pullback offered with the spec of E2 or E3 is refused before any work."""
+    spec = request.getfixturevalue(name)
+    alpha = (0,) * spec.d
+    calls = {
+        "verify_representation": lambda: verify_representation(spec, rep_e1, 1),
+        "build_module": lambda: build_module(spec, alpha, rep_e1, box=1),
+        "tensor_field_module": lambda: tensor_field_module(spec, alpha, vw_e1, box=1),
+        "decompose_tensor": lambda: decompose_tensor(spec, rep_e1),
+    }
+    for call in calls.values():
+        with pytest.raises(DimensionMismatch, match="^different torus specs$"):
+            call()
+
+
 def test_decompose_scrambled_pullback(e1, rep_e1):
     sc = scramble_representation(rep_e1, seed=42)
     assert len(commutant(sc)) == 1
@@ -601,7 +617,7 @@ def _assert_proper_invariant(fld, mats, n, basis):
     assert B.rank() == len(basis)
     for m in mats:
         for vec in basis:
-            assert B.solve(m.apply(vec)) is not None
+            assert B.solve(basis_matrix(fld, [m.apply(vec)])) is not None
 
 
 def test_split_scrambled_natural_twice(e1):
