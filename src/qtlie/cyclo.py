@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvariantViolated, ParseError
+from .errors import DimensionMismatch, InvariantViolated, ParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,7 +115,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 class CycloField:
     """The field Q(zeta_L) with its integer power-basis reduction tables."""
 
-    __slots__ = ("L", "phi", "poly", "_zpow", "_reduce", "_roots", "zero", "one")
+    __slots__ = ("L", "phi", "poly", "_zpow", "_reduce", "_roots", "_exponent", "_skews", "zero", "one")
 
     def __init__(self, L: int):
         if L < 1:
@@ -142,6 +142,11 @@ class CycloField:
         # CycloNum.__mul__ multiplies by for free
         self._roots = tuple(_make(self, zpow[j], 1) for j in range(L))
         self.one = self._roots[0]
+        # the exponent j of each shared root object, keyed by identity, and the
+        # skews z^a - z^b between them, one shared object per a * L + b, which
+        # torus.sigma_skew fills as it meets them
+        self._exponent = {id(r): j for j, r in enumerate(self._roots)}
+        self._skews = {}
 
     def __repr__(self):
         return f"CycloField(L={self.L})"
@@ -232,7 +237,7 @@ class CycloNum:
     def _coerce(self, other):
         if isinstance(other, CycloNum):
             if other.field is not self.field and other.field.L != self.field.L:
-                raise ValueError("mixed cyclotomic fields")
+                raise DimensionMismatch("mixed cyclotomic fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
@@ -287,7 +292,7 @@ class CycloNum:
         field = self.field
         if isinstance(other, CycloNum):
             if other.field is not field and other.field.L != field.L:
-                raise ValueError("mixed cyclotomic fields")
+                raise DimensionMismatch("mixed cyclotomic fields")
         elif isinstance(other, int):
             # a rational factor has degree 0: scaling needs no reduction mod Phi_L
             return _reduced(field, [a * other for a in self.num], self.den)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from .cyclo import CycloField, CycloNum, make_field, parse_scalar
+from .cyclo import CycloField, CycloNum, _make, make_field, parse_scalar
 from .errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
 from .matrices import ExactMatrix
 from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
@@ -28,10 +28,8 @@ def inner_product(field: CycloField, u, v) -> CycloNum:
     return acc
 
 
-def _plain(c: CycloNum, one: CycloNum):
-    """c as a Python int when it is a rational integer (the unit as 1), else c."""
-    if c is one:
-        return 1
+def _plain(c: CycloNum):
+    """c as a Python int when it is a rational integer, else c."""
     num = c.num
     if c.den == 1 and not any(num[1:]):
         return num[0]
@@ -62,6 +60,12 @@ class _Combo:
         return out
 
     @classmethod
+    def _term(cls, field: CycloField, key, coeff):
+        """The one-term combination coeff * key (zero when coeff is), coeff coerced into the field."""
+        coeff = field.coerce(coeff)
+        return cls._of(field, {} if coeff.is_zero() else {key: coeff})
+
+    @classmethod
     def from_terms(cls, field: CycloField, pairs):
         """Sum of (key, CycloNum) pairs; zero coefficients are dropped at the end."""
         terms = {}
@@ -79,22 +83,27 @@ class _Combo:
         coeff an int or a CycloNum.
 
         Structure constants are mostly integers, so every coefficient that is
-        a rational integer is carried as a Python int: x and y coefficients
-        are read once per term through _plain, and int products and sums stay
-        ints.  Every product goes straight into one dict; at the end each
-        nonzero value becomes a canonical CycloNum and zeros are dropped, as
-        in from_terms.
+        a rational integer is carried as a Python int: the unit is taken as 1
+        by identity, any other coefficient is read through _plain, and int
+        products and sums stay ints.  Every product goes straight into one
+        dict; at the end each nonzero int becomes `one` or one canonical
+        CycloNum, and zeros are dropped, as in from_terms.
         """
         one = field.one
+        tail = field.zero.num[1:]
         terms = {}
         get = terms.get
         for x, y in pairs:
-            y_terms = [(ky, _plain(cy, one)) for ky, cy in y.terms.items()]
+            y_terms = y.terms.items()
             for kx, cx in x.terms.items():
-                cx = _plain(cx, one)
+                cx = 1 if cx is one else _plain(cx)
+                x_unit = type(cx) is int and cx == 1
                 for ky, cy in y_terms:
-                    c = cx * cy
-                    unit = type(c) is int and c == 1
+                    if cy is one:
+                        c, unit = cx, x_unit
+                    else:
+                        c = _plain(cy) if x_unit else cx * _plain(cy)
+                        unit = type(c) is int and c == 1
                     for key, coeff in key_bracket(kx, ky):
                         if not unit:
                             coeff = c * coeff
@@ -103,8 +112,10 @@ class _Combo:
         out = {}
         for key, c in terms.items():
             if type(c) is int:
-                if c:
-                    out[key] = field.from_rational(c)
+                if c == 1:
+                    out[key] = one
+                elif c:
+                    out[key] = _make(field, (c,) + tail, 1)
             elif not c.is_zero():
                 out[key] = c
         return cls._of(field, out)
@@ -253,12 +264,12 @@ class WdElement(_Combo):
 
 def deriv(spec: TorusSpec, i: int, m, coeff=1) -> DElement:
     """The degree derivation t^m d_i (requires m in R, 1 <= i <= d)."""
-    return DElement(spec.field, {_deriv_key(spec, i, m): spec.field.coerce(coeff)})
+    return DElement._term(spec.field, _deriv_key(spec, i, m), coeff)
 
 
 def inner(spec: TorusSpec, s, coeff=1) -> DElement:
     """The inner derivation attached to t^s (requires s not in R)."""
-    return DElement(spec.field, {_inner_key(spec, s): spec.field.coerce(coeff)})
+    return DElement._term(spec.field, _inner_key(spec, s), coeff)
 
 
 def deriv_along(spec: TorusSpec, u, m) -> DElement:
@@ -269,7 +280,7 @@ def deriv_along(spec: TorusSpec, u, m) -> DElement:
 
 
 def witt(field: CycloField, i: int, m, coeff=1) -> WdElement:
-    return WdElement(field, {_witt_key(i, m): field.coerce(coeff)})
+    return WdElement._term(field, _witt_key(i, m), coeff)
 
 
 def witt_along(field: CycloField, mu, m) -> WdElement:
@@ -330,9 +341,13 @@ def derivations_to_witt(spec: TorusSpec, a: DElement) -> WdElement:
     """Isomorphism from the central-exponent derivations onto the Witt algebra.
 
     t^m d_i (m = B n) maps to B_ii * x^n x_i d/dx_i; inner symbols are rejected.
+    Distinct symbols map to distinct Witt symbols, so no two terms add up; an
+    integer coefficient is scaled as a Python int.
     """
     B = spec.B
-    pairs = []
+    field = spec.field
+    tail = field.zero.num[1:]
+    terms = {}
     for key, coeff in a.terms.items():
         if key[0] != "d":
             raise ExponentNotInR("element contains inner-derivation terms")
@@ -340,8 +355,12 @@ def derivations_to_witt(spec: TorusSpec, a: DElement) -> WdElement:
         if any(mj % bj for mj, bj in zip(m, B)):
             raise ExponentNotInR(f"{m} is not in the rescaled lattice")
         n = tuple(mj // bj for mj, bj in zip(m, B))
-        pairs.append((_witt_key(i, n), coeff * B[i - 1]))
-    return WdElement.from_terms(spec.field, pairs)
+        b = B[i - 1]
+        if b != 1:  # then b >= 2, and an integer product is never the unit
+            c = _plain(coeff)
+            coeff = _make(field, (c * b,) + tail, 1) if type(c) is int else c * b
+        terms[_witt_key(i, n)] = coeff
+    return WdElement._of(field, terms)
 
 
 def is_generic(spec: TorusSpec, mu) -> bool:

@@ -70,11 +70,11 @@ class JetElement(_Combo):
 
 
 def xd(spec: TorusSpec, p, j: int, coeff=1) -> JetElement:
-    return JetElement(spec.field, {_xd_key(spec.d, p, j): spec.field.coerce(coeff)})
+    return JetElement._term(spec.field, _xd_key(spec.d, p, j), coeff)
 
 
 def xt(spec: TorusSpec, l, s, coeff=1) -> JetElement:
-    return JetElement(spec.field, {_xt_key(spec.d, l, s): spec.field.coerce(coeff)})
+    return JetElement._term(spec.field, _xt_key(spec.d, l, s), coeff)
 
 
 def xd_along(spec: TorusSpec, p, u) -> JetElement:

@@ -42,7 +42,7 @@ class ExactMatrix:
         for x in row:
             if isinstance(x, CycloNum):
                 if x.field.L != field.L:
-                    raise ValueError("mixed fields in matrix")
+                    raise DimensionMismatch("mixed cyclotomic fields")
                 yield x
             else:
                 yield field.from_rational(x)

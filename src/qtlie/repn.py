@@ -420,6 +420,8 @@ class GLdGLNModule:
             mat = self.V_mats.get((i, j))
             if mat is None or (mat.rows, mat.cols) != (dV, dV):
                 raise InvalidModuleData(f"missing or misshapen V generator ({i},{j})")
+            if mat.field != self.W_space.field:
+                raise InvalidModuleData(f"V generator ({i},{j}) is over {mat.field} but W is over {self.W_space.field}")
         zero = ExactMatrix.zeros(spec.field, dV)
 
         def gl_d_bracket(a, b):  # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj

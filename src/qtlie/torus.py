@@ -135,13 +135,27 @@ def sigma_skew(spec: TorusSpec, m: ExpVec, n: ExpVec) -> CycloNum:
 
     The normal form forces it to vanish when m + n lies in R; a nonzero skew
     there raises InvariantViolated, so no bracket special-cases that case.
-    Equal factors are one shared root object, and give zero with no subtraction.
+    Equal factors are one shared root object and give the shared zero.  Two
+    distinct roots z^a, z^b of the field give its one shared z^a - z^b, built
+    from the power tables on first use; any other pair of values (a patched
+    pairing, say) is subtracted.
     """
     mn, nm = sigma_hat(spec, m, n), sigma_hat(spec, n, m)
+    field = spec.field
     if mn is nm:
-        return spec.field.zero
-    skew = mn - nm
-    if not skew.is_zero() and in_R(spec, exp_add(m, n)):
+        return field.zero
+    exponent = field._exponent
+    a, b = exponent.get(id(mn)), exponent.get(id(nm))
+    if a is None or b is None:
+        skew = mn - nm
+        if skew.is_zero():
+            return skew
+    else:  # distinct roots: the skew is nonzero
+        skews = field._skews
+        skew = skews.get(a * field.L + b)
+        if skew is None:
+            skew = skews[a * field.L + b] = CycloNum(field, map(operator.sub, field._zpow[a], field._zpow[b]))
+    if in_R(spec, exp_add(m, n)):
         raise InvariantViolated(f"sigma skew at {m}, {n} is nonzero although m + n lies in R")
     return skew
 

@@ -19,7 +19,7 @@ from qtlie.cyclo import (
     parse_scalar,
     proper_factor_over_q,
 )
-from qtlie.errors import ParseError
+from qtlie.errors import DimensionMismatch, ParseError
 
 
 def test_degenerate_field_is_q():
@@ -209,7 +209,7 @@ def test_cross_field_equality_compares_rational_values(q):
     i, w = make_field(4).root(1), make_field(3).root(1)
     assert i != w and w != i and i != make_field(2).one
     assert len({i, w, make_field(3).one, make_field(4).one}) == 3
-    with pytest.raises(ValueError, match="mixed cyclotomic fields"):
+    with pytest.raises(DimensionMismatch, match="mixed cyclotomic fields"):
         i + w
 
 

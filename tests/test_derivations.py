@@ -231,8 +231,10 @@ def test_key_constructors_check_length_and_index(e1):
         bracket_witt(witt(fld, 1, (1,)), witt(fld, 1, (0, 1)))
 
 
-# bracket_sum on E1, E2 and E4 (L = 4): the fields Q, Q(zeta_3) and Q(i)
-SUM_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), make_torus(2, 1, [4], 4)]
+# bracket_sum on E1, E2 and E4 (L = 4): the fields Q, Q(zeta_3) and Q(i); and
+# on k = 4 over L = 12, where phi = 4 < L and skews meet roots z^j with j >= phi
+SUM_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), make_torus(2, 1, [4], 4), make_torus(2, 1, [4], 12)]
+SUM_IDS = ["e1", "e2", "e4", "k4-L12"]
 
 
 def reference_bracket(x, y, key_bracket):
@@ -262,7 +264,7 @@ def _algebra(spec, name):
     return jetalg.JetElement, partial(jetalg._bracket_jet_keys, spec), keys
 
 
-@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
 @pytest.mark.parametrize("name", ["d", "witt", "jets"])
 @given(data=st.data())
 def test_bracket_sum_is_the_sum_of_the_brackets(spec, name, data):
@@ -288,7 +290,7 @@ def test_bracket_sum_is_the_sum_of_the_brackets(spec, name, data):
         assert x.bracket(y, key_bracket) == reference_bracket(x, y, key_bracket)
 
 
-@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
 @pytest.mark.parametrize("name", ["d", "witt", "jets"])
 @given(data=st.data())
 def test_bracket_keys_pass_their_validators_unchanged(spec, name, data):
@@ -314,7 +316,7 @@ def _int_coeffs(fld):
                      st.lists(rational, min_size=fld.phi, max_size=fld.phi).map(fld.element))
 
 
-@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
 @pytest.mark.parametrize("name", ["d", "witt", "jets"])
 @given(data=st.data())
 def test_bracket_results_hold_only_field_elements(spec, name, data):
@@ -333,7 +335,7 @@ def test_bracket_results_hold_only_field_elements(spec, name, data):
         assert all(type(c) is CycloNum and not c.is_zero() for c in got.terms.values())
 
 
-@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
 def test_integer_terms_that_cancel_drop_their_key(spec):
     fld = spec.field
     # [x^(1,0) x_1 d_1, x^(1,1) x_1 d_1] = (n_1 - m_1) x^(2,1) x_1 d_1 = 0
@@ -364,7 +366,7 @@ MIXED_KEY = {
 }
 
 
-@pytest.mark.parametrize("spec", SUM_SPECS, ids=["e1", "e2", "e4"])
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
 @pytest.mark.parametrize("name", ["d", "jets"])
 def test_a_key_reached_by_an_int_and_a_skew_matches_the_reference(spec, name):
     _, key_bracket, _ = _algebra(spec, name)

@@ -317,5 +317,13 @@ def test_public_constructor_coerces_and_checks():
     assert ExactMatrix(fld, [[1, 0]])[0, 0] == fld.one
     with pytest.raises(DimensionMismatch):
         ExactMatrix(fld, [[1, 2], [3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="mixed cyclotomic fields"):
         ExactMatrix(fld, [[make_field(4).root(1)]])
+
+
+def test_mixing_fields_is_a_dimension_mismatch(e1, e1_wide):
+    """Q and Q(i), the fields of E1 and of E1 over L = 4, mix in no product or sum."""
+    with pytest.raises(DimensionMismatch, match="mixed cyclotomic fields"):
+        ExactMatrix.identity(e1.field, 2) * ExactMatrix.identity(e1_wide.field, 2)
+    with pytest.raises(DimensionMismatch, match="mixed cyclotomic fields"):
+        e1.field.one + e1_wide.field.one

@@ -111,6 +111,13 @@ def test_module_without_v_generators_names_the_first_one(e1):
         GLdGLNModule(e1, {}, wmats, wclasses)
 
 
+def test_v_and_w_over_different_fields_are_invalid_module_data(e1, e1_wide):
+    """V over Q (from E1) and W over Q(i) (from E1 over L = 4) name both fields."""
+    with pytest.raises(InvalidModuleData,
+                       match=r"^V generator \(1,1\) is over CycloField\(L=2\) but W is over CycloField\(L=4\)$"):
+        GLdGLNModule(e1_wide, natural_gld(e1), *graded_regular_glN(e1_wide))
+
+
 def test_pullback_dimensions(e1, rep_e1):
     assert rep_e1.space.dim == 8
     assert [rep_e1.space.dims[c] for c in rep_e1.space.classes] == [2, 2, 2, 2]

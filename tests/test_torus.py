@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qtlie.cyclo import make_field
+from qtlie.cyclo import CycloNum, make_field
 from qtlie.errors import ParseError
 from qtlie.torus import (
     TorusSpec,
@@ -21,6 +21,7 @@ from qtlie.torus import (
     monomial,
     multiply_monomials,
     sigma_hat,
+    sigma_skew,
     validate_q_matrix,
 )
 
@@ -70,6 +71,32 @@ def test_monomial_product_matches_matrix_oracle(kval):
             lhs = _matmul(fld, power(m), power(n))
             rhs = [[c * x for x in row] for row in power(exp_add(m, n))]
             assert lhs == rhs, (m, n)
+
+
+# E1-E5 as in specs/, and rank 2 with k = 4 over L = 12, where phi = 4 < L
+PERIOD_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), make_torus(3, 1, [2]), make_torus(2, 1, [4]),
+                make_torus(4, 2, [2, 2]), make_torus(2, 1, [4], 12)]
+
+
+@pytest.mark.parametrize("spec", PERIOD_SPECS, ids=["e1", "e2", "e3", "e4", "e5", "k4-L12"])
+def test_sigma_skew_is_the_plain_difference_over_one_period(spec):
+    """The shared skews equal sigma_hat(m, n) - sigma_hat(n, m) for m, n over
+    one period of the pairing (each coordinate mod its B_i), and equal roots
+    give the field's shared zero."""
+    fld = spec.field
+    period = list(itertools.product(*(range(b) for b in spec.B)))
+    shared = 0
+    for m in period:
+        for n in period:
+            mn, nm = sigma_hat(spec, m, n), sigma_hat(spec, n, m)
+            got = sigma_skew(spec, m, n)
+            assert type(got) is CycloNum and got == mn - nm, (m, n)
+            assert got is sigma_skew(spec, m, n)  # one object per pair of roots
+            if mn is nm:
+                assert got is fld.zero
+            else:
+                shared += 1
+    assert shared  # every spec here has a noncommuting pair
 
 
 def test_sigma_values(e2):
