@@ -29,11 +29,15 @@ print("D(e1, 0) is the diagonal of weight scalars:")
 print(family.matrix_D((1, 0), (0, 0)).dense())
 
 # interpolation on the simplex m = B c, c >= 0 with c_1 + c_2 <= 3, by forward
-# differences, with an out-of-sample check at c = (4, 4)
+# differences, with an out-of-sample check at c = (4, 5).  The coefficients are
+# the operators of the recovered representation: (j, p) for XD(p, j) and
+# (r, l) for XT(l, r), leaving out the identity on the central class
 coeffs = extract_coefficients(family, spec, alpha)
-print("extracted vector-field coefficients:", sorted(coeffs.f))
-print("extracted torus coefficients:       ", sorted(coeffs.g))
+print("extracted vector-field coefficients:", sorted((j, p) for kind, p, j in coeffs.action if kind == "XD"))
+print("extracted torus coefficients:       ",
+      sorted((r, l) for kind, l, r in coeffs.action if kind == "XT" and r != coeffs.space.zero_class))
 
+# the bracket relations of the recovered representation, checked up to its cutoff
 back = coefficients_to_representation(spec, coeffs)
 print("reassembled representation equals the original:", back == rep)
 

@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .cyclo import CycloNum
@@ -37,7 +36,7 @@ from .errors import (
     MalformedBasisKey,
     RelationViolated,
 )
-from .jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
+from .jetalg import JetElement, degree_basis, key_degree, taylor_coefficient, xd_along, xt
 from .matrices import ExactMatrix, linear_combination
 from .repn import (
     GLdGLNModule,
@@ -533,15 +532,6 @@ class OperatorFamily:
         return GradedOperator(self.space, e, blocks)
 
 
-@dataclass
-class PolynomialCoefficients:
-    """Exact polynomial coefficients of the operator families, as graded operators."""
-
-    space: GradedSpace
-    f: dict = dc_field(default_factory=dict)  # (j, p) -> operator, |p| >= 1
-    g: dict = dc_field(default_factory=dict)  # (r, l) -> operator
-
-
 def _binomial_to_taylor(b: int, D: int) -> list[list[Fraction]]:
     """T[q][j] for q, j <= D with C(c, q) = sum over j <= q of T[q][j] (b c)^j / j!.
 
@@ -555,8 +545,8 @@ def _binomial_to_taylor(b: int, D: int) -> list[list[Fraction]]:
             for q in range(D + 1)]
 
 
-def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> PolynomialCoefficients:
-    """Recover the polynomial coefficients of D and L by exact interpolation.
+def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> GRepresentation:
+    """Recover the graded representation behind D and L by exact interpolation.
 
     Each family F(m) = sum over |p| <= D of (m^p / p!) F_p, D =
     ``family.degree_bound`` a bound on the total degree, is sampled at m = B c
@@ -569,7 +559,9 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
     out-of-sample check at m = B (D + 1, D + 2, ..., D + d) guards the asserted
     degree bound; its coordinates differ, so an excess that vanishes on the
     diagonal m_1 = ... = m_d is still caught.  The constant term of each D
-    family is checked against its forced scalar blocks.
+    family is checked against its forced scalar blocks.  Each other nonzero
+    coefficient of m^p / p! acts in the result under its jet key, XD(p, j) in
+    D(e_j, m) and XT(p, r) in L(m, r); the center acts by the identity.
     """
     D = family.degree_bound
     alpha = _coerce_alpha(spec, alpha)
@@ -608,43 +600,27 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> Poly
             raise DegreeBoundViolated(f"family is not polynomial of total degree <= {D}")
         return coeffs
 
-    out = PolynomialCoefficients(sp)
-    zero_p = (0,) * d
+    action = {}
     zero = GradedOperator(sp, sp.zero_class, {})
     for j in range(1, d + 1):
         u = tuple(int(i == j) for i in range(1, d + 1))
         f_table = fit(lambda m: family.matrix_D(u, m), zero)
-        const = f_table.pop(zero_p, zero)
+        const = f_table.pop((0,) * d, zero)
         for c in sp.classes:
             scalar = inner_product(fld, u, [a + fld.from_rational(x) for a, x in zip(alpha, c)])
             if const.block(c) != ExactMatrix.identity(fld, sp.dims[c]).scale(scalar):
                 raise ConstantTermMismatch(f"constant term wrong on class {c}")
-        out.f.update(((j, p), op) for p, op in f_table.items())
+        action.update((("XD", p, j), op) for p, op in f_table.items())
     for r in class_representatives(spec):
         if not in_R(spec, r):
             fitted = fit(lambda m: family.matrix_L(m, r), GradedOperator(sp, r, {}))
-            out.g.update(((r, l), op) for l, op in fitted.items())
-    return out
+            action.update((("XT", l, r), op) for l, op in fitted.items())
+    action[("XT", (0,) * d, sp.zero_class)] = GradedOperator.identity(sp)
+    return GRepresentation(sp, action, cutoff=1 + max(map(key_degree, action)))
 
 
-def coefficients_to_representation(spec: TorusSpec, coeffs: PolynomialCoefficients) -> GRepresentation:
-    """Assemble a graded representation from extracted coefficients.
-
-    Constant terms of the degree families are dropped (they are the hardwired
-    weight scalars); the central class carries the identity at order zero,
-    reflecting the identity label shift of the center.
-    """
-    space = coeffs.space
-    action = {}
-    max_deg = 0
-    for (j, p), op in coeffs.f.items():
-        action[("XD", p, j)] = op
-        max_deg = max(max_deg, sum(p) - 1)
-    for (r, l), op in coeffs.g.items():
-        action[("XT", l, r)] = op
-        max_deg = max(max_deg, sum(l))
-    action.setdefault(("XT", (0,) * spec.d, space.zero_class), GradedOperator.identity(space))
-    rep = GRepresentation(space, action, cutoff=max_deg + 1)
+def coefficients_to_representation(spec: TorusSpec, rep: GRepresentation) -> GRepresentation:
+    """`rep` itself if it satisfies the bracket relations below its cutoff, else RelationViolated."""
     report = verify_representation(spec, rep, rep.cutoff)
     if not report.passed:
         raise RelationViolated(f"coefficients violate the bracket at {report.first_failure}")

@@ -80,9 +80,6 @@ class ExactMatrix:
             and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __add__(self, other):
         self._shape_check(other)
         return ExactMatrix._of(
@@ -332,9 +329,13 @@ def vec_is_zero(a):
     return all(x.is_zero() for x in a)
 
 
-def basis_matrix(field, columns):
-    """Matrix whose columns are the given vectors."""
-    if not columns:
-        return ExactMatrix.zeros(field, 0, 0)
-    n = len(columns[0])
-    return ExactMatrix(field, [[col[i] for col in columns] for i in range(n)])
+def basis_matrix(field, columns, rows: int) -> ExactMatrix:
+    """The rows x len(columns) matrix whose columns are the given vectors.
+
+    `rows` is passed, not read off the first column, so that no columns give
+    a rows x 0 matrix.
+    """
+    if any(len(col) != rows for col in columns):
+        raise DimensionMismatch(f"a column of a {rows}-row matrix has another length")
+    return ExactMatrix._of(field, [list(ExactMatrix._coerce_row(field, (col[i] for col in columns)))
+                                   for i in range(rows)], len(columns))

@@ -668,12 +668,6 @@ def spin_up(field, mats: list[ExactMatrix], start) -> list:
     return basis
 
 
-def _flat_columns(field, mats: list[ExactMatrix], rows: int) -> ExactMatrix:
-    """The rows x len(mats) matrix whose column b is mats[b] flattened row-major."""
-    flat = [m.flatten() for m in mats]
-    return ExactMatrix._of(field, [[f[i] for f in flat] for i in range(rows)], len(mats))
-
-
 def matrix_minimal_polynomial(field, m: ExactMatrix) -> list[CycloNum]:
     """Monic minimal polynomial coefficients, low degree first (monic omitted).
 
@@ -684,7 +678,8 @@ def matrix_minimal_polynomial(field, m: ExactMatrix) -> list[CycloNum]:
     powers = [ExactMatrix.identity(field, m.rows)]
     while True:
         top = powers[-1] * m
-        coords = _flat_columns(field, powers, size).solve(_flat_columns(field, [top], size))
+        coords = basis_matrix(field, [power.flatten() for power in powers], size).solve(
+            basis_matrix(field, [top.flatten()], size))
         if coords is not None:
             return [row[0] for row in coords.data]
         powers.append(top)
@@ -736,7 +731,7 @@ def _irreducible_gld_submodule(field, gld_mats, basis, rng):
     """
     mats_list = list(gld_mats.values())
     while True:
-        B = basis_matrix(field, basis)
+        B = basis_matrix(field, basis, mats_list[0].rows)
         restricted = {key: B.solve(m * B) for key, m in gld_mats.items()}
         if None in restricted.values():
             raise InvalidRepresentation("subspace is not invariant")
@@ -824,8 +819,8 @@ def decompose_tensor(
         for c in W_space.classes:
             tc = sp.shifted_class(c, w)
             rows = sp.dims.get(tc, 0) * dim_V  # Hom(V, U_tc), flattened
-            blocks[c] = _flat_columns(fld, w_basis_per_class.get(tc, []), rows).solve(
-                _flat_columns(fld, [torus.block(c) * f for f in w_basis_per_class[c]], rows))
+            blocks[c] = basis_matrix(fld, [f.flatten() for f in w_basis_per_class.get(tc, [])], rows).solve(
+                basis_matrix(fld, [(torus.block(c) * f).flatten() for f in w_basis_per_class[c]], rows))
             if blocks[c] is None:
                 raise NotIrreducible("torus action leaves the intertwiner spaces")
         W[w] = GradedOperator(W_space, w, blocks)

@@ -11,6 +11,7 @@ import pytest
 import qtlie
 from qtlie import verify
 from qtlie.cli import main
+from qtlie.cyclo import parse_cyclonum
 from qtlie.errors import NotIrreducible
 from qtlie.repn import (
     GLdGLNModule,
@@ -137,6 +138,16 @@ def test_verify_report_determinism(spec_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("argv,cases", [
+    (["--suite", "jacobi-d", "--samples", "3"], 3),
+    (["--suite", "xmatrix", "--box", "1"], 16),  # the pairs of [0, 1]^2
+    (["--suite", "span-filtration", "--degree", "1"], 2),
+])
+def test_verify_size_options_set_the_case_count(spec_file, argv, cases, capsys):
+    assert main(["verify", "--spec", spec_file, *argv]) == 0
+    assert f": PASS ({cases} cases)" in capsys.readouterr().out
+
+
 def test_export_matrix(spec_file, tmp_path):
     out = tmp_path / "x.json"
     assert main(["export", "--spec", spec_file, "--exp", "1,1", "--out", str(out)]) == 0
@@ -190,6 +201,36 @@ def test_module_verify_and_decompose(tmp_path, capsys):
     assert main(["module", "decompose", "--rep", str(rep_path), "--out", str(out)]) == 0
     assert "dim V = 2, dim W = 4" in capsys.readouterr().out
     assert out.exists()
+
+
+def test_module_verify_reports_a_corrupted_action_matrix(tmp_path, capsys):
+    """One entry of one action matrix, moved inside the grading, breaks a bracket: exit 1."""
+    spec = make_torus(2, 1, [2])
+    wmats, wclasses = graded_regular_glN(spec)
+    data = rep_to_dict(pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)))
+    zero = spec.field.zero.serialize()
+    row = next(row for row in data["action"][0]["matrix"] if any(x != zero for x in row))
+    j = next(j for j, x in enumerate(row) if x != zero)
+    row[j] = (parse_cyclonum(row[j], spec.field) + 1).serialize()
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(data))
+    assert main(["module", "verify", "--rep", str(rep_path)]) == 1
+    out = capsys.readouterr().out
+    assert "representation check: FAIL" in out
+    assert "\nfirst failure: [" in out
+
+
+@pytest.mark.parametrize("spec,alpha", [("e1", []), ("e2", ["--alpha", "1/2,z"])])
+def test_module_actions_on_the_trivial_regular_preset(spec, alpha, tmp_path, capsys):
+    """trivial gl_d on V, regular gl_N on W: one dimension per class."""
+    common = ["--spec", str(SPECS / f"{spec}.json"), *alpha, "--vw", "trivial-regular"]
+    dump = tmp_path / "dump.json"
+    assert main(["module", "build", *common, "--out", str(dump)]) == 0
+    assert {w["dim"] for w in json.loads(dump.read_text())["weights"]} == {1}
+    assert main(["module", "roundtrip", *common]) == 0
+    assert main(["module", "compare", *common]) == 0
+    out = capsys.readouterr().out
+    assert "roundtrip: PASS" in out and "EQUAL" in out
 
 
 def test_decompose_output_is_independent_of_hash_seed(tmp_path):

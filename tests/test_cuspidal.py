@@ -612,11 +612,11 @@ def test_extraction_values(e1, setup_e1):
     _, rep, module = setup_e1
     fam = OperatorFamily(module, degree_bound=3)
     coeffs = extract_coefficients(fam, e1, (0, 0))
-    assert coeffs.f[(1, (1, 0))] == rep.rho(("XD", (1, 0), 1))
-    assert coeffs.f[(2, (0, 1))] == rep.rho(("XD", (0, 1), 2))
-    assert set(coeffs.g) == {((1, 1), (0, 0)), ((1, 2), (0, 0)), ((2, 1), (0, 0))}
-    for (r, l), op in coeffs.g.items():
-        assert op == rep.rho(("XT", l, r))
+    assert coeffs.rho(("XD", (1, 0), 1)) == rep.rho(("XD", (1, 0), 1))
+    assert coeffs.rho(("XD", (0, 1), 2)) == rep.rho(("XD", (0, 1), 2))
+    # the three inner families, and the identity on the central class (2, 2)
+    assert {k for k in coeffs.action if k[0] == "XT"} == {("XT", (0, 0), r) for r in class_representatives(e1)}
+    assert coeffs.action == rep.action
 
 
 def test_roundtrip_exact(e1, setup_e1):
@@ -717,24 +717,26 @@ def test_corrupted_coefficients_rejected(e1, setup_e1):
     _, _, module = setup_e1
     fam = OperatorFamily(module, degree_bound=2)
     coeffs = extract_coefficients(fam, e1, (0, 0))
-    op = coeffs.f[(1, (1, 0))]
+    key = ("XD", (1, 0), 1)
+    op = coeffs.rho(key)
     blocks = {w: mat for w, (_tw, mat) in op.blocks.items()}
     w = min(blocks)
     mat = blocks[w] = blocks[w].copy()  # one entry of one block, not the module's own
     mat[0, 0] = mat[0, 0] + e1.field.one
-    coeffs.f[(1, (1, 0))] = GradedOperator(op.space, op.shift, blocks)
+    corrupted = GRepresentation(coeffs.space, {**coeffs.action, key: GradedOperator(op.space, op.shift, blocks)},
+                                coeffs.cutoff)
     with pytest.raises(RelationViolated):
-        coefficients_to_representation(e1, coeffs)
+        coefficients_to_representation(e1, corrupted)
 
 
-def test_zero_coefficients_give_zero_representation(e1, setup_e1):
-    _, _, module = setup_e1
-    fam = OperatorFamily(module, degree_bound=2)
-    coeffs = extract_coefficients(fam, e1, (0, 0))
-    coeffs.f.clear()
-    coeffs.g.clear()
-    rep = coefficients_to_representation(e1, coeffs)
-    assert [k for k in rep.action if k[0] == "XD"] == []
+def test_zero_coefficients_give_zero_representation(e1):
+    """The one-class zero representation comes back as the identity on the center alone."""
+    w0 = canonical_rep(e1, (0, 0))
+    zero_rep = GRepresentation(GradedSpace(e1, {w0: 1}), {}, 1)
+    module = build_module(e1, (0, 0), zero_rep, box=3)
+    rep = coefficients_to_representation(e1, extract_coefficients(OperatorFamily(module, degree_bound=2), e1, (0, 0)))
+    assert list(rep.action) == [("XT", (0, 0), w0)]
+    assert rep.cutoff == 1
 
 
 def _counting(method, calls: dict, name: str):
@@ -823,8 +825,11 @@ def test_extracted_coefficients_are_pinned(spec_name, request):
         for module in (build_module(spec, alpha, rep, box=1), tensor_field_module(spec, alpha, vw, box=1)):
             for degree in (2, 3, 4):
                 coeffs = extract_coefficients(OperatorFamily(module, degree), spec, alpha)
-                cases.append([[["f", j, p], op.dense().serialize()] for (j, p), op in sorted(coeffs.f.items())]
-                             + [[["g", r, l], op.dense().serialize()] for (r, l), op in sorted(coeffs.g.items())])
+                # ["f", j, p] for XD(p, j), then ["g", r, l] for XT(l, r), sorted; the identity is left out
+                keys = sorted((k for k in coeffs.action if k != ("XT", (0,) * spec.d, coeffs.space.zero_class)),
+                              key=lambda k: (k[0], k[2], k[1]))
+                cases.append([[[{"XD": "f", "XT": "g"}[k[0]], k[2], k[1]], coeffs.action[k].dense().serialize()]
+                              for k in keys])
     digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
     assert digest == COEFFICIENT_DIGESTS[spec_name]
 

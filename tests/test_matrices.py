@@ -71,7 +71,7 @@ def reference_solve(self, rhs):
 
 def _column(fld, vec):
     """A vector as a one-column matrix; None stays None."""
-    return None if vec is None else basis_matrix(fld, [vec])
+    return None if vec is None else basis_matrix(fld, [vec], len(vec))
 
 
 def reference_inverse(self):
@@ -191,13 +191,13 @@ def test_solve_of_many_columns_matches_reference_column_by_column(L, seed):
     inconsistent = 0
     for m in mats:
         cols = [m.apply([_entry(fld, rng) for _ in range(m.cols)]) for _ in range(3)]
-        got = m.solve(basis_matrix(fld, cols))
-        assert got == basis_matrix(fld, [reference_solve(m, col) for col in cols])
+        got = m.solve(basis_matrix(fld, cols, m.rows))
+        assert got == basis_matrix(fld, [reference_solve(m, col) for col in cols], m.cols)
         # one column outside the column space makes the whole system inconsistent
         rhs = [_entry(fld, rng, density=1.0) for _ in range(m.rows)]
         if reference_solve(m, rhs) is None:
-            assert m.solve(basis_matrix(fld, cols + [rhs])) is None
-            assert m.solve(basis_matrix(fld, [rhs] + cols)) is None
+            assert m.solve(basis_matrix(fld, cols + [rhs], m.rows)) is None
+            assert m.solve(basis_matrix(fld, [rhs] + cols, m.rows)) is None
             inconsistent += 1
     assert inconsistent >= 3  # the rank-deficient shapes give no solution
 
@@ -210,6 +210,23 @@ def test_solve_against_a_columnless_matrix():
     rhs = ExactMatrix.zeros(fld, 2, 3)
     rhs[1, 2] = 1
     assert columnless.solve(rhs) is None
+
+
+def test_basis_matrix_of_no_columns_has_the_given_rows():
+    """No columns give an n x 0 matrix, which solve accepts; a column of another length is rejected."""
+    fld = make_field(3)
+    columnless = basis_matrix(fld, [], 2)
+    assert (columnless.rows, columnless.cols) == (2, 0)
+    assert columnless.solve(basis_matrix(fld, [[0, 0]], 2)) == ExactMatrix.zeros(fld, 0, 1)
+    assert columnless.solve(basis_matrix(fld, [[0, 1]], 2)) is None
+    with pytest.raises(DimensionMismatch):
+        basis_matrix(fld, [[0, 1, 2]], 2)
+
+
+def test_matrices_are_unhashable():
+    """A matrix changes in place (``__setitem__``, ``paste``), so it has no hash to keep."""
+    with pytest.raises(TypeError):
+        hash(ExactMatrix.identity(make_field(3), 2))
 
 
 def test_non_square_inverse_is_a_dimension_mismatch():

@@ -40,6 +40,7 @@ from qtlie.repn import (
     rep_from_dict,
     rep_to_dict,
     scramble_representation,
+    spin_up,
     trivial_gld,
     truncated_polynomial_rep,
     verify_representation,
@@ -610,6 +611,26 @@ def test_gld_submodule_of_a_non_invariant_basis_is_rejected(e1):
         repn._irreducible_gld_submodule(fld, natural_gld(e1), [[fld.one, fld.zero]], random.Random(0))
 
 
+def test_gld_submodule_respins_after_a_split(e1, monkeypatch):
+    """natural + natural on the four unit vectors splits once; the re-spun piece is natural."""
+    fld = e1.field
+    spins = []
+    monkeypatch.setattr(repn, "spin_up", lambda *args: spins.append(args) or spin_up(*args))
+    blocks = {ij: ExactMatrix.identity(fld, 2).kron(m) for ij, m in natural_gld(e1).items()}
+    v_mats = repn._irreducible_gld_submodule(fld, blocks, ExactMatrix.identity(fld, 4).data, random.Random(0))
+    assert len(spins) == 1
+    assert all((m.rows, m.cols) == (2, 2) for m in v_mats.values())
+    GLdGLNModule(e1, v_mats, *graded_regular_glN(e1))  # checks the gl_d relations on V
+
+
+def test_decompose_rejects_a_tensor_module_of_other_class_dimensions(e1):
+    """V + S^2 V has a one-dimensional graded commutant, but it is no V (x) W."""
+    rep = _v_plus_s2v(e1)
+    assert len(commutant(rep)) == 1
+    with pytest.raises(NotIrreducible, match="does not have the class dimensions of U"):
+        decompose_tensor(e1, rep)
+
+
 def test_splitting_needs_field_extension():
     """A commutant isomorphic to Q(i) cannot be split over the rationals."""
     fld = make_field(1)
@@ -620,11 +641,11 @@ def test_splitting_needs_field_extension():
 
 def _assert_proper_invariant(fld, mats, n, basis):
     assert 0 < len(basis) < n
-    B = basis_matrix(fld, basis)
+    B = basis_matrix(fld, basis, n)
     assert B.rank() == len(basis)
     for m in mats:
         for vec in basis:
-            assert B.solve(basis_matrix(fld, [m.apply(vec)])) is not None
+            assert B.solve(basis_matrix(fld, [m.apply(vec)], n)) is not None
 
 
 def test_split_scrambled_natural_twice(e1):
