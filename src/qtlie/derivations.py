@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .cyclo import CycloField, CycloNum, _make, make_field, parse_scalar
 from .errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
@@ -371,8 +371,7 @@ def is_generic(spec: TorusSpec, mu) -> bool:
     return ExactMatrix(make_field(1), [list(x.coeffs) for x in mu]).rank() == spec.d
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(NamedTuple):
     closed: bool
     cases: int
     counterexample: tuple | None

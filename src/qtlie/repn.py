@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
 from .errors import (
@@ -285,8 +285,7 @@ class GRepresentation:
                 and self.cutoff == other.cutoff and self.action == other.action)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     passed: bool
     cases: int
     first_failure: str | None = None
@@ -375,7 +374,6 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GLdGLNModule:
     """Module data for the quotient pair: gl_d matrices on V, a graded gl_N-module W.
 
@@ -383,12 +381,12 @@ class GLdGLNModule:
     representative w.  The relations are checked once, on construction.
     """
 
-    spec: TorusSpec
-    V_mats: dict[tuple[int, int], ExactMatrix]
-    W: dict[tuple, GradedOperator]
-    W_space: GradedSpace
-
-    def __post_init__(self):
+    def __init__(self, spec: TorusSpec, V_mats: dict[tuple[int, int], ExactMatrix],
+                 W: dict[tuple, GradedOperator], W_space: GradedSpace):
+        self.spec = spec
+        self.V_mats = V_mats
+        self.W = W
+        self.W_space = W_space
         self.validate()
 
     @property

@@ -12,64 +12,75 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
-from .cyclo import CycloField, CycloNum, make_field
+from .cyclo import CycloNum, make_field
 from .errors import InvariantViolated, ParseError
 
 ExpVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class TorusSpec:
-    d: int
-    z: int
-    k: tuple[int, ...]
-    L: int
-    field: CycloField = dc_field(init=False, compare=False)  # Q(zeta_L)
+    """Normal-form torus data (d, z, k, L), immutable and hashable.
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(self.k))  # a list would be unhashable and unequal to a tuple
-        for name, value in [("d", self.d), ("z", self.z), *(("k", ki) for ki in self.k), ("L", self.L)]:
+    Equality and hashing use (d, z, k, L) only.  Derived once, on
+    construction: `field` is Q(zeta_L), `B` the diagonal of the
+    lattice-rescaling matrix diag(k1, k1, ..., kz, kz, 1, ..., 1), and `N`
+    the product of the k_i.
+    """
+
+    __slots__ = ("d", "z", "k", "L", "field", "B", "N")
+
+    def __init__(self, d: int, z: int, k, L: int):
+        k = tuple(k)  # a list would be unhashable and unequal to a tuple
+        for name, value in [("d", d), ("z", z), *(("k", ki) for ki in k), ("L", L)]:
             if type(value) is not int:  # int() would truncate a float; a bool is no size
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("rank d must be >= 2")
-        if self.z < 0 or 2 * self.z > self.d:
+        if z < 0 or 2 * z > d:
             raise ValueError("need 0 <= 2z <= d")
-        if len(self.k) != self.z:
+        if len(k) != z:
             raise ValueError("need one order k_i per noncommuting pair")
-        for i, ki in enumerate(self.k):
+        for i, ki in enumerate(k):
             if ki < 2:
                 raise ValueError("pair orders k_i must be >= 2")
-            if i + 1 < len(self.k) and self.k[i + 1] > 0 and self.k[i] % self.k[i + 1] != 0:
+            if i + 1 < len(k) and k[i + 1] > 0 and k[i] % k[i + 1] != 0:
                 raise ValueError("orders must satisfy k_{i+1} | k_i")
-        if self.z and self.L % self.k[0] != 0:
+        if z and L % k[0] != 0:
             raise ValueError("field order L must be a multiple of k_1")
-        object.__setattr__(self, "field", make_field(self.L))
+        B = []
+        N = 1
+        for ki in k:
+            B += (ki, ki)
+            N *= ki
+        B += [1] * (d - 2 * z)
+        for name, value in zip(self.__slots__, (d, z, k, L, make_field(L), tuple(B), N)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def N(self) -> int:
-        n = 1
-        for ki in self.k:
-            n *= ki
-        return n
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TorusSpec is immutable: cannot set {name!r}")
 
-    @property
-    def B(self) -> tuple[int, ...]:
-        """Diagonal of the lattice-rescaling matrix diag(k1,k1,...,kz,kz,1,...,1)."""
-        diag = []
-        for ki in self.k:
-            diag.extend((ki, ki))
-        diag.extend([1] * (self.d - 2 * self.z))
-        return tuple(diag)
+    def __delattr__(self, name):
+        raise AttributeError(f"TorusSpec is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not TorusSpec:
+            return NotImplemented
+        return (self.d, self.z, self.k, self.L) == (other.d, other.z, other.k, other.L)
+
+    def __hash__(self):
+        return hash((self.d, self.z, self.k, self.L))
+
+    def __repr__(self):
+        return f"TorusSpec(d={self.d}, z={self.z}, k={self.k}, L={self.L})"
+
+    def __reduce__(self):
+        return TorusSpec, (self.d, self.z, self.k, self.L)
 
     def q(self, i: int) -> CycloNum:
         """The root of unity q_i attached to pair i (0-based)."""
         return self.field.root(self.L // self.k[i])
-
-    def __hash__(self):
-        return hash((self.d, self.z, self.k, self.L))
 
 
 def make_torus(d: int, z: int, k, L: int | None = None) -> TorusSpec:
@@ -206,8 +217,7 @@ def exp_sub(m: ExpVec, n: ExpVec) -> ExpVec:
     return tuple(a - b for a, b in zip(m, n))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     coeff: CycloNum
     exp: ExpVec
 

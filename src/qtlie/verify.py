@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from functools import cache, partial
 
 from . import derivations, jetalg
@@ -62,12 +61,12 @@ from .torus import TorusSpec, class_representatives, in_R
 from .xmatrix import span_dimension, verify_identity_on_R, verify_product_relation
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    cases: int
-    failures: list = dc_field(default_factory=list)
-    wall_time: float = 0.0  # set by run_suites; excluded from serialization on purpose
+    def __init__(self, suite: str, cases: int, failures: list | None = None, wall_time: float = 0.0):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time  # set by run_suites; excluded from serialization on purpose
 
     @property
     def passed(self) -> bool:

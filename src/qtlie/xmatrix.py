@@ -8,8 +8,8 @@ that fixes the argument order of `sigma_hat`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .matrices import ExactMatrix
 from .torus import (
@@ -69,8 +69,7 @@ def x_power(spec: TorusSpec, n: ExpVec) -> ExactMatrix:
     return out
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     passed: bool
     cases: int
     counterexample: tuple | None

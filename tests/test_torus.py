@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import shutil
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from qtlie.cyclo import CycloNum, make_field
 from qtlie.errors import ParseError
+from qtlie.repn import VerifyReport
 from qtlie.torus import (
     TorusSpec,
     canonical_rep,
@@ -294,6 +296,23 @@ def test_torus_spec_with_a_list_k_equals_and_hashes_as_make_torus():
     assert spec == make_torus(2, 1, [2])
     assert hash(spec) == hash(make_torus(2, 1, [2]))
     assert len({spec, make_torus(2, 1, (2,))}) == 1
+
+
+def test_value_types_are_immutable_and_hash_by_value():
+    spec, twin = TorusSpec(3, 1, [2], 4), make_torus(3, 1, (2,), L=4)
+    assert spec == twin and hash(spec) == hash(twin) and spec.field is twin.field
+    assert (spec.B, spec.N) == ((2, 2, 1), 2)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    for name in ("d", "k", "field", "B", "N"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(twin, name))
+    report = VerifyReport(True, 4)
+    with pytest.raises(AttributeError):
+        report.passed = False
+    mono = monomial(spec, (1, 0, 0), 3)
+    with pytest.raises(AttributeError):
+        mono.exp = (0, 0, 0)
+    assert mono == monomial(twin, [1, 0, 0], 3) and hash(mono) == hash(monomial(twin, [1, 0, 0], 3))
 
 
 @pytest.mark.parametrize("data,key", [
