@@ -10,30 +10,12 @@ import argparse
 import json
 import sys
 
-from .cuspidal import (
-    OperatorFamily,
-    build_module,
-    coefficients_to_representation,
-    dump_module,
-    extract_coefficients,
-    modules_equal_on_box,
-    tensor_field_module,
-)
+from .cuspidal import build_module, constructions_agree, dump_module, roundtrip_holds, tensor_field_module
 from .cyclo import parse_scalar
 from .derivations import bracket_d, bracket_witt, parse_d_element, parse_witt_element
 from .errors import ParseError, QtlieError
 from .jetalg import bracket_jets, parse_jet_element
-from .repn import (
-    GLdGLNModule,
-    decompose_tensor,
-    graded_regular_glN,
-    natural_gld,
-    pullback,
-    rep_from_dict,
-    rep_to_dict,
-    trivial_gld,
-    verify_representation,
-)
+from .repn import decompose_tensor, preset_pullback, pullback, rep_from_dict, rep_to_dict, verify_representation
 from .torus import TorusSpec, center_generator_names, class_representatives, load_torus
 from .verify import run_suites, reports_to_json
 from .xmatrix import x_power
@@ -53,15 +35,6 @@ def _size(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
-
-
-def _vw_from_name(spec: TorusSpec, name: str) -> GLdGLNModule:
-    w_ops, w_space = graded_regular_glN(spec)
-    if name == "natural-regular":
-        return GLdGLNModule(spec, natural_gld(spec), w_ops, w_space)
-    if name == "trivial-regular":
-        return GLdGLNModule(spec, trivial_gld(spec), w_ops, w_space)
-    raise ParseError(f"unknown module preset {name!r} (use natural-regular or trivial-regular)")
 
 
 def cmd_torus_info(args) -> int:
@@ -107,14 +80,12 @@ def cmd_verify(args) -> int:
         config["samples"] = args.samples
     config["seed"] = args.seed
     config["flip"] = args.flip_sigma
-    suites = args.suite or ["all"]
-    reports = run_suites(spec, suites, config)
-    text = reports_to_json(reports, spec, args.seed)
+    reports = []
+    for report in run_suites(spec, args.suite or ["all"], config):
+        reports.append(report)
+        print(report.summary(), flush=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    for report in reports:
-        print(report.summary())
+        _write(args.out, reports_to_json(reports, spec, args.seed))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -133,12 +104,10 @@ def cmd_export(args) -> int:
         "cols": mat.cols,
         "entries": mat.serialize(),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, _pretty(payload))
     else:
-        print(text, end="")
+        print(_pretty(payload), end="")
     return 0
 
 
@@ -150,10 +119,14 @@ def _read_json(path: str):
         raise ParseError(f"cannot read JSON from {path!r}: {exc}") from exc
 
 
-def _write_json(path: str, payload: dict):
+def _pretty(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    """The one writer of every --out file."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _required(args, option: str, alternative: str = ""):
@@ -168,22 +141,21 @@ def cmd_module(args) -> int:
     if args.action == "build":
         spec = load_torus(_required(args, "spec"))
         alpha = _alpha_from_arg(spec, args.alpha)
-        vw = _vw_from_name(spec, args.vw)
+        vw, rep = preset_pullback(spec, args.vw)
         if args.tensor_field:
             module = tensor_field_module(spec, alpha, vw, box=args.box)
         else:
-            module = build_module(spec, alpha, pullback(spec, vw), box=args.box)
+            module = build_module(spec, alpha, rep, box=args.box)
         payload = dump_module(module, args.box)
         if args.out:
-            _write_json(args.out, payload)
+            _write(args.out, _pretty(payload))
             print(f"wrote module dump to {args.out}")
         else:
             print(json.dumps(payload, sort_keys=True))
         return 0
     if args.action == "verify":
         spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
-        degree = max(rep.cutoff, 1) if args.degree is None else args.degree
-        report = verify_representation(spec, rep, degree)
+        report = verify_representation(spec, rep, args.degree)
         print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
               f"({report.cases} pairs)")
         if not report.passed:
@@ -195,21 +167,13 @@ def cmd_module(args) -> int:
         vw, _phi = decompose_tensor(spec, rep, seed=args.seed)
         print(f"factors: dim V = {vw.dim_V}, dim W = {vw.dim_W}")
         if args.out:
-            payload = rep_to_dict(pullback(spec, vw))
-            _write_json(args.out, payload)
+            _write(args.out, _pretty(rep_to_dict(pullback(spec, vw))))
             print(f"wrote factored representation to {args.out}")
         return 0
     if args.action == "roundtrip":
         spec = load_torus(_required(args, "spec"))
-        alpha = _alpha_from_arg(spec, args.alpha)
-        vw = _vw_from_name(spec, args.vw)
-        rep = pullback(spec, vw)
-        degree = 3 if args.degree is None else args.degree
-        module = build_module(spec, alpha, rep, box=degree + 1)
-        family = OperatorFamily(module, degree_bound=degree)
-        coeffs = extract_coefficients(family, spec, alpha)
-        back = coefficients_to_representation(spec, coeffs)
-        ok = back == rep
+        ok = roundtrip_holds(spec, _alpha_from_arg(spec, args.alpha), preset_pullback(spec, args.vw),
+                             args.degree)
         print(f"roundtrip: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.action == "compare":
@@ -217,11 +181,8 @@ def cmd_module(args) -> int:
             ok = _read_json(args.dump_a) == _read_json(args.dump_b)
         else:
             spec = load_torus(_required(args, "spec", " (or both --dump-a and --dump-b)"))
-            alpha = _alpha_from_arg(spec, args.alpha)
-            vw = _vw_from_name(spec, args.vw)
-            built = build_module(spec, alpha, pullback(spec, vw), box=args.box)
-            direct = tensor_field_module(spec, alpha, vw, box=args.box)
-            ok = modules_equal_on_box(built, direct, args.box)
+            ok = constructions_agree(spec, _alpha_from_arg(spec, args.alpha), preset_pullback(spec, args.vw),
+                                     args.box)
         print(f"compare: {'EQUAL' if ok else 'DIFFERENT'}")
         return 0 if ok else 1
     raise ParseError(f"unknown module action {args.action!r}")

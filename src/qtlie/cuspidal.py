@@ -20,7 +20,6 @@ of irreducible modules of this type.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -203,10 +202,6 @@ class _WeightModuleBase:
             entry = self._tables[symbol] = (table, scalars)
         return entry
 
-    def _table(self, symbol) -> GradedOperator:
-        """The action table of `symbol`, built on first use."""
-        return self._entry(symbol)[0]
-
     def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
         """The action of `symbol` on the component at `label`: (target label, matrix).
 
@@ -286,7 +281,7 @@ class CuspidalModule(_WeightModuleBase):
 
 def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> CuspidalModule:
     """Turn a graded representation into the weight module it classifies."""
-    report = verify_representation(spec, rep, max(rep.cutoff, 1))
+    report = verify_representation(spec, rep)
     if not report.passed:
         raise InvalidRepresentation(f"bracket check failed at {report.first_failure}")
     return CuspidalModule(spec, alpha, rep, box)
@@ -628,6 +623,33 @@ def coefficients_to_representation(spec: TorusSpec, rep: GRepresentation) -> GRe
 
 
 # ---------------------------------------------------------------------------
+# the two checks of a quotient pair (V, W) and its pullback
+# ---------------------------------------------------------------------------
+
+
+def roundtrip_holds(spec: TorusSpec, alpha, pair, degree_bound: int | None = None) -> bool:
+    """Extraction from the weight module of `pair`'s pullback, then reassembly,
+    gives the pullback back exactly.
+
+    `pair` is (vw, pullback(spec, vw)); `degree_bound` is the total-degree
+    bound of the operator families, 3 by default.
+    """
+    degree_bound = 3 if degree_bound is None else degree_bound
+    rep = pair[1]
+    module = build_module(spec, alpha, rep, box=degree_bound + 1)
+    coeffs = extract_coefficients(OperatorFamily(module, degree_bound=degree_bound), spec, alpha)
+    return coefficients_to_representation(spec, coeffs) == rep
+
+
+def constructions_agree(spec: TorusSpec, alpha, pair, box: int) -> bool:
+    """The weight module built from `pair`'s pullback equals the tensor-field
+    module of `pair` on the labels of `box`; `pair` is (vw, pullback(spec, vw))."""
+    vw, rep = pair
+    return modules_equal_on_box(build_module(spec, alpha, rep, box=box),
+                                tensor_field_module(spec, alpha, vw, box=box), box)
+
+
+# ---------------------------------------------------------------------------
 # dumps
 # ---------------------------------------------------------------------------
 
@@ -658,7 +680,7 @@ def dump_module(module, box: int | None = None) -> dict:
         actions.append({"symbol": symbol_to_string(sym), "blocks": blocks})
     return {
         "format": "qtlie-module-dump",
-        "torus": json.loads(dump_torus(module.spec)),
+        "torus": dump_torus(module.spec),
         "alpha": [a.serialize() for a in module.alpha],
         "box": box,
         "weights": weights,

@@ -11,7 +11,6 @@ with the weight-module construction forces.
 """
 from __future__ import annotations
 
-import json
 import random
 from functools import cached_property
 from types import MappingProxyType
@@ -337,8 +336,11 @@ def _first_difference(x, y) -> tuple[int, int]:
     return min(ij for ij in a.keys() | b.keys() if a.get(ij) != b.get(ij))
 
 
-def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: int) -> VerifyReport:
+def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: int | None = None) -> VerifyReport:
     """Check rho([a,b]) = [rho(a), rho(b)] over canonical symbol pairs.
+
+    The pairs run over symbols of filtration degree <= degree_bound, by
+    default the cutoff (at least 1, so that degree 1 is always reached).
 
     A failure names the pair and the first entry, in row-major order, where
     the two sides differ.
@@ -353,6 +355,8 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     """
     if rep.space.spec != spec:
         raise DimensionMismatch("different torus specs")
+    if degree_bound is None:
+        degree_bound = max(rep.cutoff, 1)
     report = rep._reports.get((spec, degree_bound))
     if report is not None:
         return report
@@ -488,6 +492,18 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     for w in class_representatives(spec):
         action[("XT", (0,) * spec.d, w)] = vw.tensor(vw.W[w], identity_v)
     return GRepresentation(vw.tensor_space, action, cutoff=1)
+
+
+# module preset name -> its gl_d-module V; W is always the graded regular gl_N-module
+PRESETS = {"natural-regular": natural_gld, "trivial-regular": trivial_gld}
+
+
+def preset_pullback(spec: TorusSpec, name: str = "natural-regular") -> tuple[GLdGLNModule, GRepresentation]:
+    """The quotient pair (V, W) of a module preset and its pullback."""
+    if name not in PRESETS:
+        raise ParseError(f"unknown module preset {name!r} (use {' or '.join(PRESETS)})")
+    vw = GLdGLNModule(spec, PRESETS[name](spec), *graded_regular_glN(spec))
+    return vw, pullback(spec, vw)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +864,7 @@ def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
     sp = rep.space
     data = {
         "format": "qtlie-representation",
-        "torus": json.loads(dump_torus(sp.spec)),
+        "torus": dump_torus(sp.spec),
         "cutoff": rep.cutoff,
         "classes": [{"w": list(c), "dim": sp.dims[c]} for c in sp.classes],
         "action": [

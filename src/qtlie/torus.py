@@ -124,8 +124,9 @@ def load_torus(source) -> TorusSpec:
         raise ParseError(f"invalid torus spec {data!r}: {exc}") from exc
 
 
-def dump_torus(spec: TorusSpec) -> str:
-    return json.dumps({"d": spec.d, "z": spec.z, "k": list(spec.k), "L": spec.L})
+def dump_torus(spec: TorusSpec) -> dict:
+    """The JSON-ready torus record of every report, dump and file; `load_torus` reads it back."""
+    return {"d": spec.d, "z": spec.z, "k": list(spec.k), "L": spec.L}
 
 
 def sigma_exponent(spec: TorusSpec, m: ExpVec, n: ExpVec) -> int:

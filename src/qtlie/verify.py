@@ -13,12 +13,9 @@ from functools import cache, partial
 
 from . import derivations, jetalg
 from .cuspidal import (
-    OperatorFamily,
     build_module,
-    extract_coefficients,
-    coefficients_to_representation,
-    modules_equal_on_box,
-    tensor_field_module,
+    constructions_agree,
+    roundtrip_holds,
     verify_module_axioms,
     weight_multiplicities,
 )
@@ -47,17 +44,14 @@ from .jetalg import (
 )
 from .matrices import ExactMatrix
 from .repn import (
-    GLdGLNModule,
     commutant,
     decompose_tensor,
     first_bracket_failure,
-    graded_regular_glN,
     min_annihilation_degree,
-    natural_gld,
-    pullback,
+    preset_pullback,
     scramble_representation,
 )
-from .torus import TorusSpec, class_representatives, in_R
+from .torus import TorusSpec, class_representatives, dump_torus, in_R
 from .xmatrix import span_dimension, verify_identity_on_R, verify_product_relation
 
 
@@ -86,18 +80,21 @@ class VerificationReport:
         return f"{self.suite}: {status} ({self.cases} cases{extra}) [{self.wall_time:.2f}s]"
 
 
+def _xmatrix_box(spec: TorusSpec, box: int | None) -> int:
+    """`box`, or by default 2 k_1 (2 on the commutative torus), the box of both xmatrix suites."""
+    return 2 * (spec.k[0] if spec.z else 1) if box is None else box
+
+
 def suite_xmatrix(spec: TorusSpec, box: int | None = None, flip: bool = False) -> VerificationReport:
     """Product relation of the matrix realization, over [0, 2 k_1]^d by default."""
-    box = 2 * (spec.k[0] if spec.z else 1) if box is None else box
-    rel = verify_product_relation(spec, box, flip=flip)
+    rel = verify_product_relation(spec, _xmatrix_box(spec, box), flip=flip)
     failures = [] if rel.passed else [{"pair": [list(rel.counterexample[0]), list(rel.counterexample[1])]}]
     return VerificationReport("xmatrix-flip" if flip else "xmatrix", rel.cases, failures)
 
 
 def suite_xmatrix_identity(spec: TorusSpec, box: int | None = None) -> VerificationReport:
     """X^n is the identity on the central lattice, and the classes span M_N."""
-    box = 2 * (spec.k[0] if spec.z else 1) if box is None else box
-    rel = verify_identity_on_R(spec, box)
+    rel = verify_identity_on_R(spec, _xmatrix_box(spec, box))
     failures = [] if rel.passed else [{"exponent": list(rel.counterexample[0])}]
     cases = rel.cases + 1
     dim = span_dimension(spec)
@@ -108,7 +105,7 @@ def suite_xmatrix_identity(spec: TorusSpec, box: int | None = None) -> Verificat
 
 def _random_d_basis(spec: TorusSpec, rng: random.Random, box: int) -> DElement:
     B = spec.B
-    if rng.random() < 0.5:
+    if not spec.z or rng.random() < 0.5:  # a commutative torus has no inner derivations
         m = tuple(rng.randint(-max(box // b, 1), max(box // b, 1)) * b for b in B)
         return deriv(spec, rng.randint(1, spec.d), m)
     while True:
@@ -173,8 +170,7 @@ def suite_jacobi_jets(spec: TorusSpec, max_total: int = 3, sample: int | None = 
     otherwise a seeded random sample of that many triples (with random
     representative shifts exercising raw torus indices).
     """
-    keys = [k for k in canonical_keys(spec, max_total) if
-            (k[0] == "XD" and sum(k[1]) <= max_total) or (k[0] == "XT" and sum(k[1]) <= max_total)]
+    keys = [k for k in canonical_keys(spec, max_total) if sum(k[1]) <= max_total]
 
     def elem(key):
         return JetElement(spec.field, {key: spec.field.one})
@@ -278,16 +274,10 @@ def suite_span_filtration(spec: TorusSpec, max_degree: int = 3) -> VerificationR
     return VerificationReport("span-filtration", len(dims), failures)
 
 
-def _standard_pullback(spec: TorusSpec):
-    w_ops, w_space = graded_regular_glN(spec)
-    vw = GLdGLNModule(spec, natural_gld(spec), w_ops, w_space)
-    return vw, pullback(spec, vw)
-
-
 def suite_annihilation(spec: TorusSpec) -> VerificationReport:
     """Quotient-pair pullbacks are killed by every positive-degree symbol."""
     failures = []
-    vw, rep = _standard_pullback(spec)
+    _, rep = preset_pullback(spec)
     cases = 1
     deg = min_annihilation_degree(rep)
     if deg != 1:
@@ -310,7 +300,7 @@ def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
                   seed: int = 23) -> VerificationReport:
     """The weight module built from a pullback satisfies the bracket axioms."""
     alpha = (0,) * spec.d
-    _, rep = _standard_pullback(spec)
+    _, rep = preset_pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     report = verify_module_axioms(module, symbol_box=box, sample_count=pairs, seed=seed)
     failures = [] if report.passed else [{"failure": report.first_failure}]
@@ -319,32 +309,21 @@ def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
 
 def suite_tensor_compare(spec: TorusSpec, box: int = 3) -> VerificationReport:
     """Functor image of a pullback equals the closed-form tensor-field module."""
-    alpha = (0,) * spec.d
-    vw, rep = _standard_pullback(spec)
-    built = build_module(spec, alpha, rep, box=box)
-    direct = tensor_field_module(spec, alpha, vw, box=box)
-    equal = modules_equal_on_box(built, direct, box)
+    equal = constructions_agree(spec, (0,) * spec.d, preset_pullback(spec), box)
     failures = [] if equal else [{"mismatch": "entrywise comparison failed"}]
     return VerificationReport("tensor-compare", 1, failures)
 
 
-def suite_roundtrip(spec: TorusSpec, degree_bound: int = 3) -> VerificationReport:
+def suite_roundtrip(spec: TorusSpec, degree_bound: int | None = None) -> VerificationReport:
     """Extraction then reassembly reproduces the representation exactly."""
-    alpha = (0,) * spec.d
-    _, rep = _standard_pullback(spec)
-    module = build_module(spec, alpha, rep, box=degree_bound + 1)
-    family = OperatorFamily(module, degree_bound=degree_bound)
-    coeffs = extract_coefficients(family, spec, alpha)
-    back = coefficients_to_representation(spec, coeffs)
-    failures = []
-    if back != rep:
-        failures.append({"mismatch": "reassembled representation differs"})
+    ok = roundtrip_holds(spec, (0,) * spec.d, preset_pullback(spec), degree_bound)
+    failures = [] if ok else [{"mismatch": "reassembled representation differs"}]
     return VerificationReport("roundtrip", 1, failures)
 
 
 def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
     """Recover tensor factors from a scrambled pullback, with an exact isomorphism."""
-    vw, rep = _standard_pullback(spec)
+    vw, rep = preset_pullback(spec)
     scrambled = scramble_representation(rep, seed=seed)
     failures = []
     cases = 3
@@ -361,7 +340,7 @@ def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
 def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
     """Weight multiplicities are uniform and equal dim V times the W class bound."""
     alpha = (0,) * spec.d
-    vw, rep = _standard_pullback(spec)
+    vw, rep = preset_pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     mults, bound = weight_multiplicities(module, box)
     expected = vw.dim_V * max(vw.W_space.dims.values())
@@ -392,28 +371,36 @@ SUITES = {
 }
 
 
-def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None) -> list[VerificationReport]:
-    """Run the named suites (or "all") on `spec`, each timed into its report's wall_time."""
-    config = config or {}
+def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None):
+    """The reports of the named suites (or of "all") on `spec`, in order.
+
+    Every name is checked before any suite runs.  The suites then run lazily:
+    the iterator yields each report, timed into its wall_time, as soon as its
+    suite returns.
+    """
     if names == ["all"]:
         names = list(SUITES)
-    reports = []
+    elif "all" in names:
+        raise ParseError("suite 'all' cannot be combined with other suite names")
     for name in names:
         if name not in SUITES:
             raise ParseError(f"unknown suite {name!r}")
-        suite, params = SUITES[name]
-        start = time.perf_counter()
-        report = suite(spec, **{param: config[key] for key, param in params.items() if key in config})
-        report.wall_time = time.perf_counter() - start
-        reports.append(report)
-    return reports
+    return (_timed(spec, *SUITES[name], config or {}) for name in names)
 
 
-def reports_to_json(reports: list[VerificationReport], spec: TorusSpec, seed: int | None) -> str:
+def _timed(spec: TorusSpec, suite, params: dict, config: dict) -> VerificationReport:
+    start = time.perf_counter()
+    report = suite(spec, **{param: config[key] for key, param in params.items() if key in config})
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
+def reports_to_json(reports, spec: TorusSpec, seed: int | None) -> str:
+    records = [r.to_dict() for r in reports]
     payload = {
-        "torus": {"d": spec.d, "z": spec.z, "k": list(spec.k), "L": spec.L},
+        "torus": dump_torus(spec),
         "seed": seed,
-        "reports": [r.to_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
+        "reports": records,
+        "passed": all(r["passed"] for r in records),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

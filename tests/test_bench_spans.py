@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qtlie.verify import _standard_pullback
+from qtlie.repn import preset_pullback
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -43,6 +43,6 @@ def test_bench_standard_pullback_matches_the_library(fixture, request):
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
     bench_vw, bench_rep = workloads.standard_pullback(spec)
-    vw, rep = _standard_pullback(spec)
+    vw, rep = preset_pullback(spec)
     assert (bench_vw.dim_V, bench_vw.dim_W) == (vw.dim_V, vw.dim_W)
     assert bench_rep == rep

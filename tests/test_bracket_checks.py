@@ -8,9 +8,8 @@ import pytest
 from qtlie import derivations, jetalg, repn, torus, verify, xmatrix
 from qtlie.errors import InvalidModuleData, InvariantViolated
 from qtlie.matrices import ExactMatrix
-from qtlie.repn import GLdGLNModule, graded_regular_glN, natural_gld, verify_representation
+from qtlie.repn import GLdGLNModule, graded_regular_glN, natural_gld, preset_pullback, verify_representation
 from qtlie.torus import class_representatives, exp_add, sigma_skew
-from qtlie.verify import _standard_pullback
 
 
 @pytest.mark.parametrize("fixture", ["e1", "e2", "e3"])
@@ -66,7 +65,7 @@ def test_gl_n_witness(e2):
 
 
 def test_representation_witness(e2):
-    _, rep = _standard_pullback(e2)
+    _, rep = preset_pullback(e2)
     key = jetalg.key_from_string("XT(0,0;1,3)")
     rep = repn.GRepresentation(rep.space, {**rep.action, key: rep.action[key].scale(2)}, rep.cutoff)
     report = verify_representation(e2, rep, 2)
@@ -75,7 +74,7 @@ def test_representation_witness(e2):
 
 
 def test_passing_representation_counts_every_ordered_pair(e1):
-    report = verify_representation(e1, _standard_pullback(e1)[1], 3)
+    report = verify_representation(e1, preset_pullback(e1)[1], 3)
     assert (report.passed, report.cases) == (True, 4624)  # 68 canonical keys, squared
 
 
@@ -164,7 +163,7 @@ def test_jacobi_jets_exhaustive_witness(e1, wrong_jet_sign):
 
 
 def test_representation_check_takes_one_commutator_per_unordered_pair(e1, commutator_calls):
-    _, rep = _standard_pullback(e1)
+    _, rep = preset_pullback(e1)
     commutator_calls.clear()  # building the pullback checks its module data
     assert verify_representation(e1, rep, 3).passed
     assert len(commutator_calls) == 8 * 7 // 2  # the 8 degree-zero symbols act; the rest are skipped

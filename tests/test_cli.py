@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,18 +10,11 @@ from pathlib import Path
 import pytest
 
 import qtlie
-from qtlie import verify
+from qtlie import cli, verify
 from qtlie.cli import main
 from qtlie.cyclo import parse_cyclonum
 from qtlie.errors import NotIrreducible
-from qtlie.repn import (
-    GLdGLNModule,
-    graded_regular_glN,
-    natural_gld,
-    pullback,
-    rep_to_dict,
-    scramble_representation,
-)
+from qtlie.repn import preset_pullback, rep_to_dict, scramble_representation
 from qtlie.torus import load_torus, make_torus
 
 
@@ -190,8 +184,7 @@ def test_module_roundtrip_over_a_phi_2_field_at_a_cyclotomic_weight(capsys):
 
 def test_module_verify_and_decompose(tmp_path, capsys):
     spec = make_torus(2, 1, [2])
-    wmats, wclasses = graded_regular_glN(spec)
-    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+    rep = preset_pullback(spec)[1]
     scrambled = scramble_representation(rep, seed=4)
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps(rep_to_dict(scrambled)))
@@ -206,8 +199,7 @@ def test_module_verify_and_decompose(tmp_path, capsys):
 def test_module_verify_reports_a_corrupted_action_matrix(tmp_path, capsys):
     """One entry of one action matrix, moved inside the grading, breaks a bracket: exit 1."""
     spec = make_torus(2, 1, [2])
-    wmats, wclasses = graded_regular_glN(spec)
-    data = rep_to_dict(pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)))
+    data = rep_to_dict(preset_pullback(spec)[1])
     zero = spec.field.zero.serialize()
     row = next(row for row in data["action"][0]["matrix"] if any(x != zero for x in row))
     j = next(j for j, x in enumerate(row) if x != zero)
@@ -238,8 +230,7 @@ def test_decompose_output_is_independent_of_hash_seed(tmp_path):
     src = str(Path(qtlie.__file__).resolve().parent.parent)
     for spec, budget, digest in ((make_torus(2, 1, [2]), None, None),
                                  (load_torus(SPEC_E4), E4_RUN_BUDGET_S, E4_DECOMPOSE_OUT_SHA256)):
-        wmats, wclasses = graded_regular_glN(spec)
-        rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+        rep = preset_pullback(spec)[1]
         rep_path = tmp_path / "rep.json"
         rep_path.write_text(json.dumps(rep_to_dict(scramble_representation(rep, seed=5))))
         outputs = []
@@ -279,8 +270,7 @@ E1_DECOMPOSE_OUT_SHA256 = "31170ac24a83b37755aa029bb35a35a64224ebff5a1db255f586e
 
 def test_scrambled_rep_and_decompose_output_are_pinned(tmp_path):
     spec = load_torus(SPEC_E1)
-    wmats, wclasses = graded_regular_glN(spec)
-    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+    rep = preset_pullback(spec)[1]
     text = json.dumps(rep_to_dict(scramble_representation(rep, seed=5)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == E1_SCRAMBLED_REP_SHA256
     rep_path = tmp_path / "rep.json"
@@ -425,8 +415,7 @@ def test_module_roundtrip_uses_an_explicit_degree_zero(spec_file, capsys):
 
 def test_ragged_representation_file_is_a_config_error(tmp_path, capsys):
     spec = make_torus(2, 1, [2])
-    wmats, wclasses = graded_regular_glN(spec)
-    data = rep_to_dict(pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)))
+    data = rep_to_dict(preset_pullback(spec)[1])
     data["action"][0]["matrix"][0].pop()
     rep_path = tmp_path / "ragged.json"
     rep_path.write_text(json.dumps(data))
@@ -438,11 +427,70 @@ def test_ragged_representation_file_is_a_config_error(tmp_path, capsys):
 
 def test_module_verify_uses_an_explicit_degree_zero(tmp_path, capsys):
     spec = make_torus(2, 1, [2])
-    wmats, wclasses = graded_regular_glN(spec)
-    rep = pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses))
+    rep = preset_pullback(spec)[1]
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps(rep_to_dict(rep)))
     assert main(["module", "verify", "--rep", str(rep_path), "--degree", "0"]) == 0
     assert "(64 pairs)" in capsys.readouterr().out  # the cutoff degree 1 checks 484
     assert main(["module", "verify", "--rep", str(rep_path)]) == 0
     assert "(484 pairs)" in capsys.readouterr().out
+
+
+def test_summary_lines_stream_as_each_suite_returns(monkeypatch, spec_file, capsys):
+    def broken(spec):
+        raise KeyError("lost symbol")
+
+    monkeypatch.setitem(verify.SUITES, "quotient", (broken, {}))
+    with pytest.raises(KeyError):
+        main(["verify", "--spec", spec_file, "--suite", "xmatrix", "--suite", "quotient"])
+    assert capsys.readouterr().out.startswith("xmatrix: PASS (")
+
+
+@pytest.mark.parametrize("names,message", [
+    (["xmatrix", "bogus"], "unknown suite 'bogus'"),
+    (["all", "xmatrix"], "suite 'all' cannot be combined"),
+])
+def test_suite_names_are_checked_before_any_suite_runs(names, message, monkeypatch, spec_file, capsys):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "xmatrix", (lambda spec: ran.append(spec), {}))
+    assert main(["verify", "--spec", spec_file, *(arg for name in names for arg in ("--suite", name))]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and message in captured.err
+
+
+def test_unknown_module_preset_is_a_config_error(spec_file, capsys):
+    assert main(["module", "build", "--spec", spec_file, "--vw", "bogus"]) == 2
+    assert capsys.readouterr().err == ("configuration error: unknown module preset 'bogus'"
+                                       " (use natural-regular or trivial-regular)\n")
+
+
+def test_verify_finishes_on_the_commutative_torus():
+    """specs/e6.json is z = 0: every exponent is central, so there are no inner derivations."""
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                           "verify", "--spec", str(SPECS / "e6.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(verify.SUITES) and all(": PASS (" in line for line in lines)
+
+
+# library names that only the library's own presets and check pipelines use
+PIPELINE_NAMES = {"GLdGLNModule", "graded_regular_glN", "natural_gld", "trivial_gld", "OperatorFamily",
+                  "extract_coefficients", "coefficients_to_representation", "modules_equal_on_box"}
+
+
+def test_cli_only_parses_calls_the_library_and_prints():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+    assert not named & PIPELINE_NAMES

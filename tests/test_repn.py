@@ -36,6 +36,7 @@ from qtlie.repn import (
     is_absolutely_irreducible,
     min_annihilation_degree,
     natural_gld,
+    preset_pullback,
     pullback,
     rep_from_dict,
     rep_to_dict,
@@ -46,7 +47,6 @@ from qtlie.repn import (
     verify_representation,
 )
 from qtlie.torus import canonical_rep, class_representatives, exp_add, load_torus, make_torus, sigma_hat
-from qtlie.verify import _standard_pullback
 from qtlie.cyclo import make_field, proper_factor_over_q
 from test_matrices import reference_kernel
 
@@ -413,7 +413,7 @@ SCRAMBLED_SOLVE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(SCRAMBLED_SOLVE_SHA256))
 def test_scrambled_commutant_and_decomposition_are_pinned(name):
     spec = load_torus(SPECS / f"{name}.json")
-    scrambled = scramble_representation(_standard_pullback(spec)[1], seed=5)
+    scrambled = scramble_representation(preset_pullback(spec)[1], seed=5)
     vw, phi = decompose_tensor(spec, scrambled)
     texts = (json.dumps([op.dense().serialize() for op in commutant(scrambled)]),
              json.dumps({"rep": rep_to_dict(pullback(spec, vw)), "phi": phi.dense().serialize()}, sort_keys=True))
@@ -425,7 +425,7 @@ def test_decompose_builds_no_dense_matrix(name, monkeypatch):
     """The spin-up, the restriction, Phi and the intertwining check all work on
     class blocks: no dim U x dim U matrix is built or pasted into."""
     spec = load_torus(SPECS / f"{name}.json")
-    scrambled = scramble_representation(_standard_pullback(spec)[1], seed=5)
+    scrambled = scramble_representation(preset_pullback(spec)[1], seed=5)
     calls = []
     for owner, attr in ((GradedOperator, "dense"), (ExactMatrix, "paste")):
         def spy(*args, _method=getattr(owner, attr), _name=f"{owner.__name__}.{attr}"):
@@ -442,7 +442,7 @@ E5_COMMUTANT_BUDGET_S = 2
 
 def test_e5_scrambled_commutant_within_budget():
     """64 dimensions over 16 classes of 4: a system in 256 unknowns."""
-    scrambled = scramble_representation(_standard_pullback(load_torus(SPECS / "e5.json"))[1], seed=5)
+    scrambled = scramble_representation(preset_pullback(load_torus(SPECS / "e5.json"))[1], seed=5)
     start = time.perf_counter()
     assert len(commutant(scrambled)) == 1
     assert time.perf_counter() - start < E5_COMMUTANT_BUDGET_S
@@ -766,7 +766,7 @@ def test_data_attributes_cannot_be_rebound(e1):
     """A kept report describes the data it was made from: on E1 a check
     passes, and rebinding `action` to one with a doubled XT(0,0;1,1), which
     would have left that passing report in place, raises instead."""
-    rep = _standard_pullback(e1)[1]
+    rep = preset_pullback(e1)[1]
     report = verify_representation(e1, rep, 1)
     assert report.passed and report.cases == 484
     key = ("XT", (0, 0), (1, 1))
@@ -782,13 +782,13 @@ def test_data_attributes_cannot_be_rebound(e1):
 
 
 def test_bracket_check_is_kept_per_object_and_degree_bound(e1, commutator_calls):
-    rep = _standard_pullback(e1)[1]
+    rep = preset_pullback(e1)[1]
     commutator_calls.clear()  # building the pullback checks its module data
     build_module(e1, (0, 0), rep)
     assert len(commutator_calls) == 8 * 7 // 2  # the 8 degree-zero symbols act
     build_module(e1, (1, 0), rep, box=2)
     assert len(commutator_calls) == 28  # the second build reads the kept report
-    equal = _standard_pullback(e1)[1]
+    equal = preset_pullback(e1)[1]
     assert equal == rep
     commutator_calls.clear()
     build_module(e1, (0, 0), equal)
@@ -801,8 +801,17 @@ def test_bracket_check_is_kept_per_object_and_degree_bound(e1, commutator_calls)
         report.passed = False
 
 
+def test_the_default_degree_bound_is_the_cutoff_and_at_least_one(e1):
+    rep = preset_pullback(e1)[1]  # cutoff 1
+    assert verify_representation(e1, rep) is verify_representation(e1, rep, 1)
+    jets = truncated_polynomial_rep(e1, 3)
+    assert jets.cutoff == 3 and verify_representation(e1, jets) is verify_representation(e1, jets, 3)
+    zero = GRepresentation(GradedSpace(e1, {(0, 0): 1}), {}, 0)
+    assert verify_representation(e1, zero) is verify_representation(e1, zero, 1)
+
+
 def test_bracket_check_leaves_the_image_memo_empty(e1):
-    rep = _standard_pullback(e1)[1]
+    rep = preset_pullback(e1)[1]
     assert verify_representation(e1, rep, 3).passed
     assert rep._images == {}
     element = bracket_keys(e1, ("XD", (1, 0), 2), ("XT", (0, 0), (1, 1)))
@@ -811,12 +820,12 @@ def test_bracket_check_leaves_the_image_memo_empty(e1):
 
 
 def test_modules_of_one_representation_share_its_images(e1):
-    rep = _standard_pullback(e1)[1]
+    rep = preset_pullback(e1)[1]
     first = build_module(e1, (0, 0), rep)
     second = build_module(e1, (Fraction(1, 2), 0), rep, box=2)
     for sym in standard_symbols(e1):
         if sym[0] != "z":
-            assert second._table(sym) is first._table(sym)
+            assert second._entry(sym)[0] is first._entry(sym)[0]
 
 
 def test_commutant_is_computed_once_and_returned_as_a_new_list(e1, rep_e1, monkeypatch):

@@ -211,10 +211,10 @@ def test_bimultiplicative_wide(e2, m, m2, n):
 
 def test_spec_json_round_trip(e2, tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(dump_torus(e2))
+    path.write_text(json.dumps(dump_torus(e2)))
     loaded = load_torus(str(path))
     assert loaded == e2
-    assert load_torus(json.loads(dump_torus(e2))) == e2
+    assert load_torus(dump_torus(e2)) == e2
 
 
 def test_spec_path_with_brace(tmp_path):
