@@ -12,7 +12,6 @@ from qtlie import (
     graded_regular_glN,
     is_absolutely_irreducible,
     make_torus,
-    min_annihilation_degree,
     natural_gld,
     pullback,
     scramble_representation,
@@ -31,8 +30,9 @@ print("bracket relations hold:", verify_representation(spec, rep, 3).passed)
 print("graded commutant dimension:", len(commutant(rep)))
 print("absolutely irreducible:", is_absolutely_irreducible(rep))
 
-# every positive-degree symbol acts as zero on such pullbacks
-print("annihilation degree:", min_annihilation_degree(rep))
+# every positive-degree symbol acts as zero on such pullbacks: the cutoff,
+# read off the action, is the annihilation degree
+print("annihilation degree:", rep.cutoff)
 
 # hide the tensor structure behind a random exact change of basis, then
 # recover V and W together with an explicit intertwining isomorphism
@@ -46,4 +46,4 @@ print("isomorphism invertible:", phi.dense().rank() == rep.space.dim)
 jets = truncated_polynomial_rep(spec, order=2)
 print("jet module dimension:", jets.space.dim)
 print("jet module valid:", verify_representation(spec, jets, 3).passed)
-print("jet module annihilation degree:", min_annihilation_degree(jets))
+print("jet module annihilation degree:", jets.cutoff)

@@ -4,13 +4,13 @@
 
 from qtlie import (
     GLdGLNModule,
+    TensorFieldModule,
     build_module,
     graded_regular_glN,
     make_torus,
     modules_equal_on_box,
     natural_gld,
     pullback,
-    tensor_field_module,
     verify_module_axioms,
     weight_multiplicities,
 )
@@ -21,7 +21,7 @@ wmats, wclasses = graded_regular_glN(spec)
 vw = GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)
 rep = pullback(spec, vw)
 
-module = build_module(spec, alpha=(0, 0), rep=rep, box=3)
+module = build_module(spec, alpha=(0, 0), rep=rep, box=2)
 
 # vectors live at labels (class representative, central shift); weights are
 # alpha + class + shift and the central action is a pure label shift
@@ -31,12 +31,12 @@ print("degree action:", module.act(sym_deg(spec, (1, 0), (2, 0)), v))
 print("torus action:  ", module.act(sym_inner(spec, (1, 0)), v))
 print("central shift: ", list(module.act(sym_central(spec, (2, 0)), v)))
 
-report = verify_module_axioms(module, symbol_box=2, sample_count=40, vector_box=2)
+report = verify_module_axioms(module, symbol_box=2, sample_count=40)
 print("bracket axioms hold on samples:", report.passed, f"({report.cases} checks)")
 
 # the closed-form module on V (x) W (x) t^s, computed with no jet machinery,
 # agrees entry for entry
-direct = tensor_field_module(spec, (0, 0), vw, box=3)
+direct = TensorFieldModule(spec, (0, 0), vw, box=2)
 print("equals the tensor-field module on the box:", modules_equal_on_box(module, direct, 2))
 
 mults, bound = weight_multiplicities(module, box=4)

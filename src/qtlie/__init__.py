@@ -50,7 +50,6 @@ from .repn import (
     decompose_tensor,
     graded_regular_glN,
     is_absolutely_irreducible,
-    min_annihilation_degree,
     natural_gld,
     pullback,
     scramble_representation,
@@ -66,7 +65,6 @@ from .cuspidal import (
     coefficients_to_representation,
     extract_coefficients,
     modules_equal_on_box,
-    tensor_field_module,
     verify_module_axioms,
     weight_multiplicities,
 )

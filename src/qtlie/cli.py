@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .cuspidal import build_module, constructions_agree, dump_module, roundtrip_holds, tensor_field_module
+from .cuspidal import TensorFieldModule, build_module, constructions_agree, dump_module, roundtrip_holds
 from .cyclo import parse_scalar
 from .derivations import bracket_d, bracket_witt, parse_d_element, parse_witt_element
 from .errors import ParseError, QtlieError
@@ -143,7 +143,7 @@ def cmd_module(args) -> int:
         alpha = _alpha_from_arg(spec, args.alpha)
         vw, rep = preset_pullback(spec, args.vw)
         if args.tensor_field:
-            module = tensor_field_module(spec, alpha, vw, box=args.box)
+            module = TensorFieldModule(spec, alpha, vw, box=args.box)
         else:
             module = build_module(spec, alpha, rep, box=args.box)
         payload = dump_module(module, args.box)

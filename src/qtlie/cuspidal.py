@@ -35,7 +35,7 @@ from .errors import (
     MalformedBasisKey,
     RelationViolated,
 )
-from .jetalg import JetElement, degree_basis, key_degree, taylor_coefficient, xd_along, xt
+from .jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
 from .matrices import ExactMatrix, linear_combination
 from .repn import (
     GLdGLNModule,
@@ -61,7 +61,7 @@ Label = tuple[tuple, tuple]  # (class representative w, central shift n')
 def _coerce_alpha(spec: TorusSpec, alpha) -> tuple[CycloNum, ...]:
     out = tuple(map(spec.field.coerce, alpha))
     if len(out) != spec.d:
-        raise ValueError("alpha must have d entries")
+        raise DimensionMismatch("alpha must have d entries")
     return out
 
 
@@ -259,7 +259,7 @@ class CuspidalModule(_WeightModuleBase):
     A symbol acts through rho of its jet image: the degree derivation t^m d_u
     maps to the sum over 1 <= |p| <= cutoff of (m^p / p!) x^p d_u, the inner
     derivation t^e to the raw symbol x^0 t-bar^e, whose reduction to a class
-    representative ``GRepresentation.rho_raw`` supplies.  Rho of the image,
+    representative ``GRepresentation.rho`` supplies.  Rho of the image,
     computed once per symbol, is the symbol's action table.
     """
 
@@ -308,10 +308,6 @@ class TensorFieldModule(_WeightModuleBase):
             return vw.tensor(GradedOperator.identity(vw.W_space), emat)
         # t^e acts as W_r (x) I_V, r the class of e
         return vw.tensor(vw.W[canonical_rep(spec, symbol[1])], ExactMatrix.identity(spec.field, vw.dim_V))
-
-
-def tensor_field_module(spec: TorusSpec, alpha, vw: GLdGLNModule, box: int = 3) -> TensorFieldModule:
-    return TensorFieldModule(spec, alpha, vw, box)
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +369,21 @@ def _first_nonzero_column(blocks: dict, width: int) -> int | None:
     return None
 
 
-def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int = 7,
-                         vector_box: int | None = None) -> VerifyReport:
+def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int = 7) -> VerifyReport:
     """Exact check of act([a,b]) = act(a)act(b) - act(b)act(a) on sampled pairs.
 
-    Each basis vector inside the vector box is one case.  The cases of a label
-    are checked together, a label block of sum c[s] - [a][b] + [b][a] at a
-    time; a failure counts the cases up to the first basis vector (column)
-    that differs and names its label and column.  Associativity of the central
-    action is then checked through ``act`` on every few basis vectors.
+    Each basis vector on the labels of the module's box is one case.  The
+    cases of a label are checked together, a label block of sum c[s] - [a][b]
+    + [b][a] at a time; a failure counts the cases up to the first basis
+    vector (column) that differs and names its label and column.
+    Associativity of the central action is then checked through ``act`` on
+    every few basis vectors.
     """
     spec = module.spec
     dims = module.space.dims
     rng = random.Random(seed)
     pool = _symbol_pool(spec, symbol_box, rng, 2 * sample_count)
-    labels = module.labels(vector_box)
+    labels = module.labels()
     cases = 0
     for idx in range(sample_count):
         a = pool[2 * idx]
@@ -611,7 +607,7 @@ def extract_coefficients(family: OperatorFamily, spec: TorusSpec, alpha) -> GRep
             fitted = fit(lambda m: family.matrix_L(m, r), GradedOperator(sp, r, {}))
             action.update((("XT", l, r), op) for l, op in fitted.items())
     action[("XT", (0,) * d, sp.zero_class)] = GradedOperator.identity(sp)
-    return GRepresentation(sp, action, cutoff=1 + max(map(key_degree, action)))
+    return GRepresentation(sp, action)
 
 
 def coefficients_to_representation(spec: TorusSpec, rep: GRepresentation) -> GRepresentation:
@@ -646,7 +642,7 @@ def constructions_agree(spec: TorusSpec, alpha, pair, box: int) -> bool:
     module of `pair` on the labels of `box`; `pair` is (vw, pullback(spec, vw))."""
     vw, rep = pair
     return modules_equal_on_box(build_module(spec, alpha, rep, box=box),
-                                tensor_field_module(spec, alpha, vw, box=box), box)
+                                TensorFieldModule(spec, alpha, vw, box=box), box)
 
 
 # ---------------------------------------------------------------------------

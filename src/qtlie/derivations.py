@@ -15,7 +15,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .cyclo import CycloField, CycloNum, _make, make_field, parse_scalar
-from .errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
+from .errors import DimensionMismatch, ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
 from .matrices import ExactMatrix
 from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
 
@@ -150,9 +150,6 @@ class _Combo:
 
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, key) -> CycloNum:
-        return self.terms.get(key, self.field.zero)
 
     @classmethod
     def _fmt(cls, key) -> str:
@@ -367,7 +364,7 @@ def is_generic(spec: TorusSpec, mu) -> bool:
     """True iff the entries of mu are linearly independent over Q."""
     mu = tuple(map(spec.field.coerce, mu))
     if len(mu) != spec.d:
-        raise ValueError("mu must have d entries")
+        raise DimensionMismatch("mu must have d entries")
     return ExactMatrix(make_field(1), [list(x.coeffs) for x in mu]).rank() == spec.d
 
 

@@ -1,7 +1,7 @@
 """Finite-dimensional graded modules over the jet algebra and over gl_d + gl_N.
 
-A representation stores one exact matrix per canonical basis symbol below its
-cutoff; symbols of filtration degree >= cutoff act as zero.  Raw torus-side
+A representation is one exact matrix per acting canonical basis symbol; its
+cutoff is one more than their largest filtration degree.  Raw torus-side
 symbols (second index not a class representative) act through the tail rule
 
     rho(XT(l, w + n)) = sum_j (n^j / j!) rho(XT(l + j, w)),
@@ -180,12 +180,13 @@ def _nonzero_blocks(blocks: dict) -> dict:
 
 
 class GRepresentation:
-    """Graded representation of the jet algebra: one GradedOperator per acting symbol.
+    """Graded representation of the jet algebra, defined by its action alone.
 
-    `action` may give an operator as a GradedOperator, as every library path
-    does, or as a dense dim x dim ExactMatrix, as files and user code do.  A
-    dense matrix is checked for size and grading and cut into its blocks here,
-    and nowhere else.
+    `action` gives one operator per acting symbol, and ``cutoff`` is derived
+    from it, 0 for the zero action.  An operator may be a GradedOperator, as
+    every library path gives it, or a dense dim x dim ExactMatrix, as files
+    and user code do.  A dense matrix is checked for size and grading and cut
+    into its blocks here, and nowhere else.
 
     A representation is immutable: `action` is a read-only mapping, and the
     operators it holds, like every operator derived from them, are never
@@ -200,18 +201,14 @@ class GRepresentation:
 
     _FIXED = frozenset({"space", "cutoff", "action"})
 
-    def __init__(self, space: GradedSpace, action: dict, cutoff: int):
+    def __init__(self, space: GradedSpace, action: dict):
         fixed = vars(self)  # the fixed attributes are set here only, past __setattr__
         fixed["space"] = space
-        fixed["cutoff"] = cutoff
         ops = {}
         for key, op in action.items():
             if op.is_zero():
                 continue
             name = key_to_string(key)
-            if key_degree(key) >= cutoff:
-                raise InvalidRepresentation(f"symbol {name} has degree >= cutoff {cutoff}"
-                                            " but acts non-trivially")
             if key[0] == "XT" and key[2] != canonical_rep(space.spec, key[2]):
                 raise InvalidRepresentation(f"action key {name} must use the class representative")
             shift = key_class(space.spec, key)
@@ -221,7 +218,8 @@ class GRepresentation:
                 raise InvalidRepresentation(f"operator for {name} has the wrong space or shift")
             ops[key] = op
         fixed["action"] = MappingProxyType(ops)
-        self._reports = {}  # (spec, degree bound) -> VerifyReport
+        fixed["cutoff"] = 1 + max(map(key_degree, ops), default=-1)
+        self._reports = {}  # degree bound -> VerifyReport
         self._images = {}  # JetElement -> GradedOperator
         self._commutant = None  # tuple of GradedOperators once computed
 
@@ -244,23 +242,20 @@ class GRepresentation:
         return op
 
     def rho(self, key) -> GradedOperator:
+        """The action of any basis symbol; a raw torus index goes through the tail rule."""
         op = self.action.get(key)
-        return op if op is not None else GradedOperator(self.space, key_class(self.space.spec, key), {})
-
-    def rho_raw(self, key) -> GradedOperator:
-        """Action of a symbol whose torus index need not be a class representative."""
-        if key[0] == "XD":
-            return self.rho(key)
-        _, l, s = key
+        if op is not None:
+            return op
         spec = self.space.spec
-        w = canonical_rep(spec, s)
+        w = key_class(spec, key)
+        zero = GradedOperator(self.space, w, {})
+        if key[0] == "XD" or key[2] == w:
+            return zero
+        _, l, s = key
         shift = exp_sub(s, w)
-        if not any(shift):
-            return self.rho(("XT", l, w))
         return linear_combination(
             ((taylor_coefficient(shift, j), self.rho(("XT", exp_add(l, j), w)))
-             for total in range(self.cutoff - sum(l)) for j in degree_basis(spec.d, total)),
-            GradedOperator(self.space, w, {}))
+             for total in range(self.cutoff - sum(l)) for j in degree_basis(spec.d, total)), zero)
 
     def rho_element(self, element) -> GradedOperator:
         """The action of a jet element, computed once per element and then kept."""
@@ -273,15 +268,14 @@ class GRepresentation:
         """The action of a jet element, computed afresh and not kept."""
         sp = self.space
         shift = next((key_class(sp.spec, key) for key in element.terms), sp.zero_class)
-        return linear_combination(((c, self.rho_raw(key)) for key, c in element.terms.items()),
+        return linear_combination(((c, self.rho(key)) for key, c in element.terms.items()),
                                   GradedOperator(sp, shift, {}))
 
     def nonzero_keys(self):
         return sorted(self.action, key=key_to_string)
 
     def __eq__(self, other):
-        return (isinstance(other, GRepresentation) and self.space == other.space
-                and self.cutoff == other.cutoff and self.action == other.action)
+        return isinstance(other, GRepresentation) and self.space == other.space and self.action == other.action
 
 
 class VerifyReport(NamedTuple):
@@ -349,15 +343,15 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     matrix work: both sides vanish identically because brackets never lower
     the filtration degree.
 
-    The report is kept on `rep` for each (spec, degree_bound), so a repeated
-    check of the same object is free.  The bracket images are one-off, so
-    they are computed without filling the ``rho_element`` memo.
+    The report is kept on `rep` for each degree_bound, so a repeated check of
+    the same object is free.  The bracket images are one-off, so they are
+    computed without filling the ``rho_element`` memo.
     """
     if rep.space.spec != spec:
         raise DimensionMismatch("different torus specs")
     if degree_bound is None:
         degree_bound = max(rep.cutoff, 1)
-    report = rep._reports.get((spec, degree_bound))
+    report = rep._reports.get(degree_bound)
     if report is not None:
         return report
     cases, failure = first_bracket_failure(
@@ -369,7 +363,7 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     else:
         ka, kb, i, j = failure
         report = VerifyReport(False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})")
-    rep._reports[spec, degree_bound] = report
+    rep._reports[degree_bound] = report
     return report
 
 
@@ -491,7 +485,7 @@ def pullback(spec: TorusSpec, vw: GLdGLNModule) -> GRepresentation:
     action = {key: vw.tensor(identity_w, vw.V_mats[pair]) for key, pair in gl_d_keys(spec.d)}
     for w in class_representatives(spec):
         action[("XT", (0,) * spec.d, w)] = vw.tensor(vw.W[w], identity_v)
-    return GRepresentation(vw.tensor_space, action, cutoff=1)
+    return GRepresentation(vw.tensor_space, action)
 
 
 # module preset name -> its gl_d-module V; W is always the graded regular gl_N-module
@@ -507,7 +501,7 @@ def preset_pullback(spec: TorusSpec, name: str = "natural-regular") -> tuple[GLd
 
 
 # ---------------------------------------------------------------------------
-# commutant, irreducibility, annihilation degree
+# commutant and irreducibility
 # ---------------------------------------------------------------------------
 
 
@@ -604,18 +598,12 @@ def is_absolutely_irreducible(rep: GRepresentation) -> bool:
     return len(commutant(rep)) == 1
 
 
-def min_annihilation_degree(rep: GRepresentation) -> int:
-    """Least p such that every symbol of filtration degree >= p acts as zero."""
-    degs = [key_degree(k) for k in rep.action]
-    return max(degs) + 1 if degs else 0
-
-
 def truncated_polynomial_rep(spec: TorusSpec, order: int = 2) -> GRepresentation:
     """Vector fields acting on polynomials truncated above total degree `order`.
 
     All torus-side symbols act as zero; positive-degree vector fields act
-    non-trivially, which makes this the standard example with annihilation
-    degree `order` (> 1, so it is not a quotient-pair pullback).
+    non-trivially, which makes this the standard example with cutoff `order`
+    (> 1, so it is not a quotient-pair pullback).
     """
     d = spec.d
     fld = spec.field
@@ -636,7 +624,7 @@ def truncated_polynomial_rep(spec: TorusSpec, order: int = 2) -> GRepresentation
                         continue
                     m[index[target], index[alpha]] = fld.from_rational(alpha[j - 1])
                 action[("XD", p, j)] = GradedOperator(space, w0, {w0: m})
-    return GRepresentation(space, action, cutoff=order)
+    return GRepresentation(space, action)
 
 
 def scramble_representation(rep: GRepresentation, seed: int) -> GRepresentation:
@@ -655,7 +643,7 @@ def scramble_representation(rep: GRepresentation, seed: int) -> GRepresentation:
         P[c], Pinv[c] = block, inv
     return GRepresentation(sp, {key: GradedOperator(sp, op.shift, {w: Pinv[tw] * mat * P[w]
                                                              for w, (tw, mat) in op.blocks.items()})
-                                for key, op in rep.action.items()}, rep.cutoff)
+                                for key, op in rep.action.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +866,7 @@ def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
 
 
 def rep_from_dict(data: dict):
-    """Inverse of ``rep_to_dict``; malformed data raises ParseError."""
+    """Inverse of ``rep_to_dict``; malformed data, or a cutoff that the action does not give, raises ParseError."""
     if not isinstance(data, dict) or data.get("format") != "qtlie-representation":
         raise ParseError("not a representation file")
     try:
@@ -893,4 +881,7 @@ def rep_from_dict(data: dict):
         alpha = tuple(parse_cyclonum(s, spec.field) for s in data["alpha"]) if "alpha" in data else None
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"invalid representation data: {exc!r}") from exc
-    return spec, GRepresentation(space, action, cutoff), alpha
+    rep = GRepresentation(space, action)
+    if rep.cutoff != cutoff:
+        raise ParseError(f"file cutoff {cutoff} differs from the cutoff {rep.cutoff} of its action")
+    return spec, rep, alpha

@@ -47,7 +47,6 @@ from .repn import (
     commutant,
     decompose_tensor,
     first_bracket_failure,
-    min_annihilation_degree,
     preset_pullback,
     scramble_representation,
 )
@@ -279,9 +278,8 @@ def suite_annihilation(spec: TorusSpec) -> VerificationReport:
     failures = []
     _, rep = preset_pullback(spec)
     cases = 1
-    deg = min_annihilation_degree(rep)
-    if deg != 1:
-        failures.append({"annihilation_degree": deg, "expected": 1})
+    if rep.cutoff != 1:
+        failures.append({"annihilation_degree": rep.cutoff, "expected": 1})
     for key in canonical_keys(spec, 3):
         if key_degree(key) < 1:
             continue

@@ -13,7 +13,6 @@ from qtlie.matrices import ExactMatrix
 from qtlie.repn import (
     GLdGLNModule,
     graded_regular_glN,
-    min_annihilation_degree,
     natural_gld,
     pullback,
     trivial_gld,
@@ -100,7 +99,7 @@ def test_criterion_06_filtration_and_annihilation():
         wmats, wclasses = graded_regular_glN(spec)
         for vdata in (natural_gld(spec), trivial_gld(spec)):
             rep = pullback(spec, GLdGLNModule(spec, vdata, wmats, wclasses))
-            ok = ok and min_annihilation_degree(rep) == 1
+            ok = ok and rep.cutoff == 1
             ok = ok and all(
                 rep.rho(key).is_zero()
                 for key in canonical_keys(spec, 3)

@@ -67,7 +67,7 @@ def test_gl_n_witness(e2):
 def test_representation_witness(e2):
     _, rep = preset_pullback(e2)
     key = jetalg.key_from_string("XT(0,0;1,3)")
-    rep = repn.GRepresentation(rep.space, {**rep.action, key: rep.action[key].scale(2)}, rep.cutoff)
+    rep = repn.GRepresentation(rep.space, {**rep.action, key: rep.action[key].scale(2)})
     report = verify_representation(e2, rep, 2)
     assert (report.passed, report.cases, report.first_failure) == (
         False, 1317, "[XT(0,0;1,1), XT(0,0;1,3)] entry (0, 10)")

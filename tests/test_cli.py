@@ -212,6 +212,15 @@ def test_module_verify_reports_a_corrupted_action_matrix(tmp_path, capsys):
     assert "\nfirst failure: [" in out
 
 
+def test_module_verify_rejects_a_file_cutoff_that_its_action_does_not_give(tmp_path, capsys):
+    """A larger cutoff would widen the default degree bound of the check; it is a configuration error."""
+    data = rep_to_dict(preset_pullback(make_torus(2, 1, [2]))[1])
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(dict(data, cutoff=2)))
+    assert main(["module", "verify", "--rep", str(rep_path)]) == 2
+    assert capsys.readouterr().err == "configuration error: file cutoff 2 differs from the cutoff 1 of its action\n"
+
+
 @pytest.mark.parametrize("spec,alpha", [("e1", []), ("e2", ["--alpha", "1/2,z"])])
 def test_module_actions_on_the_trivial_regular_preset(spec, alpha, tmp_path, capsys):
     """trivial gl_d on V, regular gl_N on W: one dimension per class."""

@@ -27,7 +27,6 @@ from qtlie.cuspidal import (
     sym_central,
     sym_deg,
     sym_inner,
-    tensor_field_module,
     verify_module_axioms,
     weight_multiplicities,
 )
@@ -229,10 +228,10 @@ def test_module_axioms_report_is_the_hand_written_brackets_report(e1, setup_e1, 
     _, rep, _ = setup_e1
     action = {k: op.dense() for k, op in rep.action.items()}
     action[key] = action[key].scale(2)
-    module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 1), box=2)
+    module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action), box=1)
 
     def report():
-        return verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7, vector_box=1)
+        return verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7)
 
     got = report()
     monkeypatch.setattr(cuspidal, "bracket_symbols", reference_bracket_symbols)
@@ -242,9 +241,9 @@ def test_module_axioms_report_is_the_hand_written_brackets_report(e1, setup_e1, 
 
 
 def test_module_axioms(e1, setup_e1):
-    _, _, module = setup_e1
-    report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7,
-                                  vector_box=2)
+    _, rep, _ = setup_e1
+    module = build_module(e1, (0, 0), rep, box=2)
+    report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7)
     assert report.passed
 
 
@@ -255,10 +254,9 @@ def test_module_axioms_catch_corruption(e1, setup_e1):
     bad = action[key].copy()
     bad[0, 0] = bad[0, 0] + e1.field.one
     action[key] = bad
-    broken = GRepresentation(rep.space, action, 1)
-    module = CuspidalModule(e1, (0, 0), broken, box=2)
-    report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7,
-                                  vector_box=1)
+    broken = GRepresentation(rep.space, action)
+    module = CuspidalModule(e1, (0, 0), broken, box=1)
+    report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=7)
     assert not report.passed
     # the witness names a label inside the vector box and a column of its class
     match = re.fullmatch(r"\[.+\] at (\(\(.*\)\)) column (\d+)", report.first_failure)
@@ -286,8 +284,8 @@ class _DoubledCenterModule(CuspidalModule):
 
 def test_module_axioms_name_central_witness(e1, setup_e1):
     _, rep, _ = setup_e1
-    module = _DoubledCenterModule(e1, (0, 0), rep, box=2)
-    report = verify_module_axioms(module, symbol_box=1, sample_count=2, seed=7, vector_box=1)
+    module = _DoubledCenterModule(e1, (0, 0), rep, box=1)
+    report = verify_module_axioms(module, symbol_box=1, sample_count=2, seed=7)
     assert not report.passed
     match = re.fullmatch(r"central associativity at Z\(.*\) at (\(\(.*\)\)) column (\d+)",
                          report.first_failure)
@@ -298,15 +296,14 @@ def test_module_axioms_name_central_witness(e1, setup_e1):
 def test_jet_module_axioms(e1):
     """Torus symbols act as zero here; only the central shift moves labels."""
     jet = truncated_polynomial_rep(e1, order=2)
-    module = build_module(e1, (0, 0), jet, box=2)
-    report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=3,
-                                  vector_box=1)
+    module = build_module(e1, (0, 0), jet, box=1)
+    report = verify_module_axioms(module, symbol_box=2, sample_count=40, seed=3)
     assert report.passed
 
 
 def test_tensor_field_action_frozen(e1, setup_e1):
     vw, _, _ = setup_e1
-    tf = tensor_field_module(e1, (0, 0), vw, box=3)
+    tf = TensorFieldModule(e1, (0, 0), vw, box=3)
     vec = _unit(e1, tf, (1, 1), 0)
     res = tf.act(sym_deg(e1, (1, 0), (2, 0)), vec)
     assert [str(x) for x in res[((1, 1), (2, 0))]] == ["3", "0"]
@@ -317,7 +314,7 @@ def test_tensor_field_action_frozen(e1, setup_e1):
 
 def test_functor_image_equals_tensor_field(e1, setup_e1):
     vw, rep, module = setup_e1
-    tf = tensor_field_module(e1, (0, 0), vw, box=3)
+    tf = TensorFieldModule(e1, (0, 0), vw, box=3)
     assert modules_equal_on_box(module, tf, 2)
 
 
@@ -335,11 +332,11 @@ def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
     vw = _regular_twice(e1)
     alpha = (Fraction(1, 3), 0)
     built = build_module(e1, alpha, pullback(e1, vw), box=1)
-    assert modules_equal_on_box(built, tensor_field_module(e1, alpha, vw, box=1), 1)
+    assert modules_equal_on_box(built, TensorFieldModule(e1, alpha, vw, box=1), 1)
 
 
 # sha256 of json.dumps(..., sort_keys=True) of rep_to_dict(pullback(e1, vw)) and of
-# dump_module(tensor_field_module(e1, (1/3, 0), vw, box=1)), vw = _regular_twice(e1);
+# dump_module(TensorFieldModule(e1, (1/3, 0), vw, box=1)), vw = _regular_twice(e1);
 # these pin the basis order inside a class that holds two W vectors
 W_TWICE_PULLBACK_SHA256 = "428a50fde2866f80b18aee05a0197012dc7c92b8b5dfd6109653f8aed2bca3e3"
 W_TWICE_TENSOR_FIELD_SHA256 = "f16d0dc54728da4db2bdac4ee10c1f73bf67c91d42d0798c5834c0e7d6ddd607"
@@ -349,7 +346,7 @@ def test_multiplicity_two_w_is_pinned(e1):
     vw = _regular_twice(e1)
     rep_text = json.dumps(rep_to_dict(pullback(e1, vw)), sort_keys=True)
     assert hashlib.sha256(rep_text.encode()).hexdigest() == W_TWICE_PULLBACK_SHA256
-    module = tensor_field_module(e1, (Fraction(1, 3), 0), vw, box=1)
+    module = TensorFieldModule(e1, (Fraction(1, 3), 0), vw, box=1)
     dump_text = json.dumps(dump_module(module), sort_keys=True)
     assert hashlib.sha256(dump_text.encode()).hexdigest() == W_TWICE_TENSOR_FIELD_SHA256
 
@@ -439,7 +436,7 @@ def _both_constructions(spec, alpha, box):
     wmats, wclasses = graded_regular_glN(spec)
     vw = GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)
     return {"cuspidal": build_module(spec, alpha, pullback(spec, vw), box=box),
-            "tensor-field": tensor_field_module(spec, alpha, vw, box=box)}
+            "tensor-field": TensorFieldModule(spec, alpha, vw, box=box)}
 
 
 @pytest.mark.parametrize("construction", ["cuspidal", "tensor-field"])
@@ -471,7 +468,7 @@ def test_rho_runs_once_per_noncentral_symbol(e1, monkeypatch):
 
 def test_modules_differ_for_different_alpha(e1, setup_e1):
     vw, rep, module = setup_e1
-    shifted = tensor_field_module(e1, (Fraction(1, 2), 0), vw, box=3)
+    shifted = TensorFieldModule(e1, (Fraction(1, 2), 0), vw, box=3)
     assert not modules_equal_on_box(module, shifted, 1)
 
 
@@ -481,7 +478,7 @@ def test_modules_differ_for_corrupted_action(e1, setup_e1):
     action = {k: op.dense() for k, op in rep.action.items()}
     key = ("XD", (1, 0), 1)
     action[key][0, 0] = action[key][0, 0] + e1.field.one
-    broken = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 1), box=3)
+    broken = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action), box=3)
     assert not modules_equal_on_box(module, broken, 1)
 
 
@@ -499,9 +496,15 @@ def test_dimension_mismatch(e1, e2, setup_e1):
     vw, _, module = setup_e1
     wmats, wclasses = graded_regular_glN(e1)
     small = GLdGLNModule(e1, trivial_gld(e1), wmats, wclasses)
-    other = tensor_field_module(e1, (0, 0), small, box=2)
+    other = TensorFieldModule(e1, (0, 0), small, box=2)
     with pytest.raises(DimensionMismatch):
         modules_equal_on_box(module, other, 1)
+
+
+def test_alpha_of_the_wrong_length_is_a_dimension_mismatch(e1, setup_e1):
+    _, rep, _ = setup_e1
+    with pytest.raises(DimensionMismatch, match="^alpha must have d entries$"):
+        build_module(e1, (0, 0, 0), rep)
 
 
 def test_weight_multiplicities(e1, e2, setup_e1):
@@ -520,7 +523,7 @@ def test_weight_multiplicities(e1, e2, setup_e1):
 
 def test_zero_module_multiplicities(e1):
     w0 = canonical_rep(e1, (0, 0))
-    rep = GRepresentation(GradedSpace(e1, {w0: 1}), {}, 1)
+    rep = GRepresentation(GradedSpace(e1, {w0: 1}), {})
     module = CuspidalModule(e1, (0, 0), rep, box=1)
     mults, bound = weight_multiplicities(module, 1)
     assert bound == 1  # one-dimensional space sits at every central label
@@ -601,7 +604,7 @@ def test_family_matrix_l_sums_the_jet_terms(e1, setup_e1):
     b = a * rep.rho(("XD", (1, 0), 1))  # still of pure degree class(r)
     c = rep.rho(("XD", (0, 1), 2)) * a
     action = {("XT", (0, 0), r): a, ("XT", (1, 0), r): b, ("XT", (0, 2), r): c}
-    module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action, 3), box=3)
+    module = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action), box=3)
     fam = OperatorFamily(module, degree_bound=3)
     assert fam.matrix_L((0, 0), r) == a
     assert fam.matrix_L((2, 0), r) == a + b.scale(2)
@@ -723,8 +726,7 @@ def test_corrupted_coefficients_rejected(e1, setup_e1):
     w = min(blocks)
     mat = blocks[w] = blocks[w].copy()  # one entry of one block, not the module's own
     mat[0, 0] = mat[0, 0] + e1.field.one
-    corrupted = GRepresentation(coeffs.space, {**coeffs.action, key: GradedOperator(op.space, op.shift, blocks)},
-                                coeffs.cutoff)
+    corrupted = GRepresentation(coeffs.space, {**coeffs.action, key: GradedOperator(op.space, op.shift, blocks)})
     with pytest.raises(RelationViolated):
         coefficients_to_representation(e1, corrupted)
 
@@ -732,7 +734,7 @@ def test_corrupted_coefficients_rejected(e1, setup_e1):
 def test_zero_coefficients_give_zero_representation(e1):
     """The one-class zero representation comes back as the identity on the center alone."""
     w0 = canonical_rep(e1, (0, 0))
-    zero_rep = GRepresentation(GradedSpace(e1, {w0: 1}), {}, 1)
+    zero_rep = GRepresentation(GradedSpace(e1, {w0: 1}), {})
     module = build_module(e1, (0, 0), zero_rep, box=3)
     rep = coefficients_to_representation(e1, extract_coefficients(OperatorFamily(module, degree_bound=2), e1, (0, 0)))
     assert list(rep.action) == [("XT", (0, 0), w0)]
@@ -797,7 +799,7 @@ def test_extraction_round_trip_from_both_constructions(spec_name, request):
     rep = pullback(spec, vw)
     start = time.perf_counter()
     for alpha in ((0,) * spec.d, (Fraction(1, 2), fld.root(1)) + (0,) * (spec.d - 2)):
-        for module in (build_module(spec, alpha, rep, box=4), tensor_field_module(spec, alpha, vw, box=4)):
+        for module in (build_module(spec, alpha, rep, box=4), TensorFieldModule(spec, alpha, vw, box=4)):
             coeffs = extract_coefficients(OperatorFamily(module, 3), spec, alpha)
             assert coefficients_to_representation(spec, coeffs) == rep, (type(module).__name__, alpha)
     assert time.perf_counter() - start < ROUND_TRIP_BUDGET_S
@@ -822,7 +824,7 @@ def test_extracted_coefficients_are_pinned(spec_name, request):
     rep = pullback(spec, vw)
     cases = []
     for alpha in ((0,) * spec.d, (Fraction(1, 2), spec.field.root(1)) + (0,) * (spec.d - 2)):
-        for module in (build_module(spec, alpha, rep, box=1), tensor_field_module(spec, alpha, vw, box=1)):
+        for module in (build_module(spec, alpha, rep, box=1), TensorFieldModule(spec, alpha, vw, box=1)):
             for degree in (2, 3, 4):
                 coeffs = extract_coefficients(OperatorFamily(module, degree), spec, alpha)
                 # ["f", j, p] for XD(p, j), then ["g", r, l] for XT(l, r), sorted; the identity is left out
@@ -959,8 +961,7 @@ def test_commutative_torus_module(commutative):
     wmats, wclasses = graded_regular_glN(commutative)
     vw = GLdGLNModule(commutative, natural_gld(commutative), wmats, wclasses)
     module = build_module(commutative, (0, 0), pullback(commutative, vw), box=1)
-    report = verify_module_axioms(module, symbol_box=1, sample_count=10, seed=1,
-                                  vector_box=1)
+    report = verify_module_axioms(module, symbol_box=1, sample_count=10, seed=1)
     assert report.passed
 
 
@@ -969,8 +970,7 @@ def test_rank_three_module(e3):
     vw = GLdGLNModule(e3, natural_gld(e3), wmats, wclasses)
     rep = pullback(e3, vw)
     module = build_module(e3, (0, 0, 0), rep, box=1)
-    tf = tensor_field_module(e3, (0, 0, 0), vw, box=1)
+    tf = TensorFieldModule(e3, (0, 0, 0), vw, box=1)
     assert modules_equal_on_box(module, tf, 1)
-    report = verify_module_axioms(module, symbol_box=1, sample_count=20, seed=1,
-                                  vector_box=1)
+    report = verify_module_axioms(module, symbol_box=1, sample_count=20, seed=1)
     assert report.passed

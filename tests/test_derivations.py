@@ -23,7 +23,7 @@ from qtlie.derivations import (
     witt,
     witt_along,
 )
-from qtlie.errors import ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
+from qtlie.errors import DimensionMismatch, ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
 from qtlie.torus import canonical_rep, exp_add, in_R, make_torus
 from qtlie.verify import suite_jacobi_derivations, suite_jacobi_witt, suite_witt_embedding
 from qtlie.xmatrix import x_power
@@ -168,6 +168,38 @@ def test_solenoidal_closure(e1_wide):
         solenoidal_span_check(e1_wide, (1, 2), "quantum", 1)
     with pytest.raises(ValueError):
         solenoidal_span_check(e1_wide, mu, "sideways", 1)
+
+
+def test_is_generic_rejects_a_vector_of_the_wrong_length(e1_wide):
+    with pytest.raises(DimensionMismatch, match="^mu must have d entries$"):
+        is_generic(e1_wide, (1, 2, 3))
+
+
+def test_solenoidal_commutative_closure_names_the_first_pair(e1_wide, monkeypatch):
+    mu = (e1_wide.field.one, e1_wide.field.root(1))
+    monkeypatch.setattr(derivations, "bracket_witt", lambda a, b: bracket_witt(a, b).scale(2))
+    report = solenoidal_span_check(e1_wide, mu, "commutative", 1)
+    assert not report.closed
+    assert (report.cases, report.counterexample) == (2, ((-1, -1), (-1, 0)))
+
+
+def _is_inner(x) -> bool:
+    return any(key[0] == "t" for key in x.terms)
+
+
+@pytest.mark.parametrize("doubled,cases,counterexample", [
+    (lambda a, b: True, 2, ((-2, -2), (-2, 0))),  # degree with degree
+    (lambda a, b: _is_inner(b) and not _is_inner(a), 10, ((-2, -2), (-1, -1))),  # degree with inner
+    (lambda a, b: _is_inner(a), 155, ((-1, -1), (-1, 0))),  # inner with inner
+], ids=["degree-degree", "degree-inner", "inner-inner"])
+def test_solenoidal_quantum_closure_names_the_first_pair(e1_wide, monkeypatch, doubled, cases, counterexample):
+    """The bracket doubled on one kind of pair fails the closure there, and only there."""
+    mu = (e1_wide.field.one, e1_wide.field.root(1))
+    monkeypatch.setattr(derivations, "bracket_d",
+                        lambda spec, a, b: bracket_d(spec, a, b).scale(2 if doubled(a, b) else 1))
+    report = solenoidal_span_check(e1_wide, mu, "quantum", 1)
+    assert not report.closed
+    assert (report.cases, report.counterexample) == (cases, counterexample)
 
 
 def test_deriv_along_expands(e1):

@@ -12,7 +12,7 @@ import pytest
 
 import qtlie
 from qtlie import repn
-from qtlie.cuspidal import build_module, standard_symbols, tensor_field_module
+from qtlie.cuspidal import TensorFieldModule, build_module, standard_symbols
 from qtlie.errors import (
     DimensionMismatch,
     InvalidModuleData,
@@ -34,7 +34,6 @@ from qtlie.repn import (
     graded_regular_glN,
     intertwiners,
     is_absolutely_irreducible,
-    min_annihilation_degree,
     natural_gld,
     preset_pullback,
     pullback,
@@ -148,13 +147,13 @@ def test_corrupted_representation_fails_verification(e1, rep_e1):
     action[key] = bad
     with pytest.raises(InvalidRepresentation):
         # the corruption breaks the grading block structure
-        GRepresentation(rep_e1.space, action, 1)
+        GRepresentation(rep_e1.space, action)
     # a grading-compatible corruption passes construction but fails the brackets
     mat = action[("XD", (1, 0), 1)].copy()
     mat[0, 0] = mat[0, 0] + e1.field.one
     action[key] = rep_e1.action[key]
     action[("XD", (1, 0), 1)] = mat
-    rep = GRepresentation(rep_e1.space, action, 1)
+    rep = GRepresentation(rep_e1.space, action)
     report = verify_representation(e1, rep, 2)
     assert not report.passed
     assert report.first_failure is not None
@@ -165,7 +164,7 @@ def test_verification_witness_names_the_first_differing_entry(e1, rep_e1):
     action = {k: op.dense() for k, op in rep_e1.action.items()}
     key = ("XD", (1, 0), 1)
     action[key][0, 0] = action[key][0, 0] + e1.field.one
-    report = verify_representation(e1, GRepresentation(rep_e1.space, action, 1), 1)
+    report = verify_representation(e1, GRepresentation(rep_e1.space, action), 1)
     assert (report.passed, report.cases) == (False, 3)
     assert report.first_failure == "[XD(0,1;1), XD(1,0;1)] entry (1, 0)"
 
@@ -177,10 +176,10 @@ def test_dense_action_errors_keep_their_messages(e1, rep_e1):
     action[key][0, 5] = 1  # both entries leave the grading; (3, 0) comes first column by column
     action[key][3, 0] = 1
     with pytest.raises(InvalidRepresentation, match=r"^matrix for XT\(0,0;1,1\) breaks the grading at \(3,0\)$"):
-        GRepresentation(rep_e1.space, action, 1)
+        GRepresentation(rep_e1.space, action)
     action[key] = ExactMatrix.identity(e1.field, 7)
     with pytest.raises(InvalidRepresentation, match=r"^matrix for XT\(0,0;1,1\) has wrong size$"):
-        GRepresentation(rep_e1.space, action, 1)
+        GRepresentation(rep_e1.space, action)
 
 
 def test_graded_operator_algebra_matches_dense_matrices(e1, rep_e1):
@@ -199,26 +198,27 @@ def test_graded_operator_algebra_matches_dense_matrices(e1, rep_e1):
     with pytest.raises(DimensionMismatch):
         GradedOperator(sc.space, (1, 1), {(1, 1): ExactMatrix.identity(e1.field, 3)})
     with pytest.raises(InvalidRepresentation, match="wrong space or shift"):
-        GRepresentation(sc.space, {("XT", (0, 0), (1, 2)): a}, 1)
+        GRepresentation(sc.space, {("XT", (0, 0), (1, 2)): a})
 
 
 def test_raw_index_reduction(e1, rep_e1):
-    assert rep_e1.rho_raw(("XT", (0, 0), (3, 3))) == rep_e1.rho(("XT", (0, 0), (1, 1)))
-    assert rep_e1.rho_raw(("XT", (0, 0), (-1, 0))) == rep_e1.rho(("XT", (0, 0), (1, 2)))
+    assert rep_e1.rho(("XT", (0, 0), (3, 3))) == rep_e1.rho(("XT", (0, 0), (1, 1)))
+    assert rep_e1.rho(("XT", (0, 0), (-1, 0))) == rep_e1.rho(("XT", (0, 0), (1, 2)))
+    assert not rep_e1.rho(("XT", (0, 0), (3, 3))).is_zero()
 
 
 def test_raw_index_reduction_with_tail(e1):
     jet = truncated_polynomial_rep(e1, order=2)
     w0 = canonical_rep(e1, (0, 0))
     # with all torus symbols acting as zero the tail collapses to zero
-    assert jet.rho_raw(("XT", (0, 0), exp_add(w0, (2, 0)))).is_zero()
+    assert jet.rho(("XT", (0, 0), exp_add(w0, (2, 0)))).is_zero()
 
 
 def test_action_keys_must_be_canonical(e1, rep_e1):
     action = dict(rep_e1.action)
     action[("XT", (0, 0), (3, 3))] = rep_e1.action[("XT", (0, 0), (1, 1))]
     with pytest.raises(InvalidRepresentation):
-        GRepresentation(rep_e1.space, action, 1)
+        GRepresentation(rep_e1.space, action)
 
 
 def test_commutant_of_pullback_is_scalar(rep_e1):
@@ -247,7 +247,7 @@ def test_commutant_of_double_copy(e1, rep_e1):
                         blk,
                     )
         action2[key] = big
-    rep2 = GRepresentation(sp2, action2, 1)
+    rep2 = GRepresentation(sp2, action2)
     assert len(commutant(rep2)) == 4
     assert not is_absolutely_irreducible(rep2)
     with pytest.raises(NotIrreducible):
@@ -263,8 +263,7 @@ def _v_plus_s2v(spec):
     jet = truncated_polynomial_rep(spec, order=2)
     n = jet.space.dim - 1
     space = GradedSpace(spec, {jet.space.classes[0]: n})
-    return GRepresentation(space, {key: op.dense().submatrix(1, 1, n, n) for key, op in jet.action.items()},
-                           jet.cutoff)
+    return GRepresentation(space, {key: op.dense().submatrix(1, 1, n, n) for key, op in jet.action.items()})
 
 
 def test_v_plus_s2v_is_reducible_with_scalar_endomorphisms(e1):
@@ -288,7 +287,7 @@ def test_reducible_representation_is_not_absolutely_irreducible(e1):
 
 def test_commutant_of_trivial_module(e1):
     w0 = canonical_rep(e1, (0, 0))
-    rep = GRepresentation(GradedSpace(e1, {w0: 1}), {}, 1)
+    rep = GRepresentation(GradedSpace(e1, {w0: 1}), {})
     assert len(commutant(rep)) == 1
 
 
@@ -373,6 +372,13 @@ def test_intertwiners_of_zero_pairs_is_everything(e1):
     _check_intertwiners(fld, pairs, basis)
 
 
+def test_intertwiners_stop_at_the_pair_that_leaves_only_zero(e1, rep_e1):
+    """B X = X A with B = 2A and A invertible forces X = 0, so the pairs after it are never read."""
+    fld = e1.field
+    for one in (ExactMatrix.identity(fld, 2), GradedOperator.identity(rep_e1.space)):
+        assert intertwiners(fld, [(one, one.scale(2)), (None, None)]) == []
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rowspace_kernel_matches_dense_kernel(seed):
     fld = make_field(3)
@@ -448,13 +454,17 @@ def test_e5_scrambled_commutant_within_budget():
     assert time.perf_counter() - start < E5_COMMUTANT_BUDGET_S
 
 
-def test_min_annihilation_degree(e1, rep_e1):
-    assert min_annihilation_degree(rep_e1) == 1
+def test_cutoff_is_derived_from_the_action(e1, rep_e1):
+    """One more than the largest filtration degree of an acting symbol, 0 for no action."""
+    assert rep_e1.cutoff == 1
     w0 = canonical_rep(e1, (0, 0))
-    zero_rep = GRepresentation(GradedSpace(e1, {w0: 2}), {}, 1)
-    assert min_annihilation_degree(zero_rep) == 0
+    zero_rep = GRepresentation(GradedSpace(e1, {w0: 2}), {})
+    assert zero_rep.cutoff == 0
     jet = truncated_polynomial_rep(e1, order=2)
-    assert min_annihilation_degree(jet) == 2
+    assert jet.cutoff == 2
+    # zero operators do not act, so they do not raise the cutoff
+    degree_zero = {key: op if sum(key[1]) == 1 else op.scale(0) for key, op in jet.action.items()}
+    assert GRepresentation(jet.space, degree_zero).cutoff == 1
 
 
 def test_truncated_polynomial_rep_is_valid(e1, e3):
@@ -479,7 +489,7 @@ def test_a_torus_spec_other_than_the_modules_own_is_rejected(name, request, vw_e
     calls = {
         "verify_representation": lambda: verify_representation(spec, rep_e1, 1),
         "build_module": lambda: build_module(spec, alpha, rep_e1, box=1),
-        "tensor_field_module": lambda: tensor_field_module(spec, alpha, vw_e1, box=1),
+        "TensorFieldModule": lambda: TensorFieldModule(spec, alpha, vw_e1, box=1),
         "decompose_tensor": lambda: decompose_tensor(spec, rep_e1),
     }
     for call in calls.values():
@@ -535,7 +545,7 @@ def test_decompose_one_class_pullback(spec):
 
 
 def test_decompose_module_with_no_action(e1):
-    rep = GRepresentation(GradedSpace(e1, {canonical_rep(e1, (0, 0)): 1}), {}, 1)
+    rep = GRepresentation(GradedSpace(e1, {canonical_rep(e1, (0, 0)): 1}), {})
     vw, _ = decompose_tensor(e1, rep)
     assert (vw.dim_V, vw.dim_W) == (1, 1)
 
@@ -598,8 +608,7 @@ def test_decompose_rejects_a_torus_block_outside_the_intertwiner_spaces(e1, rep_
     s = block[0, 0]
     blocks = {w: mat for w, (_, mat) in op.blocks.items()}
     blocks[c] = ExactMatrix(e1.field, [[s, 1], [0, s]])
-    rep = GRepresentation(rep_e1.space, {**rep_e1.action, key: GradedOperator(rep_e1.space, key[2], blocks)},
-                          rep_e1.cutoff)
+    rep = GRepresentation(rep_e1.space, {**rep_e1.action, key: GradedOperator(rep_e1.space, key[2], blocks)})
     assert len(commutant(rep)) == 1
     with pytest.raises(NotIrreducible, match="torus action leaves the intertwiner spaces"):
         decompose_tensor(e1, rep)
@@ -659,7 +668,7 @@ def test_split_scrambled_natural_twice(e1):
         return ExactMatrix(fld, [row + [z, z] for row in m.data] + [[z, z] + row for row in m.data])
 
     w0 = class_representatives(e1)[0]
-    rep = GRepresentation(GradedSpace(e1, {w0: 4}), {k: twice(nat[ij]) for k, ij in gl_d_keys(e1.d)}, 1)
+    rep = GRepresentation(GradedSpace(e1, {w0: 4}), {k: twice(nat[ij]) for k, ij in gl_d_keys(e1.d)})
     scrambled = scramble_representation(rep, 1)
     mats = [scrambled.rho(k).dense() for k, _ in gl_d_keys(e1.d)]
     _assert_proper_invariant(fld, mats, 4, _try_split(fld, mats, 4, random.Random(0)))
@@ -738,6 +747,14 @@ def test_rep_from_dict_rejects_malformed_data(e1, rep_e1):
             rep_from_dict(broken)
 
 
+def test_rep_from_dict_rejects_a_cutoff_that_the_action_does_not_give(rep_e1):
+    data = rep_to_dict(rep_e1)
+    assert data["cutoff"] == 1
+    for cutoff in (0, 2):
+        with pytest.raises(ParseError, match=rf"^file cutoff {cutoff} differs from the cutoff 1 of its action$"):
+            rep_from_dict(dict(data, cutoff=cutoff))
+
+
 def test_rep_serialization_round_trip(e1, rep_e1):
     alpha = (e1.field.from_rational(1), e1.field.from_rational(-2))
     data = rep_to_dict(rep_e1, alpha)
@@ -775,7 +792,7 @@ def test_data_attributes_cannot_be_rebound(e1):
         with pytest.raises(AttributeError, match=name):
             setattr(rep, name, value)
     assert rep.cutoff == 1 and verify_representation(e1, rep, 1) is report
-    fresh = verify_representation(e1, GRepresentation(rep.space, doubled, rep.cutoff), 1)
+    fresh = verify_representation(e1, GRepresentation(rep.space, doubled), 1)
     assert fresh.first_failure == "[XT(0,0;1,1), XT(0,0;1,2)] entry (0, 2)"
     rep._commutant = None  # the memo slots stay writable
     rep._images = {}
@@ -806,7 +823,7 @@ def test_the_default_degree_bound_is_the_cutoff_and_at_least_one(e1):
     assert verify_representation(e1, rep) is verify_representation(e1, rep, 1)
     jets = truncated_polynomial_rep(e1, 3)
     assert jets.cutoff == 3 and verify_representation(e1, jets) is verify_representation(e1, jets, 3)
-    zero = GRepresentation(GradedSpace(e1, {(0, 0): 1}), {}, 0)
+    zero = GRepresentation(GradedSpace(e1, {(0, 0): 1}), {})
     assert verify_representation(e1, zero) is verify_representation(e1, zero, 1)
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qtlie import xmatrix
 from qtlie.matrices import ExactMatrix
 from qtlie.torus import canonical_rep, class_representatives, exp_add, in_R
 from qtlie.xmatrix import (
@@ -30,6 +31,14 @@ def test_identity_on_central_lattice(e1, e2):
     for spec in (e1, e2):
         report = verify_identity_on_R(spec, 2 * spec.k[0])
         assert report.passed and report.cases > 0
+
+
+def test_identity_on_central_lattice_names_the_first_exponent(e1, monkeypatch):
+    """X^n doubled off the origin: (0, 0) passes and (0, 2), the next exponent in R, fails."""
+    monkeypatch.setattr(xmatrix, "x_power", lambda spec, n: x_power(spec, n).scale(2 if any(n) else 1))
+    report = verify_identity_on_R(e1, 4)
+    assert not report.passed
+    assert (report.cases, report.counterexample) == (2, ((0, 2),))
 
 
 def test_product_relation(e1, e2):
