@@ -64,7 +64,7 @@ from .cuspidal import (
     build_module,
     coefficients_to_representation,
     extract_coefficients,
-    modules_equal_on_box,
+    modules_equal,
     verify_module_axioms,
     weight_multiplicities,
 )

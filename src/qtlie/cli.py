@@ -181,8 +181,7 @@ def cmd_module(args) -> int:
             ok = _read_json(args.dump_a) == _read_json(args.dump_b)
         else:
             spec = load_torus(_required(args, "spec", " (or both --dump-a and --dump-b)"))
-            ok = constructions_agree(spec, _alpha_from_arg(spec, args.alpha), preset_pullback(spec, args.vw),
-                                     args.box)
+            ok = constructions_agree(preset_pullback(spec, args.vw))
         print(f"compare: {'EQUAL' if ok else 'DIFFERENT'}")
         return 0 if ok else 1
     raise ParseError(f"unknown module action {args.action!r}")

@@ -14,8 +14,8 @@ Two constructions are provided and kept deliberately independent:
 * ``TensorFieldModule`` uses the closed-form tensor-field action on
   V (x) W (x) t^s directly, with no polynomial machinery.
 
-Agreement of the two on a box is an executable instance of the classification
-of irreducible modules of this type.
+Agreement of the two (``modules_equal``) is an executable instance of the
+classification of irreducible modules of this type.
 """
 from __future__ import annotations
 
@@ -320,11 +320,7 @@ def _symbol_pool(spec: TorusSpec, radius: int, rng: random.Random, count: int) -
     cvecs = list(itertools.product(range(-radius, radius + 1), repeat=spec.d))
     central = [tuple(c * b for c, b in zip(cv, B)) for cv in cvecs]
     noncentral = [e for e in cvecs if not in_R(spec, e)]
-    units = []
-    for i in range(spec.d):
-        u = [0] * spec.d
-        u[i] = 1
-        units.append(tuple(u))
+    units = [tuple(int(i == j) for i in range(spec.d)) for j in range(spec.d)]
     pool = []
     for _ in range(count):
         kind = rng.choice(("deg", "deg", "inn", "inn", "z"))
@@ -419,11 +415,7 @@ def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int =
 def standard_symbols(spec: TorusSpec) -> list:
     """Deterministic generator set used by equality tests and module dumps."""
     syms = []
-    units = []
-    for i in range(spec.d):
-        u = [0] * spec.d
-        u[i] = 1
-        units.append(tuple(u))
+    units = [tuple(int(i == j) for i in range(spec.d)) for j in range(spec.d)]
     B = spec.B
     central_small = [tuple(0 for _ in range(spec.d))]
     for i in range(spec.d):
@@ -442,19 +434,25 @@ def standard_symbols(spec: TorusSpec) -> list:
     return syms
 
 
-def modules_equal_on_box(m1, m2, box: int) -> bool:
-    """Entrywise agreement of all standard generator actions on the box."""
+def modules_equal(m1, m2) -> bool:
+    """Whether the two modules act alike on every label of every box.
+
+    For one spec, one set of class dimensions and one alpha, ``block(sym,
+    (w, n'))`` adds the same to both modules' action tables ``_entry(sym)[0]``
+    at w: the label shift n'' = n' + e + w - tw, and the weight scalar
+    <u, alpha + w + n'> times I of a degree symbol (an inner or central symbol
+    has none); a block that comes out zero is dropped on both sides.  So the
+    blocks at (w, n') differ exactly where the tables differ at w, whatever n'
+    is, and as every box, box 0 included, has a label of each class, the
+    blocks agree on every label of a box exactly when the tables of the
+    standard symbols agree.
+    """
     if m1.spec != m2.spec:
         raise DimensionMismatch("different torus specs")
     if m1.space.dims != m2.space.dims:
         raise DimensionMismatch("different graded dimensions")
-    if m1.alpha != m2.alpha:
-        return False
-    for sym in standard_symbols(m1.spec):
-        for label in m1.labels(box):
-            if m1.block(sym, label) != m2.block(sym, label):
-                return False
-    return True
+    return m1.alpha == m2.alpha and all(
+        m1._entry(sym)[0] == m2._entry(sym)[0] for sym in standard_symbols(m1.spec))
 
 
 def weight_multiplicities(module, box: int) -> tuple[dict, int]:
@@ -637,12 +635,14 @@ def roundtrip_holds(spec: TorusSpec, alpha, pair, degree_bound: int | None = Non
     return coefficients_to_representation(spec, coeffs) == rep
 
 
-def constructions_agree(spec: TorusSpec, alpha, pair, box: int) -> bool:
+def constructions_agree(pair) -> bool:
     """The weight module built from `pair`'s pullback equals the tensor-field
-    module of `pair` on the labels of `box`; `pair` is (vw, pullback(spec, vw))."""
+    module of `pair`, for every alpha and on every label; `pair` is
+    (vw, pullback(spec, vw)).  Neither action table reads alpha or the box
+    (``modules_equal``), so both modules take alpha = 0."""
     vw, rep = pair
-    return modules_equal_on_box(build_module(spec, alpha, rep, box=box),
-                                TensorFieldModule(spec, alpha, vw, box=box), box)
+    alpha = (0,) * vw.spec.d
+    return modules_equal(build_module(vw.spec, alpha, rep), TensorFieldModule(vw.spec, alpha, vw))
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class CycloField:
         """The element with the given rational coefficients in the power basis."""
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.phi:
-            raise ValueError(f"expected {self.phi} coefficients, got {len(coeffs)}")
+            raise DimensionMismatch(f"expected {self.phi} coefficients, got {len(coeffs)}")
         den = math.lcm(*(c.denominator for c in coeffs))
         return CycloNum(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
@@ -223,7 +223,7 @@ class CycloNum:
         in canonical form."""
         num = tuple(num)
         if len(num) != field.phi:
-            raise ValueError(f"expected {field.phi} coefficients, got {len(num)}")
+            raise DimensionMismatch(f"expected {field.phi} coefficients, got {len(num)}")
         if not all(isinstance(c, int) for c in num + (den,)):
             raise TypeError("numerators and denominator must be integers")
         if den == 0:

@@ -305,9 +305,9 @@ def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
     return VerificationReport("functor-axioms", report.cases, failures)
 
 
-def suite_tensor_compare(spec: TorusSpec, box: int = 3) -> VerificationReport:
+def suite_tensor_compare(spec: TorusSpec) -> VerificationReport:
     """Functor image of a pullback equals the closed-form tensor-field module."""
-    equal = constructions_agree(spec, (0,) * spec.d, preset_pullback(spec), box)
+    equal = constructions_agree(preset_pullback(spec))
     failures = [] if equal else [{"mismatch": "entrywise comparison failed"}]
     return VerificationReport("tensor-compare", 1, failures)
 
@@ -362,7 +362,7 @@ SUITES = {
     "span-filtration": (suite_span_filtration, {"degree": "max_degree"}),
     "annihilation": (suite_annihilation, {}),
     "functor": (suite_functor, {"box": "box", "samples": "pairs", "seed": "seed"}),
-    "tensor-compare": (suite_tensor_compare, {"box": "box"}),
+    "tensor-compare": (suite_tensor_compare, {}),
     "roundtrip": (suite_roundtrip, {"degree": "degree_bound"}),
     "decompose": (suite_decompose, {"seed": "seed"}),
     "cuspidality": (suite_cuspidality, {"box": "box"}),

@@ -16,6 +16,7 @@ from .torus import (
     ExpVec,
     TorusSpec,
     canonical_rep,
+    class_representatives,
     exp_add,
     in_R,
     sigma_hat,
@@ -114,8 +115,6 @@ def verify_identity_on_R(spec: TorusSpec, box: int) -> RelationReport:
 
 def span_dimension(spec: TorusSpec) -> int:
     """Dimension of span{X^w : w a class representative} inside M_N."""
-    from .torus import class_representatives
-
     rows = [x_power(spec, w).flatten() for w in class_representatives(spec)]
     return ExactMatrix(spec.field, rows).rank()
 

@@ -117,8 +117,8 @@ def test_criterion_07_functor_axioms():
 
 def test_criterion_08_tensor_field_comparison():
     start = time.perf_counter()
-    ok = suite_tensor_compare(E1, box=3).passed
-    ok = ok and suite_tensor_compare(E2, box=3).passed
+    ok = suite_tensor_compare(E1).passed
+    ok = ok and suite_tensor_compare(E2).passed
     _finish(8, "tensor-field-comparison", start, 60, ok)
 
 

@@ -487,9 +487,21 @@ def test_verify_finishes_on_the_commutative_torus():
     assert len(lines) == len(verify.SUITES) and all(": PASS (" in line for line in lines)
 
 
+@pytest.mark.parametrize("spec", ["e5", "e8"])
+def test_tensor_compare_finishes_within_budget(spec):
+    """E5 (d = 4, 16 classes) and E8 (L = 6 over k = 3), default box, one process each."""
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                           "verify", "--spec", str(SPECS / f"{spec}.json"), "--suite", "tensor-compare"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("tensor-compare: PASS (1 cases) [")
+
+
 # library names that only the library's own presets and check pipelines use
 PIPELINE_NAMES = {"GLdGLNModule", "graded_regular_glN", "natural_gld", "trivial_gld", "OperatorFamily",
-                  "extract_coefficients", "coefficients_to_representation", "modules_equal_on_box"}
+                  "extract_coefficients", "coefficients_to_representation", "modules_equal"}
 
 
 def test_cli_only_parses_calls_the_library_and_prints():

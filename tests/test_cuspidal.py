@@ -22,7 +22,7 @@ from qtlie.cuspidal import (
     coefficients_to_representation,
     dump_module,
     extract_coefficients,
-    modules_equal_on_box,
+    modules_equal,
     standard_symbols,
     sym_central,
     sym_deg,
@@ -315,7 +315,27 @@ def test_tensor_field_action_frozen(e1, setup_e1):
 def test_functor_image_equals_tensor_field(e1, setup_e1):
     vw, rep, module = setup_e1
     tf = TensorFieldModule(e1, (0, 0), vw, box=3)
-    assert modules_equal_on_box(module, tf, 2)
+    assert modules_equal(module, tf)
+
+
+def test_modules_of_different_boxes_compare_equal(e1, setup_e1):
+    """The box only chooses the labels that a dump or an axiom check visits; no action table reads it."""
+    vw, rep, module = setup_e1
+    assert modules_equal(module, TensorFieldModule(e1, (0, 0), vw, box=0))
+    assert modules_equal(module, CuspidalModule(e1, (0, 0), rep, box=1))
+
+
+def test_table_comparison_is_the_blockwise_comparison_on_every_box(e1, setup_e1):
+    """Equal, a different alpha, one changed matrix entry: each verdict holds on box 0 and on box 2."""
+    vw, rep, module = setup_e1
+    action = {k: op.dense() for k, op in rep.action.items()}
+    action[("XD", (1, 0), 1)][0, 0] += e1.field.one
+    for other in (TensorFieldModule(e1, (0, 0), vw), TensorFieldModule(e1, (Fraction(1, 2), 0), vw),
+                  CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action))):
+        verdict = modules_equal(module, other)
+        for box in (0, 2):
+            assert verdict == all(module.block(sym, label) == other.block(sym, label)
+                                  for sym in standard_symbols(e1) for label in module.labels(box))
 
 
 def _regular_twice(spec):
@@ -332,7 +352,7 @@ def test_functor_image_equals_tensor_field_with_w_multiplicity_two(e1):
     vw = _regular_twice(e1)
     alpha = (Fraction(1, 3), 0)
     built = build_module(e1, alpha, pullback(e1, vw), box=1)
-    assert modules_equal_on_box(built, TensorFieldModule(e1, alpha, vw, box=1), 1)
+    assert modules_equal(built, TensorFieldModule(e1, alpha, vw, box=1))
 
 
 # sha256 of json.dumps(..., sort_keys=True) of rep_to_dict(pullback(e1, vw)) and of
@@ -469,7 +489,7 @@ def test_rho_runs_once_per_noncentral_symbol(e1, monkeypatch):
 def test_modules_differ_for_different_alpha(e1, setup_e1):
     vw, rep, module = setup_e1
     shifted = TensorFieldModule(e1, (Fraction(1, 2), 0), vw, box=3)
-    assert not modules_equal_on_box(module, shifted, 1)
+    assert not modules_equal(module, shifted)
 
 
 def test_modules_differ_for_corrupted_action(e1, setup_e1):
@@ -479,7 +499,7 @@ def test_modules_differ_for_corrupted_action(e1, setup_e1):
     key = ("XD", (1, 0), 1)
     action[key][0, 0] = action[key][0, 0] + e1.field.one
     broken = CuspidalModule(e1, (0, 0), GRepresentation(rep.space, action), box=3)
-    assert not modules_equal_on_box(module, broken, 1)
+    assert not modules_equal(module, broken)
 
 
 def test_modules_differ_for_regraded_w(e1, setup_e1):
@@ -498,7 +518,7 @@ def test_dimension_mismatch(e1, e2, setup_e1):
     small = GLdGLNModule(e1, trivial_gld(e1), wmats, wclasses)
     other = TensorFieldModule(e1, (0, 0), small, box=2)
     with pytest.raises(DimensionMismatch):
-        modules_equal_on_box(module, other, 1)
+        modules_equal(module, other)
 
 
 def test_alpha_of_the_wrong_length_is_a_dimension_mismatch(e1, setup_e1):
@@ -971,6 +991,6 @@ def test_rank_three_module(e3):
     rep = pullback(e3, vw)
     module = build_module(e3, (0, 0, 0), rep, box=1)
     tf = TensorFieldModule(e3, (0, 0, 0), vw, box=1)
-    assert modules_equal_on_box(module, tf, 1)
+    assert modules_equal(module, tf)
     report = verify_module_axioms(module, symbol_box=1, sample_count=20, seed=1)
     assert report.passed

@@ -393,8 +393,8 @@ def test_constructor_normalises_numerators_and_denominator():
 
 
 @pytest.mark.parametrize("num, den, error", [
-    ([1], 1, ValueError),  # wrong length for phi = 2
-    ([1, 2, 3], 1, ValueError),
+    ([1], 1, DimensionMismatch),  # wrong length for phi = 2
+    ([1, 2, 3], 1, DimensionMismatch),
     ([1, 0], 0, ZeroDivisionError),
     ([Fraction(1, 2), 0], 1, TypeError),
     ([1, 0], 2.0, TypeError),
@@ -405,7 +405,7 @@ def test_constructor_rejects_what_it_cannot_normalise(num, den, error):
 
 
 def test_element_rejects_wrong_length():
-    with pytest.raises(ValueError, match="expected 2 coefficients"):
+    with pytest.raises(DimensionMismatch, match="expected 2 coefficients"):
         make_field(3).element([1, 2, 3])
 
 

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 from qtlie import verify
-from qtlie.cuspidal import weight_multiplicities
+from qtlie.cuspidal import TensorFieldModule, weight_multiplicities
 from qtlie.derivations import bracket_witt
 from qtlie.jetalg import project_quotient
 from qtlie.matrices import ExactMatrix
@@ -93,6 +93,15 @@ def test_decompose_reports_the_recovered_dimensions(e1, monkeypatch):
     report = verify.suite_decompose(e1)
     assert not report.passed
     assert report.failures == [{"dims": [1, 4], "expected": [2, 4]}]
+
+
+def test_tensor_compare_reports_a_changed_tensor_field_table(e1, monkeypatch):
+    """Every inner symbol acting twice over in the tensor-field module: the tables differ."""
+    class_blocks = TensorFieldModule._class_blocks
+    monkeypatch.setattr(TensorFieldModule, "_class_blocks",
+                        lambda self, sym: class_blocks(self, sym).scale(2 if sym[0] == "inn" else 1))
+    report = verify.suite_tensor_compare(e1)
+    assert (report.cases, report.failures) == (1, [{"mismatch": "entrywise comparison failed"}])
 
 
 def test_cuspidality_reports_uneven_multiplicities(e1, monkeypatch):
