@@ -51,7 +51,6 @@ from .torus import (
     class_representatives,
     dump_torus,
     exp_add,
-    exp_sub,
     in_R,
 )
 
@@ -163,8 +162,8 @@ class _WeightModuleBase:
         self.alpha = _coerce_alpha(spec, alpha)
         self.space = space
         self.box = box
-        self._scalars = {}  # u -> {label: inner_product(u, weight_of(label))}
-        # symbol -> (GradedOperator, the label -> scalar cache of its u, None
+        self._scalars = {}  # u -> {class w: <u, alpha + w>}
+        # symbol -> (GradedOperator, the class -> scalar cache of its u, None
         # for a symbol without one); no caller mutates a returned block, so
         # one block serves every label of its class
         self._tables = {}
@@ -205,26 +204,34 @@ class _WeightModuleBase:
     def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
         """The action of `symbol` on the component at `label`: (target label, matrix).
 
-        None when the symbol kills the component.
+        None when the symbol kills the component.  A table block is nonzero
+        (``GradedOperator`` keeps no zero block), so only a block that a
+        weight scalar was added to can come out zero.  The weight scalar
+        <u, alpha + w + n'> is the cached <u, alpha + w> of the class plus
+        <u, n'> of the integer shift.
         """
-        fld = self.spec.field
         w, np = label
         table, scalars = self._entry(symbol)
         tw, mat = table.blocks.get(w, (w, None))
-        if scalars is not None:
+        if scalars is None:
+            e = symbol[1]
+        else:
             _, u, e = symbol
-            scalar = scalars.get(label)
+            scalar = scalars.get(w)
             if scalar is None:
-                scalar = scalars[label] = inner_product(fld, u, self.weight_of(label))
+                scalar = scalars[w] = inner_product(self.spec.field, u, [a + x for a, x in zip(self.alpha, w)])
+            for x, n in zip(u, np):
+                if n and not x.is_zero():
+                    scalar = scalar + x * n
             if not scalar.is_zero():
-                mat = ExactMatrix.zeros(fld, self.space.dims[w]) if mat is None else mat.copy()
+                mat = ExactMatrix.zeros(self.spec.field, self.space.dims[w]) if mat is None else mat.copy()
                 for i, row in enumerate(mat.data):
                     row[i] = row[i] + scalar
-        else:
-            e = symbol[1]
-        if mat is None or mat.is_zero():
+                if mat.is_zero():
+                    return None
+        if mat is None:
             return None
-        return (tw, exp_add(exp_add(np, e), exp_sub(w, tw))), mat
+        return (tw, tuple([n + x + y - z for n, x, y, z in zip(np, e, w, tw)])), mat
 
     def act(self, symbol, mvec: dict) -> dict:
         """Apply a symbol to a vector {label: column}; all-zero columns are dropped."""
@@ -341,7 +348,8 @@ def _symbol_pool(spec: TorusSpec, radius: int, rng: random.Random, count: int) -
 def _word_blocks(module, label: Label, words: list) -> dict:
     """Sum of c * s_1 s_2 ... s_k over the (c, (s_1, ..., s_k)) in `words`, on one label.
 
-    Returned as {target label: block}; the rightmost symbol of a word acts first.
+    Returned as {target label: block}; the rightmost symbol of a word acts
+    first.  A word with coefficient 1 or -1 is added or subtracted unscaled.
     """
     out = {}
     for coeff, word in words:
@@ -353,16 +361,22 @@ def _word_blocks(module, label: Label, words: list) -> dict:
             target, blk = res
             mat = blk if mat is None else blk * mat
         else:
-            mat = mat if coeff == 1 else mat.scale(coeff)
-            out[target] = out[target] + mat if target in out else mat
+            prev = out.get(target)
+            if coeff == -1:
+                out[target] = -mat if prev is None else prev - mat
+            else:
+                mat = mat if coeff == 1 else mat.scale(coeff)
+                out[target] = mat if prev is None else prev + mat
     return out
 
 
 def _first_nonzero_column(blocks: dict, width: int) -> int | None:
-    for j in range(width):
-        if any(not blk[i, j].is_zero() for blk in blocks.values() for i in range(blk.rows)):
-            return j
-    return None
+    """The least column that is nonzero in some block, None when every block is zero."""
+    first = width
+    for blk in blocks.values():
+        for row in blk.data:
+            first = next((j for j, x in enumerate(row[:first]) if not x.is_zero()), first)
+    return None if first == width else first
 
 
 def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int = 7) -> VerifyReport:

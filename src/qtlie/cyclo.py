@@ -244,40 +244,60 @@ class CycloNum:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        zero = self.field.zero
-        if o is zero:  # accumulators and zero entries start as the shared zero
+        field = self.field
+        if type(other) is not CycloNum or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        zero = field.zero
+        if other is zero:  # accumulators and zero entries start as the shared zero
             return self
         if self is zero:
-            return o
-        a, b, da, db = self.num, o.num, self.den, o.den
+            return other
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if len(a) == 1:  # phi = 1: one gcd on the one numerator
+            if da == db:
+                n = a[0] + b[0]
+            else:
+                n = a[0] * db + b[0] * da
+                da *= db
+            g = math.gcd(n, da)
+            return _make(field, (n // g,), da // g)
         if da == db:
-            num = [a[0] + b[0]] if len(a) == 1 else [x + y for x, y in zip(a, b)]
+            num = [x + y for x, y in zip(a, b)]
         else:
-            num = [a[0] * db + b[0] * da] if len(a) == 1 else [x * db + y * da for x, y in zip(a, b)]
+            num = [x * db + y * da for x, y in zip(a, b)]
             da *= db
-        return _reduced(self.field, num, da)
+        return _reduced(field, num, da)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        zero = self.field.zero
-        if o is zero:
+        field = self.field
+        if type(other) is not CycloNum or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        zero = field.zero
+        if other is zero:
             return self
         if self is zero:
-            return -o
-        a, b, da, db = self.num, o.num, self.den, o.den
+            return -other
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if len(a) == 1:  # phi = 1: one gcd on the one numerator
+            if da == db:
+                n = a[0] - b[0]
+            else:
+                n = a[0] * db - b[0] * da
+                da *= db
+            g = math.gcd(n, da)
+            return _make(field, (n // g,), da // g)
         if da == db:
-            num = [a[0] - b[0]] if len(a) == 1 else [x - y for x, y in zip(a, b)]
+            num = [x - y for x, y in zip(a, b)]
         else:
-            num = [a[0] * db - b[0] * da] if len(a) == 1 else [x * db - y * da for x, y in zip(a, b)]
+            num = [x * db - y * da for x, y in zip(a, b)]
             da *= db
-        return _reduced(self.field, num, da)
+        return _reduced(field, num, da)
 
     def __rsub__(self, other):
         o = self._coerce(other)

@@ -85,9 +85,12 @@ class _Combo:
         Structure constants are mostly integers, so every coefficient that is
         a rational integer is carried as a Python int: the unit is taken as 1
         by identity, any other coefficient is read through _plain, and int
-        products and sums stay ints.  Every product goes straight into one
-        dict; at the end each nonzero int becomes `one` or one canonical
-        CycloNum, and zeros are dropped, as in from_terms.
+        products and sums stay ints.  Where the coefficient of x, the
+        product of the two coefficients, or a key bracket's constant is the
+        int 1 or -1, the other factor is passed through or negated, with no
+        field multiplication.  Every product goes straight into one dict; at
+        the end each nonzero int becomes `one` or one canonical CycloNum, and
+        zeros are dropped, as in from_terms.
         """
         one = field.one
         tail = field.zero.num[1:]
@@ -97,16 +100,22 @@ class _Combo:
             y_terms = y.terms.items()
             for kx, cx in x.terms.items():
                 cx = 1 if cx is one else _plain(cx)
-                x_unit = type(cx) is int and cx == 1
+                x_sign = cx if type(cx) is int and (cx == 1 or cx == -1) else 0
                 for ky, cy in y_terms:
                     if cy is one:
-                        c, unit = cx, x_unit
+                        c, sign = cx, x_sign
                     else:
-                        c = _plain(cy) if x_unit else cx * _plain(cy)
-                        unit = type(c) is int and c == 1
+                        cy = _plain(cy)
+                        c = cy if x_sign == 1 else -cy if x_sign else cx * cy
+                        sign = c if type(c) is int and (c == 1 or c == -1) else 0
                     for key, coeff in key_bracket(kx, ky):
-                        if not unit:
-                            coeff = c * coeff
+                        if sign != 1:
+                            if sign:
+                                coeff = -coeff
+                            elif type(coeff) is int and (coeff == 1 or coeff == -1):
+                                coeff = c if coeff == 1 else -c
+                            else:
+                                coeff = c * coeff
                         acc = get(key)
                         terms[key] = coeff if acc is None else acc + coeff
         out = {}
@@ -399,7 +408,7 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
                     return ClosureReport(False, cases, (m, n))
         return ClosureReport(True, cases, None)
     if flavor != "quantum":
-        raise ValueError(f"unknown flavor {flavor!r}")
+        raise ParseError(f"unknown flavor {flavor!r}")
     B = spec.B
     central = [
         tuple(c * bi for c, bi in zip(cvec, B))

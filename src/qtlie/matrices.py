@@ -103,7 +103,9 @@ class ExactMatrix:
                                             for row in self.data], self.cols)
 
     def __neg__(self):
-        return self.scale(-1)
+        znum = self.field.zero.num
+        return ExactMatrix._of(self.field, [[a if a.num == znum else -a for a in row] for row in self.data],
+                               self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -111,15 +113,16 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         zero = self.field.zero
+        znum = zero.num  # an entry is zero when its numerators are: no method call per entry
         out = [[zero] * other.cols for _ in range(self.rows)]
         for i, row in enumerate(self.data):
             out_i = out[i]
             for k, a in enumerate(row):
-                if a.is_zero():
+                if a.num == znum:
                     continue
                 brow = other.data[k]
                 for j, b in enumerate(brow):
-                    if not b.is_zero():
+                    if b.num != znum:
                         out_i[j] = out_i[j] + a * b
         return ExactMatrix._of(self.field, out, other.cols)
 
@@ -144,7 +147,8 @@ class ExactMatrix:
         return ExactMatrix._of(self.field, [[row[j] for row in self.data] for j in range(self.cols)], self.rows)
 
     def is_zero(self):
-        return all(a.is_zero() for row in self.data for a in row)
+        znum = self.field.zero.num
+        return all(a.num == znum for row in self.data for a in row)
 
     def kron(self, other):
         """Kronecker product self (x) other."""

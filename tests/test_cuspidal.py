@@ -473,6 +473,69 @@ def test_block_reads_the_per_label_reference_block(fixture, construction, reques
             assert module.block(sym, label) == reference_block(module, sym, label), (sym, label)
 
 
+class _GivenTableModule(cuspidal._WeightModuleBase):
+    """A module whose shift-free class operators are given, one per symbol."""
+
+    def __init__(self, spec, alpha, space, tables):
+        super().__init__(spec, alpha, space, box=1)
+        self.tables = tables
+
+    def _class_blocks(self, symbol):
+        return self.tables[symbol]
+
+
+def test_block_drops_a_degree_block_that_its_weight_scalar_cancels(e1):
+    """T_w = -s I at the label where <u, alpha + w + n'> = s: the block is None; one period on it is 2 I."""
+    space = GradedSpace(e1, {c: 2 for c in class_representatives(e1)})
+    sym = sym_deg(e1, (1, 0), (0, 0))
+    w = (1, 1)
+    ident = ExactMatrix.identity(e1.field, 2)
+    cancel = ident.scale(Fraction(-3, 2))  # <(1, 0), (1/2, 0) + (1, 1)> = 3/2
+    module = _GivenTableModule(e1, (Fraction(1, 2), 0), space, {sym: GradedOperator(space, (0, 0), {w: cancel})})
+    assert module.block(sym, (w, (0, 0))) is None
+    shift = (e1.B[0], 0)
+    assert module.block(sym, (w, shift)) == ((w, shift), ident.scale(e1.B[0]))
+
+
+def test_block_of_an_absent_table_block_is_the_weight_scalar(e1):
+    """No table block at w: s I where <u, alpha + w + n'> = s is nonzero, None where it is zero."""
+    fld = e1.field
+    space = GradedSpace(e1, {c: 2 for c in class_representatives(e1)})
+    sym = sym_deg(e1, (1, 0), (0, 0))
+    for alpha in ((Fraction(1, 2), 0), (0, 0)):
+        module = _GivenTableModule(e1, alpha, space, {sym: GradedOperator(space, (0, 0), {})})
+        zero_labels = 0
+        for label in module.labels(1):
+            (w, np) = label
+            s = fld.from_rational(alpha[0] + w[0] + np[0])
+            zero_labels += s.is_zero()
+            want = None if s.is_zero() else (label, ExactMatrix.identity(fld, 2).scale(s))
+            assert module.block(sym, label) == want, label
+        assert zero_labels == (0 if alpha[0] else 6)
+
+
+@pytest.mark.parametrize("fixture", ["e1", "e2"])
+def test_weight_scalar_is_the_inner_product_with_the_weight_on_every_label(fixture, request):
+    """`block` adds <u, alpha + w> of the class plus <u, n'> of the shift: on every label of a box
+    this is <u, weight>, for a non-integer alpha and a non-unit u from bracket_symbols."""
+    spec = request.getfixturevalue(fixture)
+    fld, B = spec.field, spec.B
+    a = sym_deg(spec, (fld.root(1), Fraction(1, 3)), (B[0], 0))
+    b = sym_deg(spec, (1, 0), (0, B[1]))
+    ((_, sym),) = bracket_symbols(spec, a, b)
+    u = sym[1]
+    assert sym[0] == "deg" and all(not x.is_zero() for x in u)
+    assert any(not x.is_rational() for x in u) == (fld.phi > 1)
+    module = _both_constructions(spec, (Fraction(1, 3), Fraction(-5, 2)), 2)["cuspidal"]
+    table = module._entry(sym)[0]
+    for label in module.labels():
+        dim = module.space.dims[label[0]]
+        res = module.block(sym, label)
+        got = ExactMatrix.zeros(fld, dim) if res is None else res[1]
+        want = ExactMatrix.identity(fld, dim).scale(inner_product(fld, u, module.weight_of(label)))
+        assert got - table.block(label[0]) == want, label
+
+
 def test_rho_runs_once_per_noncentral_symbol(e1, monkeypatch):
     module = _both_constructions(e1, (0, 0), 2)["cuspidal"]
     calls = []

@@ -166,7 +166,7 @@ def test_solenoidal_closure(e1_wide):
     assert solenoidal_span_check(e1_wide, mu, "commutative", 2).closed
     with pytest.raises(NotGeneric):
         solenoidal_span_check(e1_wide, (1, 2), "quantum", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^unknown flavor 'sideways'$"):
         solenoidal_span_check(e1_wide, mu, "sideways", 1)
 
 
