@@ -137,54 +137,70 @@ def _required(args, option: str, alternative: str = ""):
     return value
 
 
-def cmd_module(args) -> int:
-    if args.action == "build":
-        spec = load_torus(_required(args, "spec"))
-        alpha = _alpha_from_arg(spec, args.alpha)
-        vw, rep = preset_pullback(spec, args.vw)
-        if args.tensor_field:
-            module = TensorFieldModule(spec, alpha, vw, box=args.box)
-        else:
-            module = build_module(spec, alpha, rep, box=args.box)
-        payload = dump_module(module, args.box)
-        if args.out:
-            _write(args.out, _pretty(payload))
-            print(f"wrote module dump to {args.out}")
-        else:
-            print(json.dumps(payload, sort_keys=True))
-        return 0
-    if args.action == "verify":
-        spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
-        report = verify_representation(spec, rep, args.degree)
-        print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
-              f"({report.cases} pairs)")
-        if not report.passed:
-            print(f"first failure: {report.first_failure}")
-            return 1
-        return 0
-    if args.action == "decompose":
-        spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
-        vw, _phi = decompose_tensor(spec, rep, seed=args.seed)
-        print(f"factors: dim V = {vw.dim_V}, dim W = {vw.dim_W}")
-        if args.out:
-            _write(args.out, _pretty(rep_to_dict(pullback(spec, vw))))
-            print(f"wrote factored representation to {args.out}")
-        return 0
-    if args.action == "roundtrip":
-        spec = load_torus(_required(args, "spec"))
-        ok = roundtrip_holds(spec, _alpha_from_arg(spec, args.alpha), preset_pullback(spec, args.vw),
-                             args.degree)
-        print(f"roundtrip: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
-    if args.action == "compare":
-        if args.dump_a and args.dump_b:
-            ok = _read_json(args.dump_a) == _read_json(args.dump_b)
-        else:
-            spec = load_torus(_required(args, "spec", " (or both --dump-a and --dump-b)"))
-            ok = constructions_agree(preset_pullback(spec, args.vw))
-        print(f"compare: {'EQUAL' if ok else 'DIFFERENT'}")
-        return 0 if ok else 1
-    raise ParseError(f"unknown module action {args.action!r}")
+def cmd_module_build(args) -> int:
+    spec = load_torus(_required(args, "spec"))
+    alpha = _alpha_from_arg(spec, args.alpha)
+    vw, rep = preset_pullback(spec, args.vw)
+    if args.tensor_field:
+        module = TensorFieldModule(spec, alpha, vw, box=args.box)
+    else:
+        module = build_module(spec, alpha, rep, box=args.box)
+    payload = dump_module(module, args.box)
+    if args.out:
+        _write(args.out, _pretty(payload))
+        print(f"wrote module dump to {args.out}")
+    else:
+        print(json.dumps(payload, sort_keys=True))
+    return 0
+
+
+def cmd_module_verify(args) -> int:
+    spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
+    report = verify_representation(spec, rep, args.degree)
+    print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
+          f"({report.cases} pairs)")
+    if not report.passed:
+        print(f"first failure: {report.first_failure}")
+        return 1
+    return 0
+
+
+def cmd_module_decompose(args) -> int:
+    spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
+    vw, _phi = decompose_tensor(spec, rep, seed=args.seed)
+    print(f"factors: dim V = {vw.dim_V}, dim W = {vw.dim_W}")
+    if args.out:
+        _write(args.out, _pretty(rep_to_dict(pullback(spec, vw))))
+        print(f"wrote factored representation to {args.out}")
+    return 0
+
+
+def cmd_module_roundtrip(args) -> int:
+    spec = load_torus(_required(args, "spec"))
+    ok = roundtrip_holds(spec, _alpha_from_arg(spec, args.alpha), preset_pullback(spec, args.vw),
+                         args.degree)
+    print(f"roundtrip: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
+def cmd_module_compare(args) -> int:
+    if args.dump_a and args.dump_b:
+        ok = _read_json(args.dump_a) == _read_json(args.dump_b)
+    else:
+        spec = load_torus(_required(args, "spec", " (or both --dump-a and --dump-b)"))
+        ok = constructions_agree(preset_pullback(spec, args.vw))
+    print(f"compare: {'EQUAL' if ok else 'DIFFERENT'}")
+    return 0 if ok else 1
+
+
+# module action -> (command, the options it reads); any other option is an argparse error
+_MODULE_ACTIONS = {
+    "build": (cmd_module_build, ("--spec", "--alpha", "--vw", "--tensor-field", "--box", "--out")),
+    "verify": (cmd_module_verify, ("--rep", "--degree")),
+    "decompose": (cmd_module_decompose, ("--rep", "--seed", "--out")),
+    "roundtrip": (cmd_module_roundtrip, ("--spec", "--alpha", "--vw", "--degree")),
+    "compare": (cmd_module_compare, ("--spec", "--vw", "--dump-a", "--dump-b")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,25 +244,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out")
     p_export.set_defaults(fn=cmd_export)
 
+    module_options = {
+        "--spec": {},
+        "--rep": {"help": "representation file"},
+        "--alpha": {"help": "comma-separated weight offset"},
+        "--vw": {"default": "natural-regular", "help": "module preset: natural-regular or trivial-regular"},
+        "--tensor-field": {"action": "store_true", "help": "build the closed-form tensor-field module"},
+        "--box": {"type": _size, "default": 2},
+        "--degree": {"type": _size,
+                     "help": "total-degree bound of the operator families (roundtrip, default 3);"
+                             " filtration-degree bound of the bracket check (verify, default the cutoff)"},
+        "--seed": {"type": int, "default": 1},
+        "--out": {},
+        "--dump-a": {},
+        "--dump-b": {},
+    }
     p_module = sub.add_parser("module", help="module operations")
-    p_module.add_argument("action",
-                          choices=["build", "verify", "decompose", "roundtrip", "compare"])
-    p_module.add_argument("--spec")
-    p_module.add_argument("--rep", help="representation file (verify/decompose)")
-    p_module.add_argument("--alpha", help="comma-separated weight offset")
-    p_module.add_argument("--vw", default="natural-regular",
-                          help="module preset: natural-regular or trivial-regular")
-    p_module.add_argument("--tensor-field", action="store_true",
-                          help="build the closed-form tensor-field module")
-    p_module.add_argument("--box", type=_size, default=2)
-    p_module.add_argument("--degree", type=_size,
-                          help="total-degree bound of the operator families (roundtrip, default 3);"
-                               " filtration-degree bound of the bracket check (verify, default the cutoff)")
-    p_module.add_argument("--seed", type=int, default=1)
-    p_module.add_argument("--out")
-    p_module.add_argument("--dump-a")
-    p_module.add_argument("--dump-b")
-    p_module.set_defaults(fn=cmd_module)
+    module_sub = p_module.add_subparsers(dest="action", required=True)
+    for action, (fn, options) in _MODULE_ACTIONS.items():
+        p_action = module_sub.add_parser(action)
+        for option in options:
+            p_action.add_argument(option, **module_options[option])
+        p_action.set_defaults(fn=fn)
     return parser
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextvars import ContextVar
 from functools import cache, partial
 
 from . import derivations, jetalg
@@ -21,13 +22,13 @@ from .cuspidal import (
 )
 from .derivations import (
     DElement,
+    WdElement,
+    _plain,
     bracket_d,
     bracket_witt,
     deriv,
     deriv_along,
     derivations_to_witt,
-    inner,
-    witt,
 )
 from .errors import NotIrreducible, ParseError
 from .jetalg import (
@@ -102,35 +103,45 @@ def suite_xmatrix_identity(spec: TorusSpec, box: int | None = None) -> Verificat
     return VerificationReport("xmatrix-identity", cases, failures)
 
 
-def _random_d_basis(spec: TorusSpec, rng: random.Random, box: int) -> DElement:
+def _random_d_basis(spec: TorusSpec, rng: random.Random, box: int) -> tuple:
+    """A random basis key of the derivation algebra, valid by construction."""
     B = spec.B
     if not spec.z or rng.random() < 0.5:  # a commutative torus has no inner derivations
         m = tuple(rng.randint(-max(box // b, 1), max(box // b, 1)) * b for b in B)
-        return deriv(spec, rng.randint(1, spec.d), m)
+        return ("d", rng.randint(1, spec.d), m)
     while True:
         s = tuple(rng.randint(-box, box) for _ in range(spec.d))
         if not in_R(spec, s):
-            return inner(spec, s)
+            return ("t", s)
 
 
-def _with_inner_brackets(bracket, triples):
-    """Each triple (a, b, c) as a Jacobi case, with [a,b], [b,c], [c,a] from `bracket`."""
-    for a, b, c in triples:
-        yield (a, b, c), (bracket(a, b), bracket(b, c), bracket(c, a))
+def _jacobi_sum(key_bracket, inner, a, b, c) -> dict:
+    """key -> coefficient of [[a,b],c] + [[b,c],a] + [[c,a],b] for basis keys
+    a, b, c, zero coefficients kept.
 
-
-def _first_jacobi_failure(key_bracket, cases):
-    """(index, (a, b, c)) of the first case whose Jacobi sum is nonzero, or None.
-
-    A case is a triple with its inner brackets, ((a, b, c), ([a,b], [b,c], [c,a])).
-    One bracket_sum over the key bracket gives the outer brackets and the sum
-    [[a,b],c] + [[b,c],a] + [[c,a],b].  The cases are drawn lazily, so a seeded
-    generator stops at the failure.
+    inner(x, y) yields the (key, coefficient) terms of [x, y]; each term is
+    bracketed with the third key through key_bracket, and every product goes
+    into one dict.  Coefficients are ints or CycloNums, and int products and
+    sums stay ints, as in bracket_sum.
     """
-    for idx, ((a, b, c), (ab, bc, ca)) in enumerate(cases):
-        total = type(a).bracket_sum(a.field, ((ab, c), (bc, a), (ca, b)), key_bracket)
-        if not total.is_zero():
-            return idx, (a, b, c)
+    terms = {}
+    get = terms.get
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for k, c1 in inner(x, y):
+            for key, c2 in key_bracket(k, z):
+                acc = get(key)
+                terms[key] = c1 * c2 if acc is None else acc + c1 * c2
+    return terms
+
+
+def _first_jacobi_failure(key_bracket, inner, triples):
+    """(index, (a, b, c)) of the first triple of basis keys whose Jacobi sum
+    (_jacobi_sum) is nonzero, or None.  The triples are drawn lazily, so a
+    seeded generator stops at the failure."""
+    for idx, (a, b, c) in enumerate(triples):
+        for coeff in _jacobi_sum(key_bracket, inner, a, b, c).values():
+            if coeff if type(coeff) is int else not coeff.is_zero():
+                return idx, (a, b, c)
     return None
 
 
@@ -138,10 +149,10 @@ def suite_jacobi_derivations(spec: TorusSpec, triples: int = 200, seed: int = 11
                              box: int = 4) -> VerificationReport:
     """Jacobi identity for the derivation-algebra bracket on random basis triples."""
     rng = random.Random(seed)
-    found = _first_jacobi_failure(partial(derivations._bracket_d_keys, spec), _with_inner_brackets(
-        partial(bracket_d, spec),
-        (tuple(_random_d_basis(spec, rng, box) for _ in range(3)) for _ in range(triples))))
-    failures = [] if found is None else [{"triple": [str(x) for x in found[1]], "index": found[0]}]
+    key_bracket = partial(derivations._bracket_d_keys, spec)
+    found = _first_jacobi_failure(key_bracket, key_bracket, (
+        tuple(_random_d_basis(spec, rng, box) for _ in range(3)) for _ in range(triples)))
+    failures = [] if found is None else [{"triple": list(map(DElement._fmt, found[1])), "index": found[0]}]
     return VerificationReport("jacobi-derivations", triples, failures)
 
 
@@ -150,13 +161,13 @@ def suite_jacobi_witt(spec: TorusSpec, triples: int = 200, seed: int = 13,
     """Jacobi identity for the Witt-algebra bracket on random basis triples."""
     rng = random.Random(seed)
 
-    def rand_basis():
-        return witt(spec.field, rng.randint(1, spec.d),
-                    tuple(rng.randint(-box, box) for _ in range(spec.d)))
+    def rand_key():
+        return rng.randint(1, spec.d), tuple(rng.randint(-box, box) for _ in range(spec.d))
 
-    found = _first_jacobi_failure(derivations._bracket_witt_keys, _with_inner_brackets(
-        bracket_witt, ((rand_basis(), rand_basis(), rand_basis()) for _ in range(triples))))
-    failures = [] if found is None else [{"triple": [str(x) for x in found[1]], "index": found[0]}]
+    key_bracket = derivations._bracket_witt_keys
+    found = _first_jacobi_failure(key_bracket, key_bracket,
+                                  ((rand_key(), rand_key(), rand_key()) for _ in range(triples)))
+    failures = [] if found is None else [{"triple": list(map(WdElement._fmt, found[1])), "index": found[0]}]
     return VerificationReport("jacobi-witt", triples, failures)
 
 
@@ -167,42 +178,39 @@ def suite_jacobi_jets(spec: TorusSpec, max_total: int = 3, sample: int | None = 
     Exhaustive over unordered triples of canonical basis symbols with
     polynomial exponents of total degree <= max_total when `sample` is None;
     otherwise a seeded random sample of that many triples (with random
-    representative shifts exercising raw torus indices).
+    representative shifts exercising raw torus indices).  The inner brackets
+    go through bracket_jets on one-term elements, the outer ones through the
+    key bracket.
     """
     keys = [k for k in canonical_keys(spec, max_total) if sum(k[1]) <= max_total]
+    fld = spec.field
 
-    def elem(key):
-        return JetElement(spec.field, {key: spec.field.one})
+    def inner(x, y):  # the terms of [x, y], rational-integer coefficients as ints
+        xy = bracket_jets(spec, JetElement._of(fld, {x: fld.one}), JetElement._of(fld, {y: fld.one}))
+        return [(key, _plain(c)) for key, c in xy.terms.items()]
 
     if sample is None:
-        elems = [elem(k) for k in keys]
-        n = len(elems)
-
-        @cache
-        def pair(x, y):  # [e_x, e_y]; each ordered pair is bracketed once
-            return bracket_jets(spec, elems[x], elems[y])
-
+        n = len(keys)
         total = n * (n - 1) * (n - 2) // 6
-        cases = (((elems[i], elems[j], elems[k]), (pair(i, j), pair(j, k), pair(k, i)))
-                 for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+        inner = cache(inner)  # each ordered pair is bracketed once
+        triples = ((keys[i], keys[j], keys[k]) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
     else:
         rng = random.Random(seed)
         B = spec.B
 
-        def rand_elem():
+        def rand_key():
             key = keys[rng.randrange(len(keys))]
             if key[0] == "XT" and rng.random() < 0.5:
                 shift = tuple(rng.randint(-1, 1) * b for b in B)
-                return xt(spec, key[1], tuple(a + b for a, b in zip(key[2], shift)))
-            return elem(key)
+                return ("XT", key[1], tuple(a + b for a, b in zip(key[2], shift)))
+            return key
 
         total = sample
-        cases = _with_inner_brackets(partial(bracket_jets, spec),
-                                     ((rand_elem(), rand_elem(), rand_elem()) for _ in range(sample)))
-    found = _first_jacobi_failure(partial(jetalg._bracket_jet_keys, spec), cases)
+        triples = ((rand_key(), rand_key(), rand_key()) for _ in range(sample))
+    found = _first_jacobi_failure(partial(jetalg._bracket_jet_keys, spec), inner, triples)
     if found is None:
         return VerificationReport("jacobi-jets", total, [])
-    return VerificationReport("jacobi-jets", found[0] + 1, [{"triple": [str(x) for x in found[1]]}])
+    return VerificationReport("jacobi-jets", found[0] + 1, [{"triple": list(map(key_to_string, found[1]))}])
 
 
 def suite_witt_embedding(spec: TorusSpec, pairs: int = 100, seed: int = 19,
@@ -273,10 +281,26 @@ def suite_span_filtration(spec: TorusSpec, max_degree: int = 3) -> VerificationR
     return VerificationReport("span-filtration", len(dims), failures)
 
 
+# spec -> the natural-regular (vw, pullback) pair, one dict per run_suites call
+_RUN_PULLBACKS: ContextVar[dict | None] = ContextVar("_RUN_PULLBACKS", default=None)
+
+
+def _pullback(spec: TorusSpec):
+    """preset_pullback(spec); inside run_suites the pair is built once and
+    shared by every suite of the call, so its checks are made once too."""
+    shared = _RUN_PULLBACKS.get()
+    if shared is None:
+        return preset_pullback(spec)
+    pair = shared.get(spec)
+    if pair is None:
+        pair = shared[spec] = preset_pullback(spec)
+    return pair
+
+
 def suite_annihilation(spec: TorusSpec) -> VerificationReport:
     """Quotient-pair pullbacks are killed by every positive-degree symbol."""
     failures = []
-    _, rep = preset_pullback(spec)
+    _, rep = _pullback(spec)
     cases = 1
     if rep.cutoff != 1:
         failures.append({"annihilation_degree": rep.cutoff, "expected": 1})
@@ -298,7 +322,7 @@ def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
                   seed: int = 23) -> VerificationReport:
     """The weight module built from a pullback satisfies the bracket axioms."""
     alpha = (0,) * spec.d
-    _, rep = preset_pullback(spec)
+    _, rep = _pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     report = verify_module_axioms(module, symbol_box=box, sample_count=pairs, seed=seed)
     failures = [] if report.passed else [{"failure": report.first_failure}]
@@ -307,21 +331,21 @@ def suite_functor(spec: TorusSpec, box: int = 3, pairs: int = 100,
 
 def suite_tensor_compare(spec: TorusSpec) -> VerificationReport:
     """Functor image of a pullback equals the closed-form tensor-field module."""
-    equal = constructions_agree(preset_pullback(spec))
+    equal = constructions_agree(_pullback(spec))
     failures = [] if equal else [{"mismatch": "entrywise comparison failed"}]
     return VerificationReport("tensor-compare", 1, failures)
 
 
 def suite_roundtrip(spec: TorusSpec, degree_bound: int | None = None) -> VerificationReport:
     """Extraction then reassembly reproduces the representation exactly."""
-    ok = roundtrip_holds(spec, (0,) * spec.d, preset_pullback(spec), degree_bound)
+    ok = roundtrip_holds(spec, (0,) * spec.d, _pullback(spec), degree_bound)
     failures = [] if ok else [{"mismatch": "reassembled representation differs"}]
     return VerificationReport("roundtrip", 1, failures)
 
 
 def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
     """Recover tensor factors from a scrambled pullback, with an exact isomorphism."""
-    vw, rep = preset_pullback(spec)
+    vw, rep = _pullback(spec)
     scrambled = scramble_representation(rep, seed=seed)
     failures = []
     cases = 3
@@ -338,7 +362,7 @@ def suite_decompose(spec: TorusSpec, seed: int = 5) -> VerificationReport:
 def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
     """Weight multiplicities are uniform and equal dim V times the W class bound."""
     alpha = (0,) * spec.d
-    vw, rep = preset_pullback(spec)
+    vw, rep = _pullback(spec)
     module = build_module(spec, alpha, rep, box=box)
     mults, bound = weight_multiplicities(module, box)
     expected = vw.dim_V * max(vw.W_space.dims.values())
@@ -374,7 +398,8 @@ def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None):
 
     Every name is checked before any suite runs.  The suites then run lazily:
     the iterator yields each report, timed into its wall_time, as soon as its
-    suite returns.
+    suite returns.  The module suites of one call share one standard pullback
+    (_pullback), built by the first of them.
     """
     if names == ["all"]:
         names = list(SUITES)
@@ -383,13 +408,18 @@ def run_suites(spec: TorusSpec, names: list[str], config: dict | None = None):
     for name in names:
         if name not in SUITES:
             raise ParseError(f"unknown suite {name!r}")
-    return (_timed(spec, *SUITES[name], config or {}) for name in names)
+    shared = {}
+    return (_timed(spec, *SUITES[name], config or {}, shared) for name in names)
 
 
-def _timed(spec: TorusSpec, suite, params: dict, config: dict) -> VerificationReport:
-    start = time.perf_counter()
-    report = suite(spec, **{param: config[key] for key, param in params.items() if key in config})
-    report.wall_time = time.perf_counter() - start
+def _timed(spec: TorusSpec, suite, params: dict, config: dict, shared: dict) -> VerificationReport:
+    token = _RUN_PULLBACKS.set(shared)
+    try:
+        start = time.perf_counter()
+        report = suite(spec, **{param: config[key] for key, param in params.items() if key in config})
+        report.wall_time = time.perf_counter() - start
+    finally:
+        _RUN_PULLBACKS.reset(token)
     return report
 
 

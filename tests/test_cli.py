@@ -165,9 +165,23 @@ def test_module_build_and_compare(spec_file, tmp_path, capsys):
 
 
 def test_module_compare_built_in(spec_file, capsys):
-    rc = main(["module", "compare", "--spec", spec_file, "--alpha", "0,0", "--box", "2"])
+    rc = main(["module", "compare", "--spec", spec_file])
     assert rc == 0
     assert "EQUAL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--spec", str(SPECS / "e1.json"), "--alpha", "1,2,3"],
+    ["verify", "--rep", "r.json", "--box", "9"],
+    ["verify", "--rep", "r.json", "--alpha", "1,2,3"],
+    ["decompose", "--rep", "r.json", "--vw", "trivial-regular"],
+    ["roundtrip", "--spec", str(SPECS / "e1.json"), "--box", "2"],
+    ["build", "--spec", str(SPECS / "e1.json"), "--dump-a", "a.json"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2].strip('-')}")
+def test_an_option_that_its_module_action_does_not_read_is_a_config_error(argv, capsys):
+    assert main(["module", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err and "Traceback" not in err
 
 
 def test_module_roundtrip(spec_file, capsys):
@@ -229,7 +243,7 @@ def test_module_actions_on_the_trivial_regular_preset(spec, alpha, tmp_path, cap
     assert main(["module", "build", *common, "--out", str(dump)]) == 0
     assert {w["dim"] for w in json.loads(dump.read_text())["weights"]} == {1}
     assert main(["module", "roundtrip", *common]) == 0
-    assert main(["module", "compare", *common]) == 0
+    assert main(["module", "compare", "--spec", str(SPECS / f"{spec}.json"), "--vw", "trivial-regular"]) == 0
     out = capsys.readouterr().out
     assert "roundtrip: PASS" in out and "EQUAL" in out
 

@@ -442,3 +442,156 @@ def test_sampled_jet_suite_brackets_each_triple_three_times(e2, monkeypatch):
     monkeypatch.setattr(verify, "bracket_jets", counted)
     assert verify.suite_jacobi_jets(e2, 3, sample=100).passed
     assert len(calls) == 300
+
+
+# The key-level Jacobi sum of the four Jacobi suites (verify._jacobi_sum)
+# against the outer brackets built with reference_bracket, with the right key
+# brackets and with the wrong-sign ones of tests/test_bracket_checks.py.
+
+def _wrong_witt_sign(a, b):
+    """[x^m x_i d_i, x^n x_j d_j] keeping the sign its second term should lose."""
+    i, m = a
+    j, n = b
+    mn = exp_add(m, n)
+    if n[i - 1]:
+        yield (j, mn), n[i - 1]
+    if m[j - 1]:
+        yield (i, mn), m[j - 1]
+
+
+def _wrong_d_sign(spec, a, b):
+    """[t^m d_i, t^n d_j] keeping the sign its second term should lose."""
+    if a[0] == "d" and b[0] == "d":
+        _, i, m = a
+        _, j, n = b
+        mn = exp_add(m, n)
+        if n[i - 1]:
+            yield ("d", j, mn), n[i - 1]
+        if m[j - 1]:
+            yield ("d", i, mn), m[j - 1]
+    else:
+        yield from derivations._bracket_d_keys(spec, a, b)
+
+
+def _wrong_jet_sign(spec, ka, kb):
+    """[x^m d_a, x^l tb^s] with the wrong sign on its l_a term."""
+    if ka[0] == "XD" and kb[0] == "XT":
+        _, m, a = ka
+        _, l, s = kb
+        ml = exp_add(m, l)
+        if l[a - 1]:
+            yield ("XT", jetalg._minus_unit(ml, a - 1), s), -l[a - 1]
+        if s[a - 1]:
+            yield ("XT", ml, s), s[a - 1]
+    else:
+        yield from jetalg._bracket_jet_keys(spec, ka, kb)
+
+
+WRONG_SIGN = {"d": lambda spec: partial(_wrong_d_sign, spec),
+              "witt": lambda spec: _wrong_witt_sign,
+              "jets": lambda spec: partial(_wrong_jet_sign, spec)}
+
+
+def _nonzero(terms, fld):
+    """The nonzero coefficients of a _jacobi_sum result, as field elements."""
+    return {key: fld.coerce(c) for key, c in terms.items() if (c if type(c) is int else not c.is_zero())}
+
+
+def _reference_jacobi(cls, fld, key_bracket, a, b, c):
+    x, y, z = (cls._term(fld, key, 1) for key in (a, b, c))
+    total = cls(fld)
+    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+        total = total + reference_bracket(reference_bracket(p, q, key_bracket), r, key_bracket)
+    return total
+
+
+def _inners(cls, fld, key_bracket):
+    """The inner brackets as key-bracket terms, and as one-term elements bracketed (CycloNum terms)."""
+    return (key_bracket,
+            lambda x, y: cls._term(fld, x, 1).bracket(cls._term(fld, y, 1), key_bracket).terms.items())
+
+
+@pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
+@pytest.mark.parametrize("name", ["d", "witt", "jets"])
+@given(data=st.data())
+def test_the_key_level_jacobi_sum_is_the_sum_of_the_outer_brackets(spec, name, data):
+    fld = spec.field
+    cls, right, keys = _algebra(spec, name)
+    a, b, c = data.draw(st.tuples(keys, keys, keys))
+    for key_bracket in (right, WRONG_SIGN[name](spec)):
+        want = _reference_jacobi(cls, fld, key_bracket, a, b, c).terms
+        for inner in _inners(cls, fld, key_bracket):
+            assert _nonzero(verify._jacobi_sum(key_bracket, inner, a, b, c), fld) == want
+        if key_bracket is right:
+            assert want == {}
+
+
+# the witness triples of tests/test_bracket_checks.py, whose sums are nonzero under the wrong signs
+WITNESSES = {"d": ("D(2;-2,4)", "D(2;4,-4)", "D(1;0,2)"),
+             "witt": ("W(2;0,-2)", "W(1;-2,-1)", "W(1;-2,-3)"),
+             "jets": ("XD(1,2;1)", "XD(2,0;2)", "XT(3,0;2,1)")}
+
+
+@pytest.mark.parametrize("name", ["d", "witt", "jets"])
+def test_a_wrong_sign_gives_the_reference_nonzero_jacobi_sum(e1, name):
+    fld = e1.field
+    cls, _, _ = _algebra(e1, name)
+    key_bracket = WRONG_SIGN[name](e1)
+    ctx = e1.d if cls is jetalg.JetElement else e1
+    a, b, c = (cls._key(ctx, text) for text in WITNESSES[name])
+    want = _reference_jacobi(cls, fld, key_bracket, a, b, c).terms
+    assert want != {}
+    for inner in _inners(cls, fld, key_bracket):
+        assert _nonzero(verify._jacobi_sum(key_bracket, inner, a, b, c), fld) == want
+
+
+@pytest.fixture
+def validated_keys(monkeypatch):
+    """Wraps the three key brackets so that every key they are given must pass
+    its algebra's validator unchanged; returns the keys seen, per algebra."""
+    seen = {"d": [], "witt": [], "jets": []}
+    # algebra -> (module, key bracket, element class, validator context from the bracket's arguments)
+    brackets = {"d": (derivations, "_bracket_d_keys", DElement, lambda args: args[0]),
+                "witt": (derivations, "_bracket_witt_keys", WdElement, lambda args: None),
+                "jets": (jetalg, "_bracket_jet_keys", jetalg.JetElement, lambda args: args[0].d)}
+    for name, (module, attr, cls, context) in brackets.items():
+        def checked(*args, bracket=getattr(module, attr), cls=cls, context=context, keys=seen[name]):
+            for key in args[-2:]:
+                tag, body = cls._symbol(key)
+                assert cls._SYMBOLS[tag][1](context(args), *body) == key, key
+                keys.append(key)
+            return bracket(*args)
+
+        monkeypatch.setattr(module, attr, checked)
+    return seen
+
+
+@pytest.mark.parametrize("fixture", ["e2", "commutative"])
+def test_drawn_derivation_keys_pass_their_validators_unchanged(fixture, request, validated_keys):
+    spec = request.getfixturevalue(fixture)
+    assert suite_jacobi_derivations(spec, triples=100).passed
+    kinds = {key[0] for key in validated_keys["d"]}
+    assert kinds == ({"d", "t"} if spec.z else {"d"})
+
+
+def test_drawn_witt_keys_pass_their_validators_unchanged(e2, validated_keys):
+    assert suite_jacobi_witt(e2, triples=100).passed
+    assert validated_keys["witt"]
+
+
+def test_drawn_jet_keys_pass_their_validators_unchanged(e2, validated_keys):
+    assert verify.suite_jacobi_jets(e2, 3, sample=100).passed
+    raw = [key for key in validated_keys["jets"] if key[0] == "XT" and canonical_rep(e2, key[2]) != key[2]]
+    assert raw  # raw-shifted torus indices were drawn
+
+
+def test_derivation_and_witt_suites_build_no_elements(e2, monkeypatch):
+    def unused(*args):
+        raise AssertionError("the Jacobi suites bracket keys, not elements")
+
+    for module in (derivations, verify):
+        monkeypatch.setattr(module, "bracket_d", unused)
+        monkeypatch.setattr(module, "bracket_witt", unused)
+    monkeypatch.setattr(derivations._Combo, "bracket_sum", classmethod(unused))
+    assert suite_jacobi_derivations(e2, triples=100).passed
+    assert suite_jacobi_witt(e2, triples=100).passed

@@ -35,6 +35,24 @@ def test_present_config_keys_reach_the_suite_and_others_are_ignored(e1):
     assert report.cases == 3 and report.passed
 
 
+def test_a_run_builds_the_standard_pullback_once(commutative, monkeypatch):
+    """The six module suites of one run_suites call share one (V, W) pair and
+    its pullback; each call builds its own, and so does a suite run alone."""
+    calls = []
+
+    def counted(spec, name="natural-regular"):
+        calls.append((spec, name))
+        return preset_pullback(spec, name)
+
+    monkeypatch.setattr(verify, "preset_pullback", counted)
+    reports = {r.suite: r.to_dict() for r in run_suites(commutative, ["all"])}
+    assert calls == [(commutative, "natural-regular")]
+    again = [r.to_dict() for r in run_suites(commutative, ["functor", "cuspidality"])]
+    assert again == [reports["functor-axioms"], reports["cuspidality"]] and len(calls) == 2
+    alone = {r.suite: r.to_dict() for r in (suite(commutative) for suite, _ in SUITES.values())}
+    assert alone == reports and len(calls) == 2 + 6
+
+
 # ---------------------------------------------------------------------------
 # failure records: each suite, with one function it calls broken, fails and names the failure
 # ---------------------------------------------------------------------------
