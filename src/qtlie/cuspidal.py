@@ -163,9 +163,11 @@ class _WeightModuleBase:
         self.space = space
         self.box = box
         self._scalars = {}  # u -> {class w: <u, alpha + w>}
-        # symbol -> (GradedOperator, the class -> scalar cache of its u, None
-        # for a symbol without one); no caller mutates a returned block, so
-        # one block serves every label of its class
+        # symbol -> (GradedOperator, the class -> scalar cache of its u, the
+        # blocks built from a weight scalar; None and None for a symbol
+        # without one); no caller mutates a returned block, so one block
+        # serves every label of its class, and one shifted block every label
+        # of its class with the same weight scalar
         self._tables = {}
 
     def labels(self, box: int | None = None) -> list[Label]:
@@ -190,15 +192,16 @@ class _WeightModuleBase:
         """
         raise NotImplementedError
 
-    def _entry(self, symbol) -> tuple[GradedOperator, dict | None]:
-        """The action table of `symbol` and the weight-scalar cache of a degree
-        symbol, shared by every symbol with its u; built on first use, so that
-        a call hashes the symbol once.  The center acts by identities."""
+    def _entry(self, symbol) -> tuple[GradedOperator, dict | None, dict | None]:
+        """The action table of `symbol`, and for a degree symbol the weight-scalar
+        cache shared by every symbol with its u and the symbol's own blocks
+        {(class, weight scalar): block or None}; built on first use, so that a
+        call hashes the symbol once.  The center acts by identities."""
         entry = self._tables.get(symbol)
         if entry is None:
             table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
             scalars = self._scalars.setdefault(symbol[1], {}) if symbol[0] == "deg" else None
-            entry = self._tables[symbol] = (table, scalars)
+            entry = self._tables[symbol] = (table, scalars, None if scalars is None else {})
         return entry
 
     def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
@@ -208,10 +211,11 @@ class _WeightModuleBase:
         (``GradedOperator`` keeps no zero block), so only a block that a
         weight scalar was added to can come out zero.  The weight scalar
         <u, alpha + w + n'> is the cached <u, alpha + w> of the class plus
-        <u, n'> of the integer shift.
+        <u, n'> of the integer shift.  The block it gives is built once per
+        class and scalar, so labels with equal scalars get one object.
         """
         w, np = label
-        table, scalars = self._entry(symbol)
+        table, scalars, shifted = self._entry(symbol)
         tw, mat = table.blocks.get(w, (w, None))
         if scalars is None:
             e = symbol[1]
@@ -224,11 +228,14 @@ class _WeightModuleBase:
                 if n and not x.is_zero():
                     scalar = scalar + x * n
             if not scalar.is_zero():
-                mat = ExactMatrix.zeros(self.spec.field, self.space.dims[w]) if mat is None else mat.copy()
-                for i, row in enumerate(mat.data):
-                    row[i] = row[i] + scalar
-                if mat.is_zero():
-                    return None
+                key = (w, scalar.num, scalar.den)  # the canonical form: cheaper to hash than the CycloNum
+                if key in shifted:
+                    mat = shifted[key]
+                else:
+                    mat = ExactMatrix.zeros(self.spec.field, self.space.dims[w]) if mat is None else mat.copy()
+                    for i, row in enumerate(mat.data):
+                        row[i] = row[i] + scalar
+                    mat = shifted[key] = None if mat.is_zero() else mat
         if mat is None:
             return None
         return (tw, tuple([n + x + y - z for n, x, y, z in zip(np, e, w, tw)])), mat
@@ -266,8 +273,10 @@ class CuspidalModule(_WeightModuleBase):
     A symbol acts through rho of its jet image: the degree derivation t^m d_u
     maps to the sum over 1 <= |p| <= cutoff of (m^p / p!) x^p d_u, the inner
     derivation t^e to the raw symbol x^0 t-bar^e, whose reduction to a class
-    representative ``GRepresentation.rho`` supplies.  Rho of the image,
-    computed once per symbol, is the symbol's action table.
+    representative ``GRepresentation.rho`` supplies.  Rho of the image is the
+    symbol's action table.  It depends on neither alpha nor the box, so it is
+    computed once per symbol and kept on the representation, where every
+    module built from it reads it.
     """
 
     def __init__(self, spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3):
@@ -275,6 +284,9 @@ class CuspidalModule(_WeightModuleBase):
         self.rep = rep
 
     def _class_blocks(self, symbol):
+        table = self.rep._module_tables.get(symbol)
+        if table is not None:
+            return table
         spec = self.spec
         if symbol[0] == "deg":
             _, u, m = symbol
@@ -283,7 +295,8 @@ class CuspidalModule(_WeightModuleBase):
                          for p in degree_basis(spec.d, total)), JetElement(spec.field))
         else:
             image = xt(spec, (0,) * spec.d, symbol[1])
-        return self.rep.rho_element(image)
+        table = self.rep._module_tables[symbol] = self.rep.rho_element(image)
+        return table
 
 
 def build_module(spec: TorusSpec, alpha, rep: GRepresentation, box: int = 3) -> CuspidalModule:
@@ -345,28 +358,43 @@ def _symbol_pool(spec: TorusSpec, radius: int, rng: random.Random, count: int) -
     return pool
 
 
-def _word_blocks(module, label: Label, words: list) -> dict:
-    """Sum of c * s_1 s_2 ... s_k over the (c, (s_1, ..., s_k)) in `words`, on one label.
+def _word_chains(module, label: Label, words: list) -> list:
+    """(word index, target label, blocks) of each word of `words` that does not vanish on `label`.
 
-    Returned as {target label: block}; the rightmost symbol of a word acts
-    first.  A word with coefficient 1 or -1 is added or subtracted unscaled.
+    A word is (c, (s_1, ..., s_k)); its rightmost symbol acts first, and its
+    block comes first.
     """
-    out = {}
-    for coeff, word in words:
-        target, mat = label, None
+    out = []
+    for i, (_, word) in enumerate(words):
+        target, blocks = label, []
         for sym in reversed(word):
             res = module.block(sym, target)
             if res is None:
                 break
             target, blk = res
-            mat = blk if mat is None else blk * mat
+            blocks.append(blk)
         else:
-            prev = out.get(target)
-            if coeff == -1:
-                out[target] = -mat if prev is None else prev - mat
-            else:
-                mat = mat if coeff == 1 else mat.scale(coeff)
-                out[target] = mat if prev is None else prev + mat
+            out.append((i, target, blocks))
+    return out
+
+
+def _word_sum(words: list, chains: list) -> dict:
+    """Sum of c * s_1 s_2 ... s_k over the words of `chains`, as {target label: block}.
+
+    A word with coefficient 1 or -1 is added or subtracted unscaled.
+    """
+    out = {}
+    for i, target, blocks in chains:
+        mat = blocks[0]
+        for blk in blocks[1:]:
+            mat = blk * mat
+        coeff = words[i][0]
+        prev = out.get(target)
+        if coeff == -1:
+            out[target] = -mat if prev is None else prev - mat
+        else:
+            mat = mat if coeff == 1 else mat.scale(coeff)
+            out[target] = mat if prev is None else prev + mat
     return out
 
 
@@ -388,6 +416,13 @@ def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int =
     vector (column) that differs and names its label and column.
     Associativity of the central action is then checked through ``act`` on
     every few basis vectors.
+
+    ``module.block`` is called for every word on every label, but a defect is
+    formed once per distinct configuration within a class: labels whose words
+    reach the same target classes, at the same shifts relative to the label,
+    through the identical block objects have the same defect.  The memo holds
+    the blocks it keys on by identity, so no key outlives its objects; it is
+    dropped when the labels move to the next class.
     """
     spec = module.spec
     dims = module.space.dims
@@ -399,13 +434,22 @@ def verify_module_axioms(module, symbol_box: int, sample_count: int, seed: int =
         a = pool[2 * idx]
         b = pool[2 * idx + 1]
         words = [(c, (s,)) for c, s in bracket_symbols(spec, a, b)] + [(-1, (a, b)), (1, (b, a))]
-        for label in labels:
-            j = _first_nonzero_column(_word_blocks(module, label, words), dims[label[0]])
-            if j is not None:
-                return VerifyReport(False, cases + j + 1,
-                                    f"[{symbol_to_string(a)}, {symbol_to_string(b)}]"
-                                    f" at {_label_to_string(label)} column {j}")
-            cases += dims[label[0]]
+        for w, class_labels in itertools.groupby(labels, key=lambda label: label[0]):
+            memo = {}  # key -> (first nonzero column, the chains that hold its blocks)
+            for label in class_labels:
+                np = label[1]
+                chains = _word_chains(module, label, words)
+                key = tuple((i, tw, tuple([x - y for x, y in zip(tnp, np)]), *map(id, blocks))
+                            for i, (tw, tnp), blocks in chains)
+                seen = memo.get(key)
+                if seen is None:
+                    seen = memo[key] = (_first_nonzero_column(_word_sum(words, chains), dims[w]), chains)
+                j = seen[0]
+                if j is not None:
+                    return VerifyReport(False, cases + j + 1,
+                                        f"[{symbol_to_string(a)}, {symbol_to_string(b)}]"
+                                        f" at {_label_to_string(label)} column {j}")
+                cases += dims[w]
     # central associativity on every few basis vectors: z^m z^n = z^{m+n}
     B = spec.B
     units = [(label, j) for label in labels for j in range(dims[label[0]])]

@@ -192,7 +192,8 @@ class GRepresentation:
     operators it holds, like every operator derived from them, are never
     changed in place.  That lets it keep, on the object itself, what depends
     on it alone: the report of each bracket check (``verify_representation``),
-    the image of each jet element (``rho_element``) and the commutant basis
+    the image of each jet element (``rho_element``), the action table of each
+    weight-module symbol (``cuspidal.CuspidalModule``) and the commutant basis
     (``commutant``).  These memos belong to the object, so an equal but
     distinct representation computes them again.  For the same reason
     `space`, `cutoff` and `action` cannot be rebound after construction:
@@ -221,6 +222,7 @@ class GRepresentation:
         fixed["cutoff"] = 1 + max(map(key_degree, ops), default=-1)
         self._reports = {}  # degree bound -> VerifyReport
         self._images = {}  # JetElement -> GradedOperator
+        self._module_tables = {}  # weight-module symbol -> GradedOperator
         self._commutant = None  # tuple of GradedOperators once computed
 
     def __setattr__(self, name, value):

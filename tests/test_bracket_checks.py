@@ -9,7 +9,9 @@ from qtlie import derivations, jetalg, repn, torus, verify, xmatrix
 from qtlie.errors import InvalidModuleData, InvariantViolated
 from qtlie.matrices import ExactMatrix
 from qtlie.repn import GLdGLNModule, graded_regular_glN, natural_gld, preset_pullback, verify_representation
-from qtlie.torus import class_representatives, exp_add, sigma_skew
+from qtlie.torus import class_representatives, sigma_skew
+
+import wrong_sign_brackets as wrong_sign
 
 
 @pytest.mark.parametrize("fixture", ["e1", "e2", "e3"])
@@ -90,16 +92,7 @@ def test_quotient_witness(e1, monkeypatch):
 
 
 def test_jacobi_witt_witness(e1, monkeypatch):
-    def wrong_sign(a, b):  # the second term keeps the sign it should lose
-        i, m = a
-        j, n = b
-        mn = exp_add(m, n)
-        if n[i - 1]:
-            yield derivations._witt_key(j, mn), n[i - 1]
-        if m[j - 1]:
-            yield derivations._witt_key(i, mn), m[j - 1]
-
-    monkeypatch.setattr(derivations, "_bracket_witt_keys", wrong_sign)
+    monkeypatch.setattr(derivations, "_bracket_witt_keys", wrong_sign.witt_keys)
     assert verify.suite_jacobi_witt(e1).to_dict() == {
         "suite": "jacobi-witt", "cases": 200,
         "failures": [{"triple": ["W(2;0,-2)", "W(1;-2,-1)", "W(1;-2,-3)"], "index": 0}],
@@ -107,21 +100,7 @@ def test_jacobi_witt_witness(e1, monkeypatch):
 
 
 def test_jacobi_derivations_witness(e1, monkeypatch):
-    right = derivations._bracket_d_keys
-
-    def wrong_sign(spec, a, b):  # [t^m d_i, t^n d_j] keeps the sign its second term should lose
-        if a[0] == "d" and b[0] == "d":
-            _, i, m = a
-            _, j, n = b
-            mn = exp_add(m, n)
-            if n[i - 1]:
-                yield derivations._deriv_key(spec, j, mn), n[i - 1]
-            if m[j - 1]:
-                yield derivations._deriv_key(spec, i, mn), m[j - 1]
-        else:
-            yield from right(spec, a, b)
-
-    monkeypatch.setattr(derivations, "_bracket_d_keys", wrong_sign)
+    monkeypatch.setattr(derivations, "_bracket_d_keys", wrong_sign.d_keys)
     assert verify.suite_jacobi_derivations(e1).to_dict() == {
         "suite": "jacobi-derivations", "cases": 200,
         "failures": [{"triple": ["D(2;-2,4)", "D(2;4,-4)", "D(1;0,2)"], "index": 4}],
@@ -130,22 +109,7 @@ def test_jacobi_derivations_witness(e1, monkeypatch):
 
 @pytest.fixture
 def wrong_jet_sign(monkeypatch):
-    """[x^m d_a, x^l tb^s] with the wrong sign on its l_a term."""
-    right = jetalg._bracket_jet_keys
-
-    def wrong_sign(spec, ka, kb):
-        if ka[0] == "XD" and kb[0] == "XT":
-            _, m, a = ka
-            _, l, s = kb
-            ml = exp_add(m, l)
-            if l[a - 1]:
-                yield jetalg._xt_key(spec.d, jetalg._minus_unit(ml, a - 1), s), -l[a - 1]
-            if s[a - 1]:
-                yield jetalg._xt_key(spec.d, ml, s), s[a - 1]
-        else:
-            yield from right(spec, ka, kb)
-
-    monkeypatch.setattr(jetalg, "_bracket_jet_keys", wrong_sign)
+    monkeypatch.setattr(jetalg, "_bracket_jet_keys", wrong_sign.jet_keys)
 
 
 def test_jacobi_jets_sampled_witness(e1, wrong_jet_sign):

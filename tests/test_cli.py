@@ -513,6 +513,21 @@ def test_tensor_compare_finishes_within_budget(spec):
     assert done.stdout.startswith("tensor-compare: PASS (1 cases) [")
 
 
+@pytest.mark.parametrize("spec, suites", [("e8", []), ("e7", ["quotient", "annihilation"])], ids=["e8", "e7"])
+def test_verify_suites_finish_within_budget(spec, suites):
+    """All suites on E8 (L = 6 over k = 3), and the two fast module-data suites
+    on E7 (k = (4, 2), L = 8), at their defaults, one process each."""
+    src = str(Path(qtlie.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys; from qtlie.cli import main; sys.exit(main())",
+                           "verify", "--spec", str(SPECS / f"{spec}.json"),
+                           *(arg for suite in suites for arg in ("--suite", suite))],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(suites or verify.SUITES) and all(": PASS (" in line for line in lines)
+
+
 # library names that only the library's own presets and check pipelines use
 PIPELINE_NAMES = {"GLdGLNModule", "graded_regular_glN", "natural_gld", "trivial_gld", "OperatorFamily",
                   "extract_coefficients", "coefficients_to_representation", "modules_equal"}

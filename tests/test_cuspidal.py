@@ -49,6 +49,7 @@ from qtlie.repn import (
     GradedSpace,
     graded_regular_glN,
     natural_gld,
+    preset_pullback,
     pullback,
     rep_to_dict,
     truncated_polynomial_rep,
@@ -291,6 +292,110 @@ def test_module_axioms_name_central_witness(e1, setup_e1):
                          report.first_failure)
     assert match, report.first_failure
     assert ast.literal_eval(match.group(1)) in module.labels(1)
+
+
+class _OneLabelPerturbedModule(CuspidalModule):
+    """The stock, shared blocks everywhere but at one label, where every block is
+    a fresh copy with its (0, 0) entry raised by one."""
+
+    def __init__(self, spec, alpha, rep, box, label):
+        super().__init__(spec, alpha, rep, box)
+        self.perturbed = label
+
+    def block(self, symbol, label):
+        res = super().block(symbol, label)
+        if res is None or label != self.perturbed:
+            return res
+        target, mat = res
+        mat = mat.copy()
+        mat[0, 0] = mat[0, 0] + self.spec.field.one
+        return target, mat
+
+
+class _FreshBlockModule(CuspidalModule):
+    """The stock blocks, each returned as a new object on every call."""
+
+    def block(self, symbol, label):
+        res = super().block(symbol, label)
+        return res if res is None else (res[0], res[1].copy())
+
+
+# The reports are the ones the label-by-label loop gave before the check kept
+# one defect per distinct configuration.  Both first pairs are checked on the
+# labels of class (1, 1) before any other class, and with the stock blocks
+# label (0, 0) of that class repeats the configuration of an earlier label:
+# an inner pair has no weight scalar, and deg[0,1] has the same scalar at
+# n' = (-4, 0), (-2, 0) and (0, 0).
+@pytest.mark.parametrize("seed, pairs, witness", [
+    (7, 20, "[T(-1,0), T(-2,1)] at ((1,1),(0,0)) column 0"),
+    (0, 1, "[T(1,2), deg[0,1](0,0)] at ((1,1),(0,0)) column 0"),
+])
+def test_module_axioms_catch_one_perturbed_label(e1, seed, pairs, witness):
+    rep = preset_pullback(e1)[1]
+    alpha = (Fraction(1, 2), 0)
+    label = ((1, 1), (0, 0))
+    module = _OneLabelPerturbedModule(e1, alpha, rep, 2, label)
+    assert module.labels().index(label) == 12
+    report = verify_module_axioms(module, symbol_box=2, sample_count=pairs, seed=seed)
+    assert (report.passed, report.cases, report.first_failure) == (False, 25, witness)
+
+
+def test_module_axioms_pass_on_fresh_blocks_with_the_stock_cases(e1):
+    rep = preset_pullback(e1)[1]
+    alpha = (Fraction(1, 2), 0)
+    stock = verify_module_axioms(CuspidalModule(e1, alpha, rep, box=2), symbol_box=2, sample_count=20, seed=7)
+    fresh = verify_module_axioms(_FreshBlockModule(e1, alpha, rep, box=2), symbol_box=2, sample_count=20, seed=7)
+    assert stock == fresh == (True, 4160, None)
+
+
+def test_module_axioms_form_each_distinct_defect_once(e1, monkeypatch):
+    """20 pairs on the 100 labels of box 2: the stock blocks repeat, so 512
+    defects serve the 2,000 label checks; fresh blocks never repeat."""
+    rep = preset_pullback(e1)[1]
+    alpha = (Fraction(1, 2), 0)
+    calls = []
+    word_sum = cuspidal._word_sum
+    monkeypatch.setattr(cuspidal, "_word_sum", lambda *args: calls.append(1) or word_sum(*args))
+    formed = {}
+    for name, cls in [("stock", CuspidalModule), ("fresh", _FreshBlockModule)]:
+        calls.clear()
+        assert verify_module_axioms(cls(e1, alpha, rep, box=2), symbol_box=2, sample_count=20, seed=7).passed
+        formed[name] = len(calls)
+    assert formed == {"stock": 512, "fresh": 2000}
+
+
+@pytest.mark.parametrize("construction", ["cuspidal", "tensor-field"])
+def test_equal_weight_scalars_give_one_block(e1, construction):
+    """<(0, 1), alpha + w + n'> reads only n'_2: equal there, one object; unequal, another."""
+    module = _both_constructions(e1, (Fraction(1, 2), 0), 2)[construction]
+    sym = sym_deg(e1, (0, 1), (0, 0))
+    w = (1, 1)
+    b1, b2 = e1.B
+    first = module.block(sym, (w, (0, 0)))[1]
+    assert module.block(sym, (w, (b1, 0)))[1] is first
+    other = module.block(sym, (w, (0, b2)))[1]
+    assert other is not first and other != first
+
+
+def test_module_axioms_change_no_block(e1):
+    """Every block a check reads, table or shifted, keeps its entries: the first
+    check builds them, and a second one, which reads the same blocks, leaves
+    each equal to a copy taken before it."""
+    module = _both_constructions(e1, (Fraction(1, 2), 0), 2)["cuspidal"]
+
+    def check():
+        return verify_module_axioms(module, symbol_box=2, sample_count=20, seed=7)
+
+    def snapshot():
+        return {sym: ({w: (tw, mat.copy()) for w, (tw, mat) in table.blocks.items()},
+                      {key: None if mat is None else mat.copy() for key, mat in (shifted or {}).items()})
+                for sym, (table, _, shifted) in module._tables.items()}
+
+    assert check().passed
+    before = snapshot()
+    assert any(shifted for _, shifted in before.values())
+    assert check().passed
+    assert snapshot() == before
 
 
 def test_jet_module_axioms(e1):
@@ -537,15 +642,18 @@ def test_weight_scalar_is_the_inner_product_with_the_weight_on_every_label(fixtu
 
 
 def test_rho_runs_once_per_noncentral_symbol(e1, monkeypatch):
+    """Once for every module of one representation, whatever their alpha and box."""
     module = _both_constructions(e1, (0, 0), 2)["cuspidal"]
+    other = CuspidalModule(e1, (Fraction(1, 2), 0), module.rep, box=1)
     calls = []
     rho_element = module.rep.rho_element
     monkeypatch.setattr(module.rep, "rho_element", lambda image: calls.append(image) or rho_element(image))
     symbols = standard_symbols(e1) + cuspidal._symbol_pool(e1, 2, random.Random(3), 30)
     for _ in range(2):
-        for sym in symbols:
-            for label in module.labels(2):
-                module.block(sym, label)
+        for each in (module, other):
+            for sym in symbols:
+                for label in each.labels(2):
+                    each.block(sym, label)
     assert len(calls) == len({sym for sym in symbols if sym[0] != "z"})
 
 

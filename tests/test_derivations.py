@@ -28,6 +28,8 @@ from qtlie.torus import canonical_rep, exp_add, in_R, make_torus
 from qtlie.verify import suite_jacobi_derivations, suite_jacobi_witt, suite_witt_embedding
 from qtlie.xmatrix import x_power
 
+import wrong_sign_brackets as wrong_sign
+
 
 def test_degree_degree_bracket(e1):
     got = bracket_d(e1, deriv(e1, 1, (2, 0)), deriv(e1, 2, (2, 2)))
@@ -446,50 +448,11 @@ def test_sampled_jet_suite_brackets_each_triple_three_times(e2, monkeypatch):
 
 # The key-level Jacobi sum of the four Jacobi suites (verify._jacobi_sum)
 # against the outer brackets built with reference_bracket, with the right key
-# brackets and with the wrong-sign ones of tests/test_bracket_checks.py.
+# brackets and with the wrong-sign ones of tests/wrong_sign_brackets.py.
 
-def _wrong_witt_sign(a, b):
-    """[x^m x_i d_i, x^n x_j d_j] keeping the sign its second term should lose."""
-    i, m = a
-    j, n = b
-    mn = exp_add(m, n)
-    if n[i - 1]:
-        yield (j, mn), n[i - 1]
-    if m[j - 1]:
-        yield (i, mn), m[j - 1]
-
-
-def _wrong_d_sign(spec, a, b):
-    """[t^m d_i, t^n d_j] keeping the sign its second term should lose."""
-    if a[0] == "d" and b[0] == "d":
-        _, i, m = a
-        _, j, n = b
-        mn = exp_add(m, n)
-        if n[i - 1]:
-            yield ("d", j, mn), n[i - 1]
-        if m[j - 1]:
-            yield ("d", i, mn), m[j - 1]
-    else:
-        yield from derivations._bracket_d_keys(spec, a, b)
-
-
-def _wrong_jet_sign(spec, ka, kb):
-    """[x^m d_a, x^l tb^s] with the wrong sign on its l_a term."""
-    if ka[0] == "XD" and kb[0] == "XT":
-        _, m, a = ka
-        _, l, s = kb
-        ml = exp_add(m, l)
-        if l[a - 1]:
-            yield ("XT", jetalg._minus_unit(ml, a - 1), s), -l[a - 1]
-        if s[a - 1]:
-            yield ("XT", ml, s), s[a - 1]
-    else:
-        yield from jetalg._bracket_jet_keys(spec, ka, kb)
-
-
-WRONG_SIGN = {"d": lambda spec: partial(_wrong_d_sign, spec),
-              "witt": lambda spec: _wrong_witt_sign,
-              "jets": lambda spec: partial(_wrong_jet_sign, spec)}
+WRONG_SIGN = {"d": lambda spec: partial(wrong_sign.d_keys, spec),
+              "witt": lambda spec: wrong_sign.witt_keys,
+              "jets": lambda spec: partial(wrong_sign.jet_keys, spec)}
 
 
 def _nonzero(terms, fld):
