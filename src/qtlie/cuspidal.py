@@ -162,12 +162,14 @@ class _WeightModuleBase:
         self.alpha = _coerce_alpha(spec, alpha)
         self.space = space
         self.box = box
-        self._scalars = {}  # u -> {class w: <u, alpha + w>}
-        # symbol -> (GradedOperator, the class -> scalar cache of its u, the
-        # blocks built from a weight scalar; None and None for a symbol
-        # without one); no caller mutates a returned block, so one block
-        # serves every label of its class, and one shifted block every label
-        # of its class with the same weight scalar
+        # u -> (u as Python ints, or None when an entry is not a rational
+        # integer; {class w: <u, alpha + w>})
+        self._scalars = {}
+        # symbol -> (GradedOperator, the scalar cache of its u, the blocks
+        # built from a weight scalar; None and None for a symbol without
+        # one); no caller mutates a returned block, so one block serves every
+        # label of its class, and one shifted block every label of its class
+        # with the same weight scalar
         self._tables = {}
 
     def labels(self, box: int | None = None) -> list[Label]:
@@ -192,15 +194,21 @@ class _WeightModuleBase:
         """
         raise NotImplementedError
 
-    def _entry(self, symbol) -> tuple[GradedOperator, dict | None, dict | None]:
+    def _entry(self, symbol) -> tuple[GradedOperator, tuple | None, dict | None]:
         """The action table of `symbol`, and for a degree symbol the weight-scalar
         cache shared by every symbol with its u and the symbol's own blocks
-        {(class, weight scalar): block or None}; built on first use, so that a
-        call hashes the symbol once.  The center acts by identities."""
+        {key of (class, weight scalar): block or None}; built on first use, so
+        that a call hashes the symbol once.  The center acts by identities."""
         entry = self._tables.get(symbol)
         if entry is None:
             table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
-            scalars = self._scalars.setdefault(symbol[1], {}) if symbol[0] == "deg" else None
+            scalars = None
+            if symbol[0] == "deg":
+                u = symbol[1]
+                scalars = self._scalars.get(u)
+                if scalars is None:
+                    integral = all(x.den == 1 and x.is_rational() for x in u)
+                    scalars = self._scalars[u] = (tuple([x.num[0] for x in u]) if integral else None, {})
             entry = self._tables[symbol] = (table, scalars, None if scalars is None else {})
         return entry
 
@@ -212,7 +220,11 @@ class _WeightModuleBase:
         weight scalar was added to can come out zero.  The weight scalar
         <u, alpha + w + n'> is the cached <u, alpha + w> of the class plus
         <u, n'> of the integer shift.  The block it gives is built once per
-        class and scalar, so labels with equal scalars get one object.
+        class and scalar, so labels with equal scalars get one object.  When
+        every entry of u is a rational integer, the block is keyed by the
+        class and <u, n'> in Python ints, which fix the scalar, so a kept
+        block costs no field arithmetic; any other u keys it by the scalar's
+        canonical form.
         """
         w, np = label
         table, scalars, shifted = self._entry(symbol)
@@ -221,24 +233,37 @@ class _WeightModuleBase:
             e = symbol[1]
         else:
             _, u, e = symbol
-            scalar = scalars.get(w)
-            if scalar is None:
-                scalar = scalars[w] = inner_product(self.spec.field, u, [a + x for a, x in zip(self.alpha, w)])
-            for x, n in zip(u, np):
-                if n and not x.is_zero():
-                    scalar = scalar + x * n
-            if not scalar.is_zero():
+            ints, by_class = scalars
+            if ints is None:
+                scalar = self._class_scalar(u, by_class, w)
+                for x, n in zip(u, np):
+                    if n and not x.is_zero():
+                        scalar = scalar + x * n
                 key = (w, scalar.num, scalar.den)  # the canonical form: cheaper to hash than the CycloNum
-                if key in shifted:
-                    mat = shifted[key]
-                else:
+            else:
+                key = (w, sum([x * n for x, n in zip(ints, np)]))
+            if key in shifted:
+                mat = shifted[key]
+            else:
+                if ints is not None:
+                    scalar = self._class_scalar(u, by_class, w) + key[1]
+                if not scalar.is_zero():
                     mat = ExactMatrix.zeros(self.spec.field, self.space.dims[w]) if mat is None else mat.copy()
                     for i, row in enumerate(mat.data):
                         row[i] = row[i] + scalar
-                    mat = shifted[key] = None if mat.is_zero() else mat
+                    if mat.is_zero():
+                        mat = None
+                shifted[key] = mat
         if mat is None:
             return None
         return (tw, tuple([n + x + y - z for n, x, y, z in zip(np, e, w, tw)])), mat
+
+    def _class_scalar(self, u, by_class: dict, w: tuple) -> CycloNum:
+        """<u, alpha + w>, computed once per u and class."""
+        scalar = by_class.get(w)
+        if scalar is None:
+            scalar = by_class[w] = inner_product(self.spec.field, u, [a + x for a, x in zip(self.alpha, w)])
+        return scalar
 
     def act(self, symbol, mvec: dict) -> dict:
         """Apply a symbol to a vector {label: column}; all-zero columns are dropped."""

@@ -12,6 +12,7 @@ with the weight-module construction forces.
 from __future__ import annotations
 
 import random
+import weakref
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
@@ -119,20 +120,32 @@ class GradedOperator:
         return self._merge(other, ExactMatrix.__add__, lambda mat: mat)
 
     def __sub__(self, other):
-        return self._merge(other, ExactMatrix.__sub__, ExactMatrix.__neg__)
+        """The difference; a block that both operators hold as one matrix object cancels with no arithmetic."""
+        return self._merge(other, lambda mine, theirs: None if mine is theirs else mine - theirs,
+                           ExactMatrix.__neg__)
 
     def _merge(self, other, both, alone) -> GradedOperator:
-        """Blocks both(mine, theirs) where both operators have one, alone(theirs) where only `other` has."""
+        """Blocks both(mine, theirs) where both operators have one, alone(theirs) where only `other` has.
+
+        `both` may return None for a block that is known to vanish.
+        """
         if self.shift != other.shift or self.space != other.space:
             raise DimensionMismatch(f"operators differ in shift ({self.shift}, {other.shift}) or in space")
         blocks = dict(self.blocks)
         for w, (tw, mat) in other.blocks.items():
             mine = blocks.get(w)
-            blocks[w] = tw, alone(mat) if mine is None else both(mine[1], mat)
+            mat = alone(mat) if mine is None else both(mine[1], mat)
+            if mat is None:
+                del blocks[w]
+            else:
+                blocks[w] = tw, mat
         return GradedOperator._of(self.space, self.shift, _nonzero_blocks(blocks))
 
     def scale(self, c) -> GradedOperator:
-        """c times the operator; a nonzero c leaves every block nonzero."""
+        """c times the operator: the operator itself for c == 1, as operators are never changed in place;
+        a nonzero c leaves every block nonzero."""
+        if c == 1:
+            return self
         if c == 0:
             return GradedOperator._of(self.space, self.shift, {})
         return GradedOperator._of(self.space, self.shift,
@@ -191,11 +204,13 @@ class GRepresentation:
     A representation is immutable: `action` is a read-only mapping, and the
     operators it holds, like every operator derived from them, are never
     changed in place.  That lets it keep, on the object itself, what depends
-    on it alone: the report of each bracket check (``verify_representation``),
-    the image of each jet element (``rho_element``), the action table of each
-    weight-module symbol (``cuspidal.CuspidalModule``) and the commutant basis
-    (``commutant``).  These memos belong to the object, so an equal but
-    distinct representation computes them again.  For the same reason
+    on it alone: the image of each jet element (``rho_element``), the action
+    table of each weight-module symbol (``cuspidal.CuspidalModule``), the
+    commutant basis (``commutant``) and its hash.  These memos belong to the
+    object, so an equal but distinct representation computes them again.
+    The report of a bracket check belongs to the value instead
+    (``verify_representation``): the hash agrees with equality, so an equal
+    representation reads the report of a live one.  For the same reason
     `space`, `cutoff` and `action` cannot be rebound after construction:
     a rebinding would leave the memos describing the old data.
     """
@@ -220,7 +235,7 @@ class GRepresentation:
             ops[key] = op
         fixed["action"] = MappingProxyType(ops)
         fixed["cutoff"] = 1 + max(map(key_degree, ops), default=-1)
-        self._reports = {}  # degree bound -> VerifyReport
+        self._hash = None  # computed on first use
         self._images = {}  # JetElement -> GradedOperator
         self._module_tables = {}  # weight-module symbol -> GradedOperator
         self._commutant = None  # tuple of GradedOperators once computed
@@ -277,7 +292,18 @@ class GRepresentation:
         return sorted(self.action, key=key_to_string)
 
     def __eq__(self, other):
-        return isinstance(other, GRepresentation) and self.space == other.space and self.action == other.action
+        return self is other or (isinstance(other, GRepresentation) and self.space == other.space
+                                 and self.action == other.action)
+
+    def __hash__(self):
+        """A hash of the spec, the class dimensions and every action block, independent of key order."""
+        if self._hash is None:
+            sp = self.space
+            self._hash = hash((sp.spec, frozenset(sp.dims.items()), frozenset(
+                (key, frozenset((w, tw, tuple([(x.num, x.den) for row in mat.data for x in row]))
+                                for w, (tw, mat) in op.blocks.items()))
+                for key, op in self.action.items())))
+        return self._hash
 
 
 class VerifyReport(NamedTuple):
@@ -332,6 +358,10 @@ def _first_difference(x, y) -> tuple[int, int]:
     return min(ij for ij in a.keys() | b.keys() if a.get(ij) != b.get(ij))
 
 
+# representation -> {degree bound: VerifyReport}; equal representations share one entry
+_REPORTS = weakref.WeakKeyDictionary()
+
+
 def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: int | None = None) -> VerifyReport:
     """Check rho([a,b]) = [rho(a), rho(b)] over canonical symbol pairs.
 
@@ -345,15 +375,20 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     matrix work: both sides vanish identically because brackets never lower
     the filtration degree.
 
-    The report is kept on `rep` for each degree_bound, so a repeated check of
-    the same object is free.  The bracket images are one-off, so they are
-    computed without filling the ``rho_element`` memo.
+    The report is a function of the representation's value and the degree
+    bound alone, so it is kept for each degree_bound in a table of weak
+    references keyed by value: a repeated check of the same object, or of an
+    equal one while a checked one is alive, reads the kept report after one
+    exact equality test.  No entry keeps a representation alive.  The
+    bracket images are one-off, so they are computed without filling the
+    ``rho_element`` memo.
     """
     if rep.space.spec != spec:
         raise DimensionMismatch("different torus specs")
     if degree_bound is None:
         degree_bound = max(rep.cutoff, 1)
-    report = rep._reports.get(degree_bound)
+    reports = _REPORTS.setdefault(rep, {})
+    report = reports.get(degree_bound)
     if report is not None:
         return report
     cases, failure = first_bracket_failure(
@@ -365,7 +400,7 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     else:
         ka, kb, i, j = failure
         report = VerifyReport(False, cases, f"[{key_to_string(ka)}, {key_to_string(kb)}] entry ({i}, {j})")
-    rep._reports[degree_bound] = report
+    reports[degree_bound] = report
     return report
 
 
@@ -517,6 +552,12 @@ def intertwiners(field, pairs) -> list:
     equation row is reduced into a RowSpace as it is made, as the sparse
     {unknown: coefficient} dict ``_equations`` builds, and the basis is read
     from its echelon form.
+
+    Rows stop once the row space is final: at full rank, and at rank
+    width - 1 when the identity solves every pair (each pair is one operator
+    twice, for dense pairs a square one), since the identity then lies in
+    every kernel.  The echelon form, and so the basis, is the same as after
+    every row.
     """
     A0, B0 = pairs[0]
     graded = isinstance(A0, GradedOperator)
@@ -529,15 +570,20 @@ def intertwiners(field, pairs) -> list:
     else:
         width = B0.rows * A0.rows
     space = RowSpace(field, width)
-    for A, B in pairs:
-        # block (tc, c) of B * X - X * A is B_c X_c - X_tc A_c, taken in the row order of U
-        systems = [(B.block(c), A.block(c), start[c], start[tc]) for tc, c in _sources(A, B)] if graded \
-            else [(B, A, 0, 0)]
-        for system in systems:
-            for row in _equations(*system):
-                space.add(row)
-        if space.dim == space.width:
-            return []
+    final = width - 1 if all(A is B and (graded or A.rows == A.cols) for A, B in pairs) else width
+
+    def rows():
+        for A, B in pairs:
+            # block (tc, c) of B * X - X * A is B_c X_c - X_tc A_c, taken in the row order of U
+            systems = [(B.block(c), A.block(c), start[c], start[tc]) for tc, c in _sources(A, B)] if graded \
+                else [(B, A, 0, 0)]
+            for system in systems:
+                yield from _equations(*system)
+
+    for row in rows():
+        space.add(row)
+        if space.dim == final:
+            break
     if graded:
         return [GradedOperator(sp, sp.zero_class, {
             c: ExactMatrix(field, [vec[start[c] + i * n:start[c] + (i + 1) * n] for i in range(n)])
@@ -654,7 +700,10 @@ def scramble_representation(rep: GRepresentation, seed: int) -> GRepresentation:
 
 
 def spin_up(field, mats: list[ExactMatrix], start) -> list:
-    """Closure of a vector under repeated application of the given matrices."""
+    """Closure of a vector under repeated application of the given matrices.
+
+    It returns as soon as the basis spans the whole space.
+    """
     space = RowSpace(field, len(start))
     basis = []
     if space.add(start):
@@ -664,6 +713,8 @@ def spin_up(field, mats: list[ExactMatrix], start) -> list:
         new_frontier = []
         for vec in frontier:
             for m in mats:
+                if space.dim == space.width:
+                    return basis
                 img = m.apply(vec)
                 if not vec_is_zero(img) and space.add(img):
                     basis.append(img)

@@ -55,6 +55,7 @@ from qtlie.repn import (
     truncated_polynomial_rep,
     trivial_gld,
 )
+from qtlie.cyclo import CycloNum
 from qtlie.derivations import inner_product
 from qtlie.torus import canonical_rep, class_representatives, exp_add, exp_sub, in_R, load_torus, sigma_skew
 from qtlie.verify import suite_roundtrip
@@ -365,16 +366,43 @@ def test_module_axioms_form_each_distinct_defect_once(e1, monkeypatch):
 
 
 @pytest.mark.parametrize("construction", ["cuspidal", "tensor-field"])
-def test_equal_weight_scalars_give_one_block(e1, construction):
-    """<(0, 1), alpha + w + n'> reads only n'_2: equal there, one object; unequal, another."""
-    module = _both_constructions(e1, (Fraction(1, 2), 0), 2)[construction]
-    sym = sym_deg(e1, (0, 1), (0, 0))
-    w = (1, 1)
-    b1, b2 = e1.B
-    first = module.block(sym, (w, (0, 0)))[1]
-    assert module.block(sym, (w, (b1, 0)))[1] is first
-    other = module.block(sym, (w, (0, b2)))[1]
-    assert other is not first and other != first
+def test_equal_weight_scalars_give_one_block(construction, request):
+    """Labels n' = B c of one class whose weight scalars <u, alpha + w + n'>
+    are equal get one object; an unequal scalar gives another.  An integral u
+    keys the block by <u, n'> in ints, any other u by the scalar itself."""
+    cases = [
+        ("e1", (0, 1), [(0, 0), (1, 0)], (0, 1)),  # reads only n'_2
+        ("e1", (Fraction(1, 2), 1), [(2, 0), (0, 1)], (1, 0)),  # <u, n'> = n'_1 / 2 + n'_2
+        ("e2", ("zeta", "zeta"), [(1, 0), (0, 1)], (1, 1)),  # zeta (n'_1 + n'_2)
+    ]
+    for fixture, u, equal, unequal in cases:
+        spec = request.getfixturevalue(fixture)
+        module = _both_constructions(spec, (Fraction(1, 2), 0), 2)[construction]
+        sym = sym_deg(spec, [spec.field.root(1) if x == "zeta" else x for x in u], (0, 0))
+        w = module.space.classes[-1]
+
+        def block(c):
+            return module.block(sym, (w, tuple(x * b for x, b in zip(c, spec.B))))[1]
+
+        first = block(equal[0])
+        assert all(block(c) is first for c in equal)
+        other = block(unequal)
+        assert other is not first and other != first
+
+
+def test_a_kept_block_costs_no_field_arithmetic(e1, monkeypatch):
+    """For an integral u a kept shifted block is found by <u, n'> in ints: a
+    label with the same <u, n'> makes no CycloNum add or multiply."""
+    module = _both_constructions(e1, (Fraction(1, 2), 0), 2)["cuspidal"]
+    sym = sym_deg(e1, (1, 1), (0, 0))
+    first = module.block(sym, ((1, 1), (2, 0)))[1]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        method = getattr(CycloNum, name, None)
+        if method is not None:
+            monkeypatch.setattr(CycloNum, name, lambda x, y, method=method: calls.append(1) or method(x, y))
+    assert module.block(sym, ((1, 1), (0, 2)))[1] is first and calls == []
+    assert module.block(sym, ((1, 1), (2, 2)))[1] != first and calls  # a new scalar is formed in the field
 
 
 def test_module_axioms_change_no_block(e1):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,7 +48,7 @@ from qtlie.repn import (
     verify_representation,
 )
 from qtlie.torus import canonical_rep, class_representatives, exp_add, load_torus, make_torus, sigma_hat
-from qtlie.cyclo import make_field, proper_factor_over_q
+from qtlie.cyclo import CycloNum, make_field, proper_factor_over_q
 from test_matrices import reference_kernel
 
 
@@ -199,6 +201,25 @@ def test_graded_operator_algebra_matches_dense_matrices(e1, rep_e1):
         GradedOperator(sc.space, (1, 1), {(1, 1): ExactMatrix.identity(e1.field, 3)})
     with pytest.raises(InvalidRepresentation, match="wrong space or shift"):
         GRepresentation(sc.space, {("XT", (0, 0), (1, 2)): a})
+
+
+def test_scale_by_one_is_the_operator_itself(e1, rep_e1):
+    op = rep_e1.action[("XT", (0, 0), (1, 1))]
+    for one in (1, Fraction(1), e1.field.one):
+        assert op.scale(one) is op
+    assert op.scale(2) is not op and op.scale(2) == op + op
+
+
+def test_identical_blocks_subtract_with_no_arithmetic(e1, rep_e1, monkeypatch):
+    op = rep_e1.action[("XT", (0, 0), (1, 1))]
+    twin = GradedOperator._of(op.space, op.shift, dict(op.blocks))  # another operator, the same blocks
+    calls = []
+    sub = CycloNum.__sub__
+    monkeypatch.setattr(CycloNum, "__sub__", lambda x, y: calls.append(1) or sub(x, y))
+    assert (op - twin).is_zero() and calls == []
+    w = next(iter(op.blocks))
+    copied = GradedOperator._of(op.space, op.shift, {**op.blocks, w: (op.blocks[w][0], op.blocks[w][1].copy())})
+    assert (op - copied).is_zero() and len(calls) == op.blocks[w][1].rows * op.blocks[w][1].cols
 
 
 def test_raw_index_reduction(e1, rep_e1):
@@ -377,6 +398,39 @@ def test_intertwiners_stop_at_the_pair_that_leaves_only_zero(e1, rep_e1):
     fld = e1.field
     for one in (ExactMatrix.identity(fld, 2), GradedOperator.identity(rep_e1.space)):
         assert intertwiners(fld, [(one, one.scale(2)), (None, None)]) == []
+
+
+def test_commutant_stops_at_rank_width_minus_one(e1, rep_e1, monkeypatch):
+    """The identity commutes with every operator, so the rows of a commutant
+    stop once the rank is width - 1; the same pairs as distinct objects take
+    every row and give the same basis."""
+    sc = scramble_representation(rep_e1, seed=9)
+    width = sum(n * n for n in sc.space.dims.values())
+    dims = []
+
+    def counted(space, row, add=RowSpace.add):
+        enlarged = add(space, row)
+        dims.append(space.dim)
+        return enlarged
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    twins = [(op, GradedOperator._of(op.space, op.shift, dict(op.blocks))) for op in sc.action.values()]
+    every = intertwiners(e1.field, twins)
+    rows = len(dims)
+    dims.clear()
+    basis = commutant(sc)
+    assert basis == every and len(basis) == 1
+    assert dims[-1] == width - 1 and dims.count(width - 1) == 1 and len(dims) < rows
+
+
+def test_spin_up_returns_once_the_space_is_spanned(e1, monkeypatch):
+    fld = e1.field
+    shift = ExactMatrix(fld, [[0, 0], [1, 0]])
+    applied = []
+    apply = ExactMatrix.apply
+    monkeypatch.setattr(ExactMatrix, "apply", lambda m, vec: applied.append(1) or apply(m, vec))
+    basis = spin_up(fld, [shift, ExactMatrix.identity(fld, 2), shift], [fld.one, fld.zero])
+    assert basis == [[fld.one, fld.zero], [fld.zero, fld.one]] and len(applied) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -798,7 +852,8 @@ def test_data_attributes_cannot_be_rebound(e1):
     rep._images = {}
 
 
-def test_bracket_check_is_kept_per_object_and_degree_bound(e1, commutator_calls):
+def test_bracket_check_is_kept_per_value_and_degree_bound(e1, commutator_calls, monkeypatch):
+    monkeypatch.setattr(repn, "_REPORTS", weakref.WeakKeyDictionary())  # no report of another test
     rep = preset_pullback(e1)[1]
     commutator_calls.clear()  # building the pullback checks its module data
     build_module(e1, (0, 0), rep)
@@ -806,16 +861,59 @@ def test_bracket_check_is_kept_per_object_and_degree_bound(e1, commutator_calls)
     build_module(e1, (1, 0), rep, box=2)
     assert len(commutator_calls) == 28  # the second build reads the kept report
     equal = preset_pullback(e1)[1]
-    assert equal == rep
+    assert equal == rep and equal is not rep
     commutator_calls.clear()
     build_module(e1, (0, 0), equal)
-    assert len(commutator_calls) == 28  # kept per object, never by value
-    commutator_calls.clear()
+    assert commutator_calls == []  # an equal representation reads the kept report
+    assert verify_representation(e1, equal, 1) is verify_representation(e1, rep, 1)
     report = verify_representation(e1, rep, 2)
     assert report.passed and len(commutator_calls) == 28  # another degree bound is another check
     assert verify_representation(e1, rep, 2) is report and len(commutator_calls) == 28
+    assert verify_representation(e1, equal, 2) is report and len(commutator_calls) == 28
     with pytest.raises(AttributeError):  # the kept report is shared, so it is frozen
         report.passed = False
+
+
+def test_an_unequal_representation_is_checked_afresh(e1, commutator_calls, monkeypatch):
+    """Doubling XT(0,0;1,1) of a checked pullback gives another value, whose
+    check runs and fails; a representation equal to the failing one reads its
+    failing report."""
+    monkeypatch.setattr(repn, "_REPORTS", weakref.WeakKeyDictionary())
+    rep = preset_pullback(e1)[1]
+    assert verify_representation(e1, rep, 1).passed
+    key = ("XT", (0, 0), (1, 1))
+    doubled = {**rep.action, key: rep.action[key].scale(2)}
+    commutator_calls.clear()
+    bad = GRepresentation(rep.space, doubled)
+    report = verify_representation(e1, bad, 1)
+    assert commutator_calls and report.first_failure == "[XT(0,0;1,1), XT(0,0;1,2)] entry (0, 2)"
+    commutator_calls.clear()
+    again = GRepresentation(rep.space, {k: op.dense() for k, op in doubled.items()})
+    assert verify_representation(e1, again, 1) is report and commutator_calls == []
+
+
+def test_hash_agrees_with_equality(e1, rep_e1):
+    """Equal values hash alike, through a file round trip, from dense or graded
+    operators and in any key order; the hash is computed once."""
+    _, loaded, _ = rep_from_dict(json.loads(json.dumps(rep_to_dict(rep_e1))))
+    dense = GRepresentation(rep_e1.space, {k: op.dense() for k, op in reversed(list(rep_e1.action.items()))})
+    for other in (loaded, dense):
+        assert other == rep_e1 and hash(other) == hash(rep_e1)
+    key = ("XT", (0, 0), (1, 1))
+    doubled = GRepresentation(rep_e1.space, {**rep_e1.action, key: rep_e1.action[key].scale(2)})
+    assert doubled != rep_e1 and hash(doubled) != hash(rep_e1)
+    assert loaded._hash == hash(loaded)
+
+
+def test_kept_reports_do_not_keep_a_representation_alive(e1, rep_e1, monkeypatch):
+    monkeypatch.setattr(repn, "_REPORTS", weakref.WeakKeyDictionary())
+    rep = scramble_representation(rep_e1, seed=11)
+    assert verify_representation(e1, rep).passed
+    assert [r() for r in repn._REPORTS.keyrefs()] == [rep]
+    ref = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert ref() is None and len(repn._REPORTS) == 0
 
 
 def test_the_default_degree_bound_is_the_cutoff_and_at_least_one(e1):
