@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 
 from .cyclo import CycloNum
-from .derivations import bracket_d, deriv_along, inner, inner_product
+from .derivations import _plain, bracket_d, deriv_along, inner, inner_product
 from .errors import (
     ConstantTermMismatch,
     DegreeBoundViolated,
@@ -35,7 +35,7 @@ from .errors import (
     MalformedBasisKey,
     RelationViolated,
 )
-from .jetalg import JetElement, degree_basis, taylor_coefficient, xd_along, xt
+from .jetalg import degree_basis, taylor_coefficient
 from .matrices import ExactMatrix, linear_combination
 from .repn import (
     GLdGLNModule,
@@ -48,6 +48,7 @@ from .repn import (
 from .torus import (
     TorusSpec,
     canonical_rep,
+    central_box,
     class_representatives,
     dump_torus,
     exp_add,
@@ -69,22 +70,30 @@ def _coerce_alpha(spec: TorusSpec, alpha) -> tuple[CycloNum, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _vector(spec: TorusSpec, vec) -> tuple:
+    """`vec` as a tuple; MalformedBasisKey unless it has d entries."""
+    vec = tuple(vec)
+    if len(vec) != spec.d:
+        raise MalformedBasisKey(f"{vec} does not have {spec.d} entries")
+    return vec
+
+
 def sym_deg(spec: TorusSpec, u, m) -> tuple:
-    m = tuple(m)
+    m = _vector(spec, m)
     if not in_R(spec, m):
         raise MalformedBasisKey(f"exponent {m} not in R")
-    return ("deg", tuple(map(spec.field.coerce, u)), m)
+    return ("deg", tuple(map(spec.field.coerce, _vector(spec, u))), m)
 
 
 def sym_inner(spec: TorusSpec, e) -> tuple:
-    e = tuple(e)
+    e = _vector(spec, e)
     if in_R(spec, e):
         raise MalformedBasisKey(f"exponent {e} is central")
     return ("inn", e)
 
 
 def sym_central(spec: TorusSpec, n) -> tuple:
-    n = tuple(n)
+    n = _vector(spec, n)
     if not in_R(spec, n):
         raise MalformedBasisKey(f"exponent {n} not in R")
     return ("z", n)
@@ -162,24 +171,19 @@ class _WeightModuleBase:
         self.alpha = _coerce_alpha(spec, alpha)
         self.space = space
         self.box = box
-        # u -> (u as Python ints, or None when an entry is not a rational
-        # integer; {class w: <u, alpha + w>})
+        # (u, class w) -> <u, alpha + w>, u with its rational integers as ints
         self._scalars = {}
-        # symbol -> (GradedOperator, the scalar cache of its u, the blocks
-        # built from a weight scalar; None and None for a symbol without
-        # one); no caller mutates a returned block, so one block serves every
-        # label of its class, and one shifted block every label of its class
-        # with the same weight scalar
+        # symbol -> (GradedOperator, u as in _scalars and the blocks built
+        # from a weight scalar; None and None for a symbol without one); no
+        # caller mutates a returned block, so one block serves every label of
+        # its class, and one shifted block every label of its class with the
+        # same weight scalar
         self._tables = {}
 
     def labels(self, box: int | None = None) -> list[Label]:
         box = self.box if box is None else box
-        B = self.spec.B
-        shifts = [
-            tuple(c * bi for c, bi in zip(cvec, B))
-            for cvec in itertools.product(range(-box, box + 1), repeat=self.spec.d)
-        ]
-        return [(w, np) for w in self.space.classes for np in sorted(shifts)]
+        shifts = sorted(central_box(self.spec, box))
+        return [(w, np) for w in self.space.classes for np in shifts]
 
     def weight_of(self, label: Label) -> tuple:
         w, np = label
@@ -195,21 +199,19 @@ class _WeightModuleBase:
         raise NotImplementedError
 
     def _entry(self, symbol) -> tuple[GradedOperator, tuple | None, dict | None]:
-        """The action table of `symbol`, and for a degree symbol the weight-scalar
-        cache shared by every symbol with its u and the symbol's own blocks
-        {key of (class, weight scalar): block or None}; built on first use, so
-        that a call hashes the symbol once.  The center acts by identities."""
+        """(action table, u, shifted blocks) of `symbol`, built on first use, so
+        that a call hashes the symbol once.  For a degree symbol u is its
+        direction with each rational-integer entry as an int, and the shifted
+        blocks start as {}; an inner or central symbol has None for both.  The
+        center acts by identities."""
         entry = self._tables.get(symbol)
         if entry is None:
-            table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
-            scalars = None
             if symbol[0] == "deg":
-                u = symbol[1]
-                scalars = self._scalars.get(u)
-                if scalars is None:
-                    integral = all(x.den == 1 and x.is_rational() for x in u)
-                    scalars = self._scalars[u] = (tuple([x.num[0] for x in u]) if integral else None, {})
-            entry = self._tables[symbol] = (table, scalars, None if scalars is None else {})
+                entry = (self._class_blocks(symbol), tuple([_plain(x) for x in symbol[1]]), {})
+            else:
+                table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
+                entry = (table, None, None)
+            self._tables[symbol] = entry
         return entry
 
     def block(self, symbol, label: Label) -> tuple[Label, ExactMatrix] | None:
@@ -218,35 +220,29 @@ class _WeightModuleBase:
         None when the symbol kills the component.  A table block is nonzero
         (``GradedOperator`` keeps no zero block), so only a block that a
         weight scalar was added to can come out zero.  The weight scalar
-        <u, alpha + w + n'> is the cached <u, alpha + w> of the class plus
-        <u, n'> of the integer shift.  The block it gives is built once per
-        class and scalar, so labels with equal scalars get one object.  When
-        every entry of u is a rational integer, the block is keyed by the
-        class and <u, n'> in Python ints, which fix the scalar, so a kept
-        block costs no field arithmetic; any other u keys it by the scalar's
-        canonical form.
+        <u, alpha + w + n'> is <u, alpha + w>, kept per u and class, plus
+        <u, n'>, the sum of u_i n'_i over the nonzero n'_i.  The block it
+        gives is keyed by (w, <u, n'>), which fixes the scalar, and built
+        once per key, so labels with equal scalars get one object.  For an
+        integral u the sum is a Python int, so a kept block costs no field
+        arithmetic; for any other u it is a ``CycloNum``.
         """
         w, np = label
-        table, scalars, shifted = self._entry(symbol)
+        table, u, shifted = self._entry(symbol)
         tw, mat = table.blocks.get(w, (w, None))
-        if scalars is None:
+        if u is None:
             e = symbol[1]
         else:
-            _, u, e = symbol
-            ints, by_class = scalars
-            if ints is None:
-                scalar = self._class_scalar(u, by_class, w)
-                for x, n in zip(u, np):
-                    if n and not x.is_zero():
-                        scalar = scalar + x * n
-                key = (w, scalar.num, scalar.den)  # the canonical form: cheaper to hash than the CycloNum
-            else:
-                key = (w, sum([x * n for x, n in zip(ints, np)]))
+            e = symbol[2]
+            key = (w, sum([x * n for x, n in zip(u, np) if n]))
             if key in shifted:
                 mat = shifted[key]
             else:
-                if ints is not None:
-                    scalar = self._class_scalar(u, by_class, w) + key[1]
+                scalar = self._scalars.get((u, w))
+                if scalar is None:
+                    scalar = self._scalars[u, w] = inner_product(
+                        self.spec.field, u, [a + x for a, x in zip(self.alpha, w)])
+                scalar = scalar + key[1]
                 if not scalar.is_zero():
                     mat = ExactMatrix.zeros(self.spec.field, self.space.dims[w]) if mat is None else mat.copy()
                     for i, row in enumerate(mat.data):
@@ -257,13 +253,6 @@ class _WeightModuleBase:
         if mat is None:
             return None
         return (tw, tuple([n + x + y - z for n, x, y, z in zip(np, e, w, tw)])), mat
-
-    def _class_scalar(self, u, by_class: dict, w: tuple) -> CycloNum:
-        """<u, alpha + w>, computed once per u and class."""
-        scalar = by_class.get(w)
-        if scalar is None:
-            scalar = by_class[w] = inner_product(self.spec.field, u, [a + x for a, x in zip(self.alpha, w)])
-        return scalar
 
     def act(self, symbol, mvec: dict) -> dict:
         """Apply a symbol to a vector {label: column}; all-zero columns are dropped."""
@@ -295,11 +284,12 @@ def _nonzero(vec: dict) -> dict:
 class CuspidalModule(_WeightModuleBase):
     """Functor image of a graded jet-algebra representation.
 
-    A symbol acts through rho of its jet image: the degree derivation t^m d_u
-    maps to the sum over 1 <= |p| <= cutoff of (m^p / p!) x^p d_u, the inner
-    derivation t^e to the raw symbol x^0 t-bar^e, whose reduction to a class
-    representative ``GRepresentation.rho`` supplies.  Rho of the image is the
-    symbol's action table.  It depends on neither alpha nor the box, so it is
+    A symbol acts through rho of its jet image, read through ``rho`` on basis
+    symbols alone: the degree derivation t^m d_u has the action table
+    sum over 1 <= |p| <= cutoff and j of (m^p / p!) u_j rho(x^p d_j), and the
+    inner derivation t^e the table rho(x^0 t-bar^e) of the raw symbol, which
+    the tail rule of ``GRepresentation.rho`` reduces to a class
+    representative.  A table depends on neither alpha nor the box, so it is
     computed once per symbol and kept on the representation, where every
     module built from it reads it.
     """
@@ -309,18 +299,19 @@ class CuspidalModule(_WeightModuleBase):
         self.rep = rep
 
     def _class_blocks(self, symbol):
-        table = self.rep._module_tables.get(symbol)
-        if table is not None:
-            return table
-        spec = self.spec
-        if symbol[0] == "deg":
-            _, u, m = symbol
-            image = sum((xd_along(spec, p, u).scale(taylor_coefficient(m, p))
-                         for total in range(1, self.rep.cutoff + 1)
-                         for p in degree_basis(spec.d, total)), JetElement(spec.field))
-        else:
-            image = xt(spec, (0,) * spec.d, symbol[1])
-        table = self.rep._module_tables[symbol] = self.rep.rho_element(image)
+        rep = self.rep
+        table = rep._module_tables.get(symbol)
+        if table is None:
+            sp = self.space
+            if symbol[0] == "deg":
+                _, u, m = symbol
+                table = linear_combination(
+                    ((taylor_coefficient(m, p) * uj, rep.rho(("XD", p, j)))
+                     for total in range(1, rep.cutoff + 1) for p in degree_basis(sp.spec.d, total)
+                     for j, uj in enumerate(u, start=1)), GradedOperator(sp, sp.zero_class, {}))
+            else:
+                table = rep.rho(("XT", (0,) * sp.spec.d, symbol[1]))
+            rep._module_tables[symbol] = table
         return table
 
 
@@ -361,10 +352,8 @@ class TensorFieldModule(_WeightModuleBase):
 
 
 def _symbol_pool(spec: TorusSpec, radius: int, rng: random.Random, count: int) -> list:
-    B = spec.B
-    cvecs = list(itertools.product(range(-radius, radius + 1), repeat=spec.d))
-    central = [tuple(c * b for c, b in zip(cv, B)) for cv in cvecs]
-    noncentral = [e for e in cvecs if not in_R(spec, e)]
+    central = central_box(spec, radius)
+    noncentral = [e for e in itertools.product(range(-radius, radius + 1), repeat=spec.d) if not in_R(spec, e)]
     units = [tuple(int(i == j) for i in range(spec.d)) for j in range(spec.d)]
     pool = []
     for _ in range(count):

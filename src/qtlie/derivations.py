@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .cyclo import CycloField, CycloNum, _make, make_field, parse_scalar
 from .errors import DimensionMismatch, ExponentNotInR, MalformedBasisKey, NotGeneric, ParseError
 from .matrices import ExactMatrix
-from .torus import TorusSpec, exp_add, exp_sub, in_R, sigma_skew
+from .torus import TorusSpec, central_box, exp_add, exp_sub, in_R, sigma_skew
 
 
 def inner_product(field: CycloField, u, v) -> CycloNum:
@@ -76,48 +76,46 @@ class _Combo:
             del terms[key]
         return cls._of(field, terms)
 
-    @classmethod
-    def bracket_sum(cls, field: CycloField, pairs, key_bracket):
-        """The sum of [x, y] over the (x, y) in `pairs`, each bracket the bilinear
-        extension of key_bracket(kx, ky), which yields (key, coeff) pairs with
-        coeff an int or a CycloNum.
+    def bracket(self, other, key_bracket):
+        """[self, other], the bilinear extension of key_bracket(kx, ky), which
+        yields (key, coeff) pairs with coeff an int or a CycloNum.
 
         Structure constants are mostly integers, so every coefficient that is
         a rational integer is carried as a Python int: the unit is taken as 1
         by identity, any other coefficient is read through _plain, and int
-        products and sums stay ints.  Where the coefficient of x, the
+        products and sums stay ints.  Where a coefficient of self, the
         product of the two coefficients, or a key bracket's constant is the
         int 1 or -1, the other factor is passed through or negated, with no
         field multiplication.  Every product goes straight into one dict; at
         the end each nonzero int becomes `one` or one canonical CycloNum, and
         zeros are dropped, as in from_terms.
         """
+        field = self.field
         one = field.one
         tail = field.zero.num[1:]
         terms = {}
         get = terms.get
-        for x, y in pairs:
-            y_terms = y.terms.items()
-            for kx, cx in x.terms.items():
-                cx = 1 if cx is one else _plain(cx)
-                x_sign = cx if type(cx) is int and (cx == 1 or cx == -1) else 0
-                for ky, cy in y_terms:
-                    if cy is one:
-                        c, sign = cx, x_sign
-                    else:
-                        cy = _plain(cy)
-                        c = cy if x_sign == 1 else -cy if x_sign else cx * cy
-                        sign = c if type(c) is int and (c == 1 or c == -1) else 0
-                    for key, coeff in key_bracket(kx, ky):
-                        if sign != 1:
-                            if sign:
-                                coeff = -coeff
-                            elif type(coeff) is int and (coeff == 1 or coeff == -1):
-                                coeff = c if coeff == 1 else -c
-                            else:
-                                coeff = c * coeff
-                        acc = get(key)
-                        terms[key] = coeff if acc is None else acc + coeff
+        y_terms = other.terms.items()
+        for kx, cx in self.terms.items():
+            cx = 1 if cx is one else _plain(cx)
+            x_sign = cx if type(cx) is int and (cx == 1 or cx == -1) else 0
+            for ky, cy in y_terms:
+                if cy is one:
+                    c, sign = cx, x_sign
+                else:
+                    cy = _plain(cy)
+                    c = cy if x_sign == 1 else -cy if x_sign else cx * cy
+                    sign = c if type(c) is int and (c == 1 or c == -1) else 0
+                for key, coeff in key_bracket(kx, ky):
+                    if sign != 1:
+                        if sign:
+                            coeff = -coeff
+                        elif type(coeff) is int and (coeff == 1 or coeff == -1):
+                            coeff = c if coeff == 1 else -c
+                        else:
+                            coeff = c * coeff
+                    acc = get(key)
+                    terms[key] = coeff if acc is None else acc + coeff
         out = {}
         for key, c in terms.items():
             if type(c) is int:
@@ -127,11 +125,7 @@ class _Combo:
                     out[key] = _make(field, (c,) + tail, 1)
             elif not c.is_zero():
                 out[key] = c
-        return cls._of(field, out)
-
-    def bracket(self, other, key_bracket):
-        """[self, other]: bracket_sum of the one pair."""
-        return self.bracket_sum(self.field, ((self, other),), key_bracket)
+        return self._of(field, out)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -409,11 +403,7 @@ def solenoidal_span_check(spec: TorusSpec, mu, flavor: str, sample_box: int) -> 
         return ClosureReport(True, cases, None)
     if flavor != "quantum":
         raise ParseError(f"unknown flavor {flavor!r}")
-    B = spec.B
-    central = [
-        tuple(c * bi for c, bi in zip(cvec, B))
-        for cvec in itertools.product(box, repeat=spec.d)
-    ]
+    central = central_box(spec, sample_box)
     noncentral = [s for s in itertools.product(box, repeat=spec.d) if not in_R(spec, s)]
     for m in central:
         am = deriv_along(spec, mu, m)

@@ -204,10 +204,10 @@ class GRepresentation:
     A representation is immutable: `action` is a read-only mapping, and the
     operators it holds, like every operator derived from them, are never
     changed in place.  That lets it keep, on the object itself, what depends
-    on it alone: the image of each jet element (``rho_element``), the action
-    table of each weight-module symbol (``cuspidal.CuspidalModule``), the
-    commutant basis (``commutant``) and its hash.  These memos belong to the
-    object, so an equal but distinct representation computes them again.
+    on it alone: the action table of each weight-module symbol
+    (``cuspidal.CuspidalModule``), the commutant basis (``commutant``) and
+    its hash.  These memos belong to the object, so an equal but distinct
+    representation computes them again.  ``rho_element`` keeps nothing.
     The report of a bracket check belongs to the value instead
     (``verify_representation``): the hash agrees with equality, so an equal
     representation reads the report of a live one.  For the same reason
@@ -236,7 +236,6 @@ class GRepresentation:
         fixed["action"] = MappingProxyType(ops)
         fixed["cutoff"] = 1 + max(map(key_degree, ops), default=-1)
         self._hash = None  # computed on first use
-        self._images = {}  # JetElement -> GradedOperator
         self._module_tables = {}  # weight-module symbol -> GradedOperator
         self._commutant = None  # tuple of GradedOperators once computed
 
@@ -275,13 +274,6 @@ class GRepresentation:
              for total in range(self.cutoff - sum(l)) for j in degree_basis(spec.d, total)), zero)
 
     def rho_element(self, element) -> GradedOperator:
-        """The action of a jet element, computed once per element and then kept."""
-        image = self._images.get(element)
-        if image is None:
-            image = self._images[element] = self._image(element)
-        return image
-
-    def _image(self, element) -> GradedOperator:
         """The action of a jet element, computed afresh and not kept."""
         sp = self.space
         shift = next((key_class(sp.spec, key) for key in element.terms), sp.zero_class)
@@ -379,9 +371,7 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
     bound alone, so it is kept for each degree_bound in a table of weak
     references keyed by value: a repeated check of the same object, or of an
     equal one while a checked one is alive, reads the kept report after one
-    exact equality test.  No entry keeps a representation alive.  The
-    bracket images are one-off, so they are computed without filling the
-    ``rho_element`` memo.
+    exact equality test.  No entry keeps a representation alive.
     """
     if rep.space.spec != spec:
         raise DimensionMismatch("different torus specs")
@@ -393,7 +383,7 @@ def verify_representation(spec: TorusSpec, rep: GRepresentation, degree_bound: i
         return report
     cases, failure = first_bracket_failure(
         canonical_keys(spec, degree_bound), rep.rho,
-        lambda a, b: rep._image(bracket_keys(spec, a, b)),
+        lambda a, b: rep.rho_element(bracket_keys(spec, a, b)),
         skip=lambda a, b: max(key_degree(a), key_degree(b)) >= rep.cutoff)
     if failure is None:
         report = VerifyReport(True, cases)

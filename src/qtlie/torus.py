@@ -210,6 +210,12 @@ def class_representatives(spec: TorusSpec) -> list[ExpVec]:
     return reps
 
 
+def central_box(spec: TorusSpec, radius: int) -> list[ExpVec]:
+    """The central exponents B c for c in [-radius, radius]^d, in itertools.product order of c."""
+    return [tuple(c * b for c, b in zip(cvec, spec.B))
+            for cvec in itertools.product(range(-radius, radius + 1), repeat=spec.d)]
+
+
 def exp_add(m: ExpVec, n: ExpVec) -> ExpVec:
     return tuple(map(operator.add, m, n))
 

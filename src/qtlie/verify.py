@@ -122,7 +122,7 @@ def _jacobi_sum(key_bracket, inner, a, b, c) -> dict:
     inner(x, y) yields the (key, coefficient) terms of [x, y]; each term is
     bracketed with the third key through key_bracket, and every product goes
     into one dict.  Coefficients are ints or CycloNums, and int products and
-    sums stay ints, as in bracket_sum.
+    sums stay ints, as in _Combo.bracket.
     """
     terms = {}
     get = terms.get

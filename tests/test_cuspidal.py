@@ -123,6 +123,12 @@ def test_symbol_validation(e1):
         sym_inner(e1, (2, 0))
     with pytest.raises(MalformedBasisKey):
         sym_central(e1, (1, 0))
+    # u, m, e and n need d entries each
+    for bad in (lambda: sym_deg(e1, (1,), (2, 0)), lambda: sym_deg(e1, (1, 0, 0), (2, 0)),
+                lambda: sym_deg(e1, (1, 0), (2, 0, 0)), lambda: sym_inner(e1, (1,)),
+                lambda: sym_central(e1, (2,)), lambda: sym_central(e1, (2, 0, 0))):
+        with pytest.raises(MalformedBasisKey, match="does not have 2 entries"):
+            bad()
 
 
 def test_bracket_symbols_cover_the_semidirect_structure(e1):
@@ -670,19 +676,26 @@ def test_weight_scalar_is_the_inner_product_with_the_weight_on_every_label(fixtu
 
 
 def test_rho_runs_once_per_noncentral_symbol(e1, monkeypatch):
-    """Once for every module of one representation, whatever their alpha and box."""
+    """Rho is read to build each noncentral symbol's table once, for every
+    module of one representation whatever its alpha and box: the first round
+    over two such modules calls rho, the second calls it no more, and both
+    modules hold one table per noncentral symbol."""
     module = _both_constructions(e1, (0, 0), 2)["cuspidal"]
     other = CuspidalModule(e1, (Fraction(1, 2), 0), module.rep, box=1)
     calls = []
-    rho_element = module.rep.rho_element
-    monkeypatch.setattr(module.rep, "rho_element", lambda image: calls.append(image) or rho_element(image))
+    rho = module.rep.rho
+    monkeypatch.setattr(module.rep, "rho", lambda key: calls.append(key) or rho(key))
     symbols = standard_symbols(e1) + cuspidal._symbol_pool(e1, 2, random.Random(3), 30)
-    for _ in range(2):
+    for round_ in range(2):
         for each in (module, other):
             for sym in symbols:
                 for label in each.labels(2):
                     each.block(sym, label)
-    assert len(calls) == len({sym for sym in symbols if sym[0] != "z"})
+        assert bool(calls) == (round_ == 0)
+        calls.clear()
+    for sym in symbols:
+        if sym[0] != "z":
+            assert other._entry(sym)[0] is module._entry(sym)[0] is module.rep._module_tables[sym]
 
 
 def test_modules_differ_for_different_alpha(e1, setup_e1):

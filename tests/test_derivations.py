@@ -265,15 +265,15 @@ def test_key_constructors_check_length_and_index(e1):
         bracket_witt(witt(fld, 1, (1,)), witt(fld, 1, (0, 1)))
 
 
-# bracket_sum on E1, E2 and E4 (L = 4): the fields Q, Q(zeta_3) and Q(i); and
-# on k = 4 over L = 12, where phi = 4 < L and skews meet roots z^j with j >= phi
+# _Combo.bracket on E1, E2 and E4 (L = 4): the fields Q, Q(zeta_3) and Q(i);
+# and on k = 4 over L = 12, where phi = 4 < L and skews meet roots z^j with j >= phi
 SUM_SPECS = [make_torus(2, 1, [2]), make_torus(2, 1, [3]), make_torus(2, 1, [4], 4), make_torus(2, 1, [4], 12)]
 SUM_IDS = ["e1", "e2", "e4", "k4-L12"]
 
 
 def reference_bracket(x, y, key_bracket):
-    """[x, y] as the bilinear loop computed it before bracket_sum: every
-    product through from_terms, which sums and drops zeros."""
+    """[x, y] as the plain bilinear loop: every product through from_terms,
+    which sums and drops zeros."""
     return x.from_terms(x.field, (
         (key, cx * cy * coeff)
         for kx, cx in x.terms.items() for ky, cy in y.terms.items()
@@ -302,6 +302,9 @@ def _algebra(spec, name):
 @pytest.mark.parametrize("name", ["d", "witt", "jets"])
 @given(data=st.data())
 def test_bracket_sum_is_the_sum_of_the_brackets(spec, name, data):
+    """A sum of brackets, each through `bracket`, is the sum of the reference
+    brackets, cancelling pairs included; the bracket of x + y with itself,
+    one call in which every coefficient cancels, is zero."""
     fld = spec.field
     cls, key_bracket, keys = _algebra(spec, name)
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -314,14 +317,16 @@ def test_bracket_sum_is_the_sum_of_the_brackets(spec, name, data):
     # cancelling terms: a pair followed by its swap, or by its negation
     for x, y in data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
         pairs.append(data.draw(st.sampled_from([(y, x), (x, -y), (-x, y)])))
-    want = cls(fld)
+    want, got = cls(fld), cls(fld)
     for x, y in pairs:
         want = want + reference_bracket(x, y, key_bracket)
-    got = cls.bracket_sum(fld, pairs, key_bracket)
+        got = got + x.bracket(y, key_bracket)
     assert type(got) is cls and got == want
-    assert all(not c.is_zero() for c in got.terms.values())
     for x, y in pairs:
-        assert x.bracket(y, key_bracket) == reference_bracket(x, y, key_bracket)
+        one = x.bracket(y, key_bracket)
+        assert one == reference_bracket(x, y, key_bracket)
+        assert all(not c.is_zero() for c in one.terms.values())
+        assert (x + y).bracket(x + y, key_bracket).terms == {}
 
 
 @pytest.mark.parametrize("spec", SUM_SPECS, ids=SUM_IDS)
@@ -340,7 +345,7 @@ def test_bracket_keys_pass_their_validators_unchanged(spec, name, data):
                 assert cls._SYMBOLS[tag][1](ctx, *args) == key
 
 
-# The int path of bracket_sum: integer coefficients ride as Python ints and
+# The int path of _Combo.bracket: integer coefficients ride as Python ints and
 # become canonical CycloNums only in the result.
 
 def _int_coeffs(fld):
@@ -360,7 +365,8 @@ def test_bracket_results_hold_only_field_elements(spec, name, data):
     elements = st.lists(st.tuples(st.sampled_from(pool), _int_coeffs(fld)), max_size=4).map(
         partial(cls.from_terms, fld))
     pairs = data.draw(st.lists(st.tuples(elements, elements), min_size=1, max_size=3))
-    results = [cls.bracket_sum(fld, pairs, key_bracket)]
+    xs, ys = zip(*pairs)
+    results = [sum(xs, cls(fld)).bracket(sum(ys, cls(fld)), key_bracket)]
     for x, y in pairs:
         got, want = x.bracket(y, key_bracket), reference_bracket(x, y, key_bracket)
         assert got == want and list(got.terms) == list(want.terms) and hash(got) == hash(want)
@@ -377,13 +383,13 @@ def test_integer_terms_that_cancel_drop_their_key(spec):
     x = witt(fld, 1, (1, 0), 2) + witt(fld, 2, (0, 1), -3)
     y = witt(fld, 2, (2, 1), -3) + witt(fld, 1, (1, 2), 2)
     assert not bracket_witt(x, y).is_zero()
-    # a pair and its swap: every integer coefficient cancels to the int 0
-    assert WdElement.bracket_sum(fld, ((x, y), (y, x)), derivations._bracket_witt_keys).terms == {}
-    # 2 * [x, y] - [2x, y]: only the terms of z survive
+    # [x + y, x + y]: every integer coefficient cancels to the int 0
+    assert bracket_witt(x + y, x + y).terms == {}
+    # [x + z, 2x] = 2 [z, x]: only the terms of z survive
     z = witt(fld, 2, (1, 1), 2)
-    got = WdElement.bracket_sum(fld, ((x, y.scale(2)), (x.scale(-2), y), (z, x)),
-                                derivations._bracket_witt_keys)
-    assert got == bracket_witt(z, x) and list(got.terms) == list(bracket_witt(z, x).terms)
+    got = bracket_witt(x + z, x.scale(2))
+    want = bracket_witt(z, x).scale(2)
+    assert got == want and list(got.terms) == list(want.terms)
 
 
 MIXED_KEY = {
@@ -555,6 +561,6 @@ def test_derivation_and_witt_suites_build_no_elements(e2, monkeypatch):
     for module in (derivations, verify):
         monkeypatch.setattr(module, "bracket_d", unused)
         monkeypatch.setattr(module, "bracket_witt", unused)
-    monkeypatch.setattr(derivations._Combo, "bracket_sum", classmethod(unused))
+    monkeypatch.setattr(derivations._Combo, "bracket", unused)
     assert suite_jacobi_derivations(e2, triples=100).passed
     assert suite_jacobi_witt(e2, triples=100).passed

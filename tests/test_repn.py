@@ -849,7 +849,6 @@ def test_data_attributes_cannot_be_rebound(e1):
     fresh = verify_representation(e1, GRepresentation(rep.space, doubled), 1)
     assert fresh.first_failure == "[XT(0,0;1,1), XT(0,0;1,2)] entry (0, 2)"
     rep._commutant = None  # the memo slots stay writable
-    rep._images = {}
 
 
 def test_bracket_check_is_kept_per_value_and_degree_bound(e1, commutator_calls, monkeypatch):
@@ -925,13 +924,26 @@ def test_the_default_degree_bound_is_the_cutoff_and_at_least_one(e1):
     assert verify_representation(e1, zero) is verify_representation(e1, zero, 1)
 
 
-def test_bracket_check_leaves_the_image_memo_empty(e1):
+def test_a_representation_keeps_only_its_hash_tables_and_commutant(e1):
+    """Besides its data, a representation holds three memos: its hash, the
+    weight-module tables and the commutant.  A bracket check, module blocks,
+    the image of a jet element and the commutant add no other attribute, and
+    the image of a jet element is not kept anywhere."""
     rep = preset_pullback(e1)[1]
+    attributes = {"space", "cutoff", "action", "_hash", "_module_tables", "_commutant"}
+    assert set(vars(rep)) == attributes
     assert verify_representation(e1, rep, 3).passed
-    assert rep._images == {}
-    element = bracket_keys(e1, ("XD", (1, 0), 2), ("XT", (0, 0), (1, 1)))
+    module = build_module(e1, (0, 0), rep, box=1)
+    for sym in standard_symbols(e1):
+        for label in module.labels():
+            module.block(sym, label)
+    element = bracket_keys(e1, ("XD", (1, 0), 1), ("XT", (0, 0), (1, 1))) + bracket_keys(
+        e1, ("XD", (1, 0), 2), ("XT", (0, 0), (1, 2)))
     image = rep.rho_element(element)
-    assert rep.rho_element(element) is image and list(rep._images) == [element]
+    assert rep.rho_element(element) == image and rep.rho_element(element) is not image
+    assert commutant(rep)
+    assert set(vars(rep)) == attributes
+    assert rep._hash is not None and rep._module_tables and rep._commutant is not None
 
 
 def test_modules_of_one_representation_share_its_images(e1):
