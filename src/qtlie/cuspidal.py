@@ -79,10 +79,11 @@ def _vector(spec: TorusSpec, vec) -> tuple:
 
 
 def sym_deg(spec: TorusSpec, u, m) -> tuple:
+    """The degree symbol t^m d_u; each rational-integer entry of u is kept as an int."""
     m = _vector(spec, m)
     if not in_R(spec, m):
         raise MalformedBasisKey(f"exponent {m} not in R")
-    return ("deg", tuple(map(spec.field.coerce, _vector(spec, u))), m)
+    return ("deg", tuple([_plain(spec.field.coerce(x)) for x in _vector(spec, u)]), m)
 
 
 def sym_inner(spec: TorusSpec, e) -> tuple:
@@ -121,7 +122,8 @@ def bracket_symbols(spec: TorusSpec, a, b) -> list:
     """Bracket in (derivations semidirect center), as [(coefficient, symbol)].
 
     Degree and inner symbols bracket through `bracket_d`; the degree terms of
-    the result share one exponent and come back as a single degree symbol.
+    the result share one exponent and come back as a single degree symbol,
+    whose direction keeps its rational integers as ints, as in `sym_deg`.
     Only the central extension [deg(u, m), z(n)] = <u, n> z(m + n) is written
     here.
     """
@@ -135,11 +137,11 @@ def bracket_symbols(spec: TorusSpec, a, b) -> list:
         return [(-c, s) for c, s in bracket_symbols(spec, b, a)]
     if "z" in kinds:
         return []
-    u, m, out = [spec.field.zero] * spec.d, None, []
+    u, m, out = [0] * spec.d, None, []
     for key, c in bracket_d(spec, _derivation(spec, a), _derivation(spec, b)).terms.items():
         if key[0] == "d":
             _, i, m = key
-            u[i - 1] = c
+            u[i - 1] = _plain(c)
         else:
             out.append((c, ("inn", key[1])))
     return out if m is None else [(spec.field.one, ("deg", tuple(u), m))] + out
@@ -201,13 +203,12 @@ class _WeightModuleBase:
     def _entry(self, symbol) -> tuple[GradedOperator, tuple | None, dict | None]:
         """(action table, u, shifted blocks) of `symbol`, built on first use, so
         that a call hashes the symbol once.  For a degree symbol u is its
-        direction with each rational-integer entry as an int, and the shifted
-        blocks start as {}; an inner or central symbol has None for both.  The
-        center acts by identities."""
+        direction, and the shifted blocks start as {}; an inner or central
+        symbol has None for both.  The center acts by identities."""
         entry = self._tables.get(symbol)
         if entry is None:
             if symbol[0] == "deg":
-                entry = (self._class_blocks(symbol), tuple([_plain(x) for x in symbol[1]]), {})
+                entry = (self._class_blocks(symbol), symbol[1], {})
             else:
                 table = GradedOperator.identity(self.space) if symbol[0] == "z" else self._class_blocks(symbol)
                 entry = (table, None, None)

@@ -42,60 +42,6 @@ def _rat_poly_divmod(num, den):
     return _poly_trim(q), _poly_trim(num)
 
 
-def _poly_derivative(p):
-    return [i * c for i, c in enumerate(p) if i]
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of two trimmed rational polynomials, not both zero."""
-    while b:
-        a, b = b, _rat_poly_divmod(a, b)[1]
-    inv_lead = _ONE / a[-1]
-    return [c * inv_lead for c in a]
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of a nonzero integer, by trial division."""
-    n, out, p = abs(n), [1], 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left is prime
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out = [d * p**i for d in out for i in range(e + 1)]
-        p += 1
-    return out
-
-
-def proper_factor_over_q(poly):
-    """A monic factor over Q of a monic rational polynomial of degree >= 2 (low
-    degree first), proper and of positive degree, or None if none is found.
-
-    The factor is the square-free part poly / gcd(poly, poly') when some factor
-    repeats, else x - r for a rational root r (rational root theorem on the
-    integer-cleared coefficients).  None means poly is square-free without
-    rational roots; it may still factor into pieces of degree >= 2.
-    """
-    sqfree = _rat_poly_divmod(poly, _poly_gcd(poly, _poly_derivative(poly)))[0]
-    if len(sqfree) < len(poly):
-        return sqfree
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * den) for c in poly]
-    if ints[0] == 0:
-        return [_ZERO, _ONE]
-    for q in _divisors(ints[-1]):
-        for p in _divisors(ints[0]):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                value = 0
-                for c in reversed(ints):
-                    value = value * r + c
-                if value == 0:
-                    return [-r, _ONE]
-    return None
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """Integer coefficients of the L-th cyclotomic polynomial, low degree first."""
@@ -425,11 +371,6 @@ class CycloNum:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return Fraction(self.num[0], self.den)
 
     def approx(self) -> complex:
         """Floating approximation, for diagnostics only (never used in decisions)."""

@@ -45,10 +45,6 @@ class NotIrreducible(QtlieError):
     """An operation required an irreducible module but got a reducible one."""
 
 
-class SplittingNeedsFieldExtension(QtlieError):
-    """Splitting an invariant subspace needs roots outside the coefficient field."""
-
-
 class InvariantViolated(QtlieError):
     """An identity that holds by construction failed: the input or the library is inconsistent."""
 

@@ -77,13 +77,6 @@ def xt(spec: TorusSpec, l, s, coeff=1) -> JetElement:
     return JetElement._term(spec.field, _xt_key(spec.d, l, s), coeff)
 
 
-def xd_along(spec: TorusSpec, p, u) -> JetElement:
-    """x^p d_u for a coefficient vector u."""
-    u = map(spec.field.coerce, u)
-    return JetElement.from_terms(
-        spec.field, ((_xd_key(spec.d, p, j), uj) for j, uj in enumerate(u, start=1) if not uj.is_zero()))
-
-
 def gl_d_keys(d: int) -> list[tuple[tuple, tuple[int, int]]]:
     """The degree-zero symbols x_i d_j with their matrix units, as (key, (i, j)), i-major."""
     units = [tuple(int(k == i) for k in range(d)) for i in range(d)]

@@ -17,14 +17,14 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .cyclo import CycloNum, parse_cyclonum, proper_factor_over_q
+from .cyclo import parse_cyclonum
 from .errors import (
     DimensionMismatch,
     InvalidModuleData,
     InvalidRepresentation,
+    MalformedBasisKey,
     NotIrreducible,
     ParseError,
-    SplittingNeedsFieldExtension,
 )
 from .jetalg import (
     bracket_keys,
@@ -713,78 +713,20 @@ def spin_up(field, mats: list[ExactMatrix], start) -> list:
     return basis
 
 
-def matrix_minimal_polynomial(field, m: ExactMatrix) -> list[CycloNum]:
-    """Monic minimal polynomial coefficients, low degree first (monic omitted).
+def _simple_gld_restriction(field, c, gld_mats, basis):
+    """The class-c gl_d blocks `gld_mats` restricted to the submodule that `basis`
+    spans as columns of U_c.
 
-    They are the coordinates of m^t in I, m, ..., m^(t-1), for the first
-    power m^t that the lower powers span.
+    NotIrreducible when the restricted module has non-scalar endomorphisms.
     """
-    size = m.rows * m.rows
-    powers = [ExactMatrix.identity(field, m.rows)]
-    while True:
-        top = powers[-1] * m
-        coords = basis_matrix(field, [power.flatten() for power in powers], size).solve(
-            basis_matrix(field, [top.flatten()], size))
-        if coords is not None:
-            return [row[0] for row in coords.data]
-        powers.append(top)
-
-
-def _try_split(field, mats: list[ExactMatrix], n: int, rng) -> list | None:
-    """Find a proper invariant subspace via the commutant, or None if simple.
-
-    Each non-scalar candidate k (the commutant basis, then four seeded mixes)
-    with a rational minimal polynomial mu is tried in turn: ker f(k) is
-    invariant and proper for the factor f that ``proper_factor_over_q`` picks (the
-    square-free part of mu, or x - r for a rational root r).  Raises
-    SplittingNeedsFieldExtension when no candidate has such a factor; this
-    includes the one case missed over Q, a square-free mu without rational
-    roots that factors into pieces of degree >= 2.
-    """
-    comm = intertwiners(field, [(g, g) for g in mats])
-    if len(comm) <= 1:
-        return None
-    ident = ExactMatrix.identity(field, n)
-    candidates = comm + [linear_combination(((rng.randint(-2, 2), c) for c in comm),
-                                            ExactMatrix.zeros(field, n)) for _ in range(4)]
-    for k in candidates:
-        if (k - ident.scale(k[0, 0])).is_zero():
-            continue  # scalar
-        coeffs = matrix_minimal_polynomial(field, k)
-        if not all(c.is_rational() for c in coeffs):
-            continue
-        factor = proper_factor_over_q([-c.as_rational() for c in coeffs] + [1])
-        if factor is None:
-            continue
-        fk = ExactMatrix.zeros(field, n)
-        for c in reversed(factor):
-            fk = fk * k + ident.scale(c)
-        kern = fk.kernel()
-        if 0 < len(kern) < n:
-            return kern
-    raise SplittingNeedsFieldExtension(
-        f"no element of the {len(comm)}-dimensional commutant has a rational minimal"
-        " polynomial with a repeated factor or a rational root"
-    )
-
-
-def _irreducible_gld_submodule(field, gld_mats, basis, rng):
-    """Shrink a submodule of one class U_c to an irreducible one and return its gl_d matrices.
-
-    `basis` spans the submodule as columns of U_c, and `gld_mats` are the
-    class-c blocks of the gl_d generators.
-    """
-    mats_list = list(gld_mats.values())
-    while True:
-        B = basis_matrix(field, basis, mats_list[0].rows)
-        restricted = {key: B.solve(m * B) for key, m in gld_mats.items()}
-        if None in restricted.values():
-            raise InvalidRepresentation("subspace is not invariant")
-        split = _try_split(field, list(restricted.values()), len(basis), rng)
-        if split is None:
-            return restricted
-        # lift one vector of the invariant subspace to the ambient coordinates
-        basis = spin_up(field, mats_list, B.apply(split[0]))
+    B = basis_matrix(field, basis, next(iter(gld_mats.values())).rows)
+    restricted = {key: B.solve(m * B) for key, m in gld_mats.items()}
+    if None in restricted.values():
+        raise InvalidRepresentation("subspace is not invariant")
+    if len(intertwiners(field, [(m, m) for m in restricted.values()])) != 1:
+        raise NotIrreducible(f"the gl_d-module spun up in class {c} has dimension {len(basis)}"
+                             " and non-scalar endomorphisms")
+    return restricted
 
 
 def _probe_vectors(sp: GradedSpace, gld_ops: dict, probes: int, rng) -> list:
@@ -825,9 +767,11 @@ def decompose_tensor(
     Phi * rho_rebuilt(key) for every generator.
 
     The gl_d generators preserve every class U_c, and every probe vector lies
-    in one class, so V is found inside one U_c: the spin-up, its restriction
-    and its splitting work on the class-c blocks of the gl_d operators, and no
-    dim U x dim U matrix is built.
+    in one class, so V is found inside one U_c: the spin-up and its
+    restriction work on the class-c blocks of the gl_d operators, and no
+    dim U x dim U matrix is built.  V is the smallest gl_d-module spun up from
+    a probe; when it has non-scalar endomorphisms (it is reducible) this
+    raises NotIrreducible and does not split it.
     """
     sp = rep.space
     fld = sp.field
@@ -847,7 +791,7 @@ def decompose_tensor(
             break
     if best is None:
         raise NotIrreducible("no nonzero probe vector found")
-    v_mats = _irreducible_gld_submodule(fld, gld_blocks[best[0]], best[1], rng)
+    v_mats = _simple_gld_restriction(fld, best[0], gld_blocks[best[0]], best[1])
     # intertwiner spaces Hom_{gl_d}(V, U_c), one per class
     w_basis_per_class = {
         c: intertwiners(fld, [(vm, gld_blocks[c][ij]) for ij, vm in v_mats.items()])
@@ -909,17 +853,37 @@ def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
 
 
 def rep_from_dict(data: dict):
-    """Inverse of ``rep_to_dict``; malformed data, or a cutoff that the action does not give, raises ParseError."""
+    """Inverse of ``rep_to_dict``; malformed data raises ParseError.
+
+    Malformed includes a class listed twice or not a class representative, an
+    action key listed twice or outside the key grammar, and a cutoff that the
+    action does not give.
+    """
     if not isinstance(data, dict) or data.get("format") != "qtlie-representation":
         raise ParseError("not a representation file")
     try:
         spec = load_torus(data["torus"])
-        space = GradedSpace(spec, {tuple(entry["w"]): int(entry["dim"]) for entry in data["classes"]})
-        action = {
-            key_from_string(entry["key"]): ExactMatrix(
+        reps = set(class_representatives(spec))
+        dims = {}
+        for entry in data["classes"]:
+            w = tuple(entry["w"])
+            if w in dims:
+                raise ParseError(f"class {list(w)} is listed twice")
+            if w not in reps:
+                raise ParseError(f"class {list(w)} is not a class representative")
+            dims[w] = int(entry["dim"])
+        space = GradedSpace(spec, dims)
+        action = {}
+        for entry in data["action"]:
+            text = entry["key"]
+            try:
+                key = key_from_string(text)
+            except MalformedBasisKey as exc:
+                raise ParseError(f"action key {text}: {exc}") from exc
+            if key in action:
+                raise ParseError(f"action key {text} is listed twice")
+            action[key] = ExactMatrix(
                 spec.field, [[parse_cyclonum(s, spec.field) for s in row] for row in entry["matrix"]])
-            for entry in data["action"]
-        }
         cutoff = int(data["cutoff"])
         alpha = tuple(parse_cyclonum(s, spec.field) for s in data["alpha"]) if "alpha" in data else None
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:

@@ -241,24 +241,6 @@ def multiply_monomials(spec: TorusSpec, a: Monomial, b: Monomial) -> Monomial:
     return Monomial(coeff, exp_add(a.exp, b.exp))
 
 
-def validate_q_matrix(spec: TorusSpec, q_grid) -> bool:
-    """Check a raw d x d grid of CycloNum entries against the normal form."""
-    d = spec.d
-    if len(q_grid) != d or any(len(row) != d for row in q_grid):
-        return False
-    for i in range(d):
-        for j in range(d):
-            expected = spec.field.one
-            if i != j:
-                pair, lo = j // 2, 2 * (j // 2)
-                if j < 2 * spec.z and {i, j} == {lo, lo + 1}:
-                    step = spec.L // spec.k[pair]
-                    expected = spec.field.root(step if i > j else -step)
-            if q_grid[i][j] != expected:
-                return False
-    return True
-
-
 def center_generator_names(spec: TorusSpec) -> list[str]:
     names = []
     for i in range(spec.z):

@@ -13,8 +13,8 @@ import qtlie
 from qtlie import cli, verify
 from qtlie.cli import main
 from qtlie.cyclo import parse_cyclonum
-from qtlie.errors import NotIrreducible
-from qtlie.repn import preset_pullback, rep_to_dict, scramble_representation
+from qtlie.errors import NotIrreducible, ParseError
+from qtlie.repn import preset_pullback, rep_from_dict, rep_to_dict, scramble_representation
 from qtlie.torus import load_torus, make_torus
 
 
@@ -434,6 +434,46 @@ def test_module_roundtrip_uses_an_explicit_degree_zero(spec_file, capsys):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "total degree <= 0" in captured.err
+
+
+def _repeat_first_key_with_a_zero_matrix(data, zero):
+    first = data["action"][0]
+    data["action"].append({"key": first["key"], "matrix": [[zero] * len(row) for row in first["matrix"]]})
+    return "action key XD(0,1;1) is listed twice"
+
+
+def _repeat_first_class(data, zero):
+    data["classes"].append(dict(data["classes"][0]))
+    return "class [1, 1] is listed twice"
+
+
+def _move_first_class_off_the_representatives(data, zero):
+    data["classes"][0]["w"] = [3, 3]
+    return "class [3, 3] is not a class representative"
+
+
+def _give_first_key_a_zero_exponent(data, zero):
+    data["action"][0]["key"] = "XD(0,0;1)"
+    return "action key XD(0,0;1): bad vector-field exponent (0, 0)"
+
+
+@pytest.mark.parametrize("corrupt", [_repeat_first_key_with_a_zero_matrix, _repeat_first_class,
+                                     _move_first_class_off_the_representatives,
+                                     _give_first_key_a_zero_exponent])
+def test_malformed_representation_file_is_a_config_error(corrupt, tmp_path, capsys):
+    """A file that the action or the grading of a representation cannot come from exits 2 and names
+    the key or the class; a repeated key no longer loads with its later matrix."""
+    spec = make_torus(2, 1, [2])
+    data = rep_to_dict(preset_pullback(spec)[1])
+    assert data["classes"][0]["w"] == [1, 1] and data["action"][0]["key"] == "XD(0,1;1)"
+    message = corrupt(data, spec.field.zero.serialize())
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(data))
+    with pytest.raises(ParseError) as info:
+        rep_from_dict(data)
+    assert str(info.value) == message
+    assert main(["module", "verify", "--rep", str(rep_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_ragged_representation_file_is_a_config_error(tmp_path, capsys):

@@ -17,7 +17,6 @@ from qtlie.cyclo import (
     make_field,
     parse_cyclonum,
     parse_scalar,
-    proper_factor_over_q,
 )
 from qtlie.errors import DimensionMismatch, ParseError
 
@@ -211,35 +210,6 @@ def test_cross_field_equality_compares_rational_values(q):
     assert len({i, w, make_field(3).one, make_field(4).one}) == 3
     with pytest.raises(DimensionMismatch, match="mixed cyclotomic fields"):
         i + w
-
-
-def _poly(*roots):
-    """Monic polynomial with the given roots, low degree first."""
-    out = [Fraction(1)]
-    for r in roots:
-        out = [-r * out[0]] + [a - r * b for a, b in zip(out[:-1], out[1:])] + [out[-1]]
-    return out
-
-
-@pytest.mark.parametrize("roots", [
-    (1, 1, 2), (3, 3, 3, -1), (0, 5), (Fraction(2, 3), Fraction(-5, 7)), (Fraction(-1, 6), 4, -4),
-    (-2, Fraction(-3, 5)),
-])
-def test_proper_factor_over_q_splits(roots):
-    factor = proper_factor_over_q(_poly(*roots))
-    if len(set(roots)) < len(roots):  # a repeated factor: the square-free part
-        assert factor == _poly(*set(roots))
-    else:  # x - r for a rational root r
-        assert len(factor) == 2 and factor[1] == 1 and -factor[0] in roots
-
-
-@pytest.mark.parametrize("poly", [
-    [2, 0, 1],  # x^2 + 2
-    [6, 0, -5, 0, 1],  # (x^2 - 2)(x^2 - 3): square-free, no rational root
-    [Fraction(4, 3), Fraction(-404, 177), 1],
-])
-def test_proper_factor_over_q_finds_none(poly):
-    assert proper_factor_over_q(poly) is None
 
 
 def reference_powers(L):

@@ -14,7 +14,6 @@ from qtlie.jetalg import (
     parse_jet_element,
     project_quotient,
     xd,
-    xd_along,
     xt,
 )
 from qtlie.matrices import ExactMatrix
@@ -188,7 +187,3 @@ def test_grammar(e1):
         parse_jet_element(e1, "D(1;0,0)")
     key = ("XT", (1, 0), (-1, 2))
     assert key_from_string(key_to_string(key)) == key
-
-
-def test_xd_along(e1):
-    assert xd_along(e1, (1, 0), (3, -1)) == xd(e1, (1, 0), 1, 3) - xd(e1, (1, 0), 2)

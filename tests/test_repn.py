@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -21,16 +22,14 @@ from qtlie.errors import (
     InvalidRepresentation,
     NotIrreducible,
     ParseError,
-    SplittingNeedsFieldExtension,
 )
-from qtlie.jetalg import bracket_keys, gl_d_keys
-from qtlie.matrices import ExactMatrix, RowSpace, basis_matrix
+from qtlie.jetalg import bracket_keys
+from qtlie.matrices import ExactMatrix, RowSpace
 from qtlie.repn import (
     GLdGLNModule,
     GRepresentation,
     GradedOperator,
     GradedSpace,
-    _try_split,
     commutant,
     decompose_tensor,
     graded_regular_glN,
@@ -48,7 +47,7 @@ from qtlie.repn import (
     verify_representation,
 )
 from qtlie.torus import canonical_rep, class_representatives, exp_add, load_torus, make_torus, sigma_hat
-from qtlie.cyclo import CycloNum, make_field, proper_factor_over_q
+from qtlie.cyclo import CycloNum, make_field
 from test_matrices import reference_kernel
 
 
@@ -604,56 +603,6 @@ def test_decompose_module_with_no_action(e1):
     assert (vw.dim_V, vw.dim_W) == (1, 1)
 
 
-def _minimal_polynomial_value(fld, m, coeffs):
-    """mu(m) for mu = x^t - sum coeffs_i x^i, t = len(coeffs)."""
-    n = m.rows
-    powers = [ExactMatrix.identity(fld, n)]
-    for _ in coeffs:
-        powers.append(powers[-1] * m)
-    return powers[-1] - sum((p.scale(c) for c, p in zip(coeffs, powers)), ExactMatrix.zeros(fld, n))
-
-
-def test_minimal_polynomial_of_small_matrices():
-    fld = make_field(1)
-    c, lam = Fraction(5, 3), -2
-    cases = [
-        (ExactMatrix.identity(fld, 3).scale(c), [c]),  # x - c
-        (ExactMatrix(fld, [[lam, 1], [0, lam]]), [-lam * lam, 2 * lam]),  # (x - lam)^2
-        (ExactMatrix(fld, [[1, 0, 0], [0, 2, 0], [0, 0, 2]]), [-2, 3]),  # (x - 1)(x - 2)
-        (ExactMatrix(fld, [[0, -1], [1, 0]]), [-1, 0]),  # x^2 + 1
-    ]
-    for m, want in cases:
-        assert repn.matrix_minimal_polynomial(fld, m) == [fld.from_rational(x) for x in want]
-
-
-def test_minimal_polynomial_over_q_zeta3():
-    fld = make_field(3)
-    zeta = fld.element([0, 1])
-    # diag(zeta, zeta^2) has mu = (x - zeta)(x - zeta^2) = x^2 + x + 1
-    m = ExactMatrix(fld, [[zeta, 0], [0, zeta * zeta]])
-    assert repn.matrix_minimal_polynomial(fld, m) == [-fld.one, -fld.one]
-    # the Jordan block J(zeta) has mu = (x - zeta)^2
-    jordan = ExactMatrix(fld, [[zeta, 1], [0, zeta]])
-    assert repn.matrix_minimal_polynomial(fld, jordan) == [-zeta * zeta, 2 * zeta]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_minimal_polynomial_annihilates_and_is_minimal(seed):
-    rng = random.Random(seed)
-    for L in (1, 3):
-        fld = make_field(L)
-        for n in (1, 2, 3):
-            m = ExactMatrix(fld, [[fld.element([rng.randint(-2, 2) for _ in range(fld.phi)])
-                                   for _ in range(n)] for _ in range(n)])
-            coeffs = repn.matrix_minimal_polynomial(fld, m)
-            assert _minimal_polynomial_value(fld, m, coeffs).is_zero()
-            # the lower powers I, m, ..., m^(t-1) are independent, so no polynomial of lower degree vanishes
-            powers = [ExactMatrix.identity(fld, n)]
-            while len(powers) < len(coeffs):
-                powers.append(powers[-1] * m)
-            assert ExactMatrix(fld, [p.flatten() for p in powers]).rank() == len(coeffs)
-
-
 def test_decompose_rejects_a_torus_block_outside_the_intertwiner_spaces(e1, rep_e1):
     """One class block of one torus operator becomes a non-scalar on V, so it is not A (x) I_V."""
     key = ("XT", (0, 0), (1, 2))
@@ -670,20 +619,18 @@ def test_decompose_rejects_a_torus_block_outside_the_intertwiner_spaces(e1, rep_
 
 def test_gld_submodule_of_a_non_invariant_basis_is_rejected(e1):
     fld = e1.field
+    c = class_representatives(e1)[0]
     with pytest.raises(InvalidRepresentation, match="subspace is not invariant"):
-        repn._irreducible_gld_submodule(fld, natural_gld(e1), [[fld.one, fld.zero]], random.Random(0))
+        repn._simple_gld_restriction(fld, c, natural_gld(e1), [[fld.one, fld.zero]])
 
 
-def test_gld_submodule_respins_after_a_split(e1, monkeypatch):
-    """natural + natural on the four unit vectors splits once; the re-spun piece is natural."""
+def test_gld_submodule_of_natural_twice_is_not_irreducible(e1):
+    """natural + natural on the four unit vectors has non-scalar endomorphisms: refused, not split."""
     fld = e1.field
-    spins = []
-    monkeypatch.setattr(repn, "spin_up", lambda *args: spins.append(args) or spin_up(*args))
+    c = class_representatives(e1)[0]
     blocks = {ij: ExactMatrix.identity(fld, 2).kron(m) for ij, m in natural_gld(e1).items()}
-    v_mats = repn._irreducible_gld_submodule(fld, blocks, ExactMatrix.identity(fld, 4).data, random.Random(0))
-    assert len(spins) == 1
-    assert all((m.rows, m.cols) == (2, 2) for m in v_mats.values())
-    GLdGLNModule(e1, v_mats, *graded_regular_glN(e1))  # checks the gl_d relations on V
+    with pytest.raises(NotIrreducible, match=re.escape(f"spun up in class {c} has dimension 4 ")):
+        repn._simple_gld_restriction(fld, c, blocks, ExactMatrix.identity(fld, 4).data)
 
 
 def test_decompose_rejects_a_tensor_module_of_other_class_dimensions(e1):
@@ -694,96 +641,17 @@ def test_decompose_rejects_a_tensor_module_of_other_class_dimensions(e1):
         decompose_tensor(e1, rep)
 
 
-def test_splitting_needs_field_extension():
-    """A commutant isomorphic to Q(i) cannot be split over the rationals."""
-    fld = make_field(1)
-    rotation = ExactMatrix(fld, [[0, -1], [1, 0]])
-    with pytest.raises(SplittingNeedsFieldExtension):
-        _try_split(fld, [rotation], 2, random.Random(0))
-
-
-def _assert_proper_invariant(fld, mats, n, basis):
-    assert 0 < len(basis) < n
-    B = basis_matrix(fld, basis, n)
-    assert B.rank() == len(basis)
-    for m in mats:
-        for vec in basis:
-            assert B.solve(basis_matrix(fld, [m.apply(vec)], n)) is not None
-
-
-def test_split_scrambled_natural_twice(e1):
-    """The natural gl_2 module twice has commutant M_2(Q): it splits over Q,
-    although a mix with an irreducible quadratic minimal polynomial comes first."""
-    fld = e1.field
-    z = fld.zero
-    nat = natural_gld(e1)
-
-    def twice(m):
-        return ExactMatrix(fld, [row + [z, z] for row in m.data] + [[z, z] + row for row in m.data])
-
-    w0 = class_representatives(e1)[0]
-    rep = GRepresentation(GradedSpace(e1, {w0: 4}), {k: twice(nat[ij]) for k, ij in gl_d_keys(e1.d)})
-    scrambled = scramble_representation(rep, 1)
-    mats = [scrambled.rho(k).dense() for k, _ in gl_d_keys(e1.d)]
-    _assert_proper_invariant(fld, mats, 4, _try_split(fld, mats, 4, random.Random(0)))
-
-
-def _spy_factors(monkeypatch):
-    seen = []
-
-    def spy(poly):
-        factor = proper_factor_over_q(poly)
-        seen.append((list(poly), factor))
-        return factor
-
-    monkeypatch.setattr(repn, "proper_factor_over_q", spy)
-    return seen
-
-
-def test_split_jordan_block_takes_the_repeated_factor(monkeypatch):
-    fld = make_field(1)
-    jordan = ExactMatrix(fld, [[3, 1], [0, 3]])
-    seen = _spy_factors(monkeypatch)
-    basis = _try_split(fld, [jordan], 2, random.Random(0))
-    _assert_proper_invariant(fld, [jordan], 2, basis)
-    assert basis == [[fld.one, fld.zero]]
-    mu, factor = seen[-1]
-    # mu = x^2 + c1 x + c0 has a double root, and the factor is x minus that root
-    assert mu[1] ** 2 == 4 * mu[0] and factor == [mu[1] / 2, 1]
-
-
-def test_split_diagonal_takes_a_rational_root(monkeypatch):
-    fld = make_field(1)
-    diag = ExactMatrix(fld, [[1, 0], [0, 2]])
-    seen = _spy_factors(monkeypatch)
-    basis = _try_split(fld, [diag], 2, random.Random(0))
-    _assert_proper_invariant(fld, [diag], 2, basis)
-    mu, factor = seen[-1]
-    assert mu[1] ** 2 != 4 * mu[0]  # square-free
-    assert len(factor) == 2 and mu[0] + mu[1] * -factor[0] + factor[0] ** 2 == 0
-
-
-def test_splitting_message_is_plain_text():
-    fld = make_field(1)
-    rotation = ExactMatrix(fld, [[0, -1], [1, 0]])
-    with pytest.raises(SplittingNeedsFieldExtension) as info:
-        _try_split(fld, [rotation], 2, random.Random(0))
-    assert "\n" not in str(info.value) and "commutant" in str(info.value)
-
-
-def test_decompose_and_split_do_not_import_sympy():
+def test_decompose_does_not_import_sympy():
     src = str(Path(qtlie.__file__).resolve().parent.parent)
     code = """
-import random, sys
-from qtlie.matrices import ExactMatrix
-from qtlie.repn import (GLdGLNModule, _try_split, decompose_tensor, graded_regular_glN,
+import sys
+from qtlie.repn import (GLdGLNModule, decompose_tensor, graded_regular_glN,
                         natural_gld, pullback, scramble_representation)
 from qtlie.torus import make_torus
 spec = make_torus(2, 1, [2])
 wmats, wclasses = graded_regular_glN(spec)
 rep = scramble_representation(pullback(spec, GLdGLNModule(spec, natural_gld(spec), wmats, wclasses)), 5)
 assert decompose_tensor(spec, rep, seed=5)[0].dim_V == 2
-assert len(_try_split(spec.field, [ExactMatrix(spec.field, [[1, 0], [0, 2]])], 2, random.Random(0))) == 1
 print("sympy" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -794,7 +662,7 @@ print("sympy" in sys.modules)
 def test_rep_from_dict_rejects_malformed_data(e1, rep_e1):
     data = rep_to_dict(rep_e1)
     for broken in ({k: v for k, v in data.items() if k != "cutoff"},
-                   dict(data, classes=[{"w": [0, 0], "dim": "x"}]),
+                   dict(data, classes=[dict(data["classes"][0], dim="x")]),
                    dict(data, action=[{"matrix": []}]),
                    [data]):
         with pytest.raises(ParseError):

@@ -24,7 +24,6 @@ from qtlie.torus import (
     multiply_monomials,
     sigma_hat,
     sigma_skew,
-    validate_q_matrix,
 )
 
 
@@ -338,18 +337,6 @@ def test_enlarged_field(e1_wide):
     assert e1_wide.field.L == 4
     # q_1 is still a primitive square root of unity
     assert e1_wide.q(0) == e1_wide.field.from_rational(-1)
-
-
-def test_q_matrix_validator(e1, e2):
-    fld = e1.field
-    one = fld.one
-    q = fld.from_rational(-1)
-    assert validate_q_matrix(e1, [[one, q], [q, one]]) is True  # -1 is its own inverse
-    assert validate_q_matrix(e1, [[one, one], [q, one]]) is False
-    assert validate_q_matrix(e1, [[one]]) is False
-    z = e2.field.root(1)
-    assert validate_q_matrix(e2, [[e2.field.one, z.inverse()], [z, e2.field.one]]) is True
-    assert validate_q_matrix(e2, [[e2.field.one, z], [z, e2.field.one]]) is False
 
 
 def test_commutative_torus(commutative):
