@@ -155,7 +155,7 @@ def cmd_module_build(args) -> int:
 
 
 def cmd_module_verify(args) -> int:
-    spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
+    spec, rep = rep_from_dict(_read_json(_required(args, "rep")))
     report = verify_representation(spec, rep, args.degree)
     print(f"representation check: {'PASS' if report.passed else 'FAIL'} "
           f"({report.cases} pairs)")
@@ -166,7 +166,7 @@ def cmd_module_verify(args) -> int:
 
 
 def cmd_module_decompose(args) -> int:
-    spec, rep, _ = rep_from_dict(_read_json(_required(args, "rep")))
+    spec, rep = rep_from_dict(_read_json(_required(args, "rep")))
     vw, _phi = decompose_tensor(spec, rep, seed=args.seed)
     print(f"factors: dim V = {vw.dim_V}, dim W = {vw.dim_W}")
     if args.out:
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite name (repeatable); default: all")
     p_verify.add_argument("--box", type=_size)
     p_verify.add_argument("--degree", type=_size,
-                          help="total-degree bound of the jet exponents (jacobi-gtilde) and of the"
+                          help="total-degree bound of the jet exponents (jacobi-jets) and of the"
                                " operator families (roundtrip); filtration-degree bound of span-filtration")
     p_verify.add_argument("--samples", type=_size)
     p_verify.add_argument("--seed", type=int, default=0)

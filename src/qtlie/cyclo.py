@@ -18,44 +18,31 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, InvariantViolated, ParseError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _rat_poly_divmod(num, den):
-    num = list(num)
-    dn = len(den)
-    q = [_ZERO] * max(len(num) - dn + 1, 0)
-    inv_lead = _ONE / den[-1]
-    for k in range(len(num) - dn, -1, -1):
-        c = num[k + dn - 1] * inv_lead
-        q[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    return _poly_trim(q), _poly_trim(num)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
-    """Integer coefficients of the L-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the L-th cyclotomic polynomial, low degree first.
+
+    x^L - 1 divided by every Phi_d with d | L, d < L: each divisor is monic
+    with integer coefficients, so the long division stays in the integers.
+    """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if L == 1:
-        return (-1, 1)
     poly = [-1] + [0] * (L - 1) + [1]  # x^L - 1
     for d in range(1, L):
         if L % d == 0:
-            poly, rem = _rat_poly_divmod(poly, cyclotomic_polynomial(d))
-            if rem:
+            den = cyclotomic_polynomial(d)
+            dn = len(den) - 1
+            quot = [0] * (len(poly) - dn)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = poly[k + dn]
+                if c:
+                    for j, dj in enumerate(den):
+                        poly[k + j] -= c * dj
+            if any(poly[:dn]):
                 raise InvariantViolated(f"Phi_{d} does not divide x^{L} - 1 exactly")
-    return tuple(int(c) for c in poly)  # a quotient by monic integer divisors
+            poly = quot
+    return tuple(poly)
 
 
 class CycloField:

@@ -47,8 +47,8 @@ from .torus import (
     exp_sub,
     load_torus,
     sigma_hat,
-    sigma_skew,
 )
+from .xmatrix import glN_bracket
 
 
 class GradedSpace:
@@ -466,8 +466,9 @@ class GLdGLNModule:
             if not isinstance(op, GradedOperator) or op.space != self.W_space or op.shift != w:
                 raise InvalidModuleData(f"missing or misshapen W generator {w}")
 
-        def gl_n_bracket(r, s):  # [X^r, X^s] = sigma_skew(r, s) X^(r+s)
-            return self.W[canonical_rep(spec, exp_add(r, s))].scale(sigma_skew(spec, r, s))
+        def gl_n_bracket(r, s):
+            coeff, w = glN_bracket(spec, r, s)
+            return self.W[w].scale(coeff)
 
         _, failure = first_bracket_failure(reps, self.W.__getitem__, gl_n_bracket)
         if failure is not None:
@@ -835,9 +836,9 @@ def decompose_tensor(
 # ---------------------------------------------------------------------------
 
 
-def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
+def rep_to_dict(rep: GRepresentation) -> dict:
     sp = rep.space
-    data = {
+    return {
         "format": "qtlie-representation",
         "torus": dump_torus(sp.spec),
         "cutoff": rep.cutoff,
@@ -847,31 +848,37 @@ def rep_to_dict(rep: GRepresentation, alpha=None) -> dict:
             for k in rep.nonzero_keys()
         ],
     }
-    if alpha is not None:
-        data["alpha"] = [a.serialize() for a in alpha]
-    return data
 
 
-def rep_from_dict(data: dict):
+def rep_from_dict(data: dict) -> tuple[TorusSpec, GRepresentation]:
     """Inverse of ``rep_to_dict``; malformed data raises ParseError.
 
-    Malformed includes a class listed twice or not a class representative, an
-    action key listed twice or outside the key grammar, and a cutoff that the
-    action does not give.
+    Malformed includes a top-level key outside ``rep_to_dict``'s five, a class
+    listed twice, not a class representative or with an entry that is not an
+    int, a class dimension that is not a positive int, an action key listed
+    twice or outside the key grammar, and a cutoff that is not an int or that
+    the action does not give.
     """
     if not isinstance(data, dict) or data.get("format") != "qtlie-representation":
         raise ParseError("not a representation file")
+    unknown = [key for key in data if key not in ("format", "torus", "cutoff", "classes", "action")]
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r}")
     try:
         spec = load_torus(data["torus"])
         reps = set(class_representatives(spec))
         dims = {}
         for entry in data["classes"]:
-            w = tuple(entry["w"])
+            w, dim = tuple(entry["w"]), entry["dim"]
+            if not all(type(a) is int for a in w):
+                raise ParseError(f"class {list(w)} has an entry that is not an integer")
             if w in dims:
                 raise ParseError(f"class {list(w)} is listed twice")
             if w not in reps:
                 raise ParseError(f"class {list(w)} is not a class representative")
-            dims[w] = int(entry["dim"])
+            if type(dim) is not int or dim < 1:
+                raise ParseError(f"class {list(w)} has dimension {dim!r}, not a positive integer")
+            dims[w] = dim
         space = GradedSpace(spec, dims)
         action = {}
         for entry in data["action"]:
@@ -884,11 +891,12 @@ def rep_from_dict(data: dict):
                 raise ParseError(f"action key {text} is listed twice")
             action[key] = ExactMatrix(
                 spec.field, [[parse_cyclonum(s, spec.field) for s in row] for row in entry["matrix"]])
-        cutoff = int(data["cutoff"])
-        alpha = tuple(parse_cyclonum(s, spec.field) for s in data["alpha"]) if "alpha" in data else None
+        cutoff = data["cutoff"]
+        if type(cutoff) is not int:
+            raise ParseError(f"file cutoff {cutoff!r} is not an integer")
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"invalid representation data: {exc!r}") from exc
     rep = GRepresentation(space, action)
     if rep.cutoff != cutoff:
         raise ParseError(f"file cutoff {cutoff} differs from the cutoff {rep.cutoff} of its action")
-    return spec, rep, alpha
+    return spec, rep

@@ -78,10 +78,6 @@ class TorusSpec:
     def __reduce__(self):
         return TorusSpec, (self.d, self.z, self.k, self.L)
 
-    def q(self, i: int) -> CycloNum:
-        """The root of unity q_i attached to pair i (0-based)."""
-        return self.field.root(self.L // self.k[i])
-
 
 def make_torus(d: int, z: int, k, L: int | None = None) -> TorusSpec:
     k = tuple(k)
@@ -205,9 +201,7 @@ def class_representatives(spec: TorusSpec) -> list[ExpVec]:
         ranges.append(range(1, spec.k[i] + 1))
         ranges.append(range(1, spec.k[i] + 1))
     tail = (0,) * (spec.d - 2 * spec.z)
-    reps = [tuple(head) + tail for head in itertools.product(*ranges)]
-    reps.sort()
-    return reps
+    return [tuple(head) + tail for head in itertools.product(*ranges)]
 
 
 def central_box(spec: TorusSpec, radius: int) -> list[ExpVec]:

@@ -378,14 +378,14 @@ def suite_cuspidality(spec: TorusSpec, box: int = 4) -> VerificationReport:
 SUITES = {
     "xmatrix": (suite_xmatrix, {"box": "box", "flip": "flip"}),
     "xmatrix-identity": (suite_xmatrix_identity, {"box": "box"}),
-    "jacobi-d": (suite_jacobi_derivations, {"samples": "triples", "seed": "seed", "box": "box"}),
-    "jacobi-wd": (suite_jacobi_witt, {"samples": "triples", "seed": "seed", "box": "box"}),
-    "jacobi-gtilde": (suite_jacobi_jets, {"degree": "max_total", "samples": "sample", "seed": "seed"}),
-    "dr-wd": (suite_witt_embedding, {"samples": "pairs", "seed": "seed", "box": "box"}),
+    "jacobi-derivations": (suite_jacobi_derivations, {"samples": "triples", "seed": "seed", "box": "box"}),
+    "jacobi-witt": (suite_jacobi_witt, {"samples": "triples", "seed": "seed", "box": "box"}),
+    "jacobi-jets": (suite_jacobi_jets, {"degree": "max_total", "samples": "sample", "seed": "seed"}),
+    "witt-embedding": (suite_witt_embedding, {"samples": "pairs", "seed": "seed", "box": "box"}),
     "quotient": (suite_quotient, {}),
     "span-filtration": (suite_span_filtration, {"degree": "max_degree"}),
     "annihilation": (suite_annihilation, {}),
-    "functor": (suite_functor, {"box": "box", "samples": "pairs", "seed": "seed"}),
+    "functor-axioms": (suite_functor, {"box": "box", "samples": "pairs", "seed": "seed"}),
     "tensor-compare": (suite_tensor_compare, {}),
     "roundtrip": (suite_roundtrip, {"degree": "degree_bound"}),
     "decompose": (suite_decompose, {"seed": "seed"}),

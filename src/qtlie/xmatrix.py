@@ -1,9 +1,10 @@
 """Matrix realization of the torus classes inside M_N.
 
 Each noncommuting pair contributes a clock matrix (diagonal powers of q_i) and
-a shift matrix; X^n is the Kronecker product of per-pair factors and depends
-only on the class of n.  Multiplying these matrices is the ground-truth oracle
-that fixes the argument order of `sigma_hat`.
+a shift matrix; X^n is the Kronecker product of the per-pair factors
+Clock^a * Shift^b, each written in closed form, and depends only on the class
+of n.  Multiplying these matrices is the ground-truth oracle that fixes the
+argument order of `sigma_hat`.
 """
 from __future__ import annotations
 
@@ -26,39 +27,18 @@ from .torus import (
 
 
 @lru_cache(maxsize=None)
-def _clock(spec: TorusSpec, i: int) -> ExactMatrix:
-    """diag(1, q_i, ..., q_i^{k_i-1})."""
-    ki = spec.k[i]
-    fld = spec.field
-    step = spec.L // ki
-    m = ExactMatrix.zeros(fld, ki, ki)
-    for a in range(ki):
-        m[a, a] = fld.root(step * a)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _shift(spec: TorusSpec, i: int) -> ExactMatrix:
-    """Cyclic shift E_{1,2} + E_{2,3} + ... + E_{k,1}."""
-    ki = spec.k[i]
-    m = ExactMatrix.zeros(spec.field, ki, ki)
-    for a in range(ki):
-        m[a, (a + 1) % ki] = spec.field.one
-    return m
-
-
-@lru_cache(maxsize=None)
 def _pair_factor(spec: TorusSpec, i: int, a: int, b: int) -> ExactMatrix:
-    """Clock^a * Shift^b on pair i, exponents reduced mod k_i."""
+    """Clock^a * Shift^b on pair i, for any integers a and b.
+
+    Clock = diag(1, q_i, ..., q_i^{k_i-1}) and Shift = E_{1,2} + ... + E_{k,1},
+    which sends e_c to e_{c-1}; so row r of the product holds q_i^{a r} in
+    column (r + b) mod k_i and zeros elsewhere.
+    """
     ki = spec.k[i]
-    a %= ki
-    b %= ki
-    out = ExactMatrix.identity(spec.field, ki)
-    clock, shift = _clock(spec, i), _shift(spec, i)
-    for _ in range(a):
-        out = out * clock
-    for _ in range(b):
-        out = out * shift
+    step = spec.L // ki
+    out = ExactMatrix.zeros(spec.field, ki)
+    for r in range(ki):
+        out[r, (r + b) % ki] = spec.field.root(step * a * r)
     return out
 
 

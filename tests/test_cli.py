@@ -125,7 +125,7 @@ def test_verify_flip_sigma_fails_with_counterexample(spec_file, tmp_path):
 def test_verify_report_determinism(spec_file, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    args = ["verify", "--spec", spec_file, "--suite", "jacobi-d",
+    args = ["verify", "--spec", spec_file, "--suite", "jacobi-derivations",
             "--suite", "roundtrip", "--seed", "3"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -133,7 +133,7 @@ def test_verify_report_determinism(spec_file, tmp_path):
 
 
 @pytest.mark.parametrize("argv,cases", [
-    (["--suite", "jacobi-d", "--samples", "3"], 3),
+    (["--suite", "jacobi-derivations", "--samples", "3"], 3),
     (["--suite", "xmatrix", "--box", "1"], 16),  # the pairs of [0, 1]^2
     (["--suite", "span-filtration", "--degree", "1"], 2),
 ])
@@ -380,7 +380,7 @@ def test_verify_report_is_independent_of_hash_seed(tmp_path):
     """E1, then E4 on the suites that fit a wall-time budget per run."""
     src = str(Path(qtlie.__file__).resolve().parent.parent)
     for spec, names, budget, digest in (
-        (SPEC_E1, ("xmatrix", "jacobi-d", "quotient", "annihilation", "decompose"), None, None),
+        (SPEC_E1, ("xmatrix", "jacobi-derivations", "quotient", "annihilation", "decompose"), None, None),
         (SPEC_E4, ("quotient", "annihilation", "decompose"), E4_RUN_BUDGET_S, E4_REPORT_SHA256),
     ):
         suites = [arg for name in names for arg in ("--suite", name)]
@@ -411,8 +411,8 @@ def test_decompose_suite_reports_a_reducible_module(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "functor", "--box", "-1", "--out", "out.json"],
-    ["verify", "--suite", "jacobi-d", "--samples", "-3", "--out", "out.json"],
+    ["verify", "--suite", "functor-axioms", "--box", "-1", "--out", "out.json"],
+    ["verify", "--suite", "jacobi-derivations", "--samples", "-3", "--out", "out.json"],
     ["verify", "--suite", "span-filtration", "--degree", "-1", "--out", "out.json"],
     ["verify", "--suite", "xmatrix", "--box", "-1", "--out", "out.json"],
     ["verify", "--suite", "xmatrix", "--box", "two", "--out", "out.json"],
@@ -457,12 +457,48 @@ def _give_first_key_a_zero_exponent(data, zero):
     return "action key XD(0,0;1): bad vector-field exponent (0, 0)"
 
 
+def _give_first_class_a_fractional_dimension(data, zero):
+    data["classes"][0]["dim"] = 2.7  # int() would load it as 2, and the file would verify
+    return "class [1, 1] has dimension 2.7, not a positive integer"
+
+
+def _give_first_class_a_negative_dimension(data, zero):
+    data["classes"][0]["dim"] = -2
+    return "class [1, 1] has dimension -2, not a positive integer"
+
+
+def _give_first_class_a_boolean_dimension(data, zero):
+    data["classes"][0]["dim"] = True
+    return "class [1, 1] has dimension True, not a positive integer"
+
+
+def _write_first_class_with_float_entries(data, zero):
+    data["classes"][0]["w"] = [1.0, 1.0]  # tuple() would load it as the class (1, 1)
+    return "class [1.0, 1.0] has an entry that is not an integer"
+
+
+def _give_a_fractional_cutoff(data, zero):
+    data["cutoff"] = 1.7  # int() would load it as the action's cutoff 1
+    return "file cutoff 1.7 is not an integer"
+
+
+def _add_a_weight_offset(data, zero):
+    data["alpha"] = ["1", "-2"]  # a representation file carries no alpha
+    return "unknown key 'alpha'"
+
+
 @pytest.mark.parametrize("corrupt", [_repeat_first_key_with_a_zero_matrix, _repeat_first_class,
                                      _move_first_class_off_the_representatives,
-                                     _give_first_key_a_zero_exponent])
+                                     _give_first_key_a_zero_exponent,
+                                     _give_first_class_a_fractional_dimension,
+                                     _give_first_class_a_negative_dimension,
+                                     _give_first_class_a_boolean_dimension,
+                                     _write_first_class_with_float_entries, _give_a_fractional_cutoff,
+                                     _add_a_weight_offset])
 def test_malformed_representation_file_is_a_config_error(corrupt, tmp_path, capsys):
     """A file that the action or the grading of a representation cannot come from exits 2 and names
-    the key or the class; a repeated key no longer loads with its later matrix."""
+    the key or the class; a repeated key no longer loads with its later matrix, and a class or a
+    dimension that is not made of ints is not rounded into one."""
     spec = make_torus(2, 1, [2])
     data = rep_to_dict(preset_pullback(spec)[1])
     assert data["classes"][0]["w"] == [1, 1] and data["action"][0]["key"] == "XD(0,1;1)"
@@ -512,6 +548,9 @@ def test_summary_lines_stream_as_each_suite_returns(monkeypatch, spec_file, caps
 @pytest.mark.parametrize("names,message", [
     (["xmatrix", "bogus"], "unknown suite 'bogus'"),
     (["all", "xmatrix"], "suite 'all' cannot be combined"),
+    # the CLI keys before each suite took its report name; no alias keeps them
+    *((["xmatrix", old], f"unknown suite {old!r}") for old in ("jacobi-d", "jacobi-wd", "jacobi-gtilde", "dr-wd",
+                                                               "functor")),
 ])
 def test_suite_names_are_checked_before_any_suite_runs(names, message, monkeypatch, spec_file, capsys):
     ran = []

@@ -3,9 +3,11 @@ its classes that is not a dunder, is named outside its own definition.
 
 A name counts when it appears as a bare name, an attribute, an imported name
 or a string constant (the benchmark tracer names what it wraps in strings)
-anywhere in the library, the tests, the demos or the benchmark.  A use inside
-the definition itself, such as a recursive call, does not count.  Names are
-matched as text, not resolved to their module or class.
+anywhere in the library, the tests, the demos or the benchmark; a method's
+name counts only as an attribute or a string, so that a local variable of the
+same name does not hide it.  A use inside the definition itself, such as a
+recursive call, does not count.  Names are matched as text, not resolved to
+their module or class.
 
 A stricter check counts only the library (the CLI included) and the demos, so
 a helper that only tests or the benchmark call fails it unless it is on an
@@ -25,22 +27,28 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
-def _own_names(sub: ast.AST) -> set[str]:
-    """The names that one node, without its children, uses."""
-    if isinstance(sub, ast.Name):
-        return {sub.id}
+def _attribute_names(sub: ast.AST) -> set[str]:
+    """The names that one node, without its children, uses as an attribute or a string."""
     if isinstance(sub, ast.Attribute):
         return {sub.attr}
-    if isinstance(sub, ast.alias):
-        return set(sub.name.split(".")) | ({sub.asname} if sub.asname else set())
     if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
         return {sub.value}
     return set()
 
 
-def referenced(node: ast.AST) -> set[str]:
-    """The names `node` uses; a definition's use of its own name is left out, at any depth."""
-    found = _own_names(node).union(*map(referenced, ast.iter_child_nodes(node)))
+def _own_names(sub: ast.AST) -> set[str]:
+    """The names that one node, without its children, uses."""
+    if isinstance(sub, ast.Name):
+        return {sub.id}
+    if isinstance(sub, ast.alias):
+        return set(sub.name.split(".")) | ({sub.asname} if sub.asname else set())
+    return _attribute_names(sub)
+
+
+def referenced(node: ast.AST, own=_own_names) -> set[str]:
+    """The names `node` uses, as `own` reads them off each node; a definition's use of its
+    own name is left out, at any depth."""
+    found = own(node).union(*(referenced(child, own) for child in ast.iter_child_nodes(node)))
     if isinstance(node, DEFINITIONS):
         found.discard(node.name)
     return found
@@ -52,8 +60,10 @@ def _is_dunder(name: str) -> bool:
 
 def unreferenced(definers: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
     """`module:name` of each top-level function or class of `definers` that no tree of `users`
-    names, and `module:Class.method` of each such method that is not a dunder."""
+    names, and `module:Class.method` of each method that is not a dunder and that no tree of
+    `users` names as an attribute or a string (a local variable of the same name does not count)."""
     used = set().union(*map(referenced, users))
+    used_as_attribute = set().union(*(referenced(tree, _attribute_names) for tree in users))
     found = []
     for module, tree in definers.items():
         for node in tree.body:
@@ -61,7 +71,8 @@ def unreferenced(definers: dict[str, ast.Module], users: list[ast.Module]) -> li
                 found.append(f"{module}:{node.name}")
             if isinstance(node, ast.ClassDef):
                 found += [f"{module}:{node.name}.{item.name}" for item in node.body
-                          if isinstance(item, FUNCTIONS) and not _is_dunder(item.name) and item.name not in used]
+                          if isinstance(item, FUNCTIONS) and not _is_dunder(item.name)
+                          and item.name not in used_as_attribute]
     return sorted(found)
 
 
@@ -85,11 +96,12 @@ def test_checker_finds_an_unreferenced_method():
                      "    def called(self):\n        pass\n"
                      "    def recursive(self):\n        return self.recursive()\n"
                      "    def traced(self):\n        pass\n"
-                     "    def unused(self):\n        pass\n\n"
-                     "Kept()\nSPANS = ['traced']\n")
+                     "    def unused(self):\n        pass\n"
+                     "    def shadowed(self):\n        pass\n\n"
+                     "Kept()\nSPANS = ['traced']\nshadowed = 1\n")
     other = ast.parse("def caller(k):\n    return k.recursive()\n")
-    assert unreferenced({"lib": tree}, [tree]) == ["lib:Kept.recursive", "lib:Kept.unused"]
-    assert unreferenced({"lib": tree}, [tree, other]) == ["lib:Kept.unused"]
+    assert unreferenced({"lib": tree}, [tree]) == ["lib:Kept.recursive", "lib:Kept.shadowed", "lib:Kept.unused"]
+    assert unreferenced({"lib": tree}, [tree, other]) == ["lib:Kept.shadowed", "lib:Kept.unused"]
 
 
 def test_no_unreferenced_helpers():

@@ -678,14 +678,12 @@ def test_rep_from_dict_rejects_a_cutoff_that_the_action_does_not_give(rep_e1):
 
 
 def test_rep_serialization_round_trip(e1, rep_e1):
-    alpha = (e1.field.from_rational(1), e1.field.from_rational(-2))
-    data = rep_to_dict(rep_e1, alpha)
-    spec2, rep2, alpha2 = rep_from_dict(data)
+    data = rep_to_dict(rep_e1)
+    spec2, rep2 = rep_from_dict(data)
     assert spec2 == e1
     assert rep2 == rep_e1
-    assert alpha2 == alpha
     # deterministic dump
-    assert rep_to_dict(rep2, alpha2) == data
+    assert rep_to_dict(rep2) == data
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +760,7 @@ def test_an_unequal_representation_is_checked_afresh(e1, commutator_calls, monke
 def test_hash_agrees_with_equality(e1, rep_e1):
     """Equal values hash alike, through a file round trip, from dense or graded
     operators and in any key order; the hash is computed once."""
-    _, loaded, _ = rep_from_dict(json.loads(json.dumps(rep_to_dict(rep_e1))))
+    _, loaded = rep_from_dict(json.loads(json.dumps(rep_to_dict(rep_e1))))
     dense = GRepresentation(rep_e1.space, {k: op.dense() for k, op in reversed(list(rep_e1.action.items()))})
     for other in (loaded, dense):
         assert other == rep_e1 and hash(other) == hash(rep_e1)

@@ -335,8 +335,8 @@ def test_spec_without_L_takes_the_default():
 
 def test_enlarged_field(e1_wide):
     assert e1_wide.field.L == 4
-    # q_1 is still a primitive square root of unity
-    assert e1_wide.q(0) == e1_wide.field.from_rational(-1)
+    # q_1 = sigma_hat(e_2, e_1) is still a primitive square root of unity
+    assert sigma_hat(e1_wide, (0, 1), (1, 0)) == -1
 
 
 def test_commutative_torus(commutative):

@@ -22,7 +22,7 @@ def test_config_keys_map_onto_exactly_the_suite_parameters(name):
     assert sorted(params.values()) == sorted(expected)
 
 
-@pytest.mark.parametrize("name", ["dr-wd", "jacobi-d"])
+@pytest.mark.parametrize("name", ["witt-embedding", "jacobi-derivations"])
 def test_an_empty_config_keeps_the_suite_defaults(e1, name):
     suite, _ = SUITES[name]
     [report] = run_suites(e1, [name], {})
@@ -31,7 +31,7 @@ def test_an_empty_config_keeps_the_suite_defaults(e1, name):
 
 
 def test_present_config_keys_reach_the_suite_and_others_are_ignored(e1):
-    [report] = run_suites(e1, ["jacobi-d"], {"samples": 3, "flip": True, "degree": 9})
+    [report] = run_suites(e1, ["jacobi-derivations"], {"samples": 3, "flip": True, "degree": 9})
     assert report.cases == 3 and report.passed
 
 
@@ -46,8 +46,9 @@ def test_a_run_builds_the_standard_pullback_once(commutative, monkeypatch):
 
     monkeypatch.setattr(verify, "preset_pullback", counted)
     reports = {r.suite: r.to_dict() for r in run_suites(commutative, ["all"])}
+    assert list(reports) == list(SUITES)  # each CLI key is its suite's report name
     assert calls == [(commutative, "natural-regular")]
-    again = [r.to_dict() for r in run_suites(commutative, ["functor", "cuspidality"])]
+    again = [r.to_dict() for r in run_suites(commutative, ["functor-axioms", "cuspidality"])]
     assert again == [reports["functor-axioms"], reports["cuspidality"]] and len(calls) == 2
     alone = {r.suite: r.to_dict() for r in (suite(commutative) for suite, _ in SUITES.values())}
     assert alone == reports and len(calls) == 2 + 6

@@ -1,10 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from qtlie import xmatrix
 from qtlie.matrices import ExactMatrix
-from qtlie.torus import canonical_rep, class_representatives, exp_add, in_R
+from qtlie.torus import canonical_rep, class_representatives, exp_add, in_R, load_torus
 from qtlie.xmatrix import (
     glN_bracket,
     span_dimension,
@@ -12,6 +13,36 @@ from qtlie.xmatrix import (
     verify_product_relation,
     x_power,
 )
+
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("e*.json"))
+
+
+def _clock_and_shift(spec, i):
+    """diag(1, q_i, ..., q_i^{k_i-1}) and the cyclic shift E_{1,2} + ... + E_{k,1}, entry by entry."""
+    ki, fld = spec.k[i], spec.field
+    clock, shift = ExactMatrix.zeros(fld, ki), ExactMatrix.zeros(fld, ki)
+    for r in range(ki):
+        clock[r, r] = fld.root(spec.L // ki * r)
+        shift[r, (r + 1) % ki] = fld.one
+    return clock, shift
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda path: path.stem)
+def test_pair_factor_is_clock_power_times_shift_power(path):
+    """The closed form of each pair factor against Clock^a * Shift^b multiplied out, with a
+    and b reduced mod k_i (Clock^k_i = Shift^k_i = 1), for a, b in [-k_i, 2 k_i); E6 has no pair."""
+    spec = load_torus(path)
+    for i, ki in enumerate(spec.k):
+        clock, shift = _clock_and_shift(spec, i)
+        ident = ExactMatrix.identity(spec.field, ki)
+        powers, shifts = [ident], [ident]
+        for _ in range(ki):
+            powers.append(powers[-1] * clock)
+            shifts.append(shifts[-1] * shift)
+        assert powers[ki] == shifts[ki] == ident
+        for a, b in itertools.product(range(-ki, 2 * ki), repeat=2):
+            assert xmatrix._pair_factor(spec, i, a, b) == powers[a % ki] * shifts[b % ki], (i, a, b)
 
 
 def test_frozen_matrices(e1, e2):
